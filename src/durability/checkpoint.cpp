@@ -8,7 +8,7 @@
 namespace parspan {
 
 namespace {
-constexpr uint64_t kCkptMagic = 0x3130504B43505350ULL;  // "PSPCKP01" LE
+constexpr uint64_t kCkptMagic = 0x3230504B43505350ULL;  // "PSPCKP02" LE
 }
 
 std::string checkpoint_file_name(uint64_t version) {
@@ -93,7 +93,9 @@ std::optional<Checkpoint> load_checkpoint(Fs& fs, const std::string& dir,
   p += kFixed;
   const uint8_t* end = body.data() + body.size() - 4;
   // Delta decoding proves strict ascent (sorted + unique) as a side effect
-  // — a zero delta or truncated varint rejects the checkpoint.
+  // — a zero delta, a wrapping (descending) delta or a truncated varint
+  // rejects the checkpoint — and every key must be an edge over n
+  // vertices: the order-independent checksum proves neither.
   auto read_list = [&](std::vector<EdgeKey>* out, uint64_t cnt) {
     out->clear();
     out->reserve(cnt);
@@ -103,6 +105,7 @@ std::optional<Checkpoint> load_checkpoint(Fs& fs, const std::string& dir,
       if (!get_uvarint(&p, end, &d)) return false;
       if (i > 0 && (d == 0 || d > UINT64_MAX - prev)) return false;
       prev = i == 0 ? d : prev + d;
+      if (!valid_edge_key(prev, c.n)) return false;
       out->push_back(prev);
     }
     return true;

@@ -3,20 +3,38 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "service/spanner_snapshot.hpp"
-
 namespace parspan {
 
-namespace {
-
-// A canonical key the graph can actually contain: lo < hi < n. WAL bytes
-// are data, not invariants — recovery and the shadow both filter.
-bool valid_graph_key(EdgeKey k, uint64_t n) {
-  auto [lo, hi] = edge_endpoints(k);
-  return lo < hi && hi < n;
+void GraphShadow::fold(const WalRecord& rec, uint64_t n) {
+  for (EdgeKey k : rec.input_deleted)
+    if (valid_edge_key(k, n)) delta_[k] = false;
+  for (EdgeKey k : rec.input_inserted)
+    if (valid_edge_key(k, n)) delta_[k] = true;
 }
 
-}  // namespace
+std::vector<EdgeKey> GraphShadow::keys() const {
+  std::vector<std::pair<EdgeKey, bool>> changes;
+  changes.reserve(delta_.size());
+  delta_.for_each([&](EdgeKey k, bool present) {
+    changes.emplace_back(k, present);
+  });
+  std::sort(changes.begin(), changes.end());
+  std::vector<EdgeKey> out;
+  out.reserve(base_.size() + changes.size());
+  size_t j = 0;
+  for (EdgeKey k : base_) {
+    for (; j < changes.size() && changes[j].first < k; ++j)
+      if (changes[j].second) out.push_back(changes[j].first);
+    if (j < changes.size() && changes[j].first == k) {
+      if (changes[j++].second) out.push_back(k);
+    } else {
+      out.push_back(k);
+    }
+  }
+  for (; j < changes.size(); ++j)
+    if (changes[j].second) out.push_back(changes[j].first);
+  return out;
+}
 
 ShardDurability::ShardDurability(std::shared_ptr<Fs> fs, std::string dir,
                                  const DurabilityOptions& opts, uint64_t n,
@@ -53,7 +71,7 @@ std::unique_ptr<ShardDurability> ShardDurability::create(
 
   auto d = std::unique_ptr<ShardDurability>(
       new ShardDurability(std::move(fs), std::move(dir), opts, n, stretch));
-  for (EdgeKey k : graph_keys) d->graph_.insert(k);
+  d->graph_ = GraphShadow(graph_keys);
 
   Checkpoint ckpt;
   ckpt.version = version;
@@ -74,10 +92,7 @@ bool ShardDurability::log_record(const WalRecord& rec) {
   // track the BACKEND (which applied the batch regardless), so a later
   // recovery-epilogue checkpoint — if durability ever came back — would
   // not lie. With sticky failure it simply stays consistent in memory.
-  for (EdgeKey k : rec.input_deleted)
-    if (valid_graph_key(k, n_)) graph_.erase(k);
-  for (EdgeKey k : rec.input_inserted)
-    if (valid_graph_key(k, n_)) graph_.insert(k);
+  graph_.fold(rec, n_);
   if (failed_) return false;
   if (!wal_->append(rec)) {
     failed_ = true;
@@ -88,13 +103,21 @@ bool ShardDurability::log_record(const WalRecord& rec) {
   return true;
 }
 
+bool ShardDurability::checkpoint_due() const {
+  return !failed_ && opts_.checkpoint_every != 0 &&
+         records_since_ckpt_ >= opts_.checkpoint_every;
+}
+
 bool ShardDurability::maybe_checkpoint(uint64_t version,
                                        uint64_t snapshot_checksum,
                                        std::span<const EdgeKey> snap_keys) {
-  if (failed_ || opts_.checkpoint_every == 0 ||
-      records_since_ckpt_ < opts_.checkpoint_every)
-    return !failed_;
+  if (!checkpoint_due()) return !failed_;
   return checkpoint_now(version, snapshot_checksum, snap_keys);
+}
+
+bool ShardDurability::maybe_checkpoint(const SpannerSnapshot& snap) {
+  if (!checkpoint_due()) return !failed_;
+  return checkpoint_now(snap.version(), snap.checksum(), snap.edge_keys());
 }
 
 bool ShardDurability::checkpoint_now(uint64_t version,
@@ -114,11 +137,12 @@ bool ShardDurability::checkpoint_now(uint64_t version,
   ckpt.stretch = stretch_;
   ckpt.snapshot_checksum = snapshot_checksum;
   ckpt.snap_keys.assign(snap_keys.begin(), snap_keys.end());
-  ckpt.graph_keys = graph_.sorted_keys();
+  ckpt.graph_keys = graph_.keys();
   if (!write_checkpoint(*fs_, dir_, ckpt)) {
     failed_ = true;
     return false;
   }
+  graph_ = GraphShadow(std::move(ckpt.graph_keys));  // the new base
   last_ckpt_version_ = version;
   ckpt_versions_.push_back(version);
   records_since_ckpt_ = 0;
@@ -174,16 +198,17 @@ std::optional<ShardDurability::Recovered> ShardDurability::recover(
   out.stretch = chosen->stretch;
   out.version = chosen->version;
   out.checksum = chosen->snapshot_checksum;
-  out.snap_keys = std::move(chosen->snap_keys);
   out.graph_keys = std::move(chosen->graph_keys);
+  SpannerSnapshot::Ptr snap = SpannerSnapshot::restore(
+      out.n, out.stretch, out.version, chosen->snap_keys);
 
-  FlatHashSet<EdgeKey> graph;
-  for (EdgeKey k : out.graph_keys) graph.insert(k);
+  GraphShadow graph(std::move(out.graph_keys));
 
   // Replay segments at/above the checkpoint in base order. Versions must
   // chain contiguously; the first invalid frame (or semantically
-  // inconsistent record — checksum verified BEFORE apply) ends replay for
-  // good: bytes past a tear are garbage by the append-only discipline.
+  // inconsistent record — §6 preconditions and checksum verified BEFORE
+  // the version is accepted) ends replay for good: bytes past a tear are
+  // garbage by the append-only discipline.
   std::vector<uint64_t> bases;
   for (const std::string& name : fs->list(dir))
     if (auto b = parse_wal_file_name(name); b && *b >= out.version)
@@ -205,19 +230,15 @@ std::optional<ShardDurability::Recovered> ShardDurability::recover(
         out.tail_truncated = true;
         break;
       }
-      auto folded =
-          checked_apply_diff(out.snap_keys, rec.diff_inserted, rec.diff_removed);
-      if (!folded || snapshot_content_checksum(out.n, out.stretch, rec.version,
-                                               *folded) != rec.checksum) {
+      SpannerSnapshot::Ptr next =
+          SpannerSnapshot::apply(*snap, rec.diff_inserted, rec.diff_removed);
+      if (next == nullptr || next->checksum() != rec.checksum) {
         stop = true;
         out.tail_truncated = true;
         break;
       }
-      out.snap_keys = std::move(*folded);
-      for (EdgeKey k : rec.input_deleted)
-        if (valid_graph_key(k, out.n)) graph.erase(k);
-      for (EdgeKey k : rec.input_inserted)
-        if (valid_graph_key(k, out.n)) graph.insert(k);
+      snap = std::move(next);
+      graph.fold(rec, out.n);
       out.version = rec.version;
       out.checksum = rec.checksum;
       ++out.replayed_records;
@@ -227,7 +248,8 @@ std::optional<ShardDurability::Recovered> ShardDurability::recover(
       break;
     }
   }
-  out.graph_keys = graph.sorted_keys();
+  out.graph_keys = graph.keys();
+  out.snapshot = std::move(snap);
 
   auto d = std::unique_ptr<ShardDurability>(new ShardDurability(
       std::move(fs), std::move(dir), opts, out.n, out.stretch));

@@ -16,7 +16,9 @@
 // documented batch semantics) into a running edge-key set, so a checkpoint
 // can serialize the graph without reaching into backend internals, and
 // recovery can hand back the edge set the rebuilt backend must start from
-// (DESIGN.md §10.4).
+// (DESIGN.md §10.4). The set is kept as the last checkpoint's sorted list
+// plus the changes since, so neither a checkpoint nor a recovery ever
+// hashes or sorts the whole graph.
 //
 // Failure is sticky: after any WAL or checkpoint I/O error the shard keeps
 // serving from memory but failed() stays true and nothing further is
@@ -36,8 +38,32 @@
 #include "durability/checkpoint.hpp"
 #include "durability/fs.hpp"
 #include "durability/wal.hpp"
+#include "service/spanner_snapshot.hpp"
 
 namespace parspan {
+
+/// The graph shadow: a sorted base list (the last checkpoint's graph) plus
+/// the net changes folded in since. Folding a record is O(batch); reading
+/// the set back sorted is one merge of the base with the sorted changes.
+class GraphShadow {
+ public:
+  GraphShadow() = default;
+  /// `sorted` must be strictly ascending (a checkpoint's graph list).
+  explicit GraphShadow(std::vector<EdgeKey> sorted)
+      : base_(std::move(sorted)) {}
+
+  /// Folds one record's input batch: deletions then insertions, set
+  /// semantics. Keys that are not edges over n vertices are skipped —
+  /// WAL bytes are data, not invariants.
+  void fold(const WalRecord& rec, uint64_t n);
+
+  /// The current edge set, ascending.
+  std::vector<EdgeKey> keys() const;
+
+ private:
+  std::vector<EdgeKey> base_;
+  FlatHashMap<EdgeKey, bool> delta_;  // touched key -> present now
+};
 
 struct DurabilityOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
@@ -72,7 +98,7 @@ class ShardDurability {
     uint32_t stretch = 0;
     uint64_t version = 0;   // restored snapshot version
     uint64_t checksum = 0;  // its content checksum (== last durably logged)
-    std::vector<EdgeKey> snap_keys;   // the restored spanner, ascending
+    SpannerSnapshot::Ptr snapshot;    // the restored spanner at `version`
     std::vector<EdgeKey> graph_keys;  // the restored graph, ascending
     uint64_t replayed_records = 0;
     /// True when the log ended in a torn/corrupt frame that was truncated
@@ -82,10 +108,11 @@ class ShardDurability {
     std::unique_ptr<ShardDurability> dur;
   };
 
-  /// Loads the newest valid checkpoint and replays the log tail, verifying
-  /// each record's content checksum before applying it and truncating at
-  /// the first invalid frame (DESIGN.md §10.3). nullopt when no valid
-  /// checkpoint exists at all.
+  /// Loads the newest valid checkpoint and replays the log tail through
+  /// SpannerSnapshot::apply's checked patch, verifying each record's
+  /// content checksum and truncating at the first invalid frame or §6
+  /// violation (DESIGN.md §10.3). nullopt when no valid checkpoint exists
+  /// at all.
   static std::optional<Recovered> recover(std::shared_ptr<Fs> fs,
                                           std::string dir,
                                           const DurabilityOptions& opts);
@@ -101,6 +128,11 @@ class ShardDurability {
   /// must describe the snapshot at `version` (the one just published).
   bool maybe_checkpoint(uint64_t version, uint64_t snapshot_checksum,
                         std::span<const EdgeKey> snap_keys);
+
+  /// maybe_checkpoint() of a just-published snapshot: walks its key list
+  /// only when a checkpoint is due, so the per-batch path never pays the
+  /// O(|spanner|) walk.
+  bool maybe_checkpoint(const SpannerSnapshot& snap);
 
   /// Unconditional checkpoint (recovery epilogue: compact immediately so
   /// repeated crash/recover cycles never accumulate log).
@@ -126,6 +158,7 @@ class ShardDurability {
   ShardDurability(std::shared_ptr<Fs> fs, std::string dir,
                   const DurabilityOptions& opts, uint64_t n, uint32_t stretch);
 
+  bool checkpoint_due() const;
   bool open_segment(uint64_t base_version);
   void gc_old_files();
 
@@ -134,7 +167,7 @@ class ShardDurability {
   DurabilityOptions opts_;
   uint64_t n_;
   uint32_t stretch_;
-  FlatHashSet<EdgeKey> graph_;  // shadow of the backend's graph edge set
+  GraphShadow graph_;  // shadow of the backend's graph edge set
   std::unique_ptr<WalWriter> wal_;
   bool failed_ = false;
   uint64_t last_ckpt_version_ = 0;

@@ -29,7 +29,7 @@ std::array<std::array<uint32_t, 256>, 8> make_crc32c_tables() {
   return t;
 }
 
-constexpr uint64_t kWalMagic = 0x31304C4157505350ULL;  // "PSPWAL01" LE
+constexpr uint64_t kWalMagic = 0x32304C4157505350ULL;  // "PSPWAL02" LE
 constexpr size_t kWalHeaderSize = 8 + 8 + 8 + 4;
 
 }  // namespace
@@ -48,32 +48,6 @@ std::optional<uint64_t> parse_wal_file_name(const std::string& name) {
       tail != 'g' || name.size() != wal_file_name(v).size())
     return std::nullopt;
   return v;
-}
-
-std::optional<std::vector<EdgeKey>> checked_apply_diff(
-    std::span<const EdgeKey> base, std::span<const EdgeKey> add,
-    std::span<const EdgeKey> rem) {
-  auto sorted_unique = [](std::span<const EdgeKey> v) {
-    return std::is_sorted(v.begin(), v.end()) &&
-           std::adjacent_find(v.begin(), v.end()) == v.end();
-  };
-  if (!sorted_unique(add) || !sorted_unique(rem)) return std::nullopt;
-  std::vector<EdgeKey> out;
-  out.reserve(base.size() + add.size());
-  size_t a = 0, r = 0;
-  for (EdgeKey k : base) {
-    if (r < rem.size() && rem[r] == k) {
-      ++r;
-      continue;
-    }
-    if (r < rem.size() && rem[r] < k) return std::nullopt;  // rem key absent
-    while (a < add.size() && add[a] < k) out.push_back(add[a++]);
-    if (a < add.size() && add[a] == k) return std::nullopt;  // add key present
-    out.push_back(k);
-  }
-  if (r != rem.size()) return std::nullopt;
-  while (a < add.size()) out.push_back(add[a++]);
-  return out;
 }
 
 uint32_t crc32c(const uint8_t* data, size_t len, uint32_t seed) {

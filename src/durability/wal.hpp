@@ -20,10 +20,10 @@
 // One record per published snapshot version, carrying BOTH what the caller
 // asked (the drained input batch, deletions and insertions, key-sorted) and
 // what the structure answered (the net SpannerDiff, key-sorted) plus the
-// resulting snapshot's version and content checksum. Replaying diffs onto
-// the checkpoint's key list reproduces the snapshot sequence byte-exactly
-// (the §6 determinism contract is what makes the diff a perfect recovery
-// payload); folding input batches keeps the graph shadow exact for the
+// resulting snapshot's version and content checksum. Patching the
+// checkpoint's snapshot with each diff (SpannerSnapshot::apply, checked)
+// reproduces the snapshot sequence exactly (the §6 determinism contract is
+// what makes the diff a perfect recovery payload); folding input batches keeps the graph shadow exact for the
 // post-recovery rebase (DESIGN.md §10.4).
 //
 // Torn-tail rule: a reader accepts the longest prefix of structurally
@@ -52,17 +52,6 @@ namespace parspan {
 std::string wal_file_name(uint64_t base_version);
 /// Parses a segment file name; nullopt for other files.
 std::optional<uint64_t> parse_wal_file_name(const std::string& name);
-
-/// apply_sorted_diff with the §6 preconditions *checked* instead of
-/// asserted: `add` disjoint from `base`, `rem` contained in `base`, all
-/// three sorted-unique. Returns nullopt on any violation. This is how every
-/// consumer of logged or shipped diffs folds them — a CRC-valid but
-/// semantically inconsistent record (media rot that survived the frame
-/// check, or a bug) must stop replay, not corrupt the restored state or
-/// crash a Release build (DESIGN.md §10.4, §11.3).
-std::optional<std::vector<EdgeKey>> checked_apply_diff(
-    std::span<const EdgeKey> base, std::span<const EdgeKey> add,
-    std::span<const EdgeKey> rem);
 
 // The little-endian scalar codec, LEB128 varints, CRC32C, and the frame
 // header codec live in durability/frame.hpp (included above) — shared with

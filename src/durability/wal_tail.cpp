@@ -2,20 +2,10 @@
 
 #include <algorithm>
 
-#include "container/flat_map.hpp"
 #include "durability/checkpoint.hpp"
-#include "service/spanner_snapshot.hpp"
+#include "durability/durable_shard.hpp"
 
 namespace parspan {
-
-namespace {
-
-bool valid_graph_key(EdgeKey k, uint64_t n) {
-  auto [lo, hi] = edge_endpoints(k);
-  return lo < hi && hi < n;
-}
-
-}  // namespace
 
 std::optional<DurableState> read_durable_state(Fs& fs, const std::string& dir,
                                                uint64_t max_version) {
@@ -44,10 +34,10 @@ std::optional<DurableState> read_durable_state(Fs& fs, const std::string& dir,
   out.stretch = chosen->stretch;
   out.version = chosen->version;
   out.checksum = chosen->snapshot_checksum;
-  out.snap_keys = std::move(chosen->snap_keys);
+  SpannerSnapshot::Ptr snap = SpannerSnapshot::restore(
+      out.n, out.stretch, out.version, chosen->snap_keys);
 
-  FlatHashSet<EdgeKey> graph;
-  for (EdgeKey k : chosen->graph_keys) graph.insert(k);
+  GraphShadow graph(std::move(chosen->graph_keys));
 
   // Same replay walk as ShardDurability::recover, clamped at the cap.
   std::vector<uint64_t> bases;
@@ -71,24 +61,21 @@ std::optional<DurableState> read_durable_state(Fs& fs, const std::string& dir,
         stop = true;
         break;
       }
-      auto folded =
-          checked_apply_diff(out.snap_keys, rec.diff_inserted, rec.diff_removed);
-      if (!folded || snapshot_content_checksum(out.n, out.stretch, rec.version,
-                                               *folded) != rec.checksum) {
+      SpannerSnapshot::Ptr next =
+          SpannerSnapshot::apply(*snap, rec.diff_inserted, rec.diff_removed);
+      if (next == nullptr || next->checksum() != rec.checksum) {
         stop = true;
         break;
       }
-      out.snap_keys = std::move(*folded);
-      for (EdgeKey k : rec.input_deleted)
-        if (valid_graph_key(k, out.n)) graph.erase(k);
-      for (EdgeKey k : rec.input_inserted)
-        if (valid_graph_key(k, out.n)) graph.insert(k);
+      snap = std::move(next);
+      graph.fold(rec, out.n);
       out.version = rec.version;
       out.checksum = rec.checksum;
     }
     if (seg.truncated_tail) break;
   }
-  out.graph_keys = graph.sorted_keys();
+  out.snap_keys = snap->edge_keys();
+  out.graph_keys = graph.keys();
   return out;
 }
 

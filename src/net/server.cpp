@@ -190,10 +190,8 @@ struct NetServer::Impl {
   /// door — past it, a backend would index out of bounds.
   bool keys_valid(const std::vector<EdgeKey>& keys) const {
     const uint64_t n = svc.vertex_space();
-    for (EdgeKey k : keys) {
-      auto [lo, hi] = edge_endpoints(k);
-      if (lo >= hi || hi >= n) return false;
-    }
+    for (EdgeKey k : keys)
+      if (!valid_edge_key(k, n)) return false;
     return true;
   }
 

@@ -124,12 +124,11 @@ inline std::vector<EdgeKey> canonical_edge_keys(
 }
 
 /// Applies a key-sorted SpannerDiff-style delta to a sorted, unique key
-/// list: one three-pointer merge, O(|base| + |diff|) — the incremental
-/// snapshot-publish path of the service layer (DESIGN.md §8), which is what
-/// lets a version be published per batch without re-exporting the whole
-/// spanner. `add` keys must be absent from `base`, `rem` keys present
-/// (both are guaranteed by the SpannerDiff net-change contract and checked
-/// by assertion).
+/// list: one three-pointer merge, O(|base| + |diff|). The reference merge
+/// of a diff onto a key list; snapshots patch their adjacency directly
+/// (SpannerSnapshot::apply, DESIGN.md §8.2). `add` keys must be absent
+/// from `base`, `rem` keys present (both are guaranteed by the
+/// SpannerDiff net-change contract and checked by assertion).
 inline std::vector<EdgeKey> apply_sorted_diff(std::span<const EdgeKey> base,
                                               std::span<const EdgeKey> add,
                                               std::span<const EdgeKey> rem) {

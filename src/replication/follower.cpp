@@ -41,16 +41,14 @@ std::unique_ptr<FollowerReplica> FollowerReplica::recover(
   f->stretch_ = rec->stretch;
   f->version_ = rec->version;
   f->checksum_ = rec->checksum;
-  f->snap_keys_ = std::move(rec->snap_keys);
   f->dur_ = std::move(rec->dur);
   read_epoch_file(*f->fs_, f->dir_, &f->epoch_);
   // Compact immediately (the recovery epilogue discipline of §10.4): a
   // follower that crash-loops must not accumulate log.
   if (f->dur_ != nullptr)
-    f->dur_->checkpoint_now(f->version_, f->checksum_, f->snap_keys_);
-  f->store_->publish(SpannerSnapshot::restore(
-      f->n_, f->stretch_, f->version_,
-      std::vector<EdgeKey>(f->snap_keys_)));
+    f->dur_->checkpoint_now(f->version_, f->checksum_,
+                            rec->snapshot->edge_keys());
+  f->store_->publish(std::move(rec->snapshot));
   return f;
 }
 
@@ -70,7 +68,6 @@ void FollowerReplica::adopt_snapshot(uint64_t frame_epoch, DurableState state) {
   stretch_ = state.stretch;
   version_ = state.version;
   checksum_ = state.checksum;
-  snap_keys_ = std::move(state.snap_keys);
   epoch_ = frame_epoch;
   have_state_ = true;
   need_snapshot_ = false;
@@ -78,7 +75,7 @@ void FollowerReplica::adopt_snapshot(uint64_t frame_epoch, DurableState state) {
   // ckpt/wal files, so nothing from a previous epoch (or a previous
   // incarnation's divergent tail) can win a later recovery.
   dur_ = ShardDurability::create(fs_, dir_, opts_, n_, stretch_, version_,
-                                 snap_keys_, checksum_,
+                                 state.snap_keys, checksum_,
                                  std::move(state.graph_keys));
   persist_epoch();
   if (epoch_changed || store_->acquire() == nullptr) {
@@ -86,8 +83,8 @@ void FollowerReplica::adopt_snapshot(uint64_t frame_epoch, DurableState state) {
     // fresh publish chain rather than mixing them (see header).
     store_ = std::make_unique<SnapshotStore>();
   }
-  store_->publish(SpannerSnapshot::restore(n_, stretch_, version_,
-                                           std::vector<EdgeKey>(snap_keys_)));
+  store_->publish(
+      SpannerSnapshot::restore(n_, stretch_, version_, state.snap_keys));
   ++resyncs_;
 }
 
@@ -106,10 +103,11 @@ void FollowerReplica::apply_record(uint64_t frame_epoch, const WalRecord& rec) {
     ++gaps_;  // reordered ahead of its predecessor — the re-ship closes it
     return;
   }
-  auto folded =
-      checked_apply_diff(snap_keys_, rec.diff_inserted, rec.diff_removed);
-  if (!folded || snapshot_content_checksum(n_, stretch_, rec.version,
-                                           *folded) != rec.checksum) {
+  // The check and the publish are one pass: the patched snapshot is what
+  // gets served, with no second build from a key list.
+  SpannerSnapshot::Ptr next = SpannerSnapshot::apply(
+      *store_->acquire(), rec.diff_inserted, rec.diff_removed);
+  if (next == nullptr || next->checksum() != rec.checksum) {
     // CRC-valid but semantically wrong (or checksum mismatch): the
     // follower's chain cannot extend this way. Explicit reject + resync —
     // the §11 "never silent divergence" guarantee.
@@ -117,15 +115,13 @@ void FollowerReplica::apply_record(uint64_t frame_epoch, const WalRecord& rec) {
     need_snapshot_ = true;
     return;
   }
-  snap_keys_ = std::move(*folded);
   version_ = rec.version;
   checksum_ = rec.checksum;
   if (dur_ != nullptr) {
     dur_->log_record(rec);
-    dur_->maybe_checkpoint(version_, checksum_, snap_keys_);
+    dur_->maybe_checkpoint(*next);
   }
-  store_->publish(SpannerSnapshot::restore(n_, stretch_, version_,
-                                           std::vector<EdgeKey>(snap_keys_)));
+  store_->publish(std::move(next));
   ++records_applied_;
 }
 
@@ -147,7 +143,8 @@ void FollowerReplica::pump() {
         continue;
       }
       // Trust nothing: the checksum must re-derive from the shipped keys
-      // before this state becomes ours.
+      // (which the frame decoder proved ascending and in range) before
+      // anything is built from them or this state becomes ours.
       if (snapshot_content_checksum(parsed->state.n, parsed->state.stretch,
                                     parsed->state.version,
                                     parsed->state.snap_keys) !=

@@ -5,9 +5,10 @@
 // recovery replay loop, fed by the network instead of a local disk — and
 // serves the resulting SpannerSnapshot sequence through its own
 // SnapshotStore. Every record must (a) be the NEXT version in the
-// follower's chain, (b) pass checked_apply_diff's §6 preconditions against
-// the follower's current key list, and (c) re-derive the leader's logged
-// content checksum byte-exactly. Anything else is dropped (duplicate /
+// follower's chain, (b) pass SpannerSnapshot::apply's §6 preconditions
+// against the follower's current snapshot, and (c) reproduce the leader's
+// logged content checksum byte-exactly. The patched snapshot is then
+// published as is — the check and the publish are one pass. Anything else is dropped (duplicate /
 // gap: the shipper re-ships) or rejected (verification failure: the
 // follower flags need_snapshot and is re-seeded wholesale). Silent
 // divergence is structurally impossible: state only ever changes through a
@@ -110,7 +111,6 @@ class FollowerReplica {
   uint32_t stretch_ = 0;
   uint64_t version_ = 0;
   uint64_t checksum_ = 0;
-  std::vector<EdgeKey> snap_keys_;  // ascending — the replay state
 
   std::unique_ptr<ShardDurability> dur_;  // the follower's own chain
   // unique_ptr so a cross-epoch adoption can swap in a fresh store: a

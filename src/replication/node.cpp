@@ -353,9 +353,7 @@ NodeStatus ReplicaNode::status_locked() const {
         s.durable_version = d->durable_version();
       if (SpannerSnapshot::Ptr snap = shard.snapshot()) {
         s.applied_version = snap->version();
-        s.applied_checksum = snapshot_content_checksum(
-            snap->num_vertices(), snap->stretch(), snap->version(),
-            snap->edge_keys());
+        s.applied_checksum = snap->checksum();
       }
     }
   } else {

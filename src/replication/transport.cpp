@@ -33,10 +33,8 @@ bool decode_key_list(const uint8_t** p, const uint8_t* end, uint64_t cnt,
 // a graph over n vertices, and adopting out-of-range keys would poison the
 // follower's own checkpoint chain.
 bool keys_in_range(std::span<const EdgeKey> keys, uint64_t n) {
-  for (EdgeKey k : keys) {
-    auto [lo, hi] = edge_endpoints(k);
-    if (lo >= hi || hi >= n) return false;
-  }
+  for (EdgeKey k : keys)
+    if (!valid_edge_key(k, n)) return false;
   return true;
 }
 

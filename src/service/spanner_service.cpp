@@ -1,5 +1,8 @@
 #include "service/spanner_service.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace parspan {
 
 SpannerService::ApplyResult SpannerService::apply(
@@ -12,12 +15,24 @@ SpannerService::ApplyResult SpannerService::apply(
 
   ApplyResult r;
   r.diff = backend_->update(insertions, deletions);
-  // Fold the net diff into the previous version's key list instead of
-  // re-exporting the spanner: O(spanner) merge + CSR rebuild, no hash-table
-  // walks (DESIGN.md §8.2). The store holds the only writer-side reference,
-  // so acquire() here is the previous publish.
+  std::vector<EdgeKey> add = diff_side_keys(r.diff.inserted);
+  std::vector<EdgeKey> rem = diff_side_keys(r.diff.removed);
+  // Patch the previous version with the net diff instead of re-exporting
+  // the spanner: untouched neighbor lists are memcpy'd, touched ones
+  // merged, the checksum moved in O(|diff|) (DESIGN.md §8.2). The store
+  // holds the only writer-side reference, so acquire() here is the
+  // previous publish.
   SpannerSnapshot::Ptr prev = store_.acquire();
-  r.snapshot = SpannerSnapshot::apply(*prev, r.diff);
+  r.snapshot = SpannerSnapshot::apply(*prev, add, rem);
+  if (r.snapshot == nullptr) {
+    // Not an assert: a backend that breaks the §6 diff contract would
+    // otherwise publish (and log) a spanner it does not hold.
+    std::fprintf(stderr,
+                 "SpannerService: backend diff violates the net diff "
+                 "contract at version %llu\n",
+                 static_cast<unsigned long long>(prev->version() + 1));
+    std::abort();
+  }
 
   // WAL-before-publish: the record covering this version hits the log (and
   // the disk, per fsync policy) before any reader can observe the version.
@@ -43,14 +58,12 @@ SpannerService::ApplyResult SpannerService::apply(
     };
     rec.input_deleted = canonical_input(deletions);
     rec.input_inserted = canonical_input(insertions);
-    rec.diff_removed = diff_side_keys(r.diff.removed);
-    rec.diff_inserted = diff_side_keys(r.diff.inserted);
+    rec.diff_removed = std::move(rem);
+    rec.diff_inserted = std::move(add);
     dur_->log_record(rec);
   }
   store_.publish(r.snapshot);
-  if (dur_ != nullptr)
-    dur_->maybe_checkpoint(r.snapshot->version(), r.snapshot->checksum(),
-                           r.snapshot->edge_keys());
+  if (dur_ != nullptr) dur_->maybe_checkpoint(*r.snapshot);
 
   writer_busy_.store(false, std::memory_order_release);
   return r;

@@ -3,10 +3,11 @@
 //
 // Roles:
 //  * ONE writer thread calls apply(insertions, deletions). Each call runs
-//    the backend's (internally parallel) batch update, folds the returned
-//    net SpannerDiff into the previous snapshot's key list
-//    (SpannerSnapshot::apply — incremental, no re-export), and publishes
-//    the new version through the SnapshotStore.
+//    the backend's (internally parallel) batch update, patches the
+//    previous snapshot with the returned net SpannerDiff
+//    (SpannerSnapshot::apply — O(|diff|) merge work plus a memcpy of the
+//    untouched lists, no re-export), and publishes the new version
+//    through the SnapshotStore.
 //  * ANY number of reader threads call snapshot() and answer has_edge /
 //    neighbors / distance / edges queries against the pinned, immutable
 //    version — fully overlapped with the writer's next batch.
@@ -119,12 +120,9 @@ class SpannerService {
     auto svc = std::unique_ptr<SpannerService>(new SpannerService());
     svc->set_backend(make_backend(rec->n, graph_edges, rec->stretch));
 
-    // Publish the EXACT pre-crash state first: readers of the restored
-    // version see byte-identical content (checksum-asserted).
-    SpannerSnapshot::Ptr restored = SpannerSnapshot::restore(
-        rec->n, rec->stretch, rec->version, std::move(rec->snap_keys));
-    assert(restored->checksum() == rec->checksum &&
-           "recover: restored snapshot checksum diverged");
+    // Publish the EXACT pre-crash state first: the replay fold's own
+    // snapshot, byte-identical content (checksum-verified per record).
+    SpannerSnapshot::Ptr restored = std::move(rec->snapshot);
     svc->store_.publish(restored);
 
     // Rebase epoch: the rebuilt backend's spanner is a valid spanner of
@@ -132,26 +130,24 @@ class SpannerService {
     // next version with its diff durably logged, so the WAL chain stays
     // contiguous and a second crash recovers the rebased state.
     svc->dur_ = std::move(rec->dur);
+    const std::vector<EdgeKey> old_keys = restored->edge_keys();
     std::vector<EdgeKey> new_keys =
         canonical_edge_keys(rec->n, svc->backend_->spanner_edges());
     WalRecord rebase;
     rebase.type = WalRecord::kRebase;
     rebase.version = rec->version + 1;
-    std::set_difference(restored->edge_keys().begin(),
-                        restored->edge_keys().end(), new_keys.begin(),
+    std::set_difference(old_keys.begin(), old_keys.end(), new_keys.begin(),
                         new_keys.end(), std::back_inserter(rebase.diff_removed));
-    std::set_difference(new_keys.begin(), new_keys.end(),
-                        restored->edge_keys().begin(),
-                        restored->edge_keys().end(),
-                        std::back_inserter(rebase.diff_inserted));
-    rebase.checksum = snapshot_content_checksum(rec->n, rec->stretch,
-                                                rebase.version, new_keys);
-    SpannerSnapshot::Ptr rebased = SpannerSnapshot::restore(
-        rec->n, rec->stretch, rebase.version, std::move(new_keys));
+    std::set_difference(new_keys.begin(), new_keys.end(), old_keys.begin(),
+                        old_keys.end(), std::back_inserter(rebase.diff_inserted));
+    SpannerSnapshot::Ptr rebased = SpannerSnapshot::apply(
+        *restored, rebase.diff_inserted, rebase.diff_removed);
+    assert(rebased != nullptr && "recover: set differences are a net diff");
+    rebase.checksum = rebased->checksum();
     svc->dur_->log_record(rebase);
     svc->store_.publish(rebased);
     svc->dur_->checkpoint_now(rebased->version(), rebased->checksum(),
-                              rebased->edge_keys());
+                              new_keys);
 
     if (report != nullptr) {
       report->restored_version = rec->version;

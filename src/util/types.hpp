@@ -36,6 +36,14 @@ inline constexpr std::pair<VertexId, VertexId> edge_endpoints(EdgeKey k) {
           static_cast<VertexId>(k & 0xffffffffULL)};
 }
 
+/// True iff `k` is the canonical key of an edge over n vertices: lo < hi
+/// < n (no self-loop, not the sentinel). Keys read from logs, frames and
+/// clients are data, not invariants — every decoder filters through this.
+inline constexpr bool valid_edge_key(EdgeKey k, uint64_t n) {
+  auto [lo, hi] = edge_endpoints(k);
+  return lo < hi && hi < n;
+}
+
 /// An undirected edge as an explicit endpoint pair.
 struct Edge {
   VertexId u = kNoVertex;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,26 +63,31 @@ TEST(Crc32c, DetectsSingleBitFlips) {
 // --- Frozen content-checksum oracle ---------------------------------------
 
 TEST(ContentChecksum, GoldenValues) {
-  // These literals are the persisted-format contract: WAL records and
-  // checkpoints store this value, so if either golden breaks, recovery of
-  // every existing log breaks with it. Never update the literals without a
-  // log-format migration.
+  // These literals are the persisted-format contract of format 02
+  // (PSPWAL02 segments, PSPCKP02 checkpoints): WAL records and checkpoints
+  // store this value, so if either golden breaks, recovery of every
+  // existing log breaks with it. Never update the literals without bumping
+  // both magics.
   std::vector<EdgeKey> keys = {edge_key(0, 1), edge_key(1, 2), edge_key(2, 4),
                                edge_key(3, 4)};
-  EXPECT_EQ(snapshot_content_checksum(5, 3, 7, keys), 0xf547762e34ce7e1bULL);
-  EXPECT_EQ(snapshot_content_checksum(1, 1, 0, {}), 0x72ca26e4508a83b4ULL);
+  EXPECT_EQ(snapshot_content_checksum(5, 3, 7, keys), 0x120093b912b1313aULL);
+  EXPECT_EQ(snapshot_content_checksum(1, 1, 0, {}), 0xa3aa58b1a0ef95dfULL);
 }
 
-TEST(ContentChecksum, PositionAndFieldSensitivity) {
+TEST(ContentChecksum, FieldAndMembershipSensitivity) {
   std::vector<EdgeKey> keys = {edge_key(0, 1), edge_key(1, 2)};
-  std::vector<EdgeKey> swapped = {edge_key(1, 2), edge_key(0, 1)};
   const uint64_t base = snapshot_content_checksum(8, 3, 5, keys);
-  EXPECT_NE(snapshot_content_checksum(8, 3, 5, swapped), base);
   EXPECT_NE(snapshot_content_checksum(9, 3, 5, keys), base);
   EXPECT_NE(snapshot_content_checksum(8, 5, 5, keys), base);
   EXPECT_NE(snapshot_content_checksum(8, 3, 6, keys), base);
   std::vector<EdgeKey> truncated = {edge_key(0, 1)};
   EXPECT_NE(snapshot_content_checksum(8, 3, 5, truncated), base);
+  std::vector<EdgeKey> replaced = {edge_key(0, 1), edge_key(1, 3)};
+  EXPECT_NE(snapshot_content_checksum(8, 3, 5, replaced), base);
+  // A multiset hash by design: the incremental patch relies on order not
+  // mattering. Order is proven by the decoders instead (KeyOrder below).
+  std::vector<EdgeKey> swapped = {edge_key(1, 2), edge_key(0, 1)};
+  EXPECT_EQ(snapshot_content_checksum(8, 3, 5, swapped), base);
 }
 
 TEST(ContentChecksum, MatchesSnapshotChecksum) {
@@ -153,6 +159,161 @@ TEST(WalCodec, RejectsMalformed) {
   std::vector<uint8_t> bad_type = bytes;
   bad_type[0] = 99;
   EXPECT_FALSE(decode_wal_record(bad_type.data(), bad_type.size(), &out));
+}
+
+// --- Key-list order is proven where the bytes are parsed -----------------
+//
+// The content checksum cannot see order, so every decoder of a persisted or
+// shipped key list must reject one that is not strictly ascending. Lists
+// are crafted with modular deltas: a descending pair encodes as a delta
+// that wraps past 2^64, a duplicated pair as a zero delta.
+
+const std::vector<EdgeKey> kAscending = {edge_key(0, 1), edge_key(2, 5)};
+const std::vector<EdgeKey> kDescending = {edge_key(2, 5), edge_key(0, 1)};
+const std::vector<EdgeKey> kDuplicated = {edge_key(0, 1), edge_key(0, 1)};
+
+void put_raw_key_list(std::vector<uint8_t>& out,
+                      const std::vector<EdgeKey>& keys) {
+  uint8_t buf[kMaxUvarintLen];
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const size_t len = put_uvarint(buf, i == 0 ? keys[i] : keys[i] - keys[i - 1]);
+    out.insert(out.end(), buf, buf + len);
+  }
+}
+
+// A WAL record payload whose four key lists are `lists`, in field order.
+std::vector<uint8_t> raw_wal_record(
+    const std::array<std::vector<EdgeKey>, 4>& lists) {
+  std::vector<uint8_t> b{WalRecord::kBatch};
+  put_le64(b, 1);  // version
+  put_le64(b, 0);  // checksum
+  for (const auto& l : lists) put_le32(b, uint32_t(l.size()));
+  for (const auto& l : lists) put_raw_key_list(b, l);
+  return b;
+}
+
+TEST(KeyOrder, WalRecordRejectsDescendingOrDuplicatedLists) {
+  std::array<std::vector<EdgeKey>, 4> lists;
+  lists.fill(kAscending);
+  WalRecord out;
+  std::vector<uint8_t> ok = raw_wal_record(lists);
+  ASSERT_TRUE(decode_wal_record(ok.data(), ok.size(), &out));
+  for (size_t field = 0; field < lists.size(); ++field) {
+    for (const auto* bad : {&kDescending, &kDuplicated}) {
+      auto mangled = lists;
+      mangled[field] = *bad;
+      std::vector<uint8_t> b = raw_wal_record(mangled);
+      EXPECT_FALSE(decode_wal_record(b.data(), b.size(), &out))
+          << "list " << field << (bad == &kDescending ? " descending"
+                                                      : " duplicated");
+    }
+  }
+}
+
+// A checkpoint file image: `magic` (8 ASCII bytes), n = 16, stretch 3,
+// the checksum of `snap`, then the two lists and the trailing CRC.
+std::vector<uint8_t> raw_checkpoint(const char* magic, uint64_t version,
+                                    const std::vector<EdgeKey>& snap,
+                                    const std::vector<EdgeKey>& graph) {
+  std::vector<uint8_t> b(magic, magic + 8);
+  put_le64(b, version);
+  put_le64(b, 16);
+  put_le32(b, 3);
+  put_le64(b, snapshot_content_checksum(16, 3, version, snap));
+  put_le64(b, snap.size());
+  put_le64(b, graph.size());
+  put_raw_key_list(b, snap);
+  put_raw_key_list(b, graph);
+  put_le32(b, crc32c(b.data(), b.size()));
+  return b;
+}
+
+void write_raw(Fs& fs, const std::string& path, const std::vector<uint8_t>& b) {
+  auto f = fs.create(path);
+  ASSERT_NE(f, nullptr);
+  ASSERT_TRUE(f->append(b.data(), b.size()));
+  ASSERT_TRUE(f->sync());
+}
+
+TEST(KeyOrder, CheckpointRejectsDescendingOrDuplicatedLists) {
+  MemFs fs;
+  const std::string path = "d/" + checkpoint_file_name(4);
+  write_raw(fs, path, raw_checkpoint("PSPCKP02", 4, kAscending, kAscending));
+  ASSERT_TRUE(load_checkpoint(fs, "d", 4).has_value());
+  for (const auto* bad : {&kDescending, &kDuplicated}) {
+    write_raw(fs, path, raw_checkpoint("PSPCKP02", 4, *bad, kAscending));
+    EXPECT_FALSE(load_checkpoint(fs, "d", 4).has_value());
+    write_raw(fs, path, raw_checkpoint("PSPCKP02", 4, kAscending, *bad));
+    EXPECT_FALSE(load_checkpoint(fs, "d", 4).has_value());
+  }
+  // Keys must also be edges over n: a self-loop or an endpoint >= n.
+  for (EdgeKey k : {edge_key(3, 3), edge_key(2, 16)}) {
+    write_raw(fs, path, raw_checkpoint("PSPCKP02", 4, {k}, kAscending));
+    EXPECT_FALSE(load_checkpoint(fs, "d", 4).has_value());
+    write_raw(fs, path, raw_checkpoint("PSPCKP02", 4, kAscending, {k}));
+    EXPECT_FALSE(load_checkpoint(fs, "d", 4).has_value());
+  }
+}
+
+// --- Format 01 is refused, not replayed ------------------------------------
+//
+// Format 02 changed what the checksum field means (an order-independent
+// multiset hash), so a format-01 file must read as unrecognized: replaying
+// it would fail every checksum, or worse, match by accident.
+
+// A WAL segment image: header with `magic`, base version 0, then `recs`.
+std::vector<uint8_t> raw_segment(const char* magic,
+                                 const std::vector<WalRecord>& recs) {
+  std::vector<uint8_t> b(magic, magic + 8);
+  put_le64(b, 0);  // base version
+  put_le64(b, 0);  // reserved
+  put_le32(b, crc32c(b.data(), b.size()));
+  for (const WalRecord& r : recs) {
+    std::vector<uint8_t> payload = encode_wal_record(r);
+    append_frame(b, payload.data(), payload.size());
+  }
+  return b;
+}
+
+TEST(FormatBump, Version01SegmentsAndCheckpointsAreRefused) {
+  const std::vector<EdgeKey> base = kAscending;
+  std::vector<EdgeKey> grown = base;
+  grown.push_back(edge_key(3, 4));
+  WalRecord r1;
+  r1.type = WalRecord::kBatch;
+  r1.version = 1;
+  r1.checksum = snapshot_content_checksum(16, 3, 1, grown);
+  r1.input_inserted = {edge_key(3, 4)};
+  r1.diff_inserted = {edge_key(3, 4)};
+
+  for (const char* wal_magic : {"PSPWAL01", "PSPWAL02"}) {
+    SCOPED_TRACE(wal_magic);
+    const bool current = std::string(wal_magic) == "PSPWAL02";
+    auto fs = std::make_shared<MemFs>();
+    write_raw(*fs, "d/" + checkpoint_file_name(0),
+              raw_checkpoint("PSPCKP02", 0, base, base));
+    write_raw(*fs, "d/" + wal_file_name(0), raw_segment(wal_magic, {r1}));
+    WalSegment seg = read_wal_segment(*fs, "d/" + wal_file_name(0));
+    EXPECT_EQ(seg.header_ok, current);
+    EXPECT_EQ(seg.records.size(), current ? 1u : 0u);
+    auto rec = ShardDurability::recover(fs, "d", DurabilityOptions{});
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->version, current ? 1u : 0u);
+    EXPECT_EQ(rec->replayed_records, current ? 1u : 0u);
+    EXPECT_EQ(rec->tail_truncated, !current);
+  }
+
+  for (const char* ckpt_magic : {"PSPCKP01", "PSPCKP02"}) {
+    SCOPED_TRACE(ckpt_magic);
+    const bool current = std::string(ckpt_magic) == "PSPCKP02";
+    auto fs = std::make_shared<MemFs>();
+    write_raw(*fs, "d/" + checkpoint_file_name(0),
+              raw_checkpoint(ckpt_magic, 0, base, base));
+    EXPECT_EQ(load_checkpoint(*fs, "d", 0).has_value(), current);
+    EXPECT_EQ(ShardDurability::recover(fs, "d", DurabilityOptions{})
+                  .has_value(),
+              current);
+  }
 }
 
 // --- WAL writer + segment reader ------------------------------------------
@@ -432,9 +593,8 @@ TEST(ShardDurability, LogRotationAndGcKeepRecoverableState) {
   EXPECT_EQ(rec->version, expect->version());
   EXPECT_EQ(rec->checksum, expect->checksum());
   EXPECT_FALSE(rec->tail_truncated);
-  EXPECT_TRUE(std::equal(rec->snap_keys.begin(), rec->snap_keys.end(),
-                         expect->edge_keys().begin(),
-                         expect->edge_keys().end()));
+  ASSERT_NE(rec->snapshot, nullptr);
+  EXPECT_EQ(rec->snapshot->edge_keys(), expect->edge_keys());
 }
 
 TEST(ShardDurability, CreateWipesStaleIncarnation) {

@@ -467,8 +467,9 @@ TEST(Replication, FrameFormatGoldens) {
   st.snap_keys = {edge_key(0, 1), edge_key(2, 5), edge_key(3, 15)};
   st.graph_keys = {edge_key(0, 1), edge_key(1, 4), edge_key(2, 5),
                    edge_key(3, 15)};
-  st.checksum = snapshot_content_checksum(st.n, st.stretch, st.version,
-                                          st.snap_keys);
+  // A fixed field value: this golden pins the frame encoding, and the
+  // checksum formula has goldens of its own (test_durability).
+  st.checksum = 0x1bc7b6e79f0daa08ULL;
   ShipFrame sf = make_snapshot_frame(/*epoch=*/5, st);
   EXPECT_EQ(crc32c(sf.bytes.data(), sf.bytes.size()), 0x936bf51fu);
 
@@ -507,6 +508,53 @@ TEST(Replication, FrameFormatGoldens) {
 
 // Unsynced WAL bytes are readable through the page cache, but must never
 // ship: the shipper's ceiling is the durable watermark the caller passes.
+// The snapshot checksum is order-independent, so the frame decoder is
+// where a shipped key list's strict ascent is proven: a descending pair
+// (a delta wrapping past 2^64) or a duplicated one (a zero delta) must not
+// parse. Frames are built by hand with a valid CRC around the bad list.
+ShipFrame raw_snapshot_frame(const std::vector<EdgeKey>& snap,
+                             const std::vector<EdgeKey>& graph) {
+  auto put_list = [](std::vector<uint8_t>& out,
+                     const std::vector<EdgeKey>& keys) {
+    uint8_t buf[kMaxUvarintLen];
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const size_t len =
+          put_uvarint(buf, i == 0 ? keys[i] : keys[i] - keys[i - 1]);
+      out.insert(out.end(), buf, buf + len);
+    }
+  };
+  std::vector<uint8_t> payload;
+  put_le64(payload, 16);  // n
+  put_le32(payload, 5);   // stretch
+  put_le64(payload, 42);  // version
+  put_le64(payload, snapshot_content_checksum(16, 5, 42, snap));
+  put_le32(payload, uint32_t(snap.size()));
+  put_le32(payload, uint32_t(graph.size()));
+  put_list(payload, snap);
+  put_list(payload, graph);
+  ShipFrame f;
+  f.bytes.push_back(uint8_t(FrameType::kSnapshot));
+  put_le64(f.bytes, 5);  // epoch
+  put_le32(f.bytes, uint32_t(payload.size()));
+  put_le32(f.bytes, crc32c(payload.data(), payload.size(),
+                           crc32c(f.bytes.data(), 9)));
+  f.bytes.insert(f.bytes.end(), payload.begin(), payload.end());
+  return f;
+}
+
+TEST(Replication, SnapshotFrameRejectsDescendingOrDuplicatedLists) {
+  const std::vector<EdgeKey> ascending = {edge_key(0, 1), edge_key(2, 5)};
+  const std::vector<EdgeKey> descending = {edge_key(2, 5), edge_key(0, 1)};
+  const std::vector<EdgeKey> duplicated = {edge_key(0, 1), edge_key(0, 1)};
+  auto ok = parse_frame(raw_snapshot_frame(ascending, ascending));
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->state.snap_keys, ascending);
+  for (const auto* bad : {&descending, &duplicated}) {
+    EXPECT_FALSE(parse_frame(raw_snapshot_frame(*bad, ascending)).has_value());
+    EXPECT_FALSE(parse_frame(raw_snapshot_frame(ascending, *bad)).has_value());
+  }
+}
+
 TEST(Replication, ShipperNeverShipsPastDurableWatermark) {
   const Workload w = make_workload(31);
   DurabilityOptions opts;
