@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdio>
+#include <memory>
 
 #include "durability/wal.hpp"
 
@@ -33,10 +34,12 @@ bool write_checkpoint(Fs& fs, const std::string& dir, const Checkpoint& ckpt) {
   // like WAL key lists — roughly 3x fewer bytes to write, sync and read
   // back on every checkpoint.
   constexpr size_t kFixed = 8 + 8 + 8 + 4 + 8 + 8 + 8;
-  std::vector<uint8_t> body(
+  // Sized for the worst case but left uninitialized: the encoded lists
+  // fill a fraction of it, so each byte the file gets is written once.
+  std::unique_ptr<uint8_t[]> body(new uint8_t[
       kFixed +
-      kMaxUvarintLen * (ckpt.snap_keys.size() + ckpt.graph_keys.size()) + 4);
-  uint8_t* p = body.data();
+      kMaxUvarintLen * (ckpt.snap_keys.size() + ckpt.graph_keys.size()) + 4]);
+  uint8_t* p = body.get();
   store_le64(p, kCkptMagic);
   store_le64(p + 8, ckpt.version);
   store_le64(p + 16, ckpt.n);
@@ -55,14 +58,13 @@ bool write_checkpoint(Fs& fs, const std::string& dir, const Checkpoint& ckpt) {
       first = false;
     }
   }
-  body.resize(size_t(p - body.data()) + 4);
-  store_le32(body.data() + body.size() - 4,
-             crc32c(body.data(), body.size() - 4));
+  const size_t len = size_t(p - body.get());
+  store_le32(p, crc32c(body.get(), len));
 
   const std::string tmp = dir + "/ckpt.tmp";
   {
     std::unique_ptr<FsFile> f = fs.create(tmp);
-    if (f == nullptr || !f->append(body.data(), body.size()) || !f->sync())
+    if (f == nullptr || !f->append(body.get(), len + 4) || !f->sync())
       return false;
   }
   return fs.rename(tmp, dir + "/" + checkpoint_file_name(ckpt.version));

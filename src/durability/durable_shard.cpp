@@ -12,27 +12,45 @@ void GraphShadow::fold(const WalRecord& rec, uint64_t n) {
     if (valid_edge_key(k, n)) delta_[k] = true;
 }
 
+namespace {
+
+// First position in the ascending [first, last) not less than k, found by
+// galloping out from `first`: O(log distance), so a merge that advances
+// through a long list in short hops stays linear in the hops.
+const EdgeKey* gallop_lower_bound(const EdgeKey* first, const EdgeKey* last,
+                                  EdgeKey k) {
+  const size_t len = size_t(last - first);
+  size_t bound = 1;
+  while (bound < len && first[bound] < k) bound *= 2;
+  return std::lower_bound(first + bound / 2, first + std::min(bound, len), k);
+}
+
+}  // namespace
+
 std::vector<EdgeKey> GraphShadow::keys() const {
-  std::vector<std::pair<EdgeKey, bool>> changes;
-  changes.reserve(delta_.size());
+  std::vector<EdgeKey> ins, del;
   delta_.for_each([&](EdgeKey k, bool present) {
-    changes.emplace_back(k, present);
+    (present ? ins : del).push_back(k);
   });
-  std::sort(changes.begin(), changes.end());
+  std::sort(ins.begin(), ins.end());
+  std::sort(del.begin(), del.end());
+  // The changes are few next to the base: visit them in key order, copy
+  // the base's run up to each one whole, and gallop to the next position.
   std::vector<EdgeKey> out;
-  out.reserve(base_.size() + changes.size());
-  size_t j = 0;
-  for (EdgeKey k : base_) {
-    for (; j < changes.size() && changes[j].first < k; ++j)
-      if (changes[j].second) out.push_back(changes[j].first);
-    if (j < changes.size() && changes[j].first == k) {
-      if (changes[j++].second) out.push_back(k);
-    } else {
-      out.push_back(k);
-    }
+  out.reserve(base_.size() + ins.size());
+  const EdgeKey* it = base_.data();
+  const EdgeKey* end = it + base_.size();
+  size_t i = 0, j = 0;
+  while (i < ins.size() || j < del.size()) {
+    const bool insert = j == del.size() || (i < ins.size() && ins[i] < del[j]);
+    const EdgeKey k = insert ? ins[i++] : del[j++];
+    const EdgeKey* pos = gallop_lower_bound(it, end, k);
+    out.insert(out.end(), it, pos);
+    it = pos;
+    if (it != end && *it == k) ++it;  // superseded by the change
+    if (insert) out.push_back(k);
   }
-  for (; j < changes.size(); ++j)
-    if (changes[j].second) out.push_back(changes[j].first);
+  out.insert(out.end(), it, end);
   return out;
 }
 
@@ -112,7 +130,8 @@ bool ShardDurability::maybe_checkpoint(uint64_t version,
                                        uint64_t snapshot_checksum,
                                        std::span<const EdgeKey> snap_keys) {
   if (!checkpoint_due()) return !failed_;
-  return checkpoint_now(version, snapshot_checksum, snap_keys);
+  return checkpoint_now(version, snapshot_checksum,
+                        std::vector<EdgeKey>(snap_keys.begin(), snap_keys.end()));
 }
 
 bool ShardDurability::maybe_checkpoint(const SpannerSnapshot& snap) {
@@ -122,7 +141,7 @@ bool ShardDurability::maybe_checkpoint(const SpannerSnapshot& snap) {
 
 bool ShardDurability::checkpoint_now(uint64_t version,
                                      uint64_t snapshot_checksum,
-                                     std::span<const EdgeKey> snap_keys) {
+                                     std::vector<EdgeKey> snap_keys) {
   if (failed_) return false;
   // Complete the outgoing segment (write out + sync staged frames) before
   // superseding it: a fallback replay from an OLDER retained checkpoint
@@ -136,7 +155,7 @@ bool ShardDurability::checkpoint_now(uint64_t version,
   ckpt.n = n_;
   ckpt.stretch = stretch_;
   ckpt.snapshot_checksum = snapshot_checksum;
-  ckpt.snap_keys.assign(snap_keys.begin(), snap_keys.end());
+  ckpt.snap_keys = std::move(snap_keys);
   ckpt.graph_keys = graph_.keys();
   if (!write_checkpoint(*fs_, dir_, ckpt)) {
     failed_ = true;

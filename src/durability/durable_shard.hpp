@@ -135,9 +135,10 @@ class ShardDurability {
   bool maybe_checkpoint(const SpannerSnapshot& snap);
 
   /// Unconditional checkpoint (recovery epilogue: compact immediately so
-  /// repeated crash/recover cycles never accumulate log).
+  /// repeated crash/recover cycles never accumulate log). Takes the key
+  /// list by value: a freshly walked list moves into the checkpoint.
   bool checkpoint_now(uint64_t version, uint64_t snapshot_checksum,
-                      std::span<const EdgeKey> snap_keys);
+                      std::vector<EdgeKey> snap_keys);
 
   bool failed() const { return failed_; }
 

@@ -147,7 +147,7 @@ class SpannerService {
     svc->dur_->log_record(rebase);
     svc->store_.publish(rebased);
     svc->dur_->checkpoint_now(rebased->version(), rebased->checksum(),
-                              new_keys);
+                              std::move(new_keys));
 
     if (report != nullptr) {
       report->restored_version = rec->version;

@@ -1,7 +1,6 @@
 #include "service/spanner_snapshot.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "container/flat_map.hpp"
 #include "parallel/csr.hpp"
@@ -106,24 +105,22 @@ SpannerSnapshot::Ptr SpannerSnapshot::apply(const SpannerSnapshot& prev,
   snap->stretch_ = prev.stretch_;
   snap->n_ = n;
   snap->offsets_.resize(n + 1);
-  // Room for every insertion before any removal is matched: a violation
-  // found midway must not have written past the end.
-  snap->nbr_.resize(prev.nbr_.size() + adds.size());
+  // Appended to, never zero-filled first: every arc is written once. The
+  // capacity covers every insertion before any removal, so nothing below
+  // reallocates.
+  std::vector<VertexId>& out = snap->nbr_;
+  out.reserve(prev.nbr_.size() + adds.size());
   const uint32_t* off = prev.offsets_.data();
   const VertexId* old = prev.nbr_.data();
   uint32_t* noff = snap->offsets_.data();
-  VertexId* out = snap->nbr_.data();
-  uint32_t w = 0;     // write cursor into out
   VertexId next = 0;  // first vertex not yet written
 
   // Untouched vertices [next, end): one memcpy of their lists, offsets
   // shifted by the net arc change so far (modular: the result fits).
   auto copy_run = [&](VertexId end) {
-    const uint32_t shift = w - off[next];
+    const uint32_t shift = uint32_t(out.size()) - off[next];
     for (VertexId u = next; u < end; ++u) noff[u] = off[u] + shift;
-    const uint32_t len = off[end] - off[next];
-    if (len > 0) std::memcpy(out + w, old + off[next], len * sizeof(VertexId));
-    w += len;
+    out.insert(out.end(), old + off[next], old + off[end]);
   };
 
   size_t ia = 0, ir = 0;
@@ -132,7 +129,7 @@ SpannerSnapshot::Ptr SpannerSnapshot::apply(const SpannerSnapshot& prev,
         ia < adds.size() ? arc_src(adds[ia]) : kNoVertex,
         ir < rems.size() ? arc_src(rems[ir]) : kNoVertex);
     copy_run(v);
-    noff[v] = w;
+    noff[v] = uint32_t(out.size());
     // Three-pointer merge of v's old list with its removals and
     // insertions. Every pending arc has src >= v, so a pending arc below
     // (v, x) belongs to v.
@@ -143,18 +140,18 @@ SpannerSnapshot::Ptr SpannerSnapshot::apply(const SpannerSnapshot& prev,
         continue;
       }
       if (ir < rems.size() && rems[ir] < here) return nullptr;  // absent
-      while (ia < adds.size() && adds[ia] < here) out[w++] = arc_dst(adds[ia++]);
+      while (ia < adds.size() && adds[ia] < here)
+        out.push_back(arc_dst(adds[ia++]));
       if (ia < adds.size() && adds[ia] == here) return nullptr;  // present
-      out[w++] = old[i];
+      out.push_back(old[i]);
     }
     while (ia < adds.size() && arc_src(adds[ia]) == v)
-      out[w++] = arc_dst(adds[ia++]);
+      out.push_back(arc_dst(adds[ia++]));
     if (ir < rems.size() && arc_src(rems[ir]) == v) return nullptr;  // absent
     next = v + 1;
   }
   copy_run(VertexId(n));
-  noff[n] = w;
-  snap->nbr_.resize(w);
+  noff[n] = uint32_t(out.size());
   snap->seal(sum);
   return snap;
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -556,6 +557,43 @@ TEST(Checkpoint, CorruptionIsDetected) {
     EXPECT_FALSE(load_checkpoint(*fs, "d", 3).has_value());
     ASSERT_TRUE(fs->corrupt_durable(path, at, bit));  // flip back
     ASSERT_TRUE(load_checkpoint(*fs, "d", 3).has_value());
+  }
+}
+
+// --- Graph shadow ----------------------------------------------------------
+
+TEST(GraphShadow, KeysMatchASetModelAcrossFoldsAndRebases) {
+  // Records hit keys below, inside and above the base, delete absent keys,
+  // re-insert present ones and carry invalid keys: keys() must always equal
+  // the set semantics of the folds, including after each rebase.
+  const uint64_t n = 64;
+  Rng rng(23);
+  auto random_key = [&] {
+    VertexId a = VertexId(rng.next_below(n)), b = VertexId(rng.next_below(n));
+    return a == b ? edge_key(a, (b + 1) % VertexId(n)) : edge_key(a, b);
+  };
+  std::set<EdgeKey> model;
+  for (int i = 0; i < 300; ++i) model.insert(random_key());
+  GraphShadow shadow(std::vector<EdgeKey>(model.begin(), model.end()));
+  for (int r = 0; r < 200; ++r) {
+    std::set<EdgeKey> del, ins;
+    for (uint64_t i = 0, c = rng.next_below(12); i < c; ++i)
+      del.insert(rng.next_bool(0.5) && !model.empty()
+                     ? *std::next(model.begin(), long(rng.next_below(model.size())))
+                     : random_key());
+    for (uint64_t i = 0, c = rng.next_below(12); i < c; ++i)
+      ins.insert(random_key());
+    WalRecord rec;
+    rec.input_deleted.assign(del.begin(), del.end());
+    rec.input_inserted.assign(ins.begin(), ins.end());
+    if (r % 7 == 0) rec.input_inserted.push_back(edge_key(3, VertexId(n)));
+    shadow.fold(rec, n);
+    for (EdgeKey k : del) model.erase(k);
+    for (EdgeKey k : ins) model.insert(k);
+    const std::vector<EdgeKey> keys = shadow.keys();
+    ASSERT_EQ(keys, std::vector<EdgeKey>(model.begin(), model.end()))
+        << "after record " << r;
+    if (r % 16 == 15) shadow = GraphShadow(keys);
   }
 }
 
