@@ -28,7 +28,7 @@ std::optional<uint64_t> parse_checkpoint_file_name(const std::string& name) {
   return v;
 }
 
-bool write_checkpoint(Fs& fs, const std::string& dir, const Checkpoint& ckpt) {
+bool write_checkpoint(Fs& fs, const std::string& dir, const DurableState& ckpt) {
   // Pre-sized with raw stores; the key lists (hundreds of KB raw per
   // checkpoint) are strictly ascending and stored varint-delta compressed
   // like WAL key lists — roughly 3x fewer bytes to write, sync and read
@@ -44,7 +44,7 @@ bool write_checkpoint(Fs& fs, const std::string& dir, const Checkpoint& ckpt) {
   store_le64(p + 8, ckpt.version);
   store_le64(p + 16, ckpt.n);
   store_le32(p + 24, ckpt.stretch);
-  store_le64(p + 28, ckpt.snapshot_checksum);
+  store_le64(p + 28, ckpt.checksum);
   store_le64(p + 36, ckpt.snap_keys.size());
   store_le64(p + 44, ckpt.graph_keys.size());
   p += kFixed;
@@ -70,8 +70,8 @@ bool write_checkpoint(Fs& fs, const std::string& dir, const Checkpoint& ckpt) {
   return fs.rename(tmp, dir + "/" + checkpoint_file_name(ckpt.version));
 }
 
-std::optional<Checkpoint> load_checkpoint(Fs& fs, const std::string& dir,
-                                          uint64_t version) {
+std::optional<DurableState> load_checkpoint(Fs& fs, const std::string& dir,
+                                            uint64_t version) {
   std::vector<uint8_t> body;
   if (!fs.read_file(dir + "/" + checkpoint_file_name(version), &body))
     return std::nullopt;
@@ -82,11 +82,11 @@ std::optional<Checkpoint> load_checkpoint(Fs& fs, const std::string& dir,
     return std::nullopt;
   const uint8_t* p = body.data();
   if (get_le64(p) != kCkptMagic) return std::nullopt;
-  Checkpoint c;
+  DurableState c;
   c.version = get_le64(p + 8);
   c.n = get_le64(p + 16);
   c.stretch = get_le32(p + 24);
-  c.snapshot_checksum = get_le64(p + 28);
+  c.checksum = get_le64(p + 28);
   uint64_t ns = get_le64(p + 36);
   uint64_t ng = get_le64(p + 44);
   if (c.version != version) return std::nullopt;

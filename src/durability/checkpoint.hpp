@@ -30,11 +30,14 @@
 
 namespace parspan {
 
-struct Checkpoint {
-  uint64_t version = 0;
+/// One shard's complete durable state at a version: what a checkpoint file
+/// holds, what the verified chain fold rebuilds (wal_tail.hpp), and what a
+/// snapshot ship frame carries to a follower.
+struct DurableState {
   uint64_t n = 0;
   uint32_t stretch = 0;
-  uint64_t snapshot_checksum = 0;
+  uint64_t version = 0;
+  uint64_t checksum = 0;            // snapshot content checksum at `version`
   std::vector<EdgeKey> snap_keys;   // ascending; the spanner at `version`
   std::vector<EdgeKey> graph_keys;  // ascending; the graph at `version`
 };
@@ -47,11 +50,11 @@ std::optional<uint64_t> parse_checkpoint_file_name(const std::string& name);
 /// Writes `ckpt` durably into `dir` (tmp + sync + atomic rename). False on
 /// any I/O failure; `dir` is left with either the committed file or junk
 /// recovery ignores.
-bool write_checkpoint(Fs& fs, const std::string& dir, const Checkpoint& ckpt);
+bool write_checkpoint(Fs& fs, const std::string& dir, const DurableState& ckpt);
 
 /// Loads and structurally validates (magic, CRC, sorted-unique keys) one
 /// committed checkpoint. nullopt when missing or corrupt.
-std::optional<Checkpoint> load_checkpoint(Fs& fs, const std::string& dir,
-                                          uint64_t version);
+std::optional<DurableState> load_checkpoint(Fs& fs, const std::string& dir,
+                                            uint64_t version);
 
 }  // namespace parspan

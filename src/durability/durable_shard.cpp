@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "durability/wal_tail.hpp"
+
 namespace parspan {
 
 void GraphShadow::fold(const WalRecord& rec, uint64_t n) {
@@ -91,11 +93,11 @@ std::unique_ptr<ShardDurability> ShardDurability::create(
       new ShardDurability(std::move(fs), std::move(dir), opts, n, stretch));
   d->graph_ = GraphShadow(graph_keys);
 
-  Checkpoint ckpt;
+  DurableState ckpt;
   ckpt.version = version;
   ckpt.n = n;
   ckpt.stretch = stretch;
-  ckpt.snapshot_checksum = snapshot_checksum;
+  ckpt.checksum = snapshot_checksum;
   ckpt.snap_keys.assign(snap_keys.begin(), snap_keys.end());
   ckpt.graph_keys = std::move(graph_keys);
   if (!write_checkpoint(*d->fs_, d->dir_, ckpt)) return nullptr;
@@ -150,11 +152,11 @@ bool ShardDurability::checkpoint_now(uint64_t version,
     failed_ = true;
     return false;
   }
-  Checkpoint ckpt;
+  DurableState ckpt;
   ckpt.version = version;
   ckpt.n = n_;
   ckpt.stretch = stretch_;
-  ckpt.snapshot_checksum = snapshot_checksum;
+  ckpt.checksum = snapshot_checksum;
   ckpt.snap_keys = std::move(snap_keys);
   ckpt.graph_keys = graph_.keys();
   if (!write_checkpoint(*fs_, dir_, ckpt)) {
@@ -192,89 +194,27 @@ uint64_t ShardDurability::durable_version() const {
 
 std::optional<ShardDurability::Recovered> ShardDurability::recover(
     std::shared_ptr<Fs> fs, std::string dir, const DurabilityOptions& opts) {
-  // Newest structurally valid checkpoint whose content checksum re-derives
-  // from its own key list — older ones are the fallback against rot.
-  std::vector<uint64_t> ckpts;
-  for (const std::string& name : fs->list(dir))
-    if (auto v = parse_checkpoint_file_name(name)) ckpts.push_back(*v);
-  std::sort(ckpts.begin(), ckpts.end());
-  std::optional<Checkpoint> chosen;
-  while (!ckpts.empty()) {
-    auto c = load_checkpoint(*fs, dir, ckpts.back());
-    if (c && snapshot_content_checksum(c->n, c->stretch, c->version,
-                                       c->snap_keys) == c->snapshot_checksum) {
-      chosen = std::move(c);
-      break;
-    }
-    // Unusable: drop the file so it cannot shadow the good one next time.
-    fs->remove(dir + "/" + checkpoint_file_name(ckpts.back()));
-    ckpts.pop_back();
-  }
-  if (!chosen) return std::nullopt;
+  VerifiedChain chain = fold_verified_chain(*fs, dir, UINT64_MAX);
+  // A rotten checkpoint must not shadow the good one next time.
+  for (uint64_t v : chain.rotten)
+    fs->remove(dir + "/" + checkpoint_file_name(v));
+  if (chain.snapshot == nullptr) return std::nullopt;
 
   Recovered out;
-  out.n = chosen->n;
-  out.stretch = chosen->stretch;
-  out.version = chosen->version;
-  out.checksum = chosen->snapshot_checksum;
-  out.graph_keys = std::move(chosen->graph_keys);
-  SpannerSnapshot::Ptr snap = SpannerSnapshot::restore(
-      out.n, out.stretch, out.version, chosen->snap_keys);
-
-  GraphShadow graph(std::move(out.graph_keys));
-
-  // Replay segments at/above the checkpoint in base order. Versions must
-  // chain contiguously; the first invalid frame (or semantically
-  // inconsistent record — §6 preconditions and checksum verified BEFORE
-  // the version is accepted) ends replay for good: bytes past a tear are
-  // garbage by the append-only discipline.
-  std::vector<uint64_t> bases;
-  for (const std::string& name : fs->list(dir))
-    if (auto b = parse_wal_file_name(name); b && *b >= out.version)
-      bases.push_back(*b);
-  std::sort(bases.begin(), bases.end());
-  bool stop = false;
-  for (uint64_t base : bases) {
-    if (stop) break;
-    WalSegment seg = read_wal_segment(*fs, dir + "/" + wal_file_name(base));
-    if (!seg.header_ok) {
-      out.tail_truncated = true;
-      break;
-    }
-    if (seg.base_version > out.version) break;  // gap: later epochs unusable
-    for (WalRecord& rec : seg.records) {
-      if (rec.version <= out.version) continue;
-      if (rec.version != out.version + 1) {
-        stop = true;
-        out.tail_truncated = true;
-        break;
-      }
-      SpannerSnapshot::Ptr next =
-          SpannerSnapshot::apply(*snap, rec.diff_inserted, rec.diff_removed);
-      if (next == nullptr || next->checksum() != rec.checksum) {
-        stop = true;
-        out.tail_truncated = true;
-        break;
-      }
-      snap = std::move(next);
-      graph.fold(rec, out.n);
-      out.version = rec.version;
-      out.checksum = rec.checksum;
-      ++out.replayed_records;
-    }
-    if (seg.truncated_tail) {
-      out.tail_truncated = true;
-      break;
-    }
-  }
-  out.graph_keys = graph.keys();
-  out.snapshot = std::move(snap);
+  out.n = chain.snapshot->num_vertices();
+  out.stretch = chain.snapshot->stretch();
+  out.version = chain.snapshot->version();
+  out.checksum = chain.snapshot->checksum();
+  out.snapshot = std::move(chain.snapshot);
+  out.graph_keys = chain.graph.keys();
+  out.replayed_records = chain.replayed_records;
+  out.tail_truncated = chain.tail_truncated;
 
   auto d = std::unique_ptr<ShardDurability>(new ShardDurability(
       std::move(fs), std::move(dir), opts, out.n, out.stretch));
-  d->graph_ = std::move(graph);
-  d->last_ckpt_version_ = ckpts.empty() ? out.version : ckpts.back();
-  d->ckpt_versions_ = std::move(ckpts);
+  d->graph_ = std::move(chain.graph);
+  d->last_ckpt_version_ = chain.checkpoints.back();
+  d->ckpt_versions_ = std::move(chain.checkpoints);
   d->records_since_ckpt_ = out.version - d->last_ckpt_version_;
   d->open_segment(out.version);  // failure leaves d sticky-failed; state is
                                  // still good — the caller decides.

@@ -8,8 +8,8 @@
 // garbage-collects everything older than the last `keep_checkpoints`
 // checkpoints, and recover() rebuilds the exact pre-crash serving state —
 // newest valid checkpoint, replay the log tail diff-by-diff with the
-// content checksum re-verified per record, truncate at the first invalid
-// frame — plus the graph shadow a fresh backend is rebuilt from.
+// content checksum re-verified per record, up to the end of the verified
+// chain — plus the graph shadow a fresh backend is rebuilt from.
 //
 // The graph shadow: the durability layer folds every record's *input*
 // batch (deletions then insertions, set semantics — exactly the backend's
@@ -108,11 +108,12 @@ class ShardDurability {
     std::unique_ptr<ShardDurability> dur;
   };
 
-  /// Loads the newest valid checkpoint and replays the log tail through
-  /// SpannerSnapshot::apply's checked patch, verifying each record's
-  /// content checksum and truncating at the first invalid frame or §6
-  /// violation (DESIGN.md §10.3). nullopt when no valid checkpoint exists
-  /// at all.
+  /// The verified chain fold with no cap (fold_verified_chain,
+  /// wal_tail.hpp — DESIGN.md §10.4): newest verified checkpoint, then
+  /// every record of the segment chain through SpannerSnapshot::apply's
+  /// checked patch with its content checksum compared. Deletes the rotten
+  /// checkpoints the fold skipped and reopens the writer at the restored
+  /// version. nullopt when no valid checkpoint exists at all.
   static std::optional<Recovered> recover(std::shared_ptr<Fs> fs,
                                           std::string dir,
                                           const DurabilityOptions& opts);

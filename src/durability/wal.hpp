@@ -29,9 +29,11 @@
 // Torn-tail rule: a reader accepts the longest prefix of structurally
 // valid frames with contiguous versions and stops at the first violation —
 // short frame, length overrun, CRC mismatch, or version gap. Nothing after
-// a bad frame is ever replayed, even if it looks intact: the writer only
-// appends after durable frames, so bytes past a tear are by definition
-// garbage from a torn write (DESIGN.md §10.3).
+// a bad frame in that segment is ever replayed, even if it looks intact:
+// the writer only appends after durable frames, so bytes past a tear are
+// by definition garbage from a torn write. A later segment continues the
+// chain only when its base is <= the last good version (wal_tail.hpp,
+// DESIGN.md §10.3).
 #pragma once
 
 #include <chrono>

@@ -4,22 +4,20 @@
 
 namespace parspan {
 
-namespace {
-
-constexpr const char* kEpochFile = "epoch";
-
-// Tiny sidecar: epoch u64 LE + crc32c. Unreadable/torn => epoch 0, which
-// is always safe — the follower just resyncs into the current epoch.
-bool read_epoch_file(Fs& fs, const std::string& dir, uint64_t* epoch) {
+uint64_t read_epoch_sidecar(Fs& fs, const std::string& dir) {
   std::vector<uint8_t> b;
-  if (!fs.read_file(dir + "/" + kEpochFile, &b) || b.size() != 12)
-    return false;
-  if (crc32c(b.data(), 8) != get_le32(b.data() + 8)) return false;
-  *epoch = get_le64(b.data());
-  return true;
+  if (!fs.read_file(dir + "/epoch", &b) || b.size() != 12) return 0;
+  if (crc32c(b.data(), 8) != get_le32(b.data() + 8)) return 0;
+  return get_le64(b.data());
 }
 
-}  // namespace
+void write_epoch_sidecar(Fs& fs, const std::string& dir, uint64_t epoch) {
+  std::vector<uint8_t> b;
+  put_le64(b, epoch);
+  put_le32(b, crc32c(b.data(), 8));
+  std::unique_ptr<FsFile> f = fs.create(dir + "/epoch");
+  if (f != nullptr && f->append(b.data(), b.size())) f->sync();
+}
 
 FollowerReplica::FollowerReplica(std::shared_ptr<Fs> fs, std::string dir,
                                  const DurabilityOptions& opts,
@@ -42,7 +40,7 @@ std::unique_ptr<FollowerReplica> FollowerReplica::recover(
   f->version_ = rec->version;
   f->checksum_ = rec->checksum;
   f->dur_ = std::move(rec->dur);
-  read_epoch_file(*f->fs_, f->dir_, &f->epoch_);
+  f->epoch_ = read_epoch_sidecar(*f->fs_, f->dir_);
   // Compact immediately (the recovery epilogue discipline of §10.4): a
   // follower that crash-loops must not accumulate log.
   if (f->dur_ != nullptr)
@@ -50,16 +48,6 @@ std::unique_ptr<FollowerReplica> FollowerReplica::recover(
                             rec->snapshot->edge_keys());
   f->store_->publish(std::move(rec->snapshot));
   return f;
-}
-
-void FollowerReplica::persist_epoch() {
-  // Best-effort: a lost epoch file downgrades a future recovery to epoch 0
-  // (forced resync), never to wrong state.
-  std::vector<uint8_t> b;
-  put_le64(b, epoch_);
-  put_le32(b, crc32c(b.data(), 8));
-  auto file = fs_->create(dir_ + "/" + kEpochFile);
-  if (file != nullptr && file->append(b.data(), b.size())) file->sync();
 }
 
 void FollowerReplica::adopt_snapshot(uint64_t frame_epoch, DurableState state) {
@@ -77,7 +65,7 @@ void FollowerReplica::adopt_snapshot(uint64_t frame_epoch, DurableState state) {
   dur_ = ShardDurability::create(fs_, dir_, opts_, n_, stretch_, version_,
                                  state.snap_keys, checksum_,
                                  std::move(state.graph_keys));
-  persist_epoch();
+  write_epoch_sidecar(*fs_, dir_, epoch_);
   if (epoch_changed || store_->acquire() == nullptr) {
     // Rebase epochs reuse version numbers with different content — start a
     // fresh publish chain rather than mixing them (see header).

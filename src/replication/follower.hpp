@@ -42,6 +42,15 @@
 
 namespace parspan {
 
+/// The epoch sidecar next to a replica's chain (`<dir>/epoch`): the epoch
+/// as u64 LE plus its crc32c. A missing or torn file reads back as epoch
+/// 0, which is always safe — the replica just resyncs into the current
+/// epoch.
+uint64_t read_epoch_sidecar(Fs& fs, const std::string& dir);
+/// Best-effort durable write: a lost file downgrades a later recovery to
+/// epoch 0 (a forced resync), never to wrong state.
+void write_epoch_sidecar(Fs& fs, const std::string& dir, uint64_t epoch);
+
 class FollowerReplica {
  public:
   /// A fresh, stateless follower: first pump advertises need_snapshot and
@@ -97,7 +106,6 @@ class FollowerReplica {
  private:
   void adopt_snapshot(uint64_t frame_epoch, DurableState state);
   void apply_record(uint64_t frame_epoch, const WalRecord& rec);
-  void persist_epoch();
 
   std::shared_ptr<Fs> fs_;
   std::string dir_;

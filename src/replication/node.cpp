@@ -120,11 +120,25 @@ std::optional<std::vector<uint8_t>> ctl_roundtrip(
   return body;
 }
 
-uint64_t read_epoch_sidecar(Fs& fs, const std::string& dir) {
-  std::vector<uint8_t> b;
-  if (!fs.read_file(dir + "/epoch", &b) || b.size() != 12) return 0;
-  if (crc32c(b.data(), 8) != get_le32(b.data() + 8)) return 0;
-  return get_le64(b.data());
+// The leader role's 1-shard service, recovered from the node's own chain.
+// With `genesis`, a fresh service over the empty graph when nothing is
+// durable yet.
+std::unique_ptr<ShardedSpannerService> open_leader_service(
+    const ReplicaNodeConfig& cfg, bool genesis) {
+  ShardedConfig scfg;
+  scfg.durability.enabled = true;
+  scfg.durability.fs = cfg.fs;
+  scfg.durability.dir = cfg.dir;
+  scfg.durability.opts = cfg.durability;
+  ShardSpec spec;
+  spec.kind = ShardSpec::Kind::kFullyDynamic;
+  spec.n = cfg.n;
+  spec.fd = cfg.spanner;
+  std::unique_ptr<ShardedSpannerService> svc = ShardedSpannerService::recover(
+      {spec}, std::make_unique<VertexRangeRouter>(cfg.n, 1), scfg);
+  if (svc == nullptr && genesis)
+    svc = ShardedSpannerService::single_graph(cfg.n, {}, 1, cfg.spanner, scfg);
+  return svc;
 }
 
 // The next epoch > max_seen that is ≡ index (mod fleet size). Promotion
@@ -515,29 +529,13 @@ void ReplicaNode::become_follower_locked(uint32_t leader_index) {
 }
 
 bool ReplicaNode::become_bootstrap_leader_locked() {
-  ShardedConfig scfg;
-  scfg.durability.enabled = true;
-  scfg.durability.fs = cfg_.fs;
-  scfg.durability.dir = cfg_.dir;
-  scfg.durability.opts = cfg_.durability;
-  ShardSpec spec;
-  spec.kind = ShardSpec::Kind::kFullyDynamic;
-  spec.n = cfg_.n;
-  spec.fd = cfg_.spanner;
   const uint64_t sidecar = read_epoch_sidecar(*cfg_.fs, shard_dir());
-  std::unique_ptr<ShardedSpannerService> svc = ShardedSpannerService::recover(
-      {spec}, std::make_unique<VertexRangeRouter>(cfg_.n, 1), scfg);
-  if (svc == nullptr) {
-    // Nothing durable yet: a genesis leader over the empty graph.
-    svc = ShardedSpannerService::single_graph(cfg_.n, {}, 1, cfg_.spanner,
-                                              scfg);
-    if (svc == nullptr) return false;
-  }
-  svc_ = std::move(svc);
+  svc_ = open_leader_service(cfg_, /*genesis=*/true);
+  if (svc_ == nullptr) return false;
   // Restart = rebase (recovery rebuilt the edge set), so mint a fresh
   // epoch past anything this chain ever shipped under: survivors resync.
   epoch_ = next_epoch(sidecar, cfg_.index, cfg_.peers.size());
-  persist_epoch_locked();
+  write_epoch_sidecar(*cfg_.fs, shard_dir(), epoch_);
   return start_leader_servers_locked();
 }
 
@@ -570,28 +568,17 @@ bool ReplicaNode::start_leader_servers_locked() {
 void ReplicaNode::promote_locked(uint64_t max_epoch_seen) {
   follower_.reset();  // close the chain before recover reopens it
   transport_.reset();
-  ShardedConfig scfg;
-  scfg.durability.enabled = true;
-  scfg.durability.fs = cfg_.fs;
-  scfg.durability.dir = cfg_.dir;
-  scfg.durability.opts = cfg_.durability;
-  ShardSpec spec;
-  spec.kind = ShardSpec::Kind::kFullyDynamic;
-  spec.n = cfg_.n;
-  spec.fd = cfg_.spanner;
-  std::unique_ptr<ShardedSpannerService> svc = ShardedSpannerService::recover(
-      {spec}, std::make_unique<VertexRangeRouter>(cfg_.n, 1), scfg);
-  if (svc == nullptr) {
+  svc_ = open_leader_service(cfg_, /*genesis=*/false);
+  if (svc_ == nullptr) {
     // The chain lost its checkpoint between election and promotion (media
     // death mid-failover). Honest admission: stay a follower; the next
     // election sees has_state = false and picks someone who can run.
     become_follower_locked(cfg_.index);
     return;
   }
-  svc_ = std::move(svc);
   epoch_ = next_epoch(std::max(max_epoch_seen, epoch_), cfg_.index,
                       cfg_.peers.size());
-  persist_epoch_locked();
+  write_epoch_sidecar(*cfg_.fs, shard_dir(), epoch_);
   if (!start_leader_servers_locked()) {
     svc_.reset();
     become_follower_locked(cfg_.index);
@@ -692,16 +679,6 @@ void ReplicaNode::run_election() {
     leader_index_ = static_cast<uint32_t>(won->winner);
     transport_.reset();  // dial the winner as soon as it binds
   }
-}
-
-void ReplicaNode::persist_epoch_locked() {
-  // Same 12-byte sidecar FollowerReplica persists (follower.cpp): lost or
-  // torn reads back as epoch 0, which only ever forces a resync.
-  std::vector<uint8_t> b;
-  put_le64(b, epoch_);
-  put_le32(b, crc32c(b.data(), 8));
-  std::unique_ptr<FsFile> f = cfg_.fs->create(shard_dir() + "/epoch");
-  if (f != nullptr && f->append(b.data(), b.size())) f->sync();
 }
 
 // --- Control-plane clients -------------------------------------------------

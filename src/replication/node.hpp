@@ -186,7 +186,6 @@ class ReplicaNode {
   void reconnect_locked();
   bool start_leader_servers_locked();
   std::string shard_dir() const { return cfg_.dir + "/shard-0"; }
-  void persist_epoch_locked();
 
   ReplicaNodeConfig cfg_;
 

@@ -39,8 +39,8 @@
 #include <optional>
 #include <vector>
 
+#include "durability/checkpoint.hpp"
 #include "durability/wal.hpp"
-#include "durability/wal_tail.hpp"
 #include "util/rng.hpp"
 
 namespace parspan {

@@ -63,8 +63,8 @@ class SpannerSnapshot {
   /// diff violates the §6 contract: a side not strictly ascending, a key
   /// out of range or a self-loop, a removed key absent from prev, or an
   /// inserted key present after the removals. This is the one publish
-  /// path — the writer, the follower and both recovery replays fold
-  /// every diff through it.
+  /// path — the writer, the follower and the recovery fold pass every
+  /// diff through it.
   static Ptr apply(const SpannerSnapshot& prev, std::span<const EdgeKey> add,
                    std::span<const EdgeKey> rem);
 

@@ -18,6 +18,7 @@
 #include "durability/fault_fs.hpp"
 #include "durability/fs.hpp"
 #include "durability/wal.hpp"
+#include "durability/wal_tail.hpp"
 #include "graph/generators.hpp"
 #include "service/spanner_service.hpp"
 #include "util/rng.hpp"
@@ -495,28 +496,28 @@ TEST(Wal, StickyFailureAfterIoError) {
 
 // --- Checkpoints -----------------------------------------------------------
 
-Checkpoint sample_checkpoint(uint64_t version) {
-  Checkpoint c;
+DurableState sample_checkpoint(uint64_t version) {
+  DurableState c;
   c.version = version;
   c.n = 32;
   c.stretch = 5;
   c.snap_keys = {edge_key(0, 1), edge_key(3, 7)};
   c.graph_keys = {edge_key(0, 1), edge_key(1, 2), edge_key(3, 7)};
-  c.snapshot_checksum =
+  c.checksum =
       snapshot_content_checksum(c.n, c.stretch, c.version, c.snap_keys);
   return c;
 }
 
 TEST(Checkpoint, RoundTrip) {
   auto fs = std::make_shared<MemFs>();
-  Checkpoint in = sample_checkpoint(12);
+  DurableState in = sample_checkpoint(12);
   ASSERT_TRUE(write_checkpoint(*fs, "d", in));
   auto out = load_checkpoint(*fs, "d", 12);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->version, in.version);
   EXPECT_EQ(out->n, in.n);
   EXPECT_EQ(out->stretch, in.stretch);
-  EXPECT_EQ(out->snapshot_checksum, in.snapshot_checksum);
+  EXPECT_EQ(out->checksum, in.checksum);
   EXPECT_EQ(out->snap_keys, in.snap_keys);
   EXPECT_EQ(out->graph_keys, in.graph_keys);
   EXPECT_EQ(parse_checkpoint_file_name(checkpoint_file_name(12)), 12u);
@@ -653,6 +654,176 @@ TEST(ShardDurability, CreateWipesStaleIncarnation) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->version, 1u);
   EXPECT_EQ(rec->checksum, r.snapshot->checksum());
+}
+
+// --- The verified chain: one fold, three callers -------------------------
+
+// A chain with checkpoints at 0, 4 and 8 (all retained), segments wal-0,
+// wal-4 and wal-8, and versions up to 10. Returns the live checksum of
+// every version.
+std::vector<uint64_t> write_three_checkpoint_chain(std::shared_ptr<MemFs> fs,
+                                                   DurabilityOptions* opts) {
+  opts->checkpoint_every = 4;
+  opts->keep_checkpoints = 3;
+  const size_t n = 120;
+  auto [initial, batches] = gen_mixed_stream(n, 600, 30, 10, 51);
+  auto svc = make_service(n, initial, 3, 13);
+  EXPECT_TRUE(svc->enable_durability(fs, "dur", *opts, initial));
+  std::vector<uint64_t> live{svc->snapshot()->checksum()};
+  for (const auto& b : batches)
+    live.push_back(svc->apply(b.insertions, b.deletions).snapshot->checksum());
+  EXPECT_EQ(svc->durability()->durable_version(), 10u);
+  return live;
+}
+
+bool has_file(MemFs& fs, const std::string& name) {
+  const std::vector<std::string> names = fs.list("dur");
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+TEST(VerifiedChain, RottenCheckpointIsSkippedAndOnlyRecoverRemovesIt) {
+  auto fs = std::make_shared<MemFs>();
+  DurabilityOptions opts;
+  const std::vector<uint64_t> live = write_three_checkpoint_chain(fs, &opts);
+  const std::string ckpt8 = checkpoint_file_name(8);
+  ASSERT_TRUE(fs->corrupt_durable("dur/" + ckpt8, 20, 1));
+
+  // The read-only fold falls back to ckpt-4, replays to the end, and
+  // leaves the rotten file where it is.
+  auto state = read_durable_state(*fs, "dur", UINT64_MAX);
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->version, 10u);
+  EXPECT_EQ(state->checksum, live[10]);
+  EXPECT_TRUE(has_file(*fs, ckpt8));
+
+  // recover() is the same fold, then deletes what the fold skipped.
+  auto rec = ShardDurability::recover(fs, "dur", opts);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->version, 10u);
+  EXPECT_EQ(rec->checksum, live[10]);
+  EXPECT_EQ(rec->replayed_records, 6u);
+  EXPECT_FALSE(rec->tail_truncated);
+  EXPECT_FALSE(has_file(*fs, ckpt8));
+  EXPECT_TRUE(has_file(*fs, checkpoint_file_name(4)));
+}
+
+TEST(VerifiedChain, CapPicksTheNewestCheckpointBelowItAndStopsThere) {
+  auto fs = std::make_shared<MemFs>();
+  DurabilityOptions opts;
+  const std::vector<uint64_t> live = write_three_checkpoint_chain(fs, &opts);
+  for (uint64_t cap : {0u, 3u, 4u, 6u, 7u, 8u, 9u, 10u}) {
+    SCOPED_TRACE(cap);
+    auto state = read_durable_state(*fs, "dur", cap);
+    ASSERT_TRUE(state.has_value());
+    EXPECT_EQ(state->version, cap);
+    EXPECT_EQ(state->checksum, live[cap]);
+    EXPECT_EQ(snapshot_content_checksum(state->n, state->stretch,
+                                        state->version, state->snap_keys),
+              state->checksum);
+  }
+  // Below every retained checkpoint nothing can be rebuilt: state never
+  // rolls backward.
+  fs->remove("dur/" + checkpoint_file_name(0));
+  EXPECT_FALSE(read_durable_state(*fs, "dur", 3).has_value());
+  EXPECT_EQ(read_durable_state(*fs, "dur", 6)->checksum, live[6]);
+}
+
+TEST(VerifiedChain, WalRangeFailsWhenTheChainEndsShortOfTo) {
+  auto fs = std::make_shared<MemFs>();
+  DurabilityOptions opts;
+  write_three_checkpoint_chain(fs, &opts);
+  std::vector<WalRecord> out;
+  auto versions = [&] {
+    std::vector<uint64_t> v;
+    for (const WalRecord& r : out) v.push_back(r.version);
+    return v;
+  };
+  ASSERT_TRUE(read_wal_range(*fs, "dur", 2, 10, &out));
+  EXPECT_EQ(versions(), (std::vector<uint64_t>{3, 4, 5, 6, 7, 8, 9, 10}));
+
+  // A tear in wal-4's last frame (version 8): the chain stops at 7, and
+  // wal-8 (base 8 > 7) cannot bridge it.
+  const std::string wal4 = "dur/" + wal_file_name(4);
+  const size_t at = fs->durable_size(wal4) - 2;
+  ASSERT_TRUE(fs->corrupt_durable(wal4, at, 0));
+  EXPECT_FALSE(read_wal_range(*fs, "dur", 4, 10, &out));
+  ASSERT_TRUE(read_wal_range(*fs, "dur", 4, 7, &out));
+  EXPECT_EQ(versions(), (std::vector<uint64_t>{5, 6, 7}));
+  ASSERT_TRUE(fs->corrupt_durable(wal4, at, 0));  // heal it
+
+  // A gap: without wal-4 the walk from wal-0 ends at 4, below wal-8's base.
+  ASSERT_TRUE(fs->remove(wal4));
+  EXPECT_FALSE(read_wal_range(*fs, "dur", 0, 10, &out));
+  ASSERT_TRUE(read_wal_range(*fs, "dur", 1, 4, &out));
+  EXPECT_EQ(versions(), (std::vector<uint64_t>{2, 3, 4}));
+
+  // The anchor GC'd: no segment's base is <= from.
+  ASSERT_TRUE(fs->remove("dur/" + wal_file_name(0)));
+  EXPECT_FALSE(read_wal_range(*fs, "dur", 2, 10, &out));
+  ASSERT_TRUE(read_wal_range(*fs, "dur", 8, 10, &out));
+  EXPECT_EQ(versions(), (std::vector<uint64_t>{9, 10}));
+}
+
+TEST(VerifiedChain, TornSegmentContinuesIntoASegmentAtItsLastGoodVersion) {
+  // wal-0 ends in a torn frame after version 5. The first recovery stops
+  // there and opens wal-5, and its kRebase record (version 6) is synced
+  // before a crash somewhere in the rebase checkpoint. Whatever was
+  // durable before that crash must come back: the chain walks past the
+  // tear into wal-5.
+  DurabilityOptions opts;
+  opts.fsync_policy = FsyncPolicy::kEveryRecord;
+  opts.checkpoint_every = 0;
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 3;
+  cfg.seed = 11;
+  auto make_backend = [&cfg](uint64_t rn, const std::vector<Edge>& edges,
+                             uint32_t) {
+    return std::make_unique<FullyDynamicSpanner>(size_t(rn), edges, cfg);
+  };
+  const size_t n = 120;
+  auto [initial, batches] = gen_mixed_stream(n, 600, 30, 6, 41);
+
+  bool rebase_durable_without_checkpoint = false;
+  for (uint64_t crash_op = 1;; ++crash_op) {
+    SCOPED_TRACE(crash_op);
+    auto fs = std::make_shared<MemFs>();
+    {
+      auto svc = make_service(n, initial, 3, 11);
+      ASSERT_TRUE(svc->enable_durability(fs, "dur", opts, initial));
+      for (size_t i = 0; i < 5; ++i)
+        svc->apply(batches[i].insertions, batches[i].deletions);
+      fs->crash_at_op(1);  // the 6th record's frame is torn mid-write
+      svc->apply(batches[5].insertions, batches[5].deletions);
+    }
+    Rng rng(crash_op);
+    fs->crash_and_restart(CrashTail::kKeepAll, rng);
+
+    fs->crash_at_op(crash_op);
+    SpannerService::RecoveryReport rep;
+    auto first = SpannerService::recover(fs, "dur", opts, make_backend, &rep);
+    ASSERT_NE(first, nullptr);
+    ASSERT_EQ(rep.restored_version, 5u);
+    ASSERT_TRUE(rep.tail_truncated);
+    const bool crashed = fs->crashed();
+    const uint64_t durable = first->durability()->durable_version();
+    const uint64_t durable_checksum = first->snapshot()->checksum();
+    first.reset();
+    fs->crash_and_restart(CrashTail::kLoseAll, rng);
+    rebase_durable_without_checkpoint |=
+        crashed && durable == 6 && !has_file(*fs, checkpoint_file_name(6));
+
+    auto state = read_durable_state(*fs, "dur", UINT64_MAX);
+    ASSERT_TRUE(state.has_value());
+    EXPECT_GE(state->version, durable);
+    auto rec = ShardDurability::recover(fs, "dur", opts);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_GE(rec->version, durable);
+    EXPECT_EQ(rec->version, state->version);
+    EXPECT_EQ(rec->checksum, state->checksum);
+    if (rec->version == 6) EXPECT_EQ(rec->checksum, durable_checksum);
+    if (!crashed) break;
+  }
+  EXPECT_TRUE(rebase_durable_without_checkpoint);
 }
 
 // --- Service-level recovery ------------------------------------------------
