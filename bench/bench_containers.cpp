@@ -7,7 +7,6 @@
 #include "container/concurrent_map.hpp"
 #include "container/counted_treap.hpp"
 #include "container/flat_map.hpp"
-#include "container/priority_list.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/rng.hpp"
 
@@ -119,21 +118,6 @@ void BM_TreapSelect(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_TreapSelect)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_PriorityListNextWith(benchmark::State& state) {
-  size_t n = size_t(state.range(0));
-  PriorityList<uint64_t> pl;
-  for (size_t i = 0; i < n; ++i) pl.insert(i, i + 1);
-  size_t q = 0;
-  for (auto _ : state) {
-    // Seek a value divisible by 64 starting from a rotating position.
-    size_t pos = 1 + (q++ % (n - 64));
-    auto r = pl.next_with(pos, [](uint64_t v) { return v % 64 == 0; });
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()));
-}
-BENCHMARK(BM_PriorityListNextWith)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_ShardedMapParallelInsert(benchmark::State& state) {
   size_t n = size_t(state.range(0));

@@ -6,8 +6,8 @@
 #   BENCH_scheduler.json   — work-stealing scheduler: fork-join task
 #                            overhead vs the serial floor, steal
 #                            throughput, parallel_for/reduce/sort medians
-#   BENCH_extensions.json  — Theorems 1.4-1.6 (ultra / bundle / sparsifier)
-#                            size + batch-update throughput
+#   BENCH_extensions.json  — Theorems 1.3-1.6 (sparse / ultra / bundle /
+#                            sparsifier) size + batch-update throughput
 #   BENCH_service.json     — serving layer: mixed read/write throughput vs
 #                            reader count, incremental publish vs re-export
 #   BENCH_sharded.json     — sharded ingestion: shard-count x writer-count
@@ -84,7 +84,11 @@ merge "$tmpdir/bench_primitives.tmp.json" \
   >"$repo_root/BENCH_primitives.json"
 echo "wrote $repo_root/BENCH_primitives.json"
 
-echo "== extension benches (Theorems 1.4-1.6) =="
+echo "== extension benches (Theorems 1.3-1.6) =="
+"$build_dir/bench_sparse_spanner" \
+  --benchmark_format=json \
+  --benchmark_filter='BM_SparseSpannerUpdates' \
+  >"$tmpdir/bench_sparse_spanner.tmp.json"
 "$build_dir/bench_ultra_sparse" \
   --benchmark_format=json \
   --benchmark_filter='BM_UltraUpdates' \
@@ -97,7 +101,8 @@ echo "== extension benches (Theorems 1.4-1.6) =="
   --benchmark_format=json \
   --benchmark_filter='BM_SparsifierUpdates' \
   >"$tmpdir/bench_sparsifier.tmp.json"
-merge "$tmpdir/bench_ultra_sparse.tmp.json" \
+merge "$tmpdir/bench_sparse_spanner.tmp.json" \
+      "$tmpdir/bench_ultra_sparse.tmp.json" \
       "$tmpdir/bench_bundle.tmp.json" \
       "$tmpdir/bench_sparsifier.tmp.json" \
   >"$repo_root/BENCH_extensions.json"

@@ -39,18 +39,12 @@ ContractionLayer::ContractionLayer(size_t n, const std::vector<Edge>& edges,
   for (const Edge& e : edges) {
     if (e.u == e.v || e.u >= n || e.v >= n) continue;
     if (edge_index_.contains(e.key())) continue;
-    edge_index_[e.key()] = uint32_t(edges_.size());
-    EdgeRec rec;
-    rec.e = e;
-    rec.alive = true;
-    rec.key_u = fresh_entry_key(e.v);
-    rec.key_v = fresh_entry_key(e.u);
-    adj_[e.u].insert(rec.key_u, {e.v, uint32_t(edges_.size())});
-    adj_[e.v].insert(rec.key_v, {e.u, uint32_t(edges_.size())});
-    edges_.push_back(rec);
-    ++alive_count_;
+    uint32_t eid = uint32_t(edges_.size());
+    edge_index_[e.key()] = eid;
+    edges_.push_back(EdgeRec{e});
+    add_arcs(eid);
   }
-  for (VertexId v = 0; v < n; ++v) set_head(v, compute_head(v));
+  for (VertexId v = 0; v < n; ++v) head_[v] = compute_head(v);
   for (uint32_t eid = 0; eid < edges_.size(); ++eid) attach(eid);
   // head-edge contributions.
   for (VertexId v = 0; v < n; ++v) {
@@ -70,17 +64,51 @@ uint64_t ContractionLayer::fresh_entry_key(VertexId other) {
   return (unmark << 62) | rnd;
 }
 
-VertexId ContractionLayer::compute_head(VertexId v) {
-  if (is_sampled(v)) return v;
-  auto& t = adj_[v];
-  if (t.empty()) return kNoVertex;
-  // Minimum (unmark, rand) entry = last in descending order.
-  auto [key, entry] = t.select_desc(t.size());
-  if (key >> 62) return kNoVertex;  // min entry unmarked: no D neighbor
-  return entry->other;
+void ContractionLayer::add_arcs(uint32_t eid) {
+  EdgeRec& r = edges_[eid];
+  r.alive = true;
+  ++alive_count_;
+  auto push = [&](VertexId x, Arc a) {
+    ArcList& l = adj_[x];
+    uint32_t i = uint32_t(l.arcs.size());
+    if (i == 0 || a.key < l.arcs[l.min].key) l.min = i;
+    l.arcs.push_back(a);
+    return i;
+  };
+  // Adj(u)'s key is drawn first: the draw order fixes every key.
+  uint64_t key_u = fresh_entry_key(r.e.v);
+  uint64_t key_v = fresh_entry_key(r.e.u);
+  r.slot_u = push(r.e.u, {key_u, r.e.v, eid});
+  r.slot_v = push(r.e.v, {key_v, r.e.u, eid});
 }
 
-void ContractionLayer::set_head(VertexId v, VertexId h) { head_[v] = h; }
+void ContractionLayer::remove_arc(VertexId x, uint32_t i) {
+  ArcList& l = adj_[x];
+  uint32_t last = uint32_t(l.arcs.size() - 1);
+  if (i != last) {
+    l.arcs[i] = l.arcs[last];
+    EdgeRec& moved = edges_[l.arcs[i].edge_id];
+    (moved.e.u == x ? moved.slot_u : moved.slot_v) = i;
+  }
+  l.arcs.pop_back();
+  if (l.min == i) {
+    // The minimum left (probability 1/deg under the oblivious adversary):
+    // rescan for the new one.
+    l.min = 0;
+    for (uint32_t j = 1; j < l.arcs.size(); ++j)
+      if (l.arcs[j].key < l.arcs[l.min].key) l.min = j;
+  } else if (l.min == last) {
+    l.min = i;
+  }
+}
+
+VertexId ContractionLayer::compute_head(VertexId v) const {
+  if (is_sampled(v)) return v;
+  const ArcList& l = adj_[v];
+  if (l.arcs.empty()) return kNoVertex;
+  const Arc& m = l.arcs[l.min];
+  return m.key >> 62 ? kNoVertex : m.other;  // unmarked min: no D neighbor
+}
 
 EdgeKey ContractionLayer::pair_key_of(uint32_t eid) const {
   const EdgeRec& r = edges_[eid];
@@ -160,16 +188,15 @@ void ContractionLayer::recheck_head(VertexId v) {
   }
   // Move every incident edge: bot membership and bucket key both depend on
   // Head(v). Remove under the old head, flip, re-add under the new head.
-  std::vector<uint32_t> incident;
-  adj_[v].for_each(
-      [&](uint64_t, const AdjEntry& a) { incident.push_back(a.edge_id); });
-  for (uint32_t eid : incident) detach(eid);
+  // Adjacency is stable during a move, so Adj(v) is walked twice in place.
+  const std::vector<Arc>& arcs = adj_[v].arcs;
+  for (const Arc& a : arcs) detach(a.edge_id);
   if (head_edge_[v] != kNoEdge) {
     h_remove(head_edge_[v]);
     head_edge_[v] = kNoEdge;
   }
-  set_head(v, h);
-  for (uint32_t eid : incident) attach(eid);
+  head_[v] = h;
+  for (const Arc& a : arcs) attach(a.edge_id);
   if (h != kNoVertex) {
     head_edge_[v] = edge_key(v, h);
     h_add(head_edge_[v]);
@@ -186,14 +213,16 @@ ContractionLayer::UpdateResult ContractionLayer::update(
   // --- Deletions. ---
   for (const Edge& e : del) {
     const uint32_t* it = edge_index_.find(e.key());
-    if (it == nullptr || !edges_[*it].alive) continue;
+    if (it == nullptr) continue;
     uint32_t eid = *it;
+    edge_index_.erase(e.key());
     EdgeRec& r = edges_[eid];
     detach(eid);
-    adj_[r.e.u].erase(r.key_u);
-    adj_[r.e.v].erase(r.key_v);
+    remove_arc(r.e.u, r.slot_u);
+    remove_arc(r.e.v, r.slot_v);
     r.alive = false;
     --alive_count_;
+    pending_free_.push_back(eid);
     // The deleted edge may carry a head-edge contribution of an endpoint;
     // that endpoint's head necessarily changes (its min entry vanished), so
     // recheck_head will refresh it — but remove the stale contribution
@@ -209,24 +238,18 @@ ContractionLayer::UpdateResult ContractionLayer::update(
   // --- Insertions. ---
   for (const Edge& e : ins) {
     if (e.u == e.v || e.u >= n_ || e.v >= n_) continue;
-    const uint32_t* it = edge_index_.find(e.key());
+    if (edge_index_.contains(e.key())) continue;  // already present
     uint32_t eid;
-    if (it != nullptr) {
-      if (edges_[*it].alive) continue;  // already present
-      eid = *it;  // resurrect dead record with fresh entries
+    if (!free_ids_.empty()) {
+      eid = free_ids_.back();
+      free_ids_.pop_back();
+      edges_[eid] = EdgeRec{e};
     } else {
       eid = uint32_t(edges_.size());
-      edge_index_[e.key()] = eid;
-      edges_.push_back(EdgeRec{});
-      edges_[eid].e = e;
+      edges_.push_back(EdgeRec{e});
     }
-    EdgeRec& r = edges_[eid];
-    r.alive = true;
-    ++alive_count_;
-    r.key_u = fresh_entry_key(e.v);
-    r.key_v = fresh_entry_key(e.u);
-    adj_[e.u].insert(r.key_u, {e.v, eid});
-    adj_[e.v].insert(r.key_v, {e.u, eid});
+    edge_index_[e.key()] = eid;
+    add_arcs(eid);
     attach(eid);
     recheck.push_back(e.u);
     recheck.push_back(e.v);
@@ -250,6 +273,10 @@ ContractionLayer::UpdateResult ContractionLayer::update(
     if (snap.existed && exists && snap.old_rep != b->rep)
       res.rep_changed.push_back(edge_from_key(pk));
   }
+  // The snapshots are read: this batch's dead ids may be reused from now on.
+  free_ids_.insert(free_ids_.end(), pending_free_.begin(),
+                   pending_free_.end());
+  pending_free_.clear();
   return res;
 }
 
@@ -274,13 +301,39 @@ std::vector<Edge> ContractionLayer::h_edges() const {
 }
 
 bool ContractionLayer::check_invariants() const {
-  // Recompute heads.
+  // Rescan every arc list: each arc's key mark, other endpoint and stored
+  // slot, the cached minimum, and the head it implies.
+  size_t arcs = 0;
   for (VertexId v = 0; v < n_; ++v) {
-    VertexId h =
-        const_cast<ContractionLayer*>(this)->compute_head(v);
-    if (is_sampled(v)) h = v;
-    if (h != head_[v]) return false;
+    const ArcList& l = adj_[v];
+    if (!l.arcs.empty() && l.min >= l.arcs.size()) return false;
+    for (uint32_t i = 0; i < l.arcs.size(); ++i) {
+      const Arc& a = l.arcs[i];
+      if (a.edge_id >= edges_.size()) return false;
+      const EdgeRec& r = edges_[a.edge_id];
+      if (!r.alive || (r.e.u != v && r.e.v != v)) return false;
+      bool at_u = r.e.u == v;
+      if ((at_u ? r.slot_u : r.slot_v) != i) return false;
+      if (a.other != (at_u ? r.e.v : r.e.u)) return false;
+      if ((a.key >> 62) != (is_sampled(a.other) ? 0u : 1u)) return false;
+      if (a.key < l.arcs[l.min].key) return false;
+    }
+    arcs += l.arcs.size();
+    if (compute_head(v) != head_[v]) return false;
   }
+  if (arcs != 2 * alive_count_) return false;
+  // The index holds exactly the alive records; every dead one is free.
+  if (edge_index_.size() != alive_count_) return false;
+  size_t dead = 0;
+  for (uint32_t eid = 0; eid < edges_.size(); ++eid) {
+    if (!edges_[eid].alive) {
+      ++dead;
+      continue;
+    }
+    const uint32_t* it = edge_index_.find(edges_[eid].e.key());
+    if (it == nullptr || *it != eid) return false;
+  }
+  if (dead != free_ids_.size() + pending_free_.size()) return false;
   // Recompute buckets and H from scratch.
   FlatHashMap<EdgeKey, std::vector<uint32_t>> ref_buckets;
   FlatHashMap<EdgeKey, uint32_t> ref_h;

@@ -2,10 +2,9 @@
 // (paper §4.1, dynamic maintenance §4.3).
 //
 // A fixed subset D ⊆ V is sampled once (each vertex with probability 1/x;
-// D never changes — legitimate under the oblivious adversary). Every vertex
-// v keeps its incident edges in a search tree Adj(v) ordered by the tuple
-// (unmark_e, rand_e): unmark_e = [other endpoint ∉ D], rand_e a fresh random
-// value drawn when the entry is inserted. Then
+// D never changes — legitimate under the oblivious adversary). Every entry
+// of Adj(v) carries the key (unmark_e, rand_e): unmark_e = [other endpoint
+// ∉ D], rand_e a fresh random value drawn when the entry is inserted. Then
 //
 //   Head(v) = v                      if v ∈ D,
 //   Head(v) = min-entry's endpoint   if that entry is marked (∈ D),
@@ -14,6 +13,13 @@
 // so Head(v) changes only when the minimum of Adj(v) changes — probability
 // 1/(deg±1) per update — which is what makes the expensive O(deg) head-move
 // procedure O(1) edges in expectation (the analysis at the end of §4.3).
+//
+// Nothing else reads the order of Adj(v), so it is a flat unordered arc
+// list (the DynamicGraph layout, DESIGN.md §2) plus the slot of its minimum
+// arc. An insertion updates the cached minimum in O(1); a removal is a
+// swap-pop, and the list is rescanned only when the minimum arc itself
+// leaves — probability 1/deg per deletion under the oblivious adversary, so
+// O(1) expected (DESIGN.md §7.2).
 //
 // The layer exposes exactly the objects of the paper:
 //   * H            — this layer's spanner contribution: edges with a ⊥
@@ -33,7 +39,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "container/counted_treap.hpp"
 #include "container/flat_map.hpp"
 #include "container/rep_bucket.hpp"
 #include "core/cluster_spanner.hpp"  // DiffAccumulator
@@ -65,6 +70,9 @@ class ContractionLayer {
   size_t num_vertices() const { return n_; }
   size_t next_n() const { return next_n_; }
   size_t alive_edges() const { return alive_count_; }
+  /// Edge records held, alive or free for reuse (test-facing: deleted
+  /// edges' records are recycled, so this tracks alive_edges()).
+  size_t edge_records() const { return edges_.size(); }
 
   bool is_sampled(VertexId v) const { return next_id_[v] != kNoVertex; }
   VertexId next_id(VertexId v) const { return next_id_[v]; }
@@ -88,14 +96,21 @@ class ContractionLayer {
   bool check_invariants() const;
 
  private:
-  struct AdjEntry {
+  /// One entry of Adj(v): the (unmark, rand) key, the other endpoint and
+  /// the edge record.
+  struct Arc {
+    uint64_t key;
     VertexId other;
     uint32_t edge_id;
   };
+  struct ArcList {
+    std::vector<Arc> arcs;  // unordered
+    uint32_t min = 0;       // slot of the minimum-key arc (if non-empty)
+  };
   struct EdgeRec {
     Edge e;
-    uint64_t key_u = 0;  // entry key in Adj(e.u)
-    uint64_t key_v = 0;  // entry key in Adj(e.v)
+    uint32_t slot_u = 0;  // arc slot in Adj(e.u)
+    uint32_t slot_v = 0;  // arc slot in Adj(e.v)
     bool alive = false;
   };
   /// NextLevelEdges bucket of edge ids (container/rep_bucket.hpp; the rep
@@ -103,8 +118,13 @@ class ContractionLayer {
   using Bucket = RepBucket<uint32_t>;
 
   uint64_t fresh_entry_key(VertexId other);
-  VertexId compute_head(VertexId v);
-  void set_head(VertexId v, VertexId h);
+  /// Adds edge eid's arcs to both endpoints' lists (fresh keys).
+  void add_arcs(uint32_t eid);
+  /// Swap-pops slot i of Adj(x), fixing the moved arc's stored slot and
+  /// the cached minimum (rescanned only if the minimum itself left).
+  void remove_arc(VertexId x, uint32_t i);
+  /// Head(v) implied by Adj(v)'s cached minimum.
+  VertexId compute_head(VertexId v) const;
 
   /// Contracted pair key for edge id (using current heads), or kNoEdge if
   /// the edge is intra-cluster / touches ⊥.
@@ -135,10 +155,16 @@ class ContractionLayer {
   std::vector<VertexId> next_id_;  // kNoVertex if unsampled
   std::vector<VertexId> prev_id_;
   std::vector<VertexId> head_;
-  std::vector<CountedTreap<AdjEntry>> adj_;
+  std::vector<ArcList> adj_;
 
   std::vector<EdgeRec> edges_;
-  FlatHashMap<EdgeKey, uint32_t> edge_index_;
+  FlatHashMap<EdgeKey, uint32_t> edge_index_;  // alive edges only
+  // Dead records' ids. An id freed in a batch waits in pending_free_ until
+  // the batch's pair diffs are compiled: PairSnapshot::old_rep names the old
+  // representative by id, so reusing it within the batch could hide a
+  // representative change.
+  std::vector<uint32_t> free_ids_;
+  std::vector<uint32_t> pending_free_;
   size_t alive_count_ = 0;
 
   FlatHashMap<EdgeKey, Bucket> buckets_;       // NextLevelEdges

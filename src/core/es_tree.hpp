@@ -3,8 +3,8 @@
 // implementing Algorithm 1 verbatim.
 //
 // Every vertex v with 1 <= Dist(v) <= L maintains a pointer Scan(v) into its
-// in-arc list In(v), which is ordered by decreasing priority key (the
-// PriorityList of Lemma 3.1; realized as a CountedTreap — see DESIGN.md §1).
+// in-arc list In(v), which is ordered by decreasing priority key (Lemma
+// 3.1's priority list, realized as a CountedTreap — see DESIGN.md §1).
 //
 //   Invariant A1: Scan(v) points to the first (highest-key) in-arc whose
 //                 source has distance Dist(v) - 1; that arc is v's parent.

@@ -1,5 +1,5 @@
-// Unit + randomized oracle tests for CountedTreap, PriorityList (Lemma 3.1
-// interface), ShardedMap and ConcurrentFixedMap.
+// Unit + randomized oracle tests for CountedTreap (the Lemma 3.1 in-lists of
+// the ES tree), ShardedMap and ConcurrentFixedMap.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,7 +9,6 @@
 #include "container/concurrent_map.hpp"
 #include "container/counted_treap.hpp"
 #include "container/flat_map.hpp"
-#include "container/priority_list.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/rng.hpp"
 
@@ -65,6 +64,30 @@ TEST(CountedTreap, ForEachDescFrom) {
   EXPECT_EQ(seen.front(), 50u);
   EXPECT_EQ(seen.back(), 40u);
   for (size_t i = 1; i < seen.size(); ++i) EXPECT_LT(seen[i], seen[i - 1]);
+}
+
+// The ES tree's NextWith (Lemma 3.1): walk descending from a key to the
+// first entry whose value satisfies a predicate.
+TEST(CountedTreap, NextWithWalkFindsFirstSatisfying) {
+  CountedTreap<int> t;
+  for (int i = 0; i < 100; ++i) t.insert(uint64_t(1000 - i), i);
+  auto next_with = [&](uint64_t from, auto&& f) {
+    int found = -1;
+    t.for_each_desc_from(from, [&](uint64_t, int& v) {
+      if (!f(v)) return true;
+      found = v;
+      return false;
+    });
+    return found;
+  };
+  // From value 9 on (key 991), the first value divisible by 7 is 14.
+  EXPECT_EQ(next_with(991, [](int v) { return v % 7 == 0; }), 14);
+  // A start key above every entry begins at the largest.
+  EXPECT_EQ(next_with(5000, [](int v) { return v >= 0; }), 0);
+  // Nothing satisfies: the walk reaches the end.
+  EXPECT_EQ(next_with(1000, [](int) { return false; }), -1);
+  // The start entry itself satisfies.
+  EXPECT_EQ(next_with(958, [](int) { return true; }), 42);
 }
 
 TEST(CountedTreap, RandomizedAgainstStdMap) {
@@ -225,45 +248,6 @@ TEST(FlatHashSet, InsertEraseAnyMember) {
   std::set<uint32_t> seen;
   s.for_each([&](uint32_t k) { seen.insert(k); });
   EXPECT_EQ(seen.size(), 1u);
-}
-
-TEST(PriorityList, PaperInterfaceSemantics) {
-  // Elements 'a'..'e' with priorities 50,40,30,20,10.
-  std::vector<std::pair<char, uint64_t>> init = {
-      {'a', 50}, {'b', 40}, {'c', 30}, {'d', 20}, {'e', 10}};
-  PriorityList<char> pl(init);
-  EXPECT_EQ(pl.size(), 5u);
-  EXPECT_EQ(pl.query(1).second, 'a');
-  EXPECT_EQ(pl.query(5).second, 'e');
-  auto [val, rank] = pl.find(30);
-  ASSERT_TRUE(val.has_value());
-  EXPECT_EQ(*val, 'c');
-  EXPECT_EQ(rank, 3u);
-
-  // UpdatePriority moves 'a' (pos 1) to priority 15 -> new order b,c,d,a,e.
-  pl.update_priority(1, 15);
-  EXPECT_EQ(pl.query(1).second, 'b');
-  EXPECT_EQ(pl.query(4).second, 'a');
-  EXPECT_EQ(pl.query(5).second, 'e');
-
-  // UpdateValue at position 2 ('c' now).
-  pl.update_value(2, 'C');
-  EXPECT_EQ(pl.query(2).second, 'C');
-}
-
-TEST(PriorityList, NextWithFindsFirstSatisfying) {
-  std::vector<std::pair<int, uint64_t>> init;
-  for (int i = 0; i < 100; ++i)
-    init.push_back({i, uint64_t(1000 - i)});  // element i at position i+1
-  PriorityList<int> pl(init);
-  // First element >= position 10 that is divisible by 7: positions are
-  // value+1; values 9,10,...; first divisible by 7 is 14 -> position 15.
-  size_t q = pl.next_with(10, [](int v) { return v % 7 == 0; });
-  EXPECT_EQ(q, 15u);
-  // Nothing satisfies -> size()+1.
-  EXPECT_EQ(pl.next_with(1, [](int) { return false; }), 101u);
-  // First element satisfies.
-  EXPECT_EQ(pl.next_with(42, [](int) { return true; }), 42u);
 }
 
 TEST(ShardedMap, BasicOps) {

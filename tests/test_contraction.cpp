@@ -2,11 +2,14 @@
 // sparse spanner (Theorem 1.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "core/contraction.hpp"
 #include "core/sparse_spanner.hpp"
 #include "graph/generators.hpp"
+#include "parallel/csr.hpp"
+#include "util/rng.hpp"
 #include "verify/spanner_check.hpp"
 
 namespace parspan {
@@ -41,6 +44,192 @@ TEST(ContractionLayer, DeleteAllEdges) {
   EXPECT_TRUE(layer.next_edges().empty());
   EXPECT_EQ(layer.h_size(), 0u);
   EXPECT_TRUE(layer.check_invariants());
+}
+
+std::vector<std::vector<VertexId>> neighbor_lists(
+    size_t n, const std::vector<Edge>& edges) {
+  std::vector<std::vector<VertexId>> nbrs(n);
+  for (const Edge& e : edges) {
+    nbrs[e.u].push_back(e.v);
+    nbrs[e.v].push_back(e.u);
+  }
+  return nbrs;
+}
+
+// Deleting a vertex's head edge removes the minimum arc of Adj(v): the
+// cached minimum is rescanned and the head moves.
+TEST(ContractionLayer, HeadMovesWhenItsMinimumArcLeaves) {
+  const size_t n = 60;
+  auto edges = gen_erdos_renyi(n, 300, 8);
+  ContractionLayer layer(n, edges, 4.0, 12);
+  size_t moved = 0, to_other_center = 0;
+  for (VertexId v = 0; v < n && moved < 8; ++v) {
+    VertexId h = layer.head(v);
+    if (layer.is_sampled(v) || h == kNoVertex) continue;
+    layer.update({}, {Edge(v, h)});
+    ASSERT_TRUE(layer.check_invariants()) << "v=" << v;
+    EXPECT_NE(layer.head(v), h);
+    if (layer.head(v) != kNoVertex) ++to_other_center;
+    ++moved;
+  }
+  EXPECT_EQ(moved, 8u);
+  EXPECT_GT(to_other_center, 0u);
+}
+
+// Adj(v) is emptied and refilled within one batch (deletions apply first).
+TEST(ContractionLayer, ArcListEmptiedAndRefilledInOneBatch) {
+  const size_t n = 60;
+  auto edges = gen_erdos_renyi(n, 300, 9);
+  ContractionLayer layer(n, edges, 4.0, 13);
+  auto nbrs = neighbor_lists(n, edges);
+  size_t done = 0;
+  for (VertexId v = 0; v < n && done < 4; ++v) {
+    if (nbrs[v].size() < 3) continue;
+    std::vector<Edge> incident;
+    for (VertexId w : nbrs[v]) incident.push_back(Edge(v, w));
+    size_t alive = layer.alive_edges();
+    layer.update(incident, incident);
+    ASSERT_TRUE(layer.check_invariants()) << "v=" << v;
+    EXPECT_EQ(layer.alive_edges(), alive);
+    ++done;
+  }
+  EXPECT_EQ(done, 4u);
+}
+
+// The same key deleted and re-inserted in one batch gets a fresh arc key;
+// head edges are the interesting case (their H contribution is dropped
+// and must come back).
+TEST(ContractionLayer, SameKeyDeletedAndReinsertedInOneBatch) {
+  const size_t n = 60;
+  auto edges = gen_erdos_renyi(n, 300, 10);
+  ContractionLayer layer(n, edges, 4.0, 14);
+  size_t done = 0;
+  for (VertexId v = 0; v < n && done < 6; ++v) {
+    if (layer.is_sampled(v) || layer.head(v) == kNoVertex) continue;
+    Edge e(v, layer.head(v));
+    size_t alive = layer.alive_edges();
+    layer.update({e}, {e});
+    ASSERT_TRUE(layer.check_invariants()) << "v=" << v;
+    EXPECT_EQ(layer.alive_edges(), alive);
+    ++done;
+  }
+  EXPECT_EQ(done, 6u);
+  layer.update({edges[0]}, {edges[0]});
+  EXPECT_TRUE(layer.check_invariants());
+}
+
+// A vertex whose arcs are all unmarked (no neighbor in D) has head ⊥, and
+// all its edges are in H. One marked arc is always the minimum, so
+// inserting an edge to a D vertex makes that vertex the head; deleting it
+// again returns the head to ⊥.
+TEST(ContractionLayer, AllArcsUnmarkedMeansNoHead) {
+  const size_t n = 60;
+  auto edges = gen_erdos_renyi(n, 120, 11);
+  ContractionLayer layer(n, edges, 6.0, 15);
+  auto nbrs = neighbor_lists(n, edges);
+  std::unordered_set<EdgeKey> h;
+  for (const Edge& e : layer.h_edges()) h.insert(e.key());
+  VertexId s = 0;
+  while (!layer.is_sampled(s)) ++s;
+  size_t found = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (layer.is_sampled(v) || nbrs[v].empty()) continue;
+    bool unmarked = std::none_of(nbrs[v].begin(), nbrs[v].end(),
+                                 [&](VertexId w) { return layer.is_sampled(w); });
+    if (!unmarked) continue;
+    ++found;
+    EXPECT_EQ(layer.head(v), kNoVertex) << "v=" << v;
+    for (VertexId w : nbrs[v]) EXPECT_TRUE(h.count(edge_key(v, w)));
+    if (found > 1) continue;
+    layer.update({Edge(v, s)}, {});
+    ASSERT_TRUE(layer.check_invariants());
+    EXPECT_EQ(layer.head(v), s);
+    layer.update({}, {Edge(v, s)});
+    ASSERT_TRUE(layer.check_invariants());
+    EXPECT_EQ(layer.head(v), kNoVertex);
+  }
+  EXPECT_GT(found, 0u);
+}
+
+// Deleted edges' records are recycled, so a long churn holds about as many
+// records as live edges rather than one per distinct edge ever inserted.
+TEST(ContractionLayer, DeadEdgeRecordsAreRecycled) {
+  const size_t n = 200;
+  auto [initial, batches] = gen_mixed_stream(n, 600, 64, 200, 11);
+  ContractionLayer layer(n, initial, 4.0, 3);
+  for (auto& b : batches) {
+    layer.update(b.insertions, b.deletions);
+    ASSERT_LE(layer.edge_records(), layer.alive_edges() + b.insertions.size());
+  }
+  EXPECT_TRUE(layer.check_invariants());
+}
+
+// In one batch, a contracted pair's only member (its representative) is
+// deleted and a fresh edge joins the same pair. The pair must be reported
+// in rep_changed: a dead record's id reused within the batch would make the
+// old and new representatives compare equal, and the SparseSpanner above
+// would keep the deleted edge as the pair's stand-in.
+TEST(ContractionLayer, RepReplacedWithinOneBatchIsReported) {
+  const size_t n = 40;
+  const double x = 4.0;
+  std::vector<Edge> edges;
+  for (EdgeKey k : canonical_edge_keys(n, gen_erdos_renyi(n, 90, 21)))
+    edges.push_back(edge_from_key(k));
+  std::unordered_set<EdgeKey> present;
+  for (const Edge& e : edges) present.insert(e.key());
+  SparseSpannerConfig cfg;
+  cfg.seed = 5;
+  cfg.xs = {x};
+  // The same layer SparseSpanner builds as its layer 0.
+  const uint64_t layer_seed = hash_combine(cfg.seed, 0xc0);
+  ContractionLayer probe(n, edges, x, layer_seed);
+  auto pair_of = [&](VertexId a, VertexId b) {
+    VertexId ha = probe.head(a), hb = probe.head(b);
+    if (ha == kNoVertex || hb == kNoVertex || ha == hb) return kNoEdge;
+    return edge_key(probe.next_id(ha), probe.next_id(hb));
+  };
+  // Inserting (c, d) moves no head if each endpoint is in D or its new arc
+  // is unmarked (the other endpoint is not in D).
+  auto keeps_heads = [&](VertexId c, VertexId d) {
+    return (probe.is_sampled(c) || !probe.is_sampled(d)) &&
+           (probe.is_sampled(d) || !probe.is_sampled(c));
+  };
+  size_t cases = 0, in_spanner = 0;
+  for (const Edge& p : probe.next_edges()) {
+    Edge r = probe.rep(p);
+    // r must be the pair's only member and no endpoint's head edge.
+    size_t members = std::count_if(edges.begin(), edges.end(), [&](Edge e) {
+      return pair_of(e.u, e.v) == p.key();
+    });
+    if (members != 1 || probe.head(r.u) == r.v || probe.head(r.v) == r.u)
+      continue;
+    Edge fresh;
+    for (VertexId c = 0; c < n && fresh.u == kNoVertex; ++c)
+      for (VertexId d = 0; d < n; ++d)
+        if (c != d && pair_of(c, d) == p.key() &&
+            !present.count(edge_key(c, d)) && keeps_heads(c, d)) {
+          fresh = Edge(c, d);
+          break;
+        }
+    if (fresh.u == kNoVertex) continue;
+    ++cases;
+
+    ContractionLayer layer(n, edges, x, layer_seed);
+    auto res = layer.update({fresh}, {r});
+    ASSERT_TRUE(layer.check_invariants());
+    EXPECT_TRUE(std::find(res.rep_changed.begin(), res.rep_changed.end(),
+                          p) != res.rep_changed.end())
+        << "pair " << p.u << "-" << p.v;
+    EXPECT_EQ(layer.rep(p).key(), fresh.key());
+
+    SparseSpanner sp(n, edges, cfg);
+    if (sp.in_spanner(r)) ++in_spanner;  // the pair is in S_1
+    sp.update({fresh}, {r});
+    ASSERT_TRUE(sp.check_invariants()) << "pair " << p.u << "-" << p.v;
+    EXPECT_FALSE(sp.in_spanner(r));
+  }
+  EXPECT_GT(cases, 0u);
+  EXPECT_GT(in_spanner, 0u);
 }
 
 class ContractionRandom
