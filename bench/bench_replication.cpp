@@ -38,7 +38,6 @@
 #include "graph/generators.hpp"
 #include "replication/follower.hpp"
 #include "replication/log_shipper.hpp"
-#include "replication/replica_set.hpp"
 #include "replication/socket_transport.hpp"
 #include "service/spanner_service.hpp"
 
@@ -64,16 +63,28 @@ std::unique_ptr<SpannerService> make_service(const std::vector<Edge>& initial,
       std::make_unique<FullyDynamicSpanner>(kN, initial, cfg), 2 * kK - 1);
 }
 
-// One long-lived leader + 1-follower group, reused across benchmark calls
+// One long-lived leader + 1-follower pair, reused across benchmark calls
 // (steady state must survive the estimation runs).
 struct ReplRig {
   std::shared_ptr<MemFs> leader_fs;
   std::shared_ptr<MemFs> follower_fs;
   std::unique_ptr<SpannerService> svc;
-  std::unique_ptr<ReplicationGroup> group;
+  std::unique_ptr<LogShipper> shipper;
+  std::unique_ptr<FollowerReplica> follower;
   std::vector<UpdateBatch> pool;
   size_t next = 0;
   bool ok = false;
+
+  uint64_t durable() const { return svc->durability()->durable_version(); }
+  // One replication round: ship up to the durable watermark, then apply.
+  void pump() {
+    shipper->pump(durable());
+    follower->pump();
+  }
+  bool converged() const {
+    return follower->epoch() == shipper->epoch() &&
+           follower->applied_version() == durable();
+  }
 };
 
 ReplRig& repl_rig() {
@@ -90,18 +101,20 @@ ReplRig& repl_rig() {
   opts.keep_checkpoints = 4;  // retain enough WAL for any lagging cursor
   rig.ok = rig.svc->enable_durability(rig.leader_fs, "leader", opts, initial);
   if (!rig.ok) return rig;
-  rig.group = std::make_unique<ReplicationGroup>(rig.svc.get(), /*epoch=*/1);
-  rig.group->add_follower(std::make_shared<ChannelTransport>(),
-                          rig.follower_fs, "f0", opts);
+  auto transport = std::make_shared<ChannelTransport>();
+  rig.shipper = std::make_unique<LogShipper>(rig.leader_fs, "leader",
+                                             /*epoch=*/1, transport);
+  rig.follower = std::make_unique<FollowerReplica>(rig.follower_fs, "f0",
+                                                   opts, transport);
   // Warm until the follower has adopted its seed snapshot and tracks the
   // leader incrementally — measured iterations are record-path only.
-  for (int i = 0; i < 4; ++i) rig.group->pump();
+  for (int i = 0; i < 4; ++i) rig.pump();
   for (size_t i = 0; i < 8; ++i) {
     const UpdateBatch& b = rig.pool[rig.next++ % rig.pool.size()];
     rig.svc->apply(b.insertions, b.deletions);
-    rig.group->pump();
+    rig.pump();
   }
-  rig.ok = rig.group->converged();
+  rig.ok = rig.converged();
   return rig;
 }
 
@@ -115,10 +128,10 @@ void BM_ShipApplyThroughput(benchmark::State& state) {
   for (auto _ : state) {
     const UpdateBatch& b = rig.pool[rig.next++ % rig.pool.size()];
     rig.svc->apply(b.insertions, b.deletions);
-    rig.group->pump();
+    rig.pump();
     edges += b.insertions.size() + b.deletions.size();
   }
-  if (!rig.group->converged() || rig.group->follower(0).rejects() != 0) {
+  if (!rig.converged() || rig.follower->rejects() != 0) {
     state.SkipWithError("follower diverged mid-bench");
     return;
   }
@@ -139,17 +152,15 @@ void BM_FollowerCatchup(benchmark::State& state) {
   double total_records = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    const uint64_t resyncs = rig.group->follower(0).snapshot_resyncs();
+    const uint64_t resyncs = rig.follower->snapshot_resyncs();
     for (size_t i = 0; i < lag; ++i) {
       const UpdateBatch& b = rig.pool[rig.next++ % rig.pool.size()];
       rig.svc->apply(b.insertions, b.deletions);
     }
     state.ResumeTiming();
-    for (int round = 0; round < 4 && !rig.group->converged(); ++round)
-      rig.group->pump();
-    if (!rig.group->converged())
-      state.SkipWithError("catch-up did not converge");
-    if (rig.group->follower(0).snapshot_resyncs() != resyncs)
+    for (int round = 0; round < 4 && !rig.converged(); ++round) rig.pump();
+    if (!rig.converged()) state.SkipWithError("catch-up did not converge");
+    if (rig.follower->snapshot_resyncs() != resyncs)
       state.SkipWithError("snapshot resync during record catch-up");
     total_records += double(lag);
   }
@@ -183,15 +194,19 @@ void BM_FailoverPromote(benchmark::State& state) {
       state.SkipWithError("enable_durability failed");
       return;
     }
-    ReplicationGroup group(svc.get(), /*epoch=*/1);
-    group.add_follower(std::make_shared<ChannelTransport>(), follower_fs,
-                       "f0", opts);
+    auto transport = std::make_shared<ChannelTransport>();
+    LogShipper shipper(leader_fs, "leader", /*epoch=*/1, transport);
+    FollowerReplica follower(follower_fs, "f0", opts, transport);
+    const auto pump = [&] {
+      shipper.pump(svc->durability()->durable_version());
+      follower.pump();
+    };
     for (const auto& b : batches) {
       svc->apply(b.insertions, b.deletions);
-      group.pump();
+      pump();
     }
-    group.pump();
-    if (!group.converged()) {
+    pump();
+    if (follower.applied_version() != svc->durability()->durable_version()) {
       state.SkipWithError("setup follower did not converge");
       return;
     }

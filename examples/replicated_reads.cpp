@@ -1,18 +1,21 @@
 // Replicated reads: WAL shipping to follower replicas, read-your-writes
-// routing across them, and a failover (DESIGN.md §11).
+// reads served from them, and a failover (DESIGN.md §11).
 //
 // Build:  cmake -B build -G Ninja && cmake --build build
 // Run:    ./build/example_replicated_reads
 //
 // One durable leader ships its committed WAL to two followers over
 // in-process transports — one healthy channel, one deliberately lossy
-// (drops, duplicates, reorders, bit flips). Every applied record is
-// checksum-verified on the follower, so the lossy link can delay
-// convergence but never corrupt it. Reads then spread across the replicas
-// under a read-your-writes watermark, and at the end the leader "dies"
-// and the longest durable log is promoted in its place. Swap MemFs for
-// PosixFs and ChannelTransport for a real socket and the same protocol
-// runs across machines.
+// (drops, duplicates, reorders, bit flips). Each follower is a
+// (LogShipper, FollowerReplica) pair pumped by hand. Every applied record
+// is checksum-verified on the follower, so the lossy link can delay
+// convergence but never corrupt it. Reads are then served from follower
+// snapshots under a read-your-writes watermark, and at the end the leader
+// "dies" and the longest durable log is promoted in its place. Swap MemFs
+// for PosixFs and ChannelTransport for a SocketTransport and the same
+// protocol runs across machines (tools/replicad). The example checks
+// itself: it exits non-zero if the followers do not converge or a
+// follower serves a snapshot whose checksum is not the leader's.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -21,7 +24,8 @@
 #include "durability/fault_fs.hpp"
 #include "graph/generators.hpp"
 #include "replication/failover.hpp"
-#include "replication/replica_set.hpp"
+#include "replication/follower.hpp"
+#include "replication/log_shipper.hpp"
 
 using namespace parspan;
 
@@ -47,8 +51,9 @@ int main() {
     std::printf("enable_durability failed\n");
     return 1;
   }
+  // The leader's checksum by version: what every follower read must match.
+  std::vector<uint64_t> oracle{leader->snapshot()->checksum()};
 
-  ReplicationGroup group(leader.get(), /*epoch=*/1);
   // Follower 0: healthy channel. Follower 1: a hostile link — drops,
   // duplicates, reorders, and flips bits. Frame CRCs + per-record content
   // checksums turn every mangled delivery into a counted reject/retry.
@@ -58,28 +63,51 @@ int main() {
   plan.reorder_p = 0.15;
   plan.bit_flip_p = 0.05;
   auto lossy = std::make_shared<FaultyTransport>(plan, /*seed=*/99);
-  for (int i = 0; i < 2; ++i) {
-    std::shared_ptr<ReplicationTransport> t =
-        i == 0 ? std::static_pointer_cast<ReplicationTransport>(
-                     std::make_shared<ChannelTransport>())
-               : lossy;
-    group.add_follower(t, std::make_shared<MemFs>(), "replica", opts);
+  std::vector<std::shared_ptr<ReplicationTransport>> links{
+      std::make_shared<ChannelTransport>(), lossy};
+  std::vector<std::unique_ptr<LogShipper>> shippers;
+  std::vector<std::unique_ptr<FollowerReplica>> followers;
+  for (const auto& link : links) {
+    shippers.push_back(
+        std::make_unique<LogShipper>(leader_fs, "leader", /*epoch=*/1, link));
+    followers.push_back(std::make_unique<FollowerReplica>(
+        std::make_shared<MemFs>(), "replica", opts, link));
   }
+  // One replication round: each shipper ships up to the durable watermark,
+  // each follower applies and acks.
+  auto pump = [&] {
+    const uint64_t durable = leader->durability()->durable_version();
+    for (size_t i = 0; i < followers.size(); ++i) {
+      shippers[i]->pump(durable);
+      followers[i]->pump();
+    }
+  };
+  auto converged = [&] {
+    for (const auto& f : followers)
+      if (f->applied_version() != leader->durability()->durable_version())
+        return false;
+    return true;
+  };
 
   // --- Ingest + replicate: one pump round per batch. -----------------------
   for (const auto& b : batches) {
-    leader->apply(b.insertions, b.deletions);
-    group.pump();
+    auto res = leader->apply(b.insertions, b.deletions);
+    oracle.push_back(res.snapshot->checksum());
+    pump();
   }
   // The lossy link may still owe a few frames; pump until converged.
   int extra = 0;
-  while (!group.converged() && extra < 200) {
-    group.pump();
+  while (!converged() && extra < 200) {
+    pump();
     ++extra;
   }
+  if (!converged()) {
+    std::printf("followers did not converge within 200 extra pump rounds\n");
+    return 1;
+  }
   std::printf("converged after %d extra pump rounds\n", extra);
-  for (size_t i = 0; i < group.num_followers(); ++i) {
-    const FollowerReplica& f = group.follower(i);
+  for (size_t i = 0; i < followers.size(); ++i) {
+    const FollowerReplica& f = *followers[i];
     std::printf(
         "  follower %zu: version %llu, %llu records applied, %llu rejects, "
         "%llu dup drops, %llu resyncs\n",
@@ -98,28 +126,45 @@ int main() {
       (unsigned long long)st.frames_reordered,
       (unsigned long long)st.frames_bit_flipped);
 
-  // --- Read-your-writes reads, spread across the replicas. -----------------
-  // A client that observed version v asks for a snapshot at >= v; a
-  // caught-up follower serves it (round-robin), the leader only as
-  // fallback — read scaling without stale reads.
-  const uint64_t watermark = leader->durability()->durable_version();
+  // --- Read-your-writes reads. ---------------------------------------------
+  // A client that observed version v needs a snapshot at >= v: a follower
+  // whose snapshot() has reached v serves it, the leader otherwise. The
+  // routing is the caller's; here it is round-robin over the followers.
+  size_t next_follower = 0;
   int served_by_follower = 0;
-  for (int r = 0; r < 6; ++r) {
-    auto read = group.read_at_least(watermark);
-    if (read.source >= 0) ++served_by_follower;
-    std::printf("  read %d served by %s (version %llu)\n", r,
-                read.source >= 0 ? "follower" : "leader",
-                (unsigned long long)read.snap->version());
+  auto read_at_least = [&](uint64_t watermark) {
+    SpannerSnapshot::Ptr snap = followers[next_follower++ % 2]->snapshot();
+    const bool from_follower = snap != nullptr && snap->version() >= watermark;
+    if (!from_follower) snap = leader->snapshot();
+    served_by_follower += from_follower;
+    std::printf("  read at >= %llu served by %s (version %llu)\n",
+                (unsigned long long)watermark,
+                from_follower ? "follower" : "leader",
+                (unsigned long long)snap->version());
+    return snap->checksum() == oracle[snap->version()];
+  };
+  bool reads_ok = true;
+  for (int r = 0; r < 6; ++r)
+    reads_ok &= read_at_least(leader->durability()->durable_version());
+  // A write the followers have not been pumped to yet: only the leader
+  // can honor its watermark.
+  const auto& b0 = batches.front();
+  auto fresh = leader->apply(b0.insertions, b0.deletions).snapshot;
+  oracle.push_back(fresh->checksum());
+  reads_ok &= read_at_least(fresh->version());
+  if (!reads_ok) {
+    std::printf("a read's checksum differs from the leader's\n");
+    return 1;
   }
-  std::printf("%d of 6 reads served by followers\n", served_by_follower);
+  std::printf("%d of 7 reads served by followers, every checksum verified\n",
+              served_by_follower);
 
   // --- Failover: the leader dies; the longest durable log wins. ------------
-  std::vector<std::unique_ptr<FollowerReplica>> survivors;
-  for (int i = 0; i < 2; ++i) survivors.push_back(group.detach(0));
+  shippers.clear();
   leader.reset();  // gone
 
   auto elect = elect_longest_log(std::vector<const FollowerReplica*>{
-      survivors[0].get(), survivors[1].get()});
+      followers[0].get(), followers[1].get()});
   if (!elect) {
     std::printf("no recoverable replica\n");
     return 1;
@@ -129,7 +174,7 @@ int main() {
 
   SpannerService::RecoveryReport rep;
   auto promoted = promote_follower(
-      std::move(survivors[elect->winner]),
+      std::move(followers[elect->winner]),
       [cfg](uint64_t nn, const std::vector<Edge>& edges, uint32_t) {
         return std::make_unique<FullyDynamicSpanner>(static_cast<size_t>(nn),
                                                      edges, cfg);

@@ -64,8 +64,6 @@ uint32_t crc32c(const uint8_t* data, size_t len, uint32_t seed) {
   return ~c;
 }
 
-namespace {
-
 // Worst case: every varint takes its 10-byte maximum.
 size_t wal_record_payload_bound(const WalRecord& rec) {
   return 1 + 8 + 8 + 16 +
@@ -74,9 +72,6 @@ size_t wal_record_payload_bound(const WalRecord& rec) {
               rec.diff_removed.size() + rec.diff_inserted.size());
 }
 
-// Serializes into a buffer of at least wal_record_payload_bound() bytes;
-// returns one past the last byte written. Key lists must be strictly
-// ascending (delta encoding).
 uint8_t* encode_wal_record_to(const WalRecord& rec, uint8_t* p) {
   *p++ = rec.type;
   store_le64(p, rec.version);
@@ -97,8 +92,6 @@ uint8_t* encode_wal_record_to(const WalRecord& rec, uint8_t* p) {
   }
   return p;
 }
-
-}  // namespace
 
 std::vector<uint8_t> encode_wal_record(const WalRecord& rec) {
   std::vector<uint8_t> out(wal_record_payload_bound(rec));

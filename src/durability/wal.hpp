@@ -83,6 +83,11 @@ struct WalRecord {
 /// Serializes one record payload (no frame header). Key lists must be
 /// strictly ascending.
 std::vector<uint8_t> encode_wal_record(const WalRecord& rec);
+/// The in-place form, for callers that frame into their own buffer (the
+/// WAL writer, replication record frames): writes into at least
+/// wal_record_payload_bound(rec) bytes, returns one past the last byte.
+size_t wal_record_payload_bound(const WalRecord& rec);
+uint8_t* encode_wal_record_to(const WalRecord& rec, uint8_t* p);
 /// Parses one record payload; false on malformed structure (including a
 /// non-ascending key list — the decoder proves the §6 sortedness
 /// precondition, recovery never has to trust it).

@@ -1,9 +1,7 @@
 #include "net/client.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <utility>
 
 #include "net/framed_conn.hpp"
@@ -55,20 +53,9 @@ void NetClient::close_now() {
 
 bool NetClient::send_bytes(const std::vector<uint8_t>& bytes) {
   if (fd_ < 0) return false;
-  size_t off = 0;
-  while (off < bytes.size()) {
-    // MSG_NOSIGNAL: a server that closed this connection must read as a
-    // failed send, not SIGPIPE the client process.
-    const ssize_t w =
-        ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      close_now();
-      return false;
-    }
-    off += size_t(w);
-  }
-  return true;
+  if (send_all(fd_, bytes.data(), bytes.size())) return true;
+  close_now();
+  return false;
 }
 
 std::optional<OwnedResponse> NetClient::recv_response() {
@@ -100,14 +87,12 @@ std::optional<OwnedResponse> NetClient::recv_response() {
     }
     const size_t at = rbuf_.size();
     rbuf_.resize(at + 16 * 1024);
-    const ssize_t r = ::read(fd_, rbuf_.data() + at, 16 * 1024);
-    if (r <= 0) {
-      rbuf_.resize(at);
-      if (r < 0 && errno == EINTR) continue;
+    const size_t r = read_some(fd_, rbuf_.data() + at, 16 * 1024);
+    rbuf_.resize(at + r);
+    if (r == 0) {
       close_now();
       return std::nullopt;
     }
-    rbuf_.resize(at + size_t(r));
   }
 }
 

@@ -59,6 +59,26 @@ IoStatus flush_writes(int fd, ConnBufs& b) {
   return IoStatus::kOk;
 }
 
+bool send_all(int fd, const uint8_t* p, size_t len) {
+  while (len > 0) {
+    // MSG_NOSIGNAL: a closed peer reads as a failed send, not SIGPIPE.
+    const ssize_t w = ::send(fd, p, len, MSG_NOSIGNAL);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    p += w;
+    len -= size_t(w);
+  }
+  return true;
+}
+
+size_t read_some(int fd, uint8_t* p, size_t len) {
+  for (;;) {
+    const ssize_t r = ::recv(fd, p, len, 0);
+    if (r >= 0) return size_t(r);
+    if (errno != EINTR) return 0;
+  }
+}
+
 int tcp_listen(const std::string& bind_addr, uint16_t port, int backlog,
                uint16_t* bound_port) {
   const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);

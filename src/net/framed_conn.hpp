@@ -73,6 +73,15 @@ IoStatus read_to_buffer(int fd, ConnBufs& b, uint32_t max_frame_payload);
 /// replication transport), checked against out_pending() after the flush.
 IoStatus flush_writes(int fd, ConnBufs& b);
 
+/// Blocking I/O for the request/response clients (NetClient, the replica
+/// control client). Both retry EINTR: on a socket with SO_RCVTIMEO, Linux
+/// fails recv/send with EINTR whenever a signal handler runs (SA_RESTART
+/// or not) and after SIGSTOP/SIGCONT — none of which means the peer is
+/// gone. send_all: false on error or send timeout. read_some: bytes read,
+/// or 0 on EOF, error, or receive timeout.
+bool send_all(int fd, const uint8_t* p, size_t len);
+size_t read_some(int fd, uint8_t* p, size_t len);
+
 /// Parses the next frame from b.in at the parse offset; on kOk the view
 /// points into b.in (valid until the next read or compaction) and the
 /// caller advances with consume_frame.

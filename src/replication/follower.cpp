@@ -115,7 +115,7 @@ void FollowerReplica::apply_record(uint64_t frame_epoch, const WalRecord& rec) {
 
 void FollowerReplica::pump() {
   while (auto frame = transport_->recv_frame()) {
-    auto parsed = parse_frame(*frame);
+    auto parsed = parse_ship_frame(*frame);
     if (!parsed) {
       ++rejects_;  // mangled on the wire; the unchanged cursor re-ships it
       continue;
@@ -124,7 +124,7 @@ void FollowerReplica::pump() {
       ++stale_drops_;  // a deposed leader's frame — dead on arrival
       continue;
     }
-    if (parsed->type == FrameType::kSnapshot) {
+    if (parsed->kind == WireKind::kSnapshot) {
       if (parsed->epoch == epoch_ && have_state_ &&
           parsed->state.version <= version_) {
         ++duplicates_;  // never adopt backwards within an epoch

@@ -75,16 +75,6 @@ int dial_ctl(const PeerAddr& peer, uint32_t timeout_ms) {
   return fd;
 }
 
-bool send_all(int fd, const uint8_t* p, size_t len) {
-  while (len > 0) {
-    const ssize_t w = send(fd, p, len, MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    p += w;
-    len -= static_cast<size_t>(w);
-  }
-  return true;
-}
-
 // One framed request, optionally one framed response body.
 std::optional<std::vector<uint8_t>> ctl_roundtrip(
     const PeerAddr& peer, const std::vector<uint8_t>& request,
@@ -93,7 +83,7 @@ std::optional<std::vector<uint8_t>> ctl_roundtrip(
   if (fd < 0) return std::nullopt;
   std::vector<uint8_t> wire;
   append_frame(wire, request.data(), request.size());
-  if (!send_all(fd, wire.data(), wire.size())) {
+  if (!net::send_all(fd, wire.data(), wire.size())) {
     ::close(fd);
     return std::nullopt;
   }
@@ -112,8 +102,8 @@ std::optional<std::vector<uint8_t>> ctl_roundtrip(
       break;
     }
     if (pr == FrameParse::kBad) break;
-    const ssize_t r = recv(fd, chunk, sizeof(chunk), 0);  // SO_RCVTIMEO bounds
-    if (r <= 0) break;
+    const size_t r = net::read_some(fd, chunk, sizeof(chunk));  // SO_RCVTIMEO
+    if (r == 0) break;
     in.insert(in.end(), chunk, chunk + r);
   }
   ::close(fd);

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <utility>
 
@@ -13,53 +14,46 @@ namespace parspan {
 
 namespace {
 
-using net::ConnBufs;
 using net::IoStatus;
 
 constexpr size_t kCursorBodySize = 8 + 8 + 1;   // epoch | version | need
 constexpr size_t kHeartbeatBodySize = 8;        // epoch
-constexpr size_t kSubscribeBodySize = 4;        // follower_id
+constexpr size_t kSubscribeBodySize = 4 + 1;    // follower_id | version
 // A half-open dialer gets this long to produce its subscribe frame before
 // the listener reclaims the fd — hostile peers must not park fds forever.
 constexpr auto kHandshakeTimeout = std::chrono::seconds(5);
 
-void append_wire_frame(std::vector<uint8_t>& out, WireKind kind,
-                       const uint8_t* body, size_t len) {
-  std::vector<uint8_t> payload;
-  payload.reserve(1 + len);
-  payload.push_back(static_cast<uint8_t>(kind));
-  payload.insert(payload.end(), body, body + len);
-  append_frame(out, payload.data(), payload.size());
+// Appends one sealed `kind u8 | body` frame; control bodies are tiny.
+void append_msg(std::vector<uint8_t>& out, WireKind kind, const uint8_t* body,
+                size_t len) {
+  uint8_t payload[1 + kCursorBodySize];
+  assert(len <= kCursorBodySize && "the cursor body is the largest");
+  payload[0] = static_cast<uint8_t>(kind);
+  std::copy(body, body + len, payload + 1);
+  append_frame(out, payload, 1 + len);
 }
 
 }  // namespace
 
-void encode_ship_msg(std::vector<uint8_t>& out, const ShipFrame& frame) {
-  append_wire_frame(out, WireKind::kShip, frame.bytes.data(),
-                    frame.bytes.size());
-}
-
 void encode_cursor_msg(std::vector<uint8_t>& out, const ReplicaCursor& cursor) {
-  std::vector<uint8_t> body;
-  body.reserve(kCursorBodySize);
-  put_le64(body, cursor.epoch);
-  put_le64(body, cursor.version);
-  body.push_back(cursor.need_snapshot ? 1 : 0);
-  append_wire_frame(out, WireKind::kCursor, body.data(), body.size());
+  uint8_t body[kCursorBodySize];
+  store_le64(body, cursor.epoch);
+  store_le64(body + 8, cursor.version);
+  body[16] = cursor.need_snapshot ? 1 : 0;
+  append_msg(out, WireKind::kCursor, body, sizeof(body));
 }
 
 void encode_heartbeat_msg(std::vector<uint8_t>& out, uint64_t epoch) {
-  std::vector<uint8_t> body;
-  body.reserve(kHeartbeatBodySize);
-  put_le64(body, epoch);
-  append_wire_frame(out, WireKind::kHeartbeat, body.data(), body.size());
+  uint8_t body[kHeartbeatBodySize];
+  store_le64(body, epoch);
+  append_msg(out, WireKind::kHeartbeat, body, sizeof(body));
 }
 
 void encode_subscribe_msg(std::vector<uint8_t>& out, uint32_t follower_id) {
-  std::vector<uint8_t> body;
-  body.reserve(kSubscribeBodySize);
-  put_le32(body, follower_id);
-  append_wire_frame(out, WireKind::kSubscribe, body.data(), body.size());
+  uint8_t body[kSubscribeBodySize];
+  store_le32(body, follower_id);
+  body[4] = kReplicationWireVersion;
+  append_msg(out, WireKind::kSubscribe, body, sizeof(body));
 }
 
 // --- SocketTransport --------------------------------------------------------
@@ -116,9 +110,11 @@ void SocketTransport::parse_locked() {
     const uint8_t* body = fv.payload + 1;
     const size_t len = fv.len - 1;
     switch (static_cast<WireKind>(fv.payload[0])) {
-      case WireKind::kShip: {
+      case WireKind::kSnapshot:
+      case WireKind::kRecord: {
+        // The whole frame is the ShipFrame; the follower verifies it.
         ShipFrame f;
-        f.bytes.assign(body, body + len);
+        f.bytes.assign(fv.payload - kFrameHeaderSize, fv.payload + fv.len);
         frames_in_.push_back(std::move(f));
         break;
       }
@@ -186,7 +182,7 @@ void SocketTransport::flush_locked() {
 void SocketTransport::send_frame(ShipFrame frame) {
   std::lock_guard<std::mutex> lk(mu_);
   if (peer_gone_) return;
-  encode_ship_msg(bufs_.out, frame);
+  bufs_.out.insert(bufs_.out.end(), frame.bytes.begin(), frame.bytes.end());
   flush_locked();
 }
 
@@ -289,9 +285,12 @@ void ReplicationListener::poll() {
       const FrameParse pr = net::next_frame(p.bufs, cfg_.max_frame_payload, &fv);
       if (pr == FrameParse::kOk) {
         done = true;  // the fd is either adopted or closed below
+        // Anything but a subscribe of exactly this build's version is
+        // closed here, before it can become a transport.
         const bool is_subscribe =
             fv.len == 1 + kSubscribeBodySize &&
-            fv.payload[0] == static_cast<uint8_t>(WireKind::kSubscribe);
+            fv.payload[0] == static_cast<uint8_t>(WireKind::kSubscribe) &&
+            fv.payload[1 + 4] == kReplicationWireVersion;
         if (is_subscribe) {
           const uint32_t id = get_le32(fv.payload + 1);
           net::consume_frame(p.bufs, fv);
@@ -306,7 +305,7 @@ void ReplicationListener::poll() {
             p.fd = -1;  // ownership moved
           }
         }
-        // Non-subscribe first frame: hostile, closed below.
+        // Non-subscribe first frame: hostile or another build, closed below.
       } else if (pr == FrameParse::kBad) {
         done = true;
       } else {

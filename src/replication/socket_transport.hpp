@@ -2,30 +2,28 @@
 // (DESIGN.md §14.1), so LogShipper and FollowerReplica pump across
 // processes unchanged.
 //
-// Wire layout — one more framing layer, nothing re-invented: every message
-// is a durability/frame.hpp frame (`payload_len u32 | crc32c u32 |
-// payload`) whose payload is `kind u8 | body`:
+// Wire layout — one codec, nothing re-invented: every message is a
+// durability/frame.hpp frame (`payload_len u32 | crc32c u32 | payload`)
+// whose payload opens with a WireKind byte:
 //
-//   kShip      body = one ShipFrame, byte-for-byte the frozen in-process
-//              format (`type u8 | epoch u64 | len u32 | crc u32 |
-//              payload`). The ship CRC still travels and is still checked
-//              by the follower — the outer frame only provides streaming
-//              delimitation and first-line integrity; a frame that crosses
-//              a process boundary is verified twice, exactly like a WAL
-//              record read back from disk.
+//   kSnapshot / kRecord  a ShipFrame, sent verbatim (`kind u8 | epoch u64 |
+//              body` — transport.hpp). The reader passes the whole frame
+//              through; the follower's parse_ship_frame checks the same
+//              CRC again and decodes the body. One CRC per shipped frame.
 //   kCursor    body = epoch u64 | version u64 | need_snapshot u8 — the
 //              control-plane ack, serialized here because structs can no
 //              longer cross by reference.
 //   kHeartbeat body = epoch u64. Leader liveness when there is nothing to
 //              ship; any received byte feeds the lease, heartbeats just
 //              guarantee a minimum byte rate.
-//   kSubscribe body = follower_id u32. First message on every
-//              follower-dialed connection; the listener routes the
+//   kSubscribe body = follower_id u32 | wire_version u8. First message on
+//              every follower-dialed connection; the listener routes the
 //              connection (and applies partitions) by this id before any
-//              replication traffic flows.
+//              replication traffic flows, and closes it when the version
+//              is not kReplicationWireVersion.
 //
 // Failure semantics follow the front door's trust boundary: a torn or
-// corrupt OUTER frame, an unknown kind, a wrong-sized body, or an input/
+// corrupt frame, an unknown kind, a wrong-sized body, or an input/
 // output buffer exceeding its cap marks the peer gone and the fd dead —
 // no resync scanning (the WAL's torn-tail rule). Peer-gone is not an
 // error state the protocol must handle delicately: the cursor protocol is
@@ -53,24 +51,15 @@
 
 namespace parspan {
 
-/// Outer-frame message kinds (the `kind u8` discriminator).
-enum class WireKind : uint8_t {
-  kShip = 1,
-  kCursor = 2,
-  kHeartbeat = 3,
-  kSubscribe = 4,
-};
-
 /// Message encoders, exposed for tests (golden bytes, hostile sweeps) and
-/// for the listener's subscribe handshake. Each appends one sealed outer
-/// frame to `out`.
-void encode_ship_msg(std::vector<uint8_t>& out, const ShipFrame& frame);
+/// for the listener's subscribe handshake. Each appends one sealed frame
+/// to `out`. (Ship frames need no encoder: a ShipFrame is already one.)
 void encode_cursor_msg(std::vector<uint8_t>& out, const ReplicaCursor& cursor);
 void encode_heartbeat_msg(std::vector<uint8_t>& out, uint64_t epoch);
 void encode_subscribe_msg(std::vector<uint8_t>& out, uint32_t follower_id);
 
 struct SocketTransportConfig {
-  /// Outer-frame payload cap. Must admit the largest snapshot frame the
+  /// Frame payload cap. Must admit the largest snapshot frame the
   /// leader can ship (a full-graph key list); 64 MiB of keys is far past
   /// any graph the benches or chaos harness build.
   uint32_t max_frame_payload = 64u << 20;
@@ -153,7 +142,8 @@ class SocketTransport final : public ReplicationTransport {
 /// epoll machinery here, just non-blocking accepts and handshake reads.
 ///
 /// A connection surfaces through take_accepted() only after its subscribe
-/// frame arrives and its follower id passes the refusal set. Refusal IS
+/// frame arrives with this build's wire version and its follower id passes
+/// the refusal set. Refusal IS
 /// the partition mechanism (§14.3): chaosctl partitions a follower by
 /// telling the leader to refuse its id — existing connections are for the
 /// node layer to drop; this listener guarantees no NEW connection from

@@ -1,6 +1,6 @@
 #include "replication/transport.hpp"
 
-#include <cassert>
+#include <span>
 
 #include "util/types.hpp"
 
@@ -8,25 +8,27 @@ namespace parspan {
 
 namespace {
 
-// Ship-frame header: type u8 | epoch u64 | payload_len u32 | crc32c u32.
-constexpr size_t kShipHeaderSize = 1 + 8 + 4 + 4;
-// Snapshot payload prefix: n u64 | stretch u32 | version u64 | checksum
-// u64 | snap_cnt u32 | graph_cnt u32.
+// Ship-frame payload prefix: kind u8 | epoch u64; the body follows.
+constexpr size_t kShipPrefixSize = 1 + 8;
+constexpr size_t kShipBodyAt = kFrameHeaderSize + kShipPrefixSize;
+// Snapshot body prefix: n u64 | stretch u32 | version u64 | checksum u64 |
+// snap_cnt u32 | graph_cnt u32.
 constexpr size_t kSnapshotFixedSize = 8 + 4 + 8 + 8 + 4 + 4;
 
-// Thin adapters over the shared durability/frame.hpp ascending-list codec
-// (the ship format predates the extraction but used the identical layout).
-void encode_key_list(std::span<const EdgeKey> keys, std::vector<uint8_t>* out) {
-  const size_t at = out->size();
-  out->resize(at + ascending_list_bound(keys.size()));
-  uint8_t* end = encode_ascending_list(keys.data(), keys.size(),
-                                       out->data() + at);
-  out->resize(size_t(end - out->data()));
+// Sizes the frame for a body of at most `body_bound` bytes, writes kind +
+// epoch, and returns where the body goes. The body is encoded in place,
+// then seal_ship() trims and seals: the CRC covers kind + epoch + body.
+uint8_t* begin_ship(ShipFrame& f, WireKind kind, uint64_t epoch,
+                    size_t body_bound) {
+  f.bytes.resize(kShipBodyAt + body_bound);
+  f.bytes[kFrameHeaderSize] = static_cast<uint8_t>(kind);
+  store_le64(f.bytes.data() + kFrameHeaderSize + 1, epoch);
+  return f.bytes.data() + kShipBodyAt;
 }
 
-bool decode_key_list(const uint8_t** p, const uint8_t* end, uint64_t cnt,
-                     std::vector<EdgeKey>* out) {
-  return decode_ascending_list(p, end, cnt, out);
+void seal_ship(ShipFrame& f, const uint8_t* body_end) {
+  f.bytes.resize(size_t(body_end - f.bytes.data()));
+  seal_frame(f.bytes.data(), f.bytes.size() - kFrameHeaderSize);
 }
 
 // Canonical, in-range edge keys only: a snapshot frame's key lists define
@@ -38,78 +40,70 @@ bool keys_in_range(std::span<const EdgeKey> keys, uint64_t n) {
   return true;
 }
 
-ShipFrame finish_frame(FrameType type, uint64_t epoch,
-                       std::vector<uint8_t> payload) {
-  ShipFrame f;
-  f.bytes.reserve(kShipHeaderSize + payload.size());
-  f.bytes.push_back(static_cast<uint8_t>(type));
-  put_le64(f.bytes, epoch);
-  put_le32(f.bytes, static_cast<uint32_t>(payload.size()));
-  // The CRC covers type + epoch + payload (seeded by the 9 header bytes):
-  // an unauthenticated epoch would let one flipped bit forge a frame from
-  // a phantom future epoch and wedge the follower there. The length field
-  // needs no coverage — parse_frame cross-checks it against the actual
-  // byte count.
-  uint32_t seed = crc32c(f.bytes.data(), 9);
-  put_le32(f.bytes, crc32c(payload.data(), payload.size(), seed));
-  f.bytes.insert(f.bytes.end(), payload.begin(), payload.end());
-  return f;
-}
-
 }  // namespace
 
 ShipFrame make_record_frame(uint64_t epoch, const WalRecord& rec) {
-  return finish_frame(FrameType::kRecord, epoch, encode_wal_record(rec));
+  ShipFrame f;
+  uint8_t* body = begin_ship(f, WireKind::kRecord, epoch,
+                             wal_record_payload_bound(rec));
+  seal_ship(f, encode_wal_record_to(rec, body));
+  return f;
 }
 
 ShipFrame make_snapshot_frame(uint64_t epoch, const DurableState& state) {
-  std::vector<uint8_t> payload;
-  payload.reserve(kSnapshotFixedSize +
-                  2 * (state.snap_keys.size() + state.graph_keys.size()));
-  put_le64(payload, state.n);
-  put_le32(payload, state.stretch);
-  put_le64(payload, state.version);
-  put_le64(payload, state.checksum);
-  put_le32(payload, static_cast<uint32_t>(state.snap_keys.size()));
-  put_le32(payload, static_cast<uint32_t>(state.graph_keys.size()));
-  encode_key_list(state.snap_keys, &payload);
-  encode_key_list(state.graph_keys, &payload);
-  return finish_frame(FrameType::kSnapshot, epoch, std::move(payload));
+  ShipFrame f;
+  uint8_t* p = begin_ship(
+      f, WireKind::kSnapshot, epoch,
+      kSnapshotFixedSize + ascending_list_bound(state.snap_keys.size() +
+                                                state.graph_keys.size()));
+  store_le64(p, state.n);
+  store_le32(p + 8, state.stretch);
+  store_le64(p + 12, state.version);
+  store_le64(p + 20, state.checksum);
+  store_le32(p + 28, static_cast<uint32_t>(state.snap_keys.size()));
+  store_le32(p + 32, static_cast<uint32_t>(state.graph_keys.size()));
+  p += kSnapshotFixedSize;
+  p = encode_ascending_list(state.snap_keys.data(), state.snap_keys.size(), p);
+  p = encode_ascending_list(state.graph_keys.data(), state.graph_keys.size(),
+                            p);
+  seal_ship(f, p);
+  return f;
 }
 
-std::optional<ParsedFrame> parse_frame(const ShipFrame& frame) {
+std::optional<ParsedFrame> parse_ship_frame(const ShipFrame& frame) {
   const std::vector<uint8_t>& b = frame.bytes;
-  if (b.size() < kShipHeaderSize) return std::nullopt;
-  ParsedFrame out;
-  if (b[0] != static_cast<uint8_t>(FrameType::kSnapshot) &&
-      b[0] != static_cast<uint8_t>(FrameType::kRecord))
-    return std::nullopt;
-  out.type = static_cast<FrameType>(b[0]);
-  out.epoch = get_le64(b.data() + 1);
-  const uint32_t len = get_le32(b.data() + 9);
-  const uint32_t crc = get_le32(b.data() + 13);
+  FrameView fv;
   // Exact length: a truncated OR padded frame is malformed, full stop.
-  if (b.size() - kShipHeaderSize != len) return std::nullopt;
-  const uint8_t* payload = b.data() + kShipHeaderSize;
-  if (crc32c(payload, len, crc32c(b.data(), 9)) != crc) return std::nullopt;
+  if (parse_frame(b.data(), b.size(), kMaxFramePayload, &fv) !=
+          FrameParse::kOk ||
+      fv.consumed != b.size() || fv.len < kShipPrefixSize)
+    return std::nullopt;
+  ParsedFrame out;
+  if (fv.payload[0] != static_cast<uint8_t>(WireKind::kSnapshot) &&
+      fv.payload[0] != static_cast<uint8_t>(WireKind::kRecord))
+    return std::nullopt;
+  out.kind = static_cast<WireKind>(fv.payload[0]);
+  out.epoch = get_le64(fv.payload + 1);
+  const uint8_t* body = fv.payload + kShipPrefixSize;
+  const size_t len = fv.len - kShipPrefixSize;
 
-  if (out.type == FrameType::kRecord) {
-    if (!decode_wal_record(payload, len, &out.rec)) return std::nullopt;
+  if (out.kind == WireKind::kRecord) {
+    if (!decode_wal_record(body, len, &out.rec)) return std::nullopt;
     return out;
   }
 
   if (len < kSnapshotFixedSize) return std::nullopt;
   DurableState& s = out.state;
-  s.n = get_le64(payload);
-  s.stretch = get_le32(payload + 8);
-  s.version = get_le64(payload + 12);
-  s.checksum = get_le64(payload + 20);
-  const uint64_t snap_cnt = get_le32(payload + 28);
-  const uint64_t graph_cnt = get_le32(payload + 32);
-  const uint8_t* p = payload + kSnapshotFixedSize;
-  const uint8_t* end = payload + len;
-  if (!decode_key_list(&p, end, snap_cnt, &s.snap_keys) ||
-      !decode_key_list(&p, end, graph_cnt, &s.graph_keys) || p != end)
+  s.n = get_le64(body);
+  s.stretch = get_le32(body + 8);
+  s.version = get_le64(body + 12);
+  s.checksum = get_le64(body + 20);
+  const uint64_t snap_cnt = get_le32(body + 28);
+  const uint64_t graph_cnt = get_le32(body + 32);
+  const uint8_t* p = body + kSnapshotFixedSize;
+  const uint8_t* end = body + len;
+  if (!decode_ascending_list(&p, end, snap_cnt, &s.snap_keys) ||
+      !decode_ascending_list(&p, end, graph_cnt, &s.graph_keys) || p != end)
     return std::nullopt;
   if (!keys_in_range(s.snap_keys, s.n) || !keys_in_range(s.graph_keys, s.n))
     return std::nullopt;

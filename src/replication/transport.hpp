@@ -4,14 +4,15 @@
 // Two planes, deliberately asymmetric:
 //
 //  * Data plane (leader -> follower): ShipFrames — REAL serialized bytes,
-//    `type u8 | epoch u64 | payload_len u32 | crc u32 | payload` — so
-//    transport faults operate on the representation that would cross a
-//    socket. The CRC32C covers type + epoch + payload (the epoch is
+//    one durability/frame.hpp frame each: `payload_len u32 | crc32c u32 |
+//    kind u8 | epoch u64 | body` — so transport faults operate on the
+//    representation that crosses a socket (SocketTransport sends these
+//    bytes verbatim). The CRC32C covers kind + epoch + body (the epoch is
 //    authenticated: a flipped epoch bit must not forge a frame from a
-//    phantom epoch); the length field is cross-checked against the actual
-//    byte count. A truncated or bit-flipped frame is caught exactly as a
-//    torn WAL frame is caught by read_wal_segment; CRC32C's linearity
-//    means no single-bit flip can ever pass.
+//    phantom epoch), and the frame must fill its bytes exactly. A
+//    truncated or bit-flipped frame is caught exactly as a torn WAL frame
+//    is caught by read_wal_segment; CRC32C's linearity means no single-bit
+//    flip can ever pass.
 //  * Control plane (follower -> leader): ReplicaCursors — small acks
 //    passed as structs. Faults may drop or delay cursors (a lost ack just
 //    makes the shipper resend; the follower dedups by version), but never
@@ -50,10 +51,21 @@ struct ShipFrame {
   std::vector<uint8_t> bytes;
 };
 
-enum class FrameType : uint8_t {
-  kSnapshot = 1,  // full durable state (bootstrap / resync)
-  kRecord = 2,    // one WAL record (incremental ship)
+/// The `kind u8` that opens every replication frame payload, ship frames
+/// and SocketTransport's control messages alike.
+enum class WireKind : uint8_t {
+  kSnapshot = 1,   // full durable state (bootstrap / resync)
+  kRecord = 2,     // one WAL record (incremental ship)
+  kCursor = 3,     // follower -> leader ack (SocketTransport only)
+  kHeartbeat = 4,  // leader liveness (SocketTransport only)
+  kSubscribe = 5,  // a dialed connection's first message (SocketTransport)
 };
+
+/// Carried in the subscribe message; the listener closes a subscribe from
+/// any other version, so mismatched builds never exchange a ship frame.
+/// Bump it whenever any replication payload changes — including the WAL
+/// record encoding that record frames embed byte-for-byte.
+constexpr uint8_t kReplicationWireVersion = 1;
 
 /// Follower -> leader ack: what the follower has applied and whether it
 /// needs a full resync (fresh, wrong epoch, or a verified-reject).
@@ -71,18 +83,19 @@ ShipFrame make_record_frame(uint64_t epoch, const WalRecord& rec);
 ShipFrame make_snapshot_frame(uint64_t epoch, const DurableState& state);
 
 /// A structurally valid, CRC-verified frame. Exactly one of rec/state is
-/// meaningful, per `type`.
+/// meaningful, per `kind`.
 struct ParsedFrame {
-  FrameType type = FrameType::kRecord;
+  WireKind kind = WireKind::kRecord;
   uint64_t epoch = 0;
   WalRecord rec;
   DurableState state;
 };
 
-/// Validates and decodes one frame: length sanity, payload CRC, payload
-/// structure (including strictly-ascending key lists). nullopt on any
-/// violation — the follower counts it and waits for the re-ship.
-std::optional<ParsedFrame> parse_frame(const ShipFrame& frame);
+/// Validates and decodes one frame: the frame fills the bytes exactly (no
+/// truncation, no padding), CRC, ship kind, body structure (including
+/// strictly-ascending key lists). nullopt on any violation — the follower
+/// counts it and waits for the re-ship.
+std::optional<ParsedFrame> parse_ship_frame(const ShipFrame& frame);
 
 /// The seam. One instance connects one (shipper, follower) pair; both
 /// directions are non-blocking (recv returns nullopt when empty).

@@ -257,18 +257,6 @@ class ShardedView {
   /// The composed edge set, ascending by canonical key (verification).
   std::vector<Edge> edges() const;
 
-  /// Assembles a view from externally pinned snapshots (one per shard, in
-  /// shard order) — the replication read router's entry point: a shard's
-  /// snapshot may come from a follower replica instead of the leader
-  /// service, as long as it is a published version of that shard's chain
-  /// (DESIGN.md §11.5). `snaps.size()` must equal router->num_shards().
-  static ShardedView compose(std::shared_ptr<const ShardRouter> router,
-                             size_t n,
-                             std::vector<SpannerSnapshot::Ptr> snaps) {
-    assert(router != nullptr && snaps.size() == router->num_shards());
-    return ShardedView(std::move(router), n, std::move(snaps));
-  }
-
  private:
   friend class ShardedSpannerService;
   ShardedView(std::shared_ptr<const ShardRouter> router, size_t n,
@@ -451,9 +439,6 @@ class ShardedSpannerService {
 
   size_t num_shards() const { return shards_.size(); }
   const ShardRouter& router() const { return *router_; }
-  /// Co-ownable router handle (ShardedView::compose needs shared
-  /// ownership so externally composed views outlive the service).
-  std::shared_ptr<const ShardRouter> router_ptr() const { return router_; }
   /// Max shard vertex-space size — the bound composed views are built with.
   size_t vertex_space() const { return n_; }
   const SpannerService& shard_service(size_t s) const {

@@ -27,7 +27,8 @@
 #include "durability/fault_fs.hpp"
 #include "graph/generators.hpp"
 #include "replication/failover.hpp"
-#include "replication/replica_set.hpp"
+#include "replication/follower.hpp"
+#include "replication/log_shipper.hpp"
 #include "util/rng.hpp"
 
 namespace parspan {
@@ -76,9 +77,9 @@ auto backend_factory(const Workload& w) {
 struct Cluster {
   std::shared_ptr<MemFs> leader_fs;
   std::unique_ptr<SpannerService> leader;
-  std::unique_ptr<ReplicationGroup> group;
   std::vector<std::shared_ptr<ReplicationTransport>> transports;
-  std::vector<std::shared_ptr<MemFs>> follower_fs;
+  std::vector<std::unique_ptr<LogShipper>> shippers;
+  std::vector<std::unique_ptr<FollowerReplica>> followers;
   std::vector<uint64_t> oracle;  // leader checksum by version
 };
 
@@ -90,14 +91,15 @@ Cluster ingest_until(const Workload& w, size_t t, size_t rot) {
   c.leader = make_service(w);
   EXPECT_TRUE(c.leader->enable_durability(c.leader_fs, "leader", opts,
                                           w.initial));
-  c.group = std::make_unique<ReplicationGroup>(c.leader.get(), /*epoch=*/1);
   DurabilityOptions fopts;
   fopts.checkpoint_every = 4;
   for (size_t i = 0; i < 3; ++i) {
     c.transports.push_back(std::make_shared<ChannelTransport>());
-    c.follower_fs.push_back(std::make_shared<MemFs>());
-    c.group->add_follower(c.transports[i], c.follower_fs[i],
-                          "f" + std::to_string(i), fopts);
+    c.shippers.push_back(std::make_unique<LogShipper>(
+        c.leader_fs, "leader", /*epoch=*/1, c.transports[i]));
+    c.followers.push_back(std::make_unique<FollowerReplica>(
+        std::make_shared<MemFs>(), "f" + std::to_string(i), fopts,
+        c.transports[i]));
   }
   c.oracle.push_back(c.leader->snapshot()->checksum());
   for (size_t b = 0; b < t; ++b) {
@@ -106,12 +108,47 @@ Cluster ingest_until(const Workload& w, size_t t, size_t rot) {
     for (size_t i = 0; i < 3; ++i) {
       const size_t cadence = (i + rot) % 3 + 1;
       if ((b + 1) % cadence != 0) continue;
-      c.group->shipper(i).pump(c.group->leader_durable());
-      c.group->follower(i).pump();
+      c.shippers[i]->pump(c.leader->durability()->durable_version());
+      c.followers[i]->pump();
     }
   }
   return c;
 }
+
+// The leader dies: its shippers go with it, the followers survive.
+std::vector<std::unique_ptr<FollowerReplica>> kill_leader(Cluster& c) {
+  c.shippers.clear();
+  c.leader.reset();
+  return std::move(c.followers);
+}
+
+// The survivors of a failover, each re-subscribed to the promoted leader
+// at epoch 2 over its old transport.
+struct Survivors {
+  const SpannerService* leader = nullptr;
+  std::vector<std::unique_ptr<LogShipper>> shippers;
+  std::vector<std::unique_ptr<FollowerReplica>> followers;
+
+  void add(std::unique_ptr<FollowerReplica> f,
+           std::shared_ptr<ReplicationTransport> transport) {
+    shippers.push_back(std::make_unique<LogShipper>(
+        leader->durability()->fs(), leader->durability()->dir(),
+        /*epoch=*/2, std::move(transport)));
+    followers.push_back(std::move(f));
+  }
+  uint64_t durable() const { return leader->durability()->durable_version(); }
+  void pump() {
+    for (size_t i = 0; i < followers.size(); ++i) {
+      shippers[i]->pump(durable());
+      followers[i]->pump();
+    }
+  }
+  bool converged() const {
+    for (const auto& f : followers)
+      if (f->epoch() != 2 || f->applied_version() != durable()) return false;
+    return true;
+  }
+};
 
 TEST(FailoverSweep, LongestDurableLogWinsAtEveryKillPoint) {
   const Workload w = make_workload(17);
@@ -132,7 +169,7 @@ TEST(FailoverSweep, LongestDurableLogWinsAtEveryKillPoint) {
     // Independent election oracle: manual argmax over durable logs, first
     // index wins ties, stateless candidates never run.
     std::vector<const FollowerReplica*> cands;
-    for (size_t i = 0; i < 3; ++i) cands.push_back(&c.group->follower(i));
+    for (size_t i = 0; i < 3; ++i) cands.push_back(c.followers[i].get());
     size_t exp_winner = cands.size();
     uint64_t exp_dv = 0;
     std::set<uint64_t> distinct;
@@ -159,11 +196,7 @@ TEST(FailoverSweep, LongestDurableLogWinsAtEveryKillPoint) {
     EXPECT_EQ(elect->winner, exp_winner);
     EXPECT_EQ(elect->durable_version, exp_dv);
 
-    // The leader dies: pull every follower out, then destroy leader+group.
-    std::vector<std::unique_ptr<FollowerReplica>> fols;
-    for (size_t i = 0; i < 3; ++i) fols.push_back(c.group->detach(0));
-    c.group.reset();
-    c.leader.reset();
+    std::vector<std::unique_ptr<FollowerReplica>> fols = kill_leader(c);
 
     // Promotion restores exactly the elected watermark — the restored
     // checksum must be the dead leader's publish history at that version.
@@ -178,25 +211,24 @@ TEST(FailoverSweep, LongestDurableLogWinsAtEveryKillPoint) {
 
     // Survivors re-subscribe under epoch 2 and converge via an explicit
     // epoch-bump snapshot resync.
-    auto group2 = std::make_unique<ReplicationGroup>(leader2.get(),
-                                                     /*epoch=*/2);
+    Survivors s2{leader2.get()};
     std::vector<uint64_t> resyncs_before;
     for (size_t i = 0; i < 3; ++i) {
       if (i == elect->winner) continue;
       resyncs_before.push_back(fols[i]->snapshot_resyncs());
-      group2->attach(std::move(fols[i]), c.transports[i]);
+      s2.add(std::move(fols[i]), c.transports[i]);
     }
-    for (int round = 0; round < 12 && !group2->converged(); ++round)
-      group2->pump();
-    ASSERT_TRUE(group2->converged());
-    EXPECT_EQ(group2->leader_durable(), rep.published_version);
+    for (int round = 0; round < 12 && !s2.converged(); ++round) s2.pump();
+    ASSERT_TRUE(s2.converged());
+    EXPECT_EQ(s2.durable(), rep.published_version);
     const uint64_t rebase_ck = leader2->snapshot()->checksum();
-    for (size_t i = 0; i < group2->num_followers(); ++i) {
-      EXPECT_EQ(group2->follower(i).epoch(), 2u);
-      EXPECT_EQ(group2->follower(i).applied_version(), rep.published_version);
-      EXPECT_EQ(group2->follower(i).applied_checksum(), rebase_ck);
-      EXPECT_EQ(group2->follower(i).rejects(), 0u);
-      EXPECT_GT(group2->follower(i).snapshot_resyncs(), resyncs_before[i]);
+    for (size_t i = 0; i < s2.followers.size(); ++i) {
+      const FollowerReplica& f = *s2.followers[i];
+      EXPECT_EQ(f.epoch(), 2u);
+      EXPECT_EQ(f.applied_version(), rep.published_version);
+      EXPECT_EQ(f.applied_checksum(), rebase_ck);
+      EXPECT_EQ(f.rejects(), 0u);
+      EXPECT_GT(f.snapshot_resyncs(), resyncs_before[i]);
     }
 
     // Life goes on: the remaining stream ingests on the new leader and the
@@ -206,16 +238,16 @@ TEST(FailoverSweep, LongestDurableLogWinsAtEveryKillPoint) {
       auto r =
           leader2->apply(w.batches[b].insertions, w.batches[b].deletions);
       oracle2.push_back(r.snapshot->checksum());
-      group2->pump();
+      s2.pump();
     }
-    group2->pump();
-    ASSERT_TRUE(group2->converged());
+    s2.pump();
+    ASSERT_TRUE(s2.converged());
     const uint64_t final_v = rep.published_version + (nb - t);
-    EXPECT_EQ(group2->leader_durable(), final_v);
-    for (size_t i = 0; i < group2->num_followers(); ++i) {
-      EXPECT_EQ(group2->follower(i).applied_version(), final_v);
-      EXPECT_EQ(group2->follower(i).applied_checksum(), oracle2.back());
-      EXPECT_EQ(group2->follower(i).rejects(), 0u);
+    EXPECT_EQ(s2.durable(), final_v);
+    for (const auto& f : s2.followers) {
+      EXPECT_EQ(f->applied_version(), final_v);
+      EXPECT_EQ(f->applied_checksum(), oracle2.back());
+      EXPECT_EQ(f->rejects(), 0u);
     }
   }
   // The sweep only means something if the cadences actually produced
@@ -230,12 +262,8 @@ TEST(FailoverSweep, LongestDurableLogWinsAtEveryKillPoint) {
 TEST(FailoverSweep, DeposedLeaderLateFramesAreDropped) {
   const Workload w = make_workload(23);
   Cluster c = ingest_until(w, 6, /*rot=*/0);
-  const uint64_t old_durable = c.group->leader_durable();
-
-  std::vector<std::unique_ptr<FollowerReplica>> fols;
-  for (size_t i = 0; i < 3; ++i) fols.push_back(c.group->detach(0));
-  c.group.reset();
-  c.leader.reset();
+  const uint64_t old_durable = c.leader->durability()->durable_version();
+  std::vector<std::unique_ptr<FollowerReplica>> fols = kill_leader(c);
 
   const auto elect = elect_longest_log(
       {fols[0].get(), fols[1].get(), fols[2].get()});
@@ -244,12 +272,11 @@ TEST(FailoverSweep, DeposedLeaderLateFramesAreDropped) {
                                   backend_factory(w), nullptr);
   ASSERT_NE(leader2, nullptr);
   const size_t survivor = elect->winner == 0 ? 1 : 0;
-  ReplicationGroup group2(leader2.get(), /*epoch=*/2);
-  FollowerReplica& f =
-      group2.attach(std::move(fols[survivor]), c.transports[survivor]);
-  for (int round = 0; round < 12 && !group2.converged(); ++round)
-    group2.pump();
-  ASSERT_TRUE(group2.converged());
+  Survivors s2{leader2.get()};
+  s2.add(std::move(fols[survivor]), c.transports[survivor]);
+  FollowerReplica& f = *s2.followers[0];
+  for (int round = 0; round < 12 && !s2.converged(); ++round) s2.pump();
+  ASSERT_TRUE(s2.converged());
 
   // The old leader's directory still exists (it died, its disk did not);
   // a zombie shipper at the old epoch picks up the survivor's cursor and
@@ -276,11 +303,7 @@ TEST(FailoverSweep, DeposedLeaderLateFramesAreDropped) {
 TEST(FailoverSweep, MediaDeathMidFailoverFallsBackToRunnerUp) {
   const Workload w = make_workload(29);
   Cluster c = ingest_until(w, 8, /*rot=*/0);
-
-  std::vector<std::unique_ptr<FollowerReplica>> fols;
-  for (size_t i = 0; i < 3; ++i) fols.push_back(c.group->detach(0));
-  c.group.reset();
-  c.leader.reset();
+  std::vector<std::unique_ptr<FollowerReplica>> fols = kill_leader(c);
 
   std::vector<const FollowerReplica*> cands = {fols[0].get(), fols[1].get(),
                                                fols[2].get()};
@@ -321,8 +344,8 @@ TEST(FailoverSweep, ElectionEdgeCases) {
   // rot=2 gives followers 0 and 1 cadences {3, 1}; after 6 batches both
   // cadence-1 and cadence-3 followers sit at durable 6 — a real tie.
   Cluster c = ingest_until(w, 6, /*rot=*/2);
-  ASSERT_EQ(c.group->follower(0).durable_version(),
-            c.group->follower(1).durable_version());
+  ASSERT_EQ(c.followers[0]->durable_version(),
+            c.followers[1]->durable_version());
 
   auto stateless = std::make_unique<FollowerReplica>(
       std::make_shared<MemFs>(), "empty", DurabilityOptions{},
@@ -330,11 +353,10 @@ TEST(FailoverSweep, ElectionEdgeCases) {
   ASSERT_FALSE(stateless->has_state());
 
   const auto elect = elect_longest_log(std::vector<const FollowerReplica*>{
-      nullptr, stateless.get(), &c.group->follower(0),
-      &c.group->follower(1)});
+      nullptr, stateless.get(), c.followers[0].get(), c.followers[1].get()});
   ASSERT_TRUE(elect.has_value());
   EXPECT_EQ(elect->winner, 2u);  // lowest index among the tied pair
-  EXPECT_EQ(elect->durable_version, c.group->follower(0).durable_version());
+  EXPECT_EQ(elect->durable_version, c.followers[0]->durable_version());
 
   EXPECT_FALSE(elect_longest_log(std::vector<const FollowerReplica*>{})
                    .has_value());

@@ -12,16 +12,21 @@
 //   * the CandidateStatus election rule itself, pinned.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "durability/frame.hpp"
 #include "net/client.hpp"
+#include "net/framed_conn.hpp"
 #include "replication/failover.hpp"
 #include "replication/node.hpp"
 
@@ -162,6 +167,75 @@ TEST(LeaseFailover, ElectionPicksLongestLogTiesToLowestIndex) {
                    .has_value())
       << "stateless candidates cannot run";
   EXPECT_FALSE(elect_longest_log(std::vector<C>{}).has_value());
+}
+
+// --- Control-plane client vs. signals ---------------------------------------
+// The control client's socket has SO_RCVTIMEO, and on such a socket Linux
+// fails recv with EINTR whenever a signal handler runs — even an SA_RESTART
+// one — and after SIGSTOP/SIGCONT. A resumed node polling a live leader
+// must wait out the reply, not count the leader unreachable.
+
+TEST(LeaseFailover, PollStatusSurvivesASignalMidReply) {
+  struct sigaction sa {};
+  struct sigaction old {};
+  sa.sa_handler = [](int) {};
+  sa.sa_flags = SA_RESTART;
+  sigemptyset(&sa.sa_mask);
+  ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
+
+  PeerAddr peer;
+  const int lfd = net::tcp_listen(peer.host, 0, 4, &peer.ctl_port);
+  ASSERT_GE(lfd, 0);
+  // A valid 55-byte STATUS body: role | epoch | applied | checksum |
+  // durable | lease_healthy | has_state | leader | resyncs | rejects.
+  std::vector<uint8_t> body{static_cast<uint8_t>(NodeRole::kLeader)};
+  put_le64(body, 3);
+  put_le64(body, 42);
+  put_le64(body, 0xfeedull);
+  put_le64(body, 41);
+  body.push_back(1);
+  body.push_back(1);
+  put_le32(body, 2);
+  put_le64(body, 0);
+  put_le64(body, 0);
+  ASSERT_EQ(body.size(), 55u);
+
+  const auto t0 = Clock::now();
+  // The fake control peer: reads the request, answers at t0 + 100 ms.
+  std::thread fake([&] {
+    int fd = -1;
+    while (fd < 0 && Clock::now() < t0 + 2s) {
+      fd = accept(lfd, nullptr, nullptr);
+      if (fd < 0) std::this_thread::sleep_for(1ms);
+    }
+    if (fd < 0) return;
+    uint8_t req[64];
+    (void)net::read_some(fd, req, sizeof(req));
+    std::this_thread::sleep_until(t0 + 100ms);
+    std::vector<uint8_t> reply;
+    append_frame(reply, body.data(), body.size());
+    net::send_all(fd, reply.data(), reply.size());
+    (void)net::read_some(fd, req, sizeof(req));  // until the client closes
+    ::close(fd);
+  });
+  const pthread_t poller = pthread_self();
+  std::thread signaller([&] {
+    std::this_thread::sleep_until(t0 + 30ms);
+    pthread_kill(poller, SIGUSR1);
+  });
+  const auto st = ReplicaNode::poll_status(peer, /*timeout_ms=*/1000);
+  signaller.join();
+  fake.join();
+  ::close(lfd);
+  sigaction(SIGUSR1, &old, nullptr);
+
+  ASSERT_TRUE(st.has_value()) << "a signal read as an unreachable peer";
+  EXPECT_EQ(st->role, NodeRole::kLeader);
+  EXPECT_EQ(st->epoch, 3u);
+  EXPECT_EQ(st->applied_version, 42u);
+  EXPECT_EQ(st->applied_checksum, 0xfeedull);
+  EXPECT_EQ(st->durable_version, 41u);
+  EXPECT_EQ(st->leader_index, 2u);
 }
 
 // --- Bootstrap convergence --------------------------------------------------

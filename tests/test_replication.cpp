@@ -17,6 +17,7 @@
 // seeded Rng so any failing schedule replays exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -27,8 +28,9 @@
 #include "durability/fault_fs.hpp"
 #include "graph/generators.hpp"
 #include "replication/failover.hpp"
-#include "replication/replica_set.hpp"
-#include "service/sharded_service.hpp"
+#include "replication/follower.hpp"
+#include "replication/log_shipper.hpp"
+#include "service/spanner_service.hpp"
 #include "util/rng.hpp"
 
 namespace parspan {
@@ -95,9 +97,49 @@ void assert_on_oracle(const FollowerReplica& f,
       << "SILENT DIVERGENCE at version " << f.applied_version();
 }
 
-// --- Healthy-channel convergence + read-your-writes spreading --------------
+// One shipper + follower pair over one transport, pumped the way a
+// replication thread runs: ship up to the leader's durable watermark, then
+// apply and ack.
+struct Replica {
+  std::shared_ptr<ReplicationTransport> transport;
+  std::unique_ptr<LogShipper> shipper;
+  std::unique_ptr<FollowerReplica> follower;
+};
 
-TEST(Replication, ConvergesAndSpreadsReadsOverChannelTransport) {
+Replica make_replica(const SpannerService& leader,
+                     std::shared_ptr<ReplicationTransport> transport,
+                     std::shared_ptr<Fs> follower_fs,
+                     const std::string& follower_dir,
+                     const DurabilityOptions& follower_opts) {
+  Replica r;
+  r.transport = std::move(transport);
+  r.shipper = std::make_unique<LogShipper>(leader.durability()->fs(),
+                                           leader.durability()->dir(),
+                                           /*epoch=*/1, r.transport);
+  r.follower = std::make_unique<FollowerReplica>(
+      std::move(follower_fs), follower_dir, follower_opts, r.transport);
+  return r;
+}
+
+uint64_t durable_of(const SpannerService& leader) {
+  return leader.durability()->durable_version();
+}
+
+void pump(Replica& r, const SpannerService& leader) {
+  r.shipper->pump(durable_of(leader));
+  r.follower->pump();
+}
+
+// The follower has applied exactly the leader's durable watermark in the
+// shipper's epoch.
+bool converged(const Replica& r, const SpannerService& leader) {
+  return r.follower->epoch() == r.shipper->epoch() &&
+         r.follower->applied_version() == durable_of(leader);
+}
+
+// --- Healthy-channel convergence --------------------------------------------
+
+TEST(Replication, ConvergesOverChannelTransport) {
   const Workload w = make_workload(3);
   DurabilityOptions opts;
   opts.checkpoint_every = 8;
@@ -105,57 +147,37 @@ TEST(Replication, ConvergesAndSpreadsReadsOverChannelTransport) {
   auto fs = std::make_shared<MemFs>();
   auto svc = make_service(w);
   ASSERT_TRUE(svc->enable_durability(fs, "leader", opts, w.initial));
-  ReplicationGroup group(svc.get(), /*epoch=*/1);
   auto ffs = std::make_shared<MemFs>();
   DurabilityOptions fopts;
   fopts.checkpoint_every = 8;
+  std::vector<Replica> replicas;
   for (int i = 0; i < 2; ++i)
-    group.add_follower(std::make_shared<ChannelTransport>(), ffs,
-                       "f" + std::to_string(i), fopts);
+    replicas.push_back(make_replica(*svc, std::make_shared<ChannelTransport>(),
+                                    ffs, "f" + std::to_string(i), fopts));
 
   std::vector<uint64_t> oracle{svc->snapshot()->checksum()};
   for (const auto& b : w.batches) {
     auto r = svc->apply(b.insertions, b.deletions);
     oracle.push_back(r.snapshot->checksum());
-    group.pump();
-    for (size_t i = 0; i < group.num_followers(); ++i)
-      assert_on_oracle(group.follower(i), oracle);
+    for (Replica& rep : replicas) {
+      pump(rep, *svc);
+      assert_on_oracle(*rep.follower, oracle);
+    }
   }
   // One extra round for the final acks (frames land on the pump after the
   // cursor that requested them).
-  group.pump();
-  ASSERT_TRUE(group.converged());
-  const uint64_t durable = group.leader_durable();
+  for (Replica& rep : replicas) pump(rep, *svc);
+  const uint64_t durable = durable_of(*svc);
   EXPECT_EQ(durable, w.batches.size());  // kEveryRecord: all published
-  for (size_t i = 0; i < group.num_followers(); ++i) {
-    EXPECT_EQ(group.follower(i).applied_version(), durable);
-    EXPECT_EQ(group.follower(i).applied_checksum(), oracle[durable]);
-    EXPECT_EQ(group.follower(i).rejects(), 0u);
+  for (const Replica& rep : replicas) {
+    ASSERT_TRUE(converged(rep, *svc));
+    EXPECT_EQ(rep.follower->applied_version(), durable);
+    EXPECT_EQ(rep.follower->applied_checksum(), oracle[durable]);
+    EXPECT_EQ(rep.follower->rejects(), 0u);
     // Exactly one seeding snapshot, everything else incremental.
-    EXPECT_EQ(group.follower(i).snapshot_resyncs(), 1u);
-    EXPECT_GT(group.follower(i).records_applied(), 0u);
+    EXPECT_EQ(rep.follower->snapshot_resyncs(), 1u);
+    EXPECT_GT(rep.follower->records_applied(), 0u);
   }
-
-  // Read-your-writes spreading: every read honors the watermark, and with
-  // converged followers the leader is never needed.
-  int by_follower[2] = {0, 0};
-  for (int q = 0; q < 10; ++q) {
-    auto r = group.read_at_least(durable);
-    ASSERT_NE(r.snap, nullptr);
-    EXPECT_GE(r.snap->version(), durable);
-    EXPECT_EQ(r.snap->checksum(), oracle[r.snap->version()]);
-    ASSERT_GE(r.source, 0);  // served by a follower, not the leader
-    ++by_follower[r.source];
-  }
-  EXPECT_GT(by_follower[0], 0);  // round-robin actually spreads
-  EXPECT_GT(by_follower[1], 0);
-
-  // A watermark nobody replicated yet (leader applied, followers not
-  // pumped): the leader must serve it.
-  auto r2 = svc->apply(w.batches[0].insertions, w.batches[0].deletions);
-  auto read = group.read_at_least(r2.snapshot->version());
-  EXPECT_EQ(read.source, -1);
-  EXPECT_GE(read.snap->version(), r2.snapshot->version());
 }
 
 // --- Satellite 1: lossy-transport property sweep ---------------------------
@@ -248,12 +270,11 @@ TEST(Replication, FollowerCrashRecoversOwnChainAndCatchesUp) {
     auto fs = std::make_shared<MemFs>();
     auto svc = make_service(w);
     ASSERT_TRUE(svc->enable_durability(fs, "leader", opts, w.initial));
-    ReplicationGroup group(svc.get(), 1);
     auto ffs = std::make_shared<MemFs>();
     DurabilityOptions fopts;
     fopts.checkpoint_every = 4;
-    auto transport = std::make_shared<ChannelTransport>();
-    group.add_follower(transport, ffs, "f", fopts);
+    Replica rep = make_replica(*svc, std::make_shared<ChannelTransport>(),
+                               ffs, "f", fopts);
 
     std::vector<uint64_t> oracle{svc->snapshot()->checksum()};
     // Crash the follower's disk mid-stream: its durability goes sticky-
@@ -263,34 +284,37 @@ TEST(Replication, FollowerCrashRecoversOwnChainAndCatchesUp) {
     for (size_t b = 0; b < w.batches.size(); ++b) {
       auto r = svc->apply(w.batches[b].insertions, w.batches[b].deletions);
       oracle.push_back(r.snapshot->checksum());
-      group.pump();
-      assert_on_oracle(group.follower(0), oracle);
+      pump(rep, *svc);
+      assert_on_oracle(*rep.follower, oracle);
       if (b == crash_batch)
         crash_op = 1 + rng.next_below(20);  // soon, inside the next applies
       if (crash_op != 0 && b == crash_batch) ffs->crash_at_op(crash_op);
     }
-    group.pump();
+    pump(rep, *svc);
 
-    // "Kill" the follower process and reboot its disk.
-    const uint64_t follower_watermark = group.follower(0).durable_version();
-    std::unique_ptr<FollowerReplica> dead = group.detach(0);
-    dead.reset();
+    // "Kill" the follower process (and the shipper serving it) and reboot
+    // its disk.
+    const uint64_t follower_watermark = rep.follower->durable_version();
+    rep.follower.reset();
+    rep.shipper.reset();
     ffs->crash_and_restart(static_cast<CrashTail>(rng.next_below(3)), rng,
                            0.2);
 
-    auto revived = FollowerReplica::recover(ffs, "f", fopts, transport);
-    ASSERT_TRUE(revived->has_state());
+    rep.follower = FollowerReplica::recover(ffs, "f", fopts, rep.transport);
+    const FollowerReplica& back = *rep.follower;
+    ASSERT_TRUE(back.has_state());
     // Local recovery restores a checksum-exact point of the leader's
     // history, at or above the follower's own durable watermark.
-    EXPECT_GE(revived->applied_version(), follower_watermark);
-    assert_on_oracle(*revived, oracle);
-    EXPECT_EQ(revived->epoch(), 1u);
+    EXPECT_GE(back.applied_version(), follower_watermark);
+    assert_on_oracle(back, oracle);
+    EXPECT_EQ(back.epoch(), 1u);
 
-    // Rejoin and catch up to the leader — incrementally (no resync needed:
-    // the leader's log still covers the gap).
-    FollowerReplica& back = group.attach(std::move(revived), transport);
-    for (int r = 0; r < 6 && !group.converged(); ++r) group.pump();
-    ASSERT_TRUE(group.converged());
+    // Rejoin a fresh shipper and catch up to the leader — incrementally
+    // (no resync needed: the leader's log still covers the gap).
+    rep.shipper = std::make_unique<LogShipper>(fs, "leader", /*epoch=*/1,
+                                               rep.transport);
+    for (int r = 0; r < 6 && !converged(rep, *svc); ++r) pump(rep, *svc);
+    ASSERT_TRUE(converged(rep, *svc));
     EXPECT_EQ(back.applied_checksum(), oracle[back.applied_version()]);
     EXPECT_EQ(back.snapshot_resyncs(), 0u);  // recovered, not re-seeded
   }
@@ -339,115 +363,44 @@ TEST(Replication, PartitionPastGcHorizonResyncsViaSnapshot) {
   auto fs = std::make_shared<MemFs>();
   auto svc = make_service(w);
   ASSERT_TRUE(svc->enable_durability(fs, "leader", opts, w.initial));
-  ReplicationGroup group(svc.get(), 1);
   FaultPlan clean;  // partition is a switch, not a probability
   auto transport = std::make_shared<FaultyTransport>(clean, 7);
-  auto ffs = std::make_shared<MemFs>();
-  group.add_follower(transport, ffs, "f", opts);
+  Replica rep =
+      make_replica(*svc, transport, std::make_shared<MemFs>(), "f", opts);
 
   std::vector<uint64_t> oracle{svc->snapshot()->checksum()};
   // Seed the follower, then partition and ingest far past the GC horizon.
   auto r0 = svc->apply(w.batches[0].insertions, w.batches[0].deletions);
   oracle.push_back(r0.snapshot->checksum());
-  group.pump();
-  group.pump();
-  ASSERT_TRUE(group.converged());
-  const uint64_t resyncs_before = group.follower(0).snapshot_resyncs();
+  pump(rep, *svc);
+  pump(rep, *svc);
+  ASSERT_TRUE(converged(rep, *svc));
+  const uint64_t resyncs_before = rep.follower->snapshot_resyncs();
 
   transport->set_partitioned(true);
   for (size_t b = 1; b < w.batches.size(); ++b) {
     auto r = svc->apply(w.batches[b].insertions, w.batches[b].deletions);
     oracle.push_back(r.snapshot->checksum());
-    group.pump();  // ships into the void
+    pump(rep, *svc);  // ships into the void
   }
   // The follower's ack (version 1) must now be below every retained
   // segment: incremental shipping is impossible.
   transport->set_partitioned(false);
-  for (int r = 0; r < 8 && !group.converged(); ++r) group.pump();
-  ASSERT_TRUE(group.converged());
-  EXPECT_GT(group.follower(0).snapshot_resyncs(), resyncs_before);
-  assert_on_oracle(group.follower(0), oracle);
-  EXPECT_EQ(group.follower(0).applied_version(), group.leader_durable());
-}
-
-// --- Sharded integration: replicated read-your-writes views ----------------
-
-TEST(Replication, ShardedViewsComposeFromFollowers) {
-  const size_t n = 160;
-  const uint32_t S = 2;
-  auto [initial, batches] = gen_mixed_stream(n, 900, 60, 8, 91);
-  FullyDynamicSpannerConfig fd;
-  fd.k = 3;
-  fd.seed = 77;
-
-  auto fs = std::make_shared<MemFs>();
-  ShardedConfig cfg;
-  cfg.num_writers = 2;
-  cfg.durability.enabled = true;
-  cfg.durability.fs = fs;
-  cfg.durability.dir = "root";
-  cfg.durability.opts.checkpoint_every = 8;
-  auto svc = ShardedSpannerService::single_graph(n, initial, S, fd, cfg);
-
-  // One replication group per shard, one follower each.
-  std::vector<std::unique_ptr<ReplicationGroup>> groups;
-  auto ffs = std::make_shared<MemFs>();
-  for (uint32_t s = 0; s < S; ++s) {
-    groups.push_back(
-        std::make_unique<ReplicationGroup>(&svc->shard_service(s), 1));
-    groups[s]->add_follower(std::make_shared<ChannelTransport>(), ffs,
-                            "f" + std::to_string(s),
-                            cfg.durability.opts);
-  }
-  ReplicatedShardedReader reader(svc.get());
-  for (uint32_t s = 0; s < S; ++s)
-    reader.add_follower(s, &groups[s]->follower(0));
-
-  for (const auto& b : batches) svc->submit(b.insertions, b.deletions);
-  VersionVector vv = svc->flush();
-  for (uint32_t s = 0; s < S; ++s) {
-    for (int r = 0; r < 4 && !groups[s]->converged(); ++r) groups[s]->pump();
-    ASSERT_TRUE(groups[s]->converged()) << "shard " << s;
-  }
-
-  // The composed view must dominate the flush vector (read-your-writes)
-  // and equal the leader's own composed view edge-for-edge.
-  std::vector<int> sources;
-  ShardedView view = reader.view_at_least(vv, &sources);
-  EXPECT_TRUE(view.versions().dominates(vv));
-  for (uint32_t s = 0; s < S; ++s)
-    EXPECT_EQ(sources[s], 0) << "caught-up follower must serve shard " << s;
-  EXPECT_EQ(reader.follower_reads(), uint64_t(S));
-  ShardedView leader_view = svc->view();
-  ASSERT_EQ(view.num_edges(), leader_view.num_edges());
-  auto ve = view.edges();
-  auto le = leader_view.edges();
-  ASSERT_EQ(ve.size(), le.size());
-  for (size_t i = 0; i < ve.size(); ++i) {
-    EXPECT_EQ(ve[i].u, le[i].u);
-    EXPECT_EQ(ve[i].v, le[i].v);
-  }
-  // Composed reads answer through follower snapshots.
-  EXPECT_EQ(view.has_edge(ve[0].u, ve[0].v), true);
-
-  // With followers lagging (new writes unreplicated), the router falls
-  // back to the leader rather than violating read-your-writes.
-  for (const auto& b : batches) svc->submit(b.insertions, b.deletions);
-  VersionVector vv2 = svc->flush();
-  std::vector<int> sources2;
-  ShardedView view2 = reader.view_at_least(vv2, &sources2);
-  EXPECT_TRUE(view2.versions().dominates(vv2));
-  for (uint32_t s = 0; s < S; ++s) EXPECT_EQ(sources2[s], -1);
-  EXPECT_FALSE(svc->durability_failed());
+  for (int r = 0; r < 8 && !converged(rep, *svc); ++r) pump(rep, *svc);
+  ASSERT_TRUE(converged(rep, *svc));
+  EXPECT_GT(rep.follower->snapshot_resyncs(), resyncs_before);
+  assert_on_oracle(*rep.follower, oracle);
+  EXPECT_EQ(rep.follower->applied_version(), durable_of(*svc));
 }
 
 // --- Frozen wire format -----------------------------------------------------
 
 // Replication frames are a persistence-grade format: a leader and follower
 // from different builds must agree on every byte. These goldens pin the
-// frame encoding the way PR 6's goldens pin the WAL/checkpoint formats —
-// if one of these values changes, the wire format changed, and mixed-
-// version replication just broke.
+// frame encoding the way test_durability's goldens pin the WAL/checkpoint
+// formats — if one of these values changes, the wire format changed, and
+// kReplicationWireVersion must be bumped so mismatched builds are refused
+// at subscribe.
 TEST(Replication, FrameFormatGoldens) {
   WalRecord rec;
   rec.type = WalRecord::kBatch;
@@ -458,7 +411,18 @@ TEST(Replication, FrameFormatGoldens) {
   rec.diff_removed = {edge_key(1, 2)};
   rec.diff_inserted = {edge_key(2, 3), edge_key(3, 9)};
   ShipFrame rf = make_record_frame(/*epoch=*/5, rec);
-  EXPECT_EQ(crc32c(rf.bytes.data(), rf.bytes.size()), 0xc6be0cf9u);
+  EXPECT_EQ(crc32c(rf.bytes.data(), rf.bytes.size()), 0x36fa7657u);
+  // A ship frame is a plain frame.hpp frame around kind | epoch | body,
+  // and a record frame's body is the WAL record payload byte-for-byte.
+  const std::vector<uint8_t> wal = encode_wal_record(rec);
+  ASSERT_EQ(rf.bytes.size(), kFrameHeaderSize + 1 + 8 + wal.size());
+  EXPECT_EQ(get_le32(rf.bytes.data()), rf.bytes.size() - kFrameHeaderSize);
+  EXPECT_EQ(get_le32(rf.bytes.data() + 4),
+            crc32c(rf.bytes.data() + kFrameHeaderSize,
+                   rf.bytes.size() - kFrameHeaderSize));
+  EXPECT_EQ(rf.bytes[8], uint8_t(WireKind::kRecord));
+  EXPECT_EQ(get_le64(rf.bytes.data() + 9), 5u);
+  EXPECT_TRUE(std::equal(wal.begin(), wal.end(), rf.bytes.begin() + 17));
 
   DurableState st;
   st.n = 16;
@@ -471,19 +435,19 @@ TEST(Replication, FrameFormatGoldens) {
   // checksum formula has goldens of its own (test_durability).
   st.checksum = 0x1bc7b6e79f0daa08ULL;
   ShipFrame sf = make_snapshot_frame(/*epoch=*/5, st);
-  EXPECT_EQ(crc32c(sf.bytes.data(), sf.bytes.size()), 0x936bf51fu);
+  EXPECT_EQ(crc32c(sf.bytes.data(), sf.bytes.size()), 0x146cbd5au);
 
   // Round-trip: both frames parse back to themselves.
-  auto pr = parse_frame(rf);
+  auto pr = parse_ship_frame(rf);
   ASSERT_TRUE(pr.has_value());
-  EXPECT_EQ(pr->type, FrameType::kRecord);
+  EXPECT_EQ(pr->kind, WireKind::kRecord);
   EXPECT_EQ(pr->epoch, 5u);
   EXPECT_EQ(pr->rec.version, 7u);
   EXPECT_EQ(pr->rec.checksum, rec.checksum);
   EXPECT_EQ(pr->rec.diff_inserted, rec.diff_inserted);
-  auto ps = parse_frame(sf);
+  auto ps = parse_ship_frame(sf);
   ASSERT_TRUE(ps.has_value());
-  EXPECT_EQ(ps->type, FrameType::kSnapshot);
+  EXPECT_EQ(ps->kind, WireKind::kSnapshot);
   EXPECT_EQ(ps->state.n, st.n);
   EXPECT_EQ(ps->state.version, st.version);
   EXPECT_EQ(ps->state.snap_keys, st.snap_keys);
@@ -494,14 +458,18 @@ TEST(Replication, FrameFormatGoldens) {
   for (size_t at : {size_t(0), size_t(9), rf.bytes.size() - 1}) {
     ShipFrame bad = rf;
     bad.bytes[at] ^= 0x10;
-    EXPECT_FALSE(parse_frame(bad).has_value()) << "bit flip at " << at;
+    EXPECT_FALSE(parse_ship_frame(bad).has_value()) << "bit flip at " << at;
   }
   // Truncation at every boundary short of full length must fail too.
   for (size_t len : {size_t(0), size_t(16), size_t(17), rf.bytes.size() - 1}) {
     ShipFrame bad = rf;
     bad.bytes.resize(len);
-    EXPECT_FALSE(parse_frame(bad).has_value()) << "truncated to " << len;
+    EXPECT_FALSE(parse_ship_frame(bad).has_value()) << "truncated to " << len;
   }
+  // So must padding: the frame has to fill its bytes exactly.
+  ShipFrame padded = rf;
+  padded.bytes.push_back(0);
+  EXPECT_FALSE(parse_ship_frame(padded).has_value());
 }
 
 // --- Watermark rule ---------------------------------------------------------
@@ -523,7 +491,7 @@ ShipFrame raw_snapshot_frame(const std::vector<EdgeKey>& snap,
       out.insert(out.end(), buf, buf + len);
     }
   };
-  std::vector<uint8_t> payload;
+  std::vector<uint8_t> payload;  // the body; kind + epoch go in front
   put_le64(payload, 16);  // n
   put_le32(payload, 5);   // stretch
   put_le64(payload, 42);  // version
@@ -532,13 +500,11 @@ ShipFrame raw_snapshot_frame(const std::vector<EdgeKey>& snap,
   put_le32(payload, uint32_t(graph.size()));
   put_list(payload, snap);
   put_list(payload, graph);
+  payload.insert(payload.begin(), 9, 0);
+  payload[0] = uint8_t(WireKind::kSnapshot);
+  store_le64(payload.data() + 1, 5);  // epoch
   ShipFrame f;
-  f.bytes.push_back(uint8_t(FrameType::kSnapshot));
-  put_le64(f.bytes, 5);  // epoch
-  put_le32(f.bytes, uint32_t(payload.size()));
-  put_le32(f.bytes, crc32c(payload.data(), payload.size(),
-                           crc32c(f.bytes.data(), 9)));
-  f.bytes.insert(f.bytes.end(), payload.begin(), payload.end());
+  append_frame(f.bytes, payload.data(), payload.size());
   return f;
 }
 
@@ -546,12 +512,12 @@ TEST(Replication, SnapshotFrameRejectsDescendingOrDuplicatedLists) {
   const std::vector<EdgeKey> ascending = {edge_key(0, 1), edge_key(2, 5)};
   const std::vector<EdgeKey> descending = {edge_key(2, 5), edge_key(0, 1)};
   const std::vector<EdgeKey> duplicated = {edge_key(0, 1), edge_key(0, 1)};
-  auto ok = parse_frame(raw_snapshot_frame(ascending, ascending));
+  auto ok = parse_ship_frame(raw_snapshot_frame(ascending, ascending));
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->state.snap_keys, ascending);
   for (const auto* bad : {&descending, &duplicated}) {
-    EXPECT_FALSE(parse_frame(raw_snapshot_frame(*bad, ascending)).has_value());
-    EXPECT_FALSE(parse_frame(raw_snapshot_frame(ascending, *bad)).has_value());
+    EXPECT_FALSE(parse_ship_frame(raw_snapshot_frame(*bad, ascending)).has_value());
+    EXPECT_FALSE(parse_ship_frame(raw_snapshot_frame(ascending, *bad)).has_value());
   }
 }
 
@@ -564,18 +530,17 @@ TEST(Replication, ShipperNeverShipsPastDurableWatermark) {
   auto fs = std::make_shared<MemFs>();
   auto svc = make_service(w);
   ASSERT_TRUE(svc->enable_durability(fs, "leader", opts, w.initial));
-  ReplicationGroup group(svc.get(), 1);
-  auto ffs = std::make_shared<MemFs>();
-  group.add_follower(std::make_shared<ChannelTransport>(), ffs, "f", opts);
+  Replica rep = make_replica(*svc, std::make_shared<ChannelTransport>(),
+                             std::make_shared<MemFs>(), "f", opts);
 
   for (const auto& b : w.batches) svc->apply(b.insertions, b.deletions);
   // Everything applied is published — but nothing beyond genesis is
   // durable, so nothing beyond genesis may reach the follower.
   ASSERT_EQ(svc->version(), w.batches.size());
-  ASSERT_EQ(group.leader_durable(), 0u);
-  for (int r = 0; r < 4; ++r) group.pump();
-  EXPECT_EQ(group.follower(0).applied_version(), 0u);
-  EXPECT_TRUE(group.converged());  // converged AT the watermark
+  ASSERT_EQ(durable_of(*svc), 0u);
+  for (int r = 0; r < 4; ++r) pump(rep, *svc);
+  EXPECT_EQ(rep.follower->applied_version(), 0u);
+  EXPECT_TRUE(converged(rep, *svc));  // converged AT the watermark
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -59,28 +61,29 @@ void feed(int fd, const uint8_t* p, size_t len) {
   }
 }
 
-ShipFrame raw_ship(std::vector<uint8_t> bytes) {
-  ShipFrame f;
-  f.bytes = std::move(bytes);
-  return f;
+WalRecord tiny_record(uint64_t version) {
+  WalRecord rec;
+  rec.version = version;
+  rec.checksum = 0x0123456789abcdefULL;
+  rec.input_inserted = {edge_key(0, 1)};
+  rec.diff_inserted = {edge_key(0, 1)};
+  return rec;
 }
 
 // A healthy recorded session: every wire kind at least once, deterministic
-// bytes. The ship bodies are opaque to the transport (the follower owns
-// their verification), so raw byte patterns exercise exactly the layer
-// under test.
+// bytes, ship messages exactly as LogShipper makes them.
 struct Recording {
   std::vector<uint8_t> stream;
-  std::vector<std::vector<uint8_t>> ship_bodies;  // in send order
+  std::vector<std::vector<uint8_t>> ship_frames;  // in send order
   std::vector<ReplicaCursor> cursors;             // in send order
   std::vector<uint64_t> heartbeat_epochs;         // in send order
 };
 
 Recording record_session() {
   Recording r;
-  auto add_ship = [&](std::vector<uint8_t> body) {
-    encode_ship_msg(r.stream, raw_ship(body));
-    r.ship_bodies.push_back(std::move(body));
+  auto add_ship = [&](const ShipFrame& f) {
+    r.stream.insert(r.stream.end(), f.bytes.begin(), f.bytes.end());
+    r.ship_frames.push_back(f.bytes);
   };
   auto add_cursor = [&](uint64_t epoch, uint64_t version, bool need) {
     ReplicaCursor c;
@@ -95,16 +98,21 @@ Recording record_session() {
     r.heartbeat_epochs.push_back(epoch);
   };
 
+  DurableState st;
+  st.n = 16;
+  st.stretch = 3;
+  st.version = 8;
+  st.checksum = 0x1bc7b6e79f0daa08ULL;
+  st.snap_keys = {edge_key(0, 1), edge_key(2, 5)};
+  st.graph_keys = {edge_key(0, 1), edge_key(1, 4), edge_key(2, 5)};
+
   add_heartbeat(7);
   add_cursor(1, 0, true);
-  std::vector<uint8_t> snapshotish(64);
-  for (size_t i = 0; i < snapshotish.size(); ++i)
-    snapshotish[i] = static_cast<uint8_t>(i * 37 + 5);
-  add_ship(snapshotish);
+  add_ship(make_snapshot_frame(/*epoch=*/2, st));
   add_cursor(2, 9, false);
-  add_ship({0x02, 0xde, 0xad, 0xbe, 0xef, 0x00, 0x11});
+  add_ship(make_record_frame(/*epoch=*/2, tiny_record(9)));
   add_heartbeat(9);
-  add_ship(std::vector<uint8_t>(17, 0xa5));
+  add_ship(make_record_frame(/*epoch=*/2, tiny_record(10)));
   add_cursor(2, 11, false);
   return r;
 }
@@ -121,8 +129,8 @@ void drain_and_check_prefix(SocketTransport& t, const Recording& r) {
     t.poll();
     bool progressed = false;
     while (auto f = t.recv_frame()) {
-      ASSERT_LT(ships, r.ship_bodies.size()) << "phantom ship frame";
-      ASSERT_EQ(f->bytes, r.ship_bodies[ships]) << "ship frame " << ships
+      ASSERT_LT(ships, r.ship_frames.size()) << "phantom ship frame";
+      ASSERT_EQ(f->bytes, r.ship_frames[ships]) << "ship frame " << ships
                                                 << " altered in flight";
       ++ships;
       progressed = true;
@@ -148,9 +156,10 @@ void drain_and_check_prefix(SocketTransport& t, const Recording& r) {
 }
 
 // --- Wire goldens -----------------------------------------------------------
-// Pinned byte-for-byte: outer frame = len u32 | crc32c(payload) u32 |
+// Pinned byte-for-byte: every message is len u32 | crc32c(payload) u32 |
 // payload, payload = kind u8 | body. A codec change that shifts any byte
-// is a cross-process protocol break and must show up here.
+// is a cross-process protocol break: it must show up here, and it must
+// bump kReplicationWireVersion.
 
 std::vector<uint8_t> frame_of(const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> out;
@@ -161,7 +170,9 @@ std::vector<uint8_t> frame_of(const std::vector<uint8_t>& payload) {
 TEST(SocketTransportWire, SubscribeGolden) {
   std::vector<uint8_t> got;
   encode_subscribe_msg(got, 0x01020304u);
-  EXPECT_EQ(got, frame_of({0x04, 0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(got, frame_of({0x05, 0x04, 0x03, 0x02, 0x01,  // kind | id
+                           0x01}));                       // wire version
+  EXPECT_EQ(kReplicationWireVersion, 1u);
 }
 
 TEST(SocketTransportWire, CursorGolden) {
@@ -171,7 +182,7 @@ TEST(SocketTransportWire, CursorGolden) {
   c.need_snapshot = true;
   std::vector<uint8_t> got;
   encode_cursor_msg(got, c);
-  EXPECT_EQ(got, frame_of({0x02,                                      // kind
+  EXPECT_EQ(got, frame_of({0x03,                                      // kind
                            2, 0, 0, 0, 0, 0, 0, 0,                    // epoch
                            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02,  //
                            0x01,                                      // version
@@ -181,14 +192,41 @@ TEST(SocketTransportWire, CursorGolden) {
 TEST(SocketTransportWire, HeartbeatGolden) {
   std::vector<uint8_t> got;
   encode_heartbeat_msg(got, 0xabcdull);
-  EXPECT_EQ(got, frame_of({0x03, 0xcd, 0xab, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(got, frame_of({0x04, 0xcd, 0xab, 0, 0, 0, 0, 0, 0}));
 }
 
-TEST(SocketTransportWire, ShipGoldenCarriesBodyVerbatim) {
-  const std::vector<uint8_t> body{0x01, 0x02, 0x03};
-  std::vector<uint8_t> got;
-  encode_ship_msg(got, raw_ship(body));
-  EXPECT_EQ(got, frame_of({0x01, 0x01, 0x02, 0x03}));
+// A record frame as the peer's socket receives it: the ShipFrame bytes
+// verbatim — one header, one CRC, 17 framing bytes before the WAL record
+// payload.
+TEST(SocketTransportWire, RecordFrameOnTheSocketGolden) {
+  const ShipFrame rf = make_record_frame(/*epoch=*/5, tiny_record(7));
+  SockPair sp;
+  {
+    SocketTransport t(sp.transport_end);
+    t.send_frame(rf);
+    ASSERT_FALSE(t.peer_gone());
+  }
+  std::vector<uint8_t> got(256);
+  ssize_t r = 0;
+  size_t have = 0;
+  while ((r = recv(sp.feed_end, got.data() + have, got.size() - have, 0)) > 0)
+    have += size_t(r);
+  got.resize(have);
+  const std::vector<uint8_t> golden{
+      0x2c, 0x00, 0x00, 0x00,                          // payload_len = 44
+      0x2a, 0x72, 0xdc, 0x68,                          // crc32c(payload)
+      0x02,                                            // kind: record
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // epoch
+      0x01,                                            // WAL record: kBatch
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // version
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // checksum
+      0x00, 0x00, 0x00, 0x00,                          // |input_deleted|
+      0x01, 0x00, 0x00, 0x00,                          // |input_inserted|
+      0x00, 0x00, 0x00, 0x00,                          // |diff_removed|
+      0x01, 0x00, 0x00, 0x00,                          // |diff_inserted|
+      0x01, 0x01};                                     // edge (0,1) twice
+  EXPECT_EQ(got, golden);
+  EXPECT_EQ(got, rf.bytes);
 }
 
 // --- Healthy delivery -------------------------------------------------------
@@ -202,12 +240,12 @@ TEST(SocketTransport, DeliversARecordedSessionExactly) {
   size_t cursors = 0;
   uint64_t last_hb = 0;
   const auto deadline = Clock::now() + 2s;
-  while ((ships < r.ship_bodies.size() || cursors < r.cursors.size()) &&
+  while ((ships < r.ship_frames.size() || cursors < r.cursors.size()) &&
          Clock::now() < deadline) {
     t.poll();
     while (auto f = t.recv_frame()) {
-      ASSERT_LT(ships, r.ship_bodies.size());
-      EXPECT_EQ(f->bytes, r.ship_bodies[ships]);
+      ASSERT_LT(ships, r.ship_frames.size());
+      EXPECT_EQ(f->bytes, r.ship_frames[ships]);
       ++ships;
     }
     while (auto c = t.recv_cursor()) {
@@ -217,7 +255,7 @@ TEST(SocketTransport, DeliversARecordedSessionExactly) {
     }
     last_hb = t.last_heartbeat_epoch();
   }
-  EXPECT_EQ(ships, r.ship_bodies.size());
+  EXPECT_EQ(ships, r.ship_frames.size());
   EXPECT_EQ(cursors, r.cursors.size());
   EXPECT_EQ(last_hb, r.heartbeat_epochs.back());
   EXPECT_FALSE(t.peer_gone());
@@ -265,7 +303,9 @@ TEST(SocketTransport, NonReadingPeerNeverBlocksSenderAndTripsTheCap) {
   cfg.max_buffered_bytes = 32u << 10;
   SockPair sp;  // feed_end never reads — the stopped follower
   SocketTransport t(sp.transport_end, cfg);
-  ShipFrame big = raw_ship(std::vector<uint8_t>(4096, 0xab));
+  WalRecord rec = tiny_record(1);
+  for (VertexId v = 2; v < 4096; ++v) rec.input_inserted.push_back(edge_key(0, v));
+  const ShipFrame big = make_record_frame(/*epoch=*/1, rec);
   const auto t0 = Clock::now();
   int sends = 0;
   while (!t.peer_gone() && sends < 100000) {
@@ -277,6 +317,62 @@ TEST(SocketTransport, NonReadingPeerNeverBlocksSenderAndTripsTheCap) {
   // would mean unbounded staging.
   EXPECT_LT(sends, 1000);
   EXPECT_LT(Clock::now() - t0, 10s) << "sender blocked on a dead peer";
+}
+
+// --- Subscribe handshake: version refusal ----------------------------------
+// A subscribe whose wire version (or body length) is not this build's is
+// closed before it becomes a transport: mismatched builds never exchange a
+// ship frame.
+
+// Dials the listener and sends one hand-built first frame. Returns the
+// follower id the listener adopted the connection under, or nullopt when
+// the listener closed it instead.
+std::optional<uint32_t> handshake(ReplicationListener& listener,
+                                  const std::vector<uint8_t>& payload) {
+  const int fd = net::tcp_connect("127.0.0.1", listener.port(),
+                                  /*nonblocking=*/true);
+  EXPECT_GE(fd, 0);
+  const std::vector<uint8_t> wire = frame_of(payload);
+  EXPECT_TRUE(net::send_all(fd, wire.data(), wire.size()));
+  std::optional<uint32_t> adopted;
+  bool closed = false;
+  const auto deadline = Clock::now() + 5s;
+  while (!adopted && !closed && Clock::now() < deadline) {
+    listener.poll();
+    for (const auto& a : listener.take_accepted()) adopted = a.follower_id;
+    uint8_t b = 0;
+    const ssize_t r = recv(fd, &b, 1, 0);
+    closed = r == 0 || (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+    if (!adopted && !closed) std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_TRUE(adopted || closed) << "handshake neither adopted nor closed";
+  listener.poll();
+  EXPECT_TRUE(listener.take_accepted().empty());
+  ::close(fd);
+  return adopted;
+}
+
+std::vector<uint8_t> subscribe_payload(uint32_t id, bool with_version,
+                                       uint8_t version) {
+  std::vector<uint8_t> p{static_cast<uint8_t>(WireKind::kSubscribe)};
+  put_le32(p, id);
+  if (with_version) p.push_back(version);
+  return p;
+}
+
+TEST(SocketTransport, ListenerAdmitsOnlyThisWireVersion) {
+  ReplicationListener listener;
+  ASSERT_TRUE(listener.start("127.0.0.1", 0));
+  const uint8_t other = kReplicationWireVersion + 1;
+  EXPECT_EQ(handshake(listener, subscribe_payload(4, true, other)),
+            std::nullopt)
+      << "another wire version";
+  EXPECT_EQ(handshake(listener, subscribe_payload(4, false, 0)), std::nullopt)
+      << "the versionless 4-byte body";
+  EXPECT_EQ(handshake(listener,
+                      subscribe_payload(4, true, kReplicationWireVersion)),
+            std::optional<uint32_t>(4));
+  listener.stop();
 }
 
 // --- End-to-end over real TCP ----------------------------------------------
