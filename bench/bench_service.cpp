@@ -12,9 +12,11 @@
 // snapshot, so on a multi-core host it scales with cores).
 //
 // BM_SnapshotPublish / BM_SnapshotReexport: the cost of producing the next
-// version incrementally (diff merge + CSR rebuild) vs re-exporting
-// spanner_edges() and rebuilding from scratch — the trade the incremental
-// path exists for.
+// version incrementally (the checked patch of SpannerSnapshot::apply) vs
+// re-exporting spanner_edges() and rebuilding from scratch — the trade the
+// incremental path exists for. BM_SnapshotPublishUltra replays 1024-update
+// UltraSparseSpanner diffs instead, which touch most vertices and so take
+// apply's flat-rewrite path on every publish.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "core/fully_dynamic_spanner.hpp"
+#include "core/ultra.hpp"
 #include "graph/generators.hpp"
 #include "service/spanner_service.hpp"
 
@@ -163,6 +166,34 @@ void BM_SnapshotPublish(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SnapshotPublish)->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotPublishUltra(benchmark::State& state) {
+  // The perfbench tenants fixture, one tenant: m = 8n, 1024-update batches.
+  const size_t batch = kTiny ? 128 : 1024;
+  auto [initial, batches] =
+      gen_mixed_stream(kN, 8 * kN, batch, kNumBatches, 19);
+  UltraConfig cfg;
+  cfg.seed = 3;
+  UltraSparseSpanner sp(kN, initial, cfg);
+  auto snap =
+      SpannerSnapshot::initial(kN, sp.spanner_edges(), sp.stretch_bound());
+  std::vector<SpannerDiff> diffs;
+  for (auto& b : batches) diffs.push_back(sp.update(b.insertions, b.deletions));
+  size_t published = 0, flat = 0;
+  for (auto _ : state) {
+    auto cur = snap;
+    for (auto& d : diffs) {
+      cur = SpannerSnapshot::apply(*cur, d);
+      benchmark::DoNotOptimize(cur->checksum());
+      flat += cur->flat();
+      ++published;
+    }
+  }
+  state.SetItemsProcessed(int64_t(published));
+  state.counters["flat_share"] = double(flat) / double(published);
+}
+
+BENCHMARK(BM_SnapshotPublishUltra)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotReexport(benchmark::State& state) {
   // The alternative the incremental path replaces: export the full spanner

@@ -69,6 +69,7 @@ bool ShardDurability::open_segment(uint64_t base_version) {
   wopts.interval = opts_.fsync_interval;
   wal_ = std::make_unique<WalWriter>(*fs_, dir_ + "/" + wal_file_name(base_version),
                                      base_version, wopts);
+  publish_durable_version();
   if (wal_->failed()) {
     failed_ = true;
     return false;
@@ -114,7 +115,9 @@ bool ShardDurability::log_record(const WalRecord& rec) {
   // not lie. With sticky failure it simply stays consistent in memory.
   graph_.fold(rec, n_);
   if (failed_) return false;
-  if (!wal_->append(rec)) {
+  const bool ok = wal_->append(rec);
+  publish_durable_version();  // the append may have synced
+  if (!ok) {
     failed_ = true;
     return false;
   }
@@ -152,6 +155,7 @@ bool ShardDurability::checkpoint_now(uint64_t version,
     failed_ = true;
     return false;
   }
+  publish_durable_version();
   DurableState ckpt;
   ckpt.version = version;
   ckpt.n = n_;
@@ -186,10 +190,10 @@ void ShardDurability::gc_old_files() {
       fs_->remove(dir_ + "/" + name);
 }
 
-uint64_t ShardDurability::durable_version() const {
+void ShardDurability::publish_durable_version() {
   uint64_t v = last_ckpt_version_;
   if (wal_ != nullptr) v = std::max(v, wal_->synced_version());
-  return v;
+  durable_version_.store(v, std::memory_order_release);
 }
 
 std::optional<ShardDurability::Recovered> ShardDurability::recover(

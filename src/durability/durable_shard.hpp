@@ -27,6 +27,7 @@
 // files never confuse recovery.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -144,8 +145,12 @@ class ShardDurability {
   bool failed() const { return failed_; }
 
   /// Highest version guaranteed durable: covered by a synced WAL frame or
-  /// a committed checkpoint. The crash sweep's recovery lower bound.
-  uint64_t durable_version() const;
+  /// a committed checkpoint. The crash sweep's recovery lower bound. Safe
+  /// to read from any thread while the writer logs: it is one atomic the
+  /// writer stores after each append, sync, checkpoint and rotation.
+  uint64_t durable_version() const {
+    return durable_version_.load(std::memory_order_acquire);
+  }
 
   uint64_t records_logged() const { return records_logged_; }
 
@@ -162,6 +167,7 @@ class ShardDurability {
 
   bool checkpoint_due() const;
   bool open_segment(uint64_t base_version);
+  void publish_durable_version();
   void gc_old_files();
 
   std::shared_ptr<Fs> fs_;
@@ -176,6 +182,7 @@ class ShardDurability {
   uint64_t records_since_ckpt_ = 0;
   uint64_t records_logged_ = 0;
   std::vector<uint64_t> ckpt_versions_;  // committed, ascending
+  std::atomic<uint64_t> durable_version_{0};
 };
 
 }  // namespace parspan

@@ -238,7 +238,8 @@ void append_response(std::vector<uint8_t>& out, uint32_t seq, Status status,
   uint8_t* payload = out.data() + at + kFrameHeaderSize;
   store_le32(payload, seq);
   payload[4] = static_cast<uint8_t>(status);
-  std::memcpy(payload + 5, body, body_len);
+  // An empty body may be a null pointer, which memcpy must never see.
+  if (body_len != 0) std::memcpy(payload + 5, body, body_len);
   seal_frame(out.data() + at, 5 + body_len);
 }
 

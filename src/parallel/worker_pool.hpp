@@ -24,9 +24,11 @@
 // kRunning → kIdle), with one extra state kRunningDirty for "notified while
 // running": the drain function may miss work that arrived after it snapped
 // the slot's queue, so a notify landing mid-run re-queues the slot when the
-// run finishes instead of being dropped. The drain function's return value
-// ("I left work behind") re-queues the same way, so a bounded drain can
-// yield between rounds without stranding its slot.
+// run finishes instead of being dropped. A slot stays kQueued until its
+// task actually starts: a notify before then is a no-op, because the drain
+// has not looked at its queue yet and will see the new work. The drain
+// function's return value ("I left work behind") re-queues the same way,
+// so a bounded drain can yield between rounds without stranding its slot.
 //
 // stop() (also run by the destructor) marks the pool stopped, drops queued
 // slots, and waits until every submitted drain task has finished touching
@@ -108,7 +110,6 @@ class WorkerPool {
     while (!stopped_ && inflight_ < cap_ && !ready_.empty()) {
       size_t slot = ready_.front();
       ready_.pop_front();
-      state_[slot] = kRunning;
       ++inflight_;
       Scheduler::instance().submit([this, slot] { run_slot(slot); },
                                    /*affinity=*/int(slot));
@@ -120,6 +121,7 @@ class WorkerPool {
     {
       std::lock_guard<std::mutex> lk(mu_);
       alive = !stopped_;
+      state_[slot] = kRunning;  // notifies from here on may find work missed
     }
     bool more = alive && drain_(slot);
     std::lock_guard<std::mutex> lk(mu_);

@@ -200,6 +200,13 @@ class BatchQueue {
     return pending_.empty();
   }
 
+  /// True while some submitted ticket (an empty batch's too) has not been
+  /// taken by a drain.
+  bool undrained() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return last_ticket_ != last_drained_ticket_;
+  }
+
   size_t pending_keys() const {
     std::lock_guard<std::mutex> lk(mu_);
     return pending_.size();

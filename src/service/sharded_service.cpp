@@ -454,7 +454,12 @@ void ShardedSpannerService::flush_async(
     done(versions());
     return;
   }
-  for (size_t s : needs) pool_->notify(s);
+  // Wake only shards whose queue still holds batches. A drained queue means
+  // the target ticket is in a running drain, which publishes and fires this
+  // waiter under barrier_mu_; notifying it would only schedule an empty
+  // drain. Paused queues with demand are undrained, so they are notified.
+  for (size_t s : needs)
+    if (shards_[s]->queue.undrained()) pool_->notify(s);
 }
 
 VersionVector ShardedSpannerService::flush() {

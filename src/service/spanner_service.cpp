@@ -18,7 +18,7 @@ SpannerService::ApplyResult SpannerService::apply(
   std::vector<EdgeKey> add = diff_side_keys(r.diff.inserted);
   std::vector<EdgeKey> rem = diff_side_keys(r.diff.removed);
   // Patch the previous version with the net diff instead of re-exporting
-  // the spanner: untouched neighbor lists are memcpy'd, touched ones
+  // the spanner: untouched neighbor lists are shared with it, touched ones
   // merged, the checksum moved in O(|diff|) (DESIGN.md §8.2). The store
   // holds the only writer-side reference, so acquire() here is the
   // previous publish.

@@ -5,9 +5,9 @@
 //  * ONE writer thread calls apply(insertions, deletions). Each call runs
 //    the backend's (internally parallel) batch update, patches the
 //    previous snapshot with the returned net SpannerDiff
-//    (SpannerSnapshot::apply — O(|diff|) merge work plus a memcpy of the
-//    untouched lists, no re-export), and publishes the new version
-//    through the SnapshotStore.
+//    (SpannerSnapshot::apply — merge work on the touched lists, which
+//    the new version shares the untouched ones with; no re-export), and
+//    publishes the new version through the SnapshotStore.
 //  * ANY number of reader threads call snapshot() and answer has_edge /
 //    neighbors / distance / edges queries against the pinned, immutable
 //    version — fully overlapped with the writer's next batch.

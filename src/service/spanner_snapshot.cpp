@@ -1,6 +1,8 @@
 #include "service/spanner_snapshot.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 
 #include "container/flat_map.hpp"
 #include "parallel/csr.hpp"
@@ -52,7 +54,27 @@ bool side_arcs(std::span<const EdgeKey> keys, uint64_t n, bool adding,
   return true;
 }
 
+// Room for a flat rewrite's writes before a rejection (`slack` past the
+// live arcs), and for the patches after it up to twice the live arcs —
+// span offsets are 32-bit.
+size_t arena_capacity(size_t live, size_t slack) {
+  return std::max(live + slack, std::min<size_t>(2 * live, UINT32_MAX));
+}
+
 }  // namespace
+
+// Versions only read the arena prefix they reference. apply() claims the
+// region past its predecessor's prefix by moving `end` from that prefix, so
+// a second diff applied to the same predecessor finds the region taken and
+// rewrites flat instead of overwriting lists another version reads.
+struct SpannerSnapshot::Arena {
+  explicit Arena(size_t capacity)
+      : arcs(std::make_unique_for_overwrite<VertexId[]>(capacity)),
+        capacity(capacity) {}
+  std::unique_ptr<VertexId[]> arcs;
+  const size_t capacity;
+  std::atomic<size_t> end{0};  // first arc no version references
+};
 
 uint64_t snapshot_content_checksum(uint64_t n, uint32_t stretch,
                                    uint64_t version,
@@ -73,8 +95,15 @@ SpannerSnapshot::Ptr SpannerSnapshot::restore(size_t n, uint32_t stretch,
   snap->stretch_ = stretch;
   snap->n_ = n;
   CsrGraph csr = csr_build_from_keys(n, keys);
-  snap->offsets_ = std::move(csr.offsets);
-  snap->nbr_ = std::move(csr.nbr);
+  const size_t live = csr.nbr.size();
+  snap->arena_ = std::make_shared<Arena>(arena_capacity(live, 0));
+  snap->arena_->end = live;
+  snap->arcs_ = snap->arena_->arcs.get();
+  std::copy(csr.nbr.begin(), csr.nbr.end(), snap->arena_->arcs.get());
+  snap->spans_.resize(n);
+  for (VertexId v = 0; v < n; ++v)
+    snap->spans_[v] = {csr.offsets[v], csr.degree(v)};
+  snap->live_arcs_ = snap->held_arcs_ = live;
   snap->seal(key_sum_of(keys));
   return snap;
 }
@@ -100,67 +129,120 @@ SpannerSnapshot::Ptr SpannerSnapshot::apply(const SpannerSnapshot& prev,
       !side_arcs(rem, n, false, &sum, &rems))
     return nullptr;
 
+  // The next touched vertex: the smallest source among the pending arcs.
+  auto touched = [&](size_t ia, size_t ir) {
+    return std::min(ia < adds.size() ? arc_src(adds[ia]) : kNoVertex,
+                    ir < rems.size() ? arc_src(rems[ir]) : kNoVertex);
+  };
+  // What the merge may write: every touched vertex's old list plus its
+  // insertions. A valid diff writes exactly that minus the removals.
+  size_t bound = adds.size();
+  for (size_t ia = 0, ir = 0; ia < adds.size() || ir < rems.size();) {
+    const VertexId v = touched(ia, ir);
+    bound += prev.spans_[v].size;
+    while (ia < adds.size() && arc_src(adds[ia]) == v) ++ia;
+    while (ir < rems.size() && arc_src(rems[ir]) == v) ++ir;
+  }
+  if (bound < rems.size()) return nullptr;  // more removals than arcs
+  const size_t room = bound - rems.size();
+  const size_t live = prev.live_arcs_ + adds.size() - rems.size();
+  // Flat rewrite when the arena would hold more than twice the live arcs,
+  // or when the touched lists are half of them anyway (copying the rest
+  // then costs no more than the merge): memory stays <= 2 x live, and the
+  // rewrite's O(live) copy amortizes over the patches that filled it. A
+  // patch reserves the merge's worst case before a rejection, `bound`
+  // arcs past prev's prefix, so nothing it writes can land on a list some
+  // version reads.
+  Arena& shared = *prev.arena_;
+  const size_t start = prev.held_arcs_;
+  bool flat = start + room > 2 * live || 2 * room >= live ||
+              start + bound > shared.capacity;
+  size_t expected = start;
+  if (!flat && !shared.end.compare_exchange_strong(expected, start + bound))
+    flat = true;  // a diff applied to prev earlier owns the region
+
   auto snap = std::shared_ptr<SpannerSnapshot>(new SpannerSnapshot());
   snap->version_ = prev.version_ + 1;
   snap->stretch_ = prev.stretch_;
   snap->n_ = n;
-  snap->offsets_.resize(n + 1);
-  // Appended to, never zero-filled first: every arc is written once. The
-  // capacity covers every insertion before any removal, so nothing below
-  // reallocates.
-  std::vector<VertexId>& out = snap->nbr_;
-  out.reserve(prev.nbr_.size() + adds.size());
-  const uint32_t* off = prev.offsets_.data();
-  const VertexId* old = prev.nbr_.data();
-  uint32_t* noff = snap->offsets_.data();
+  snap->flat_ = flat;
+  snap->arena_ = flat ? std::make_shared<Arena>(
+                             arena_capacity(live, rems.size()))
+                       : prev.arena_;
+  snap->spans_ = flat ? std::vector<Span>(n) : prev.spans_;
+  // Written in place, never zero-filled first: every arc is written once.
+  VertexId* const out = snap->arena_->arcs.get();
+  size_t at = flat ? 0 : start;  // next arc to write
+  const VertexId* old = prev.arcs_;
+  const Span* old_spans = prev.spans_.data();
+  Span* spans = snap->spans_.data();
   VertexId next = 0;  // first vertex not yet written
+  auto reject = [&]() -> Ptr {
+    if (!flat) shared.end.store(start);  // hand the region back
+    return nullptr;
+  };
 
-  // Untouched vertices [next, end): one memcpy of their lists, offsets
-  // shifted by the net arc change so far (modular: the result fits).
+  // Untouched vertices [next, end): shared with prev on a patch; on a flat
+  // rewrite, copied with one copy per run of lists adjacent in prev.
   auto copy_run = [&](VertexId end) {
-    const uint32_t shift = uint32_t(out.size()) - off[next];
-    for (VertexId u = next; u < end; ++u) noff[u] = off[u] + shift;
-    out.insert(out.end(), old + off[next], old + off[end]);
+    if (!flat) return;
+    for (VertexId u = next; u < end;) {
+      const uint32_t from = old_spans[u].begin;
+      const size_t run_at = at;
+      for (; u < end && old_spans[u].begin == from + (at - run_at); ++u) {
+        spans[u] = {uint32_t(at), old_spans[u].size};
+        at += old_spans[u].size;
+      }
+      std::copy(old + from, old + from + (at - run_at), out + run_at);
+    }
   };
 
   size_t ia = 0, ir = 0;
   while (ia < adds.size() || ir < rems.size()) {
-    const VertexId v = std::min(
-        ia < adds.size() ? arc_src(adds[ia]) : kNoVertex,
-        ir < rems.size() ? arc_src(rems[ir]) : kNoVertex);
+    const VertexId v = touched(ia, ir);
     copy_run(v);
-    noff[v] = uint32_t(out.size());
+    const size_t list_at = at;
     // Three-pointer merge of v's old list with its removals and
     // insertions. Every pending arc has src >= v, so a pending arc below
     // (v, x) belongs to v.
-    for (uint32_t i = off[v]; i < off[v + 1]; ++i) {
-      const uint64_t here = uint64_t(v) << 32 | old[i];
+    const Span was = old_spans[v];
+    for (VertexId x : std::span(old + was.begin, was.size)) {
+      const uint64_t here = uint64_t(v) << 32 | x;
       if (ir < rems.size() && rems[ir] == here) {
         ++ir;
         continue;
       }
-      if (ir < rems.size() && rems[ir] < here) return nullptr;  // absent
+      if (ir < rems.size() && rems[ir] < here) return reject();  // absent
       while (ia < adds.size() && adds[ia] < here)
-        out.push_back(arc_dst(adds[ia++]));
-      if (ia < adds.size() && adds[ia] == here) return nullptr;  // present
-      out.push_back(old[i]);
+        out[at++] = arc_dst(adds[ia++]);
+      if (ia < adds.size() && adds[ia] == here) return reject();  // present
+      out[at++] = x;
     }
     while (ia < adds.size() && arc_src(adds[ia]) == v)
-      out.push_back(arc_dst(adds[ia++]));
-    if (ir < rems.size() && arc_src(rems[ir]) == v) return nullptr;  // absent
+      out[at++] = arc_dst(adds[ia++]);
+    if (ir < rems.size() && arc_src(rems[ir]) == v) return reject();  // absent
+    spans[v] = {uint32_t(list_at), uint32_t(at - list_at)};
     next = v + 1;
   }
   copy_run(VertexId(n));
-  noff[n] = uint32_t(out.size());
+
+  snap->arena_->end.store(at);
+  snap->arcs_ = out;
+  snap->live_arcs_ = live;
+  snap->held_arcs_ = at;
   snap->seal(sum);
   return snap;
 }
 
 bool SpannerSnapshot::has_edge(VertexId u, VertexId v) const {
   if (u == v || u >= n_ || v >= n_) return false;
-  if (degree(u) > degree(v)) std::swap(u, v);
-  auto nbrs = neighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
+  // Both spans are loaded before the shorter list is chosen: on random
+  // queries that choice mispredicts often, and it must not delay the loads.
+  const Span su = spans_[u], sv = spans_[v];
+  const bool flip = su.size > sv.size;
+  const Span s = flip ? sv : su;
+  const VertexId* first = arcs_ + s.begin;
+  return std::binary_search(first, first + s.size, flip ? u : v);
 }
 
 std::vector<EdgeKey> SpannerSnapshot::edge_keys() const {
@@ -210,11 +292,17 @@ uint32_t SpannerSnapshot::distance(VertexId u, VertexId v,
 }
 
 bool SpannerSnapshot::consistent() const {
-  if (offsets_.size() != n_ + 1 || offsets_[0] != 0 ||
-      offsets_[n_] != nbr_.size() || nbr_.size() % 2 != 0)
+  if (spans_.size() != n_ || arena_ == nullptr ||
+      arcs_ != arena_->arcs.get() || held_arcs_ > arena_->capacity ||
+      held_arcs_ > 2 * live_arcs_ || live_arcs_ % 2 != 0)
     return false;
-  for (VertexId v = 0; v < n_; ++v)
-    if (offsets_[v] > offsets_[v + 1]) return false;
+  // Every list lies inside the arena prefix this version references.
+  size_t live = 0;
+  for (const Span& s : spans_) {
+    if (uint64_t(s.begin) + s.size > held_arcs_) return false;
+    live += s.size;
+  }
+  if (live != live_arcs_) return false;
   for (VertexId v = 0; v < n_; ++v) {
     auto nbrs = neighbors(v);
     for (size_t i = 0; i < nbrs.size(); ++i) {
@@ -225,7 +313,7 @@ bool SpannerSnapshot::consistent() const {
     }
   }
   const std::vector<EdgeKey> keys = edge_keys();
-  return 2 * keys.size() == nbr_.size() &&
+  return 2 * keys.size() == live_arcs_ &&
          key_sum_ == key_sum_of(keys) &&
          checksum_ == snapshot_content_checksum(n_, stretch_, version_, keys);
 }

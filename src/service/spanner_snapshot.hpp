@@ -1,23 +1,30 @@
 // SpannerSnapshot: one immutable, versioned view of the maintained spanner
 // — the unit the serving layer publishes (DESIGN.md §8).
 //
-// A snapshot owns its whole representation — one flat symmetric CSR
-// adjacency (offsets + ascending neighbor lists) and a content checksum —
-// so any number of reader threads may query one concurrently with no
-// synchronization, and a reader that pinned version v keeps a fully valid
-// view while the writer publishes v+1, v+2, ... — immutability is what
-// makes the concurrent serving layer race-free by construction.
+// A snapshot is a per-vertex table of neighbor spans into an arc arena
+// shared with neighboring versions, plus a content checksum. Each span is
+// one contiguous, strictly ascending neighbor list, and nothing a version
+// can reach is ever written again, so any number of reader threads may
+// query one concurrently with no synchronization, and a reader that pinned
+// version v keeps a fully valid view while the writer publishes v+1, v+2,
+// ... — immutability is what makes the concurrent serving layer race-free
+// by construction.
 //
-// Snapshots are built *incrementally*: version v+1 patches version v's
-// arrays with the batch's net diff in one checked pass (apply). The pass
-// sorts the diff's 2·|diff| arcs, memcpys each run of untouched vertices'
-// neighbor lists, merges only the touched vertices, and moves the checksum
-// in O(|diff|) — the checksum is an order-independent multiset hash, so it
-// never needs a walk over the whole spanner. The deterministic key-sorted
-// diff contract of DESIGN.md §6 is what makes this replay well-defined;
-// the pass *checks* it (inserted keys absent, removed keys present, both
-// sides strictly ascending and in range) because the same function folds
-// logged and shipped diffs, which are data, not invariants.
+// Snapshots are built *incrementally*: version v+1 patches version v with
+// the batch's net diff in one checked pass (apply). The pass sorts the
+// diff's 2·|diff| arcs, merges only the touched vertices' lists into the
+// arena region past everything v references, points every untouched vertex
+// at v's storage, and moves the checksum in O(|diff|) — the checksum is an
+// order-independent multiset hash, so it never needs a walk over the whole
+// spanner. When the arena would hold more than twice the live arcs, or the
+// diff touches at least half of them, the pass writes every list into a
+// fresh arena instead, so memory stays within 2× the spanner and the
+// publish cost stays proportional to the lists the diff touches
+// (amortized), plus one copy of the span table. The deterministic
+// key-sorted diff contract of DESIGN.md §6 is what makes this replay
+// well-defined; the pass *checks* it (inserted keys absent, removed keys
+// present, both sides strictly ascending and in range) because the same
+// function folds logged and shipped diffs, which are data, not invariants.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +65,14 @@ class SpannerSnapshot {
                      uint32_t stretch);
 
   /// Version prev.version()+1: prev patched with `rem` removed, then `add`
-  /// inserted, in one checked pass of O(n + |spanner|) memcpy plus
-  /// O(|diff| log |diff|) merge work (DESIGN.md §8.2). nullptr when the
-  /// diff violates the §6 contract: a side not strictly ascending, a key
-  /// out of range or a self-loop, a removed key absent from prev, or an
-  /// inserted key present after the removals. This is the one publish
-  /// path — the writer, the follower and the recovery fold pass every
-  /// diff through it.
+  /// inserted, in one checked pass: O(|diff| log |diff|) sort, a merge of
+  /// the touched vertices' lists and a copy of the span table — or, when
+  /// the size rule calls for a flat rewrite, a copy of every list
+  /// (DESIGN.md §8.2). nullptr when the diff violates the §6 contract: a
+  /// side not strictly ascending, a key out of range or a self-loop, a
+  /// removed key absent from prev, or an inserted key present after the
+  /// removals. This is the one publish path — the writer, the follower and
+  /// the recovery fold pass every diff through it.
   static Ptr apply(const SpannerSnapshot& prev, std::span<const EdgeKey> add,
                    std::span<const EdgeKey> rem);
 
@@ -81,7 +89,7 @@ class SpannerSnapshot {
   uint64_t version() const { return version_; }
   uint32_t stretch() const { return stretch_; }
   size_t num_vertices() const { return n_; }
-  size_t num_edges() const { return nbr_.size() / 2; }
+  size_t num_edges() const { return live_arcs_ / 2; }
 
   /// True iff {u, v} is a spanner edge: binary search in the ascending
   /// neighbor list of the smaller-degree endpoint, O(log deg).
@@ -93,11 +101,9 @@ class SpannerSnapshot {
   /// shared_ptr).
   std::span<const VertexId> neighbors(VertexId v) const {
     if (v >= n_) return {};
-    return {nbr_.data() + offsets_[v], nbr_.data() + offsets_[v + 1]};
+    return {arcs_ + spans_[v].begin, spans_[v].size};
   }
-  size_t degree(VertexId v) const {
-    return v < n_ ? offsets_[v + 1] - offsets_[v] : 0;
-  }
+  size_t degree(VertexId v) const { return v < n_ ? spans_[v].size : 0; }
 
   /// Sorted canonical keys of the spanner edge set, derived by one O(n +
   /// |spanner|) walk of the adjacency (checkpoints, recovery rebase and
@@ -128,10 +134,20 @@ class SpannerSnapshot {
   /// built (the torn-publish oracle of the concurrency tests).
   uint64_t checksum() const { return checksum_; }
 
-  /// Full structural audit, O(spanner log deg): offsets monotone over n
-  /// vertices; every neighbor list strictly ascending, in range, free of
-  /// self-loops and symmetric; the arc count twice num_edges(); and the
-  /// checksum recomputed from scratch. For tests and debug readers.
+  /// Arcs of the shared arena this version references: its live lists
+  /// plus the superseded ones written since the last flat rewrite. At most
+  /// twice the live arcs.
+  size_t held_arcs() const { return held_arcs_; }
+
+  /// True when this version wrote all its lists itself (restore or flat
+  /// rewrite) instead of sharing untouched ones with its predecessor.
+  bool flat() const { return flat_; }
+
+  /// Full structural audit, O(spanner log deg): every list inside the arena
+  /// prefix this version references, held_arcs() <= 2 · live arcs; every
+  /// neighbor list strictly ascending, in range, free of self-loops and
+  /// symmetric; the arc count twice num_edges(); and the checksum
+  /// recomputed from scratch. For tests and debug readers.
   bool consistent() const;
 
  private:
@@ -141,12 +157,26 @@ class SpannerSnapshot {
   /// and derives the checksum from it.
   void seal(uint64_t key_sum);
 
+  // One vertex's neighbor list: `size` ascending ids at arcs_ + begin.
+  // 8 bytes, copied per vertex on every publish.
+  struct Span {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+  };
+  // Arc storage shared by the versions since the last flat rewrite; each
+  // writes its touched lists past everything its predecessor references.
+  struct Arena;
+
   uint64_t version_ = 0;
   uint32_t stretch_ = 0;
   size_t n_ = 0;
-  std::vector<uint32_t> offsets_;  // n + 1
-  std::vector<VertexId> nbr_;      // symmetric, ascending per vertex
-  uint64_t key_sum_ = 0;           // Σ splitmix64(key) mod 2^64
+  std::shared_ptr<Arena> arena_;
+  const VertexId* arcs_ = nullptr;  // the arena's arcs
+  std::vector<Span> spans_;         // n; symmetric, ascending per vertex
+  size_t live_arcs_ = 0;            // Σ span sizes = 2 · num_edges()
+  size_t held_arcs_ = 0;            // arena prefix this version references
+  bool flat_ = true;
+  uint64_t key_sum_ = 0;            // Σ splitmix64(key) mod 2^64
   uint64_t checksum_ = 0;
 };
 

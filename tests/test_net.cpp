@@ -100,6 +100,25 @@ TEST(NetProtocol, ResponseGoldenBytes) {
   EXPECT_EQ(retry, want_retry);
 }
 
+// An empty kOk body (a bare acknowledgement) round-trips: the encoder
+// copies no bytes from the body's possibly-null data pointer, and the
+// decoder hands back an empty view. Kept clean under UBSan's null-memcpy
+// check.
+TEST(NetProtocol, EmptyBodyResponseRoundTrips) {
+  std::vector<uint8_t> out;
+  net::append_ok(out, 12, {});
+  ASSERT_EQ(out.size(), kFrameHeaderSize + 5);
+  FrameView fv;
+  ASSERT_EQ(parse_frame(out.data(), out.size(), kMaxFramePayload, &fv),
+            FrameParse::kOk);
+  EXPECT_EQ(fv.consumed, out.size());
+  net::Response r;
+  ASSERT_TRUE(net::decode_response(fv.payload, fv.len, &r));
+  EXPECT_EQ(r.seq, 12u);
+  EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.body_len, 0u);
+}
+
 TEST(NetProtocol, RequestRoundTripsEveryOp) {
   const std::vector<EdgeKey> ins = {Edge(1, 2).key(), Edge(5, 9).key()};
   const std::vector<EdgeKey> del = {Edge(3, 4).key()};

@@ -960,6 +960,36 @@ TEST(Sharded, FlushAsyncBarrierAndPinByVersionVector) {
   EXPECT_FALSE(svc->try_view_at_least(wrong_shape).has_value());
 }
 
+// A closed submit-then-flush loop schedules one drain per round. flush()
+// wakes only queues that still hold batches (a drained queue's ticket is
+// in a running drain, which fires the barrier), and a notify that lands
+// before a submitted drain starts is covered by that drain — neither may
+// queue a second, empty drain behind the first. One residual race stays:
+// a flush that checks the queue in the instant between a drain task's
+// start and its snapshot still wakes it; that costs a few rounds in a
+// thousand, so the bound allows a handful out of 100. Before the fix,
+// almost every round scheduled two drains.
+TEST(Sharded, SubmitFlushLoopSchedulesOneDrainPerRound) {
+  const int saved = num_workers();
+  set_num_workers(1);  // the backend's loops run inline: drains are the
+                       // only tasks
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 2;
+  auto svc = ShardedSpannerService::single_graph(256, {}, 1, cfg, {});
+  Scheduler& sched = Scheduler::instance();
+  constexpr uint32_t kRounds = 100;
+  const uint64_t before = sched.tasks_spawned();
+  for (uint32_t r = 0; r < kRounds; ++r) {
+    svc->submit({Edge(2 * r, 2 * r + 1)}, {});
+    svc->flush();
+  }
+  const uint64_t drains = sched.tasks_spawned() - before;
+  EXPECT_GE(drains, kRounds);
+  EXPECT_LE(drains, kRounds + kRounds / 10);
+  EXPECT_EQ(svc->versions().v[0], kRounds);
+  set_num_workers(saved);
+}
+
 // durability_failed() is the replication/ops health probe: false without
 // durability, false while the WAL is healthy, and sticky-true after a
 // shard's WAL append fails — while the service itself keeps serving reads

@@ -1,10 +1,13 @@
 // Snapshot patch-publish tests (DESIGN.md §8.2): every version built by
 // SpannerSnapshot::apply's checked patch equals a from-scratch build of
 // its own key set, on both backends at 1 and 4 workers; every §6
-// violation is rejected — by the patch itself, by a follower (counted
-// reject, then resync) and by recovery (replay stops at the record); and
-// readers that pin version v keep a valid view while v+1, v+2, ... are
-// patched from v's arrays.
+// violation is rejected — by the patch itself (on fresh, patched and
+// freshly rewritten versions), by a follower (counted reject, then resync)
+// and by recovery (replay stops at the record); versions that share their
+// untouched lists with their predecessors stay valid along a long chain of
+// patches and flat rewrites, with the arena holding at most twice the
+// live arcs; and readers that pin version v keep a valid view while v+1,
+// v+2, ... are patched from v's storage.
 //
 // Carries the concurrency label: the CI sanitizer jobs run the pinned-
 // reader test with real worker threads.
@@ -13,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "parallel/csr.hpp"
 #include "parallel/parallel_for.hpp"
 #include "replication/follower.hpp"
+#include "util/rng.hpp"
 #include "service/spanner_service.hpp"
 
 namespace parspan {
@@ -164,6 +169,220 @@ TEST(SnapshotChecks, ApplyRejectsEverySection6Violation) {
   ASSERT_NE(same, nullptr);
   EXPECT_EQ(same->edge_keys(), kBase);
   EXPECT_EQ(same->checksum(), snapshot_content_checksum(kN, 3, 8, kBase));
+}
+
+// --- Shared storage along a chain of patches --------------------------------
+
+// A random strictly ascending diff against `present`: up to `ins` absent
+// keys inserted and `del` present keys removed, over vertices [0, n).
+struct KeyDiff {
+  std::vector<EdgeKey> add, rem;
+};
+
+KeyDiff random_diff(const std::set<EdgeKey>& present, size_t n, size_t ins,
+                    size_t del, Rng& rng) {
+  std::set<EdgeKey> add, rem;
+  std::vector<EdgeKey> have(present.begin(), present.end());
+  for (size_t i = 0; i < del && !have.empty(); ++i)
+    rem.insert(have[rng.next_below(have.size())]);
+  for (size_t i = 0; i < ins; ++i) {
+    const VertexId u = VertexId(rng.next_below(n));
+    const VertexId v = VertexId(rng.next_below(n));
+    if (u != v && !present.contains(edge_key(u, v)))
+      add.insert(edge_key(u, v));
+  }
+  return {{add.begin(), add.end()}, {rem.begin(), rem.end()}};
+}
+
+// The §6 violations of ApplyRejectsEverySection6Violation, built against
+// whatever `prev` holds: each must return nullptr and leave prev as it was.
+void expect_rejections_leave_prev_intact(const SpannerSnapshot& prev) {
+  const std::vector<EdgeKey> keys = prev.edge_keys();
+  ASSERT_GE(keys.size(), 2u);
+  const size_t n = prev.num_vertices();
+  EdgeKey absent = kNoEdge, absent2 = kNoEdge;
+  for (VertexId u = 0; u < n && absent2 == kNoEdge; ++u)
+    for (VertexId v = u + 1; v < n && absent2 == kNoEdge; ++v)
+      if (!std::binary_search(keys.begin(), keys.end(), edge_key(u, v)))
+        (absent == kNoEdge ? absent : absent2) = edge_key(u, v);
+  ASSERT_NE(absent2, kNoEdge);
+  using Keys = std::vector<EdgeKey>;
+  const struct {
+    const char* what;
+    Keys add, rem;
+  } cases[] = {
+      {"unsorted side", {absent2, absent}, {}},
+      {"out-of-range key", {absent, edge_key(0, VertexId(n))}, {}},
+      {"absent removal", {absent2}, {keys[0], absent}},
+      {"present insertion", {absent, keys.back()}, {keys[0]}},
+  };
+  const uint64_t checksum = prev.checksum();
+  for (const auto& c : cases)
+    EXPECT_EQ(SpannerSnapshot::apply(prev, c.add, c.rem), nullptr)
+        << c.what << " at version " << prev.version();
+  EXPECT_TRUE(prev.consistent());
+  EXPECT_EQ(prev.checksum(), checksum);
+  EXPECT_EQ(prev.edge_keys(), keys);
+}
+
+TEST(SnapshotSharing, PinnedChainSurvivesPatchesAndFlatRewrites) {
+  const size_t n = 64;
+  Rng rng(41);
+  std::set<EdgeKey> present;
+  for (const KeyDiff& d = random_diff({}, n, 400, 0, rng); EdgeKey k : d.add)
+    present.insert(k);
+  std::vector<SpannerSnapshot::Ptr> chain = {SpannerSnapshot::restore(
+      n, 3, 0, std::vector<EdgeKey>(present.begin(), present.end()))};
+  std::vector<std::vector<EdgeKey>> want = {chain[0]->edge_keys()};
+  std::vector<uint64_t> checksums = {chain[0]->checksum()};
+  size_t rewrites = 0, after_rewrite = 0;
+  for (size_t i = 0; i < 150; ++i) {
+    const SpannerSnapshot& prev = *chain.back();
+    // Depth 0, every patched version and every flat rewrite: the checks
+    // hold wherever prev's lists live.
+    expect_rejections_leave_prev_intact(prev);
+    if (i > 0 && chain[i - 1]->flat() && !prev.flat()) ++after_rewrite;
+    const KeyDiff d = random_diff(present, n, 3, 3, rng);
+    auto next = SpannerSnapshot::apply(prev, d.add, d.rem);
+    ASSERT_NE(next, nullptr) << "patch " << i;
+    for (EdgeKey k : d.rem) present.erase(k);
+    for (EdgeKey k : d.add) present.insert(k);
+    EXPECT_LE(next->held_arcs(), 2 * 2 * next->num_edges()) << "patch " << i;
+    if (next->flat()) ++rewrites;
+    want.emplace_back(present.begin(), present.end());
+    checksums.push_back(next->checksum());
+    chain.push_back(std::move(next));
+  }
+  // Deletions only: the bound follows the live arcs down.
+  for (size_t i = 0; i < 60; ++i) {
+    const KeyDiff d = random_diff(present, n, 0, 4, rng);
+    auto next = SpannerSnapshot::apply(*chain.back(), d.add, d.rem);
+    ASSERT_NE(next, nullptr) << "deletion " << i;
+    for (EdgeKey k : d.rem) present.erase(k);
+    EXPECT_LE(next->held_arcs(), 2 * 2 * next->num_edges()) << "deletion " << i;
+    want.emplace_back(present.begin(), present.end());
+    checksums.push_back(next->checksum());
+    chain.push_back(std::move(next));
+  }
+  EXPECT_GE(rewrites, 2u);
+  EXPECT_GE(after_rewrite, 2u);
+  // Every version is still pinned: later patches and rewrites left each
+  // one's lists and checksum exactly as published.
+  for (size_t v = 0; v < chain.size(); ++v) {
+    SCOPED_TRACE(v);
+    ASSERT_TRUE(chain[v]->consistent());
+    EXPECT_EQ(chain[v]->checksum(), checksums[v]);
+    EXPECT_EQ(chain[v]->edge_keys(), want[v]);
+    expect_matches_scratch_build(*chain[v]);
+  }
+}
+
+TEST(SnapshotSharing, TwoDiffsOnOnePrevYieldIndependentVersions) {
+  const size_t n = 48;
+  Rng rng(43);
+  std::set<EdgeKey> present;
+  for (const KeyDiff& d = random_diff({}, n, 300, 0, rng); EdgeKey k : d.add)
+    present.insert(k);
+  auto base = SpannerSnapshot::restore(
+      n, 3, 0, std::vector<EdgeKey>(present.begin(), present.end()));
+  // A few patches first, so both branches share storage with prev.
+  for (int i = 0; i < 3; ++i) {
+    const KeyDiff d = random_diff(present, n, 2, 2, rng);
+    base = SpannerSnapshot::apply(*base, d.add, d.rem);
+    ASSERT_NE(base, nullptr);
+    for (EdgeKey k : d.rem) present.erase(k);
+    for (EdgeKey k : d.add) present.insert(k);
+  }
+  ASSERT_FALSE(base->flat());
+  const std::vector<EdgeKey> base_keys = base->edge_keys();
+  std::set<EdgeKey> left = present, right = present;
+  SpannerSnapshot::Ptr a = base, b = base;
+  for (int i = 0; i < 4; ++i) {
+    const KeyDiff da = random_diff(left, n, 3, 3, rng);
+    const KeyDiff db = random_diff(right, n, 3, 3, rng);
+    a = SpannerSnapshot::apply(*a, da.add, da.rem);
+    b = SpannerSnapshot::apply(*b, db.add, db.rem);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    if (i == 0) {
+      // The first branch patches into the storage past base; the second
+      // finds that region taken and rewrites flat.
+      EXPECT_FALSE(a->flat());
+      EXPECT_TRUE(b->flat());
+    }
+    for (EdgeKey k : da.rem) left.erase(k);
+    for (EdgeKey k : da.add) left.insert(k);
+    for (EdgeKey k : db.rem) right.erase(k);
+    for (EdgeKey k : db.add) right.insert(k);
+  }
+  ASSERT_NE(left, right);
+  EXPECT_EQ(a->version(), b->version());
+  expect_matches_scratch_build(*a);
+  expect_matches_scratch_build(*b);
+  EXPECT_EQ(a->edge_keys(), std::vector<EdgeKey>(left.begin(), left.end()));
+  EXPECT_EQ(b->edge_keys(), std::vector<EdgeKey>(right.begin(), right.end()));
+  EXPECT_NE(a->checksum(), b->checksum());
+  expect_matches_scratch_build(*base);
+  EXPECT_EQ(base->edge_keys(), base_keys);
+}
+
+TEST(SnapshotSharing, DiffTouchingMostVerticesTakesTheFlatPath) {
+  const size_t n = 64;
+  Rng rng(47);
+  std::set<EdgeKey> present;
+  for (const KeyDiff& d = random_diff({}, n, 500, 0, rng); EdgeKey k : d.add)
+    present.insert(k);
+  auto snap = SpannerSnapshot::restore(
+      n, 3, 0, std::vector<EdgeKey>(present.begin(), present.end()));
+  const KeyDiff small = random_diff(present, n, 2, 2, rng);
+  snap = SpannerSnapshot::apply(*snap, small.add, small.rem);
+  ASSERT_NE(snap, nullptr);
+  ASSERT_FALSE(snap->flat());  // a patch: untouched lists shared
+  for (EdgeKey k : small.rem) present.erase(k);
+  for (EdgeKey k : small.add) present.insert(k);
+
+  // An insertion at every even vertex.
+  std::vector<EdgeKey> add;
+  for (VertexId u = 0; u < n; u += 2)
+    for (VertexId v = u + 1; v < n; v += 2)
+      if (!present.contains(edge_key(u, v))) {
+        add.push_back(edge_key(u, v));
+        break;
+      }
+  ASSERT_GE(add.size(), n / 2 - 2);
+  std::sort(add.begin(), add.end());
+  auto flat = SpannerSnapshot::apply(*snap, add, {});
+  ASSERT_NE(flat, nullptr);
+  EXPECT_TRUE(flat->flat());
+  EXPECT_EQ(flat->held_arcs(), 2 * flat->num_edges());
+  expect_matches_scratch_build(*flat);
+  expect_matches_scratch_build(*snap);
+  // The flat path checks the same contract: a present key at the end of a
+  // diff this large still rejects it.
+  add.push_back(*present.rbegin());
+  std::sort(add.begin(), add.end());
+  EXPECT_EQ(SpannerSnapshot::apply(*snap, add, {}), nullptr);
+  expect_matches_scratch_build(*snap);
+
+  // Straight after a rewrite the arena has room for a patch as large as
+  // the live arcs. A diff whose touched lists hold most of them still goes
+  // flat: one removal at each vertex of a matching over ~70% of them.
+  std::vector<EdgeKey> rem;
+  std::vector<bool> matched(n, false);
+  for (EdgeKey k : present) {
+    auto [u, v] = edge_endpoints(k);
+    if (v < 44 && !matched[u] && !matched[v]) {
+      matched[u] = matched[v] = true;
+      rem.push_back(k);
+    }
+  }
+  ASSERT_GE(rem.size(), 18u);
+  auto fresh = SpannerSnapshot::restore(
+      n, 3, 0, std::vector<EdgeKey>(present.begin(), present.end()));
+  auto trimmed = SpannerSnapshot::apply(*fresh, {}, rem);
+  ASSERT_NE(trimmed, nullptr);
+  EXPECT_TRUE(trimmed->flat());
+  expect_matches_scratch_build(*trimmed);
 }
 
 DurableState base_state(uint64_t version) {
