@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs the perf-gating Google Benchmark binaries and records JSON results at
 # the repo root, seeding the perf trajectory tracked across PRs:
-#   BENCH_spanner.json     — spanner construction + churn + update throughput
+#   BENCH_spanner.json     — spanner construction + churn + update
+#                            throughput, plus the skewed-degree deletion
+#                            streams that price the ES tree's flat in-lists
 #   BENCH_primitives.json  — scan / sort / pack substrate microbenchmarks
 #   BENCH_scheduler.json   — work-stealing scheduler: fork-join task
 #                            overhead vs the serial floor, steal
@@ -61,7 +63,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 echo "== spanner benches =="
 "$build_dir/bench_cluster_churn" \
   --benchmark_format=json \
-  --benchmark_filter='BM_ClusterConstruct' \
+  --benchmark_filter='BM_ClusterConstruct|BM_ClusterDecrementalSkewed' \
   --benchmark_min_time=2 \
   >"$tmpdir/bench_cluster_construct.tmp.json"
 "$build_dir/bench_spanner_updates" \

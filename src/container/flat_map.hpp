@@ -12,8 +12,8 @@
 // empty sentinel (it is already the kNoVertex / kNoEdge sentinel of
 // util/types.hpp, so no valid vertex or edge key collides with it).
 //
-// Not thread-safe: batch phases either own a table exclusively or use the
-// concurrent tables of concurrent_map.hpp.
+// Not thread-safe: a parallel phase touches a table only from the one task
+// that owns it (e.g. the per-vertex InterCluster tables).
 #pragma once
 
 #include <algorithm>

@@ -88,18 +88,15 @@ DecrementalClusterSpanner::DecrementalClusterSpanner(
 
   // --- Build the arc table from the pre-canonicalized keys. ---
   // Keys arrive sorted ascending and unique (delegating ctor or the caller's
-  // merge-as-sort); the index build is a lock-free parallel fill with no
-  // hash-node allocation per edge.
+  // merge-as-sort), so edges_ is its own index (delete_edges binary-searches
+  // it).
   const std::vector<EdgeKey>& keys = sorted_keys;
   assert(std::is_sorted(keys.begin(), keys.end()));
   assert(std::adjacent_find(keys.begin(), keys.end()) == keys.end());
   assert(keys.empty() || keys.back() != kNoEdge);
   edges_.resize(keys.size());
-  edge_index_.rebuild(keys.size());
-  parallel_for(0, keys.size(), [&](size_t i) {
-    edges_[i] = edge_from_key(keys[i]);
-    edge_index_.insert(keys[i], i);
-  });
+  parallel_for(0, keys.size(),
+               [&](size_t i) { edges_[i] = edge_from_key(keys[i]); });
   alive_.assign(edges_.size(), 1);
   alive_count_ = edges_.size();
 
@@ -363,9 +360,10 @@ SpannerDiff DecrementalClusterSpanner::delete_edges(std::span<const Edge> batch)
   // pre-batch cluster values. ---
   ArenaVector<uint32_t> arc_ids;
   for (const Edge& e : batch) {
-    auto idx = edge_index_.find(e.key());
-    if (!idx || !alive_[*idx]) continue;
-    uint32_t i = uint32_t(*idx);
+    auto it = std::lower_bound(edges_.begin(), edges_.end(), e);
+    if (it == edges_.end() || *it != e) continue;
+    uint32_t i = uint32_t(it - edges_.begin());
+    if (!alive_[i]) continue;
     alive_[i] = 0;
     --alive_count_;
     arc_ids.push_back(2 * i);

@@ -57,7 +57,6 @@
 #include <span>
 #include <vector>
 
-#include "container/concurrent_map.hpp"
 #include "container/flat_map.hpp"
 #include "core/es_tree.hpp"
 #include "parallel/arena.hpp"
@@ -204,12 +203,10 @@ class DecrementalClusterSpanner {
   std::vector<uint32_t> du_;        // integer parts of delta
   std::vector<uint32_t> priority_;  // fraction ranks, 1..n
 
+  /// Ascending by key and fixed at construction (deletion only flips
+  /// alive_), so an edge's index is a binary search over it.
   std::vector<Edge> edges_;  // arc ids 2i (u->v), 2i+1 (v->u)
   std::vector<uint8_t> alive_;
-  /// EdgeKey -> index into edges_. Keys are fixed at construction (deletion
-  /// only flips alive_), so the lock-free fixed-capacity table applies; it
-  /// is also what lets construction insert the dedup index in parallel.
-  ConcurrentFixedMap edge_index_;
   size_t alive_count_ = 0;
 
   ESTree es_;

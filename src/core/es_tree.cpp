@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <functional>
+#include <tuple>
 
 #include "parallel/csr.hpp"
 #include "parallel/parallel_for.hpp"
@@ -46,27 +48,28 @@ void ESTree::init(size_t n,
     out_offsets_ = std::move(out.offsets);
     out_arcs_ = std::move(out.items);
   }
-  // In-lists: group arcs by destination, then bulk-build each treap from
-  // its key-sorted slice in O(size) instead of O(size log size) pointer-
-  // chasing inserts. Trees are independent, so the build runs per-vertex
-  // in parallel.
+  // In-lists: group arcs by destination, then sort each slice by
+  // descending key. Slices are disjoint, so the sort runs per-vertex in
+  // parallel.
   {
     GroupedIndices by_dst = group_by_key(n, dsts);
-    in_.assign(n, {});
     std::vector<std::pair<uint64_t, uint32_t>> entries(num_arcs);
     parallel_for(0, num_arcs, [&](size_t j) {
       uint32_t a = by_dst.items[j];
       entries[j] = {arcs_[a].key, a};
     });
-    parallel_for(
-        0, n,
-        [&](size_t v) {
-          uint32_t lo = by_dst.offsets[v], hi = by_dst.offsets[v + 1];
-          if (lo == hi) return;
-          std::sort(entries.begin() + lo, entries.begin() + hi);
-          in_[v].build_sorted(entries.data() + lo, hi - lo);
-        });
-    counters_.treap_ops += num_arcs;
+    in_off_ = std::move(by_dst.offsets);
+    in_len_.resize(n);
+    in_key_.resize(num_arcs);
+    in_arc_ = std::move(by_dst.items);
+    parallel_for(0, n, [&](size_t v) {
+      uint32_t lo = in_off_[v], hi = in_off_[v + 1];
+      in_len_[v] = hi - lo;
+      std::sort(entries.begin() + lo, entries.begin() + hi, std::greater<>());
+      for (uint32_t j = lo; j < hi; ++j)
+        std::tie(in_key_[j], in_arc_[j]) = entries[j];
+    });
+    counters_.list_ops += num_arcs;
   }
 
   // Bounded BFS from the source over the CSR out-slices (Lemma 3.2).
@@ -102,15 +105,18 @@ void ESTree::init(size_t n,
 int32_t ESTree::next_with(VertexId v, uint64_t from_key) {
   int32_t found = kNoArc;
   uint32_t want = dist_[v] - 1;
+  const uint32_t* ids = in_arc_.data() + in_off_[v];
+  uint32_t len = in_len_[v];
+  uint32_t j = slot_at_or_below(v, from_key);
   uint64_t steps = 0;
-  in_[v].for_each_desc_from(from_key, [&](uint64_t /*key*/, uint32_t& a) {
+  for (; j < len; ++j) {
     ++steps;
+    uint32_t a = ids[j];
     if (arcs_[a].valid && dist_[arcs_[a].src] == want) {
       found = static_cast<int32_t>(a);
-      return false;
+      break;
     }
-    return true;
-  });
+  }
   // next_with runs inside parallel loops (Algorithm 1's per-phase scans,
   // the cluster cascade's phase A), where the shared counter add must be
   // atomic; serial callers skip the RMW. The sum is order-independent
@@ -122,6 +128,13 @@ int32_t ESTree::next_with(VertexId v, uint64_t from_key) {
     counters_.scan_steps += steps;
   }
   return found;
+}
+
+uint32_t ESTree::slot_at_or_below(VertexId v, uint64_t key) const {
+  const uint64_t* keys = in_key_.data() + in_off_[v];
+  return uint32_t(
+      std::lower_bound(keys, keys + in_len_[v], key, std::greater<>()) -
+      keys);
 }
 
 void ESTree::note_parent_change(VertexId v) {
@@ -138,10 +151,12 @@ ESTree::DeletionReport ESTree::delete_arcs(std::span<const uint32_t> arc_ids) {
 
   // --- Step 1: remove all the arcs from the data structures. ---
   // Batched: invalidate serially (dedups repeated ids), then group the
-  // doomed arcs by destination — distinct destinations own independent
-  // in-trees, so the treap erases run as a parallel loop over groups. The
-  // orphan list is compiled serially in (dst, arc) order afterwards, which
-  // keeps every downstream queue fill deterministic across thread counts.
+  // doomed arcs by destination — distinct destinations own disjoint
+  // slices, so the erases run as a parallel loop over groups. Each group
+  // binary-searches its arcs' slots, then compacts its slice in one pass
+  // from the first slot. The orphan list is compiled serially in (dst, arc)
+  // order afterwards, which keeps every downstream queue fill deterministic
+  // across thread counts.
   std::vector<std::pair<VertexId, uint32_t>> doomed;
   doomed.reserve(arc_ids.size());
   for (uint32_t a : arc_ids) {
@@ -155,18 +170,33 @@ ESTree::DeletionReport ESTree::delete_arcs(std::span<const uint32_t> arc_ids) {
     if (i == 0 || doomed[i].first != doomed[i - 1].first)
       group_start.push_back(i);
   group_start.push_back(doomed.size());
-  size_t num_groups = group_start.empty() ? 0 : group_start.size() - 1;
+  size_t num_groups = group_start.size() - 1;
   std::vector<uint8_t> lost_parent(num_groups, 0);
-  parallel_for(
-      0, num_groups,
-      [&](size_t g) {
-        for (size_t i = group_start[g]; i < group_start[g + 1]; ++i) {
-          auto [dst, a] = doomed[i];
-          in_[dst].erase(arcs_[a].key);
-          if (parent_arc_[dst] == int32_t(a)) lost_parent[g] = 1;
-        }
-      });
-  counters_.treap_ops += doomed.size();
+  std::vector<uint32_t> slots(doomed.size());
+  parallel_for(0, num_groups, [&](size_t g) {
+    size_t lo = group_start[g], hi = group_start[g + 1];
+    VertexId dst = doomed[lo].first;
+    for (size_t i = lo; i < hi; ++i) {
+      uint32_t a = doomed[i].second;
+      slots[i] = slot_at_or_below(dst, arcs_[a].key);
+      assert(in_arc_[in_off_[dst] + slots[i]] == a);
+      if (parent_arc_[dst] == int32_t(a)) lost_parent[g] = 1;
+    }
+    std::sort(slots.begin() + lo, slots.begin() + hi);
+    uint64_t* keys = in_key_.data() + in_off_[dst];
+    uint32_t* ids = in_arc_.data() + in_off_[dst];
+    uint32_t len = in_len_[dst];
+    uint32_t w = slots[lo];
+    for (size_t i = lo; i < hi; ++i) {
+      uint32_t r0 = slots[i] + 1;
+      uint32_t r1 = i + 1 < hi ? slots[i + 1] : len;
+      std::copy(keys + r0, keys + r1, keys + w);
+      std::copy(ids + r0, ids + r1, ids + w);
+      w += r1 - r0;
+    }
+    in_len_[dst] = w;
+  });
+  counters_.list_ops += doomed.size();
   std::vector<VertexId> orphaned;  // tree-arc destinations
   for (size_t g = 0; g < num_groups; ++g) {
     if (!lost_parent[g]) continue;
@@ -304,11 +334,27 @@ bool ESTree::update_arc_priority(uint32_t a, uint64_t new_key) {
   // only move toward smaller keys (paper §3.3); keys may move upward past
   // the scan pointer only for destinations whose distance changed in the
   // current batch — those are rescanned from the head by the cluster layer.
+  // The entry moves from slot i to slot j; only the entries in between
+  // shift by one, so the work is the distance moved.
   bool was_parent = parent_arc_[arc.dst] == int32_t(a);
-  in_[arc.dst].erase(arc.key);
+  uint64_t* keys = in_key_.data() + in_off_[arc.dst];
+  uint32_t* ids = in_arc_.data() + in_off_[arc.dst];
+  uint32_t i = slot_at_or_below(arc.dst, arc.key);
+  uint32_t j = slot_at_or_below(arc.dst, new_key);
+  assert(ids[i] == a);
+  if (j > i) {
+    // Downward: slot i is vacated, so the new slot is one before j.
+    --j;
+    std::copy(keys + i + 1, keys + j + 1, keys + i);
+    std::copy(ids + i + 1, ids + j + 1, ids + i);
+  } else {
+    std::copy_backward(keys + j, keys + i, keys + i + 1);
+    std::copy_backward(ids + j, ids + i, ids + i + 1);
+  }
+  keys[j] = new_key;
+  ids[j] = a;
   arc.key = new_key;
-  in_[arc.dst].insert(new_key, a);
-  counters_.treap_ops += 2;
+  ++counters_.list_ops;
   return was_parent;
 }
 
@@ -336,6 +382,21 @@ bool ESTree::rescan_from_head(VertexId v) {
 
 bool ESTree::check_invariants() const {
   size_t n = dist_.size();
+  // In-lists: each slice is strictly descending, its keys are the arcs'
+  // current keys, and it holds exactly v's valid in-arcs (all entries are
+  // valid arcs into v and their number equals v's valid in-degree).
+  std::vector<uint32_t> valid_in(n, 0);
+  for (const Arc& arc : arcs_)
+    if (arc.valid) ++valid_in[arc.dst];
+  for (VertexId v = 0; v < n; ++v) {
+    uint32_t off = in_off_[v], len = in_len_[v];
+    if (len != valid_in[v] || off + len > in_off_[v + 1]) return false;
+    for (uint32_t j = off; j < off + len; ++j) {
+      const Arc& arc = arcs_[in_arc_[j]];
+      if (!arc.valid || arc.dst != v || arc.key != in_key_[j]) return false;
+      if (j > off && in_key_[j - 1] <= in_key_[j]) return false;
+    }
+  }
   // Recompute distances with a bounded BFS over valid arcs.
   std::vector<uint32_t> ref(n, L_ + 1);
   ref[source_] = 0;
@@ -365,15 +426,10 @@ bool ESTree::check_invariants() const {
     if (dist_[arc.src] + 1 != dist_[v]) return false;
     if (arc.key != scan_key_[v]) return false;
     // A1: no valid parent candidate with a key above the scan pointer.
-    bool bad = false;
-    const_cast<CountedTreap<uint32_t>&>(in_[v]).for_each_desc(
-        [&](uint64_t key, uint32_t& aid) {
-          if (key <= scan_key_[v]) return false;
-          if (arcs_[aid].valid && dist_[arcs_[aid].src] + 1 == dist_[v])
-            bad = true;
-          return !bad;
-        });
-    if (bad) return false;
+    for (uint32_t j = in_off_[v]; j < in_off_[v] + in_len_[v]; ++j) {
+      if (in_key_[j] <= scan_key_[v]) break;
+      if (dist_[arcs_[in_arc_[j]].src] + 1 == dist_[v]) return false;
+    }
   }
   return true;
 }

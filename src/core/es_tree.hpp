@@ -4,7 +4,10 @@
 //
 // Every vertex v with 1 <= Dist(v) <= L maintains a pointer Scan(v) into its
 // in-arc list In(v), which is ordered by decreasing priority key (Lemma
-// 3.1's priority list, realized as a CountedTreap — see DESIGN.md §1).
+// 3.1's priority list). Each In(v) is one slice of a single CSR over all
+// arcs, kept strictly descending by key: arcs are never added after init
+// and a priority update keeps the count, so a slice never outgrows its
+// initial in-degree (DESIGN.md §1).
 //
 //   Invariant A1: Scan(v) points to the first (highest-key) in-arc whose
 //                 source has distance Dist(v) - 1; that arc is v's parent.
@@ -19,13 +22,15 @@
 // candidates only decrease (paper §3.3), so arcs only ever *leave* the
 // skipped prefix; when Dist(v) changes the pointer resets to the head.
 //
-// Work/depth: O(L log n) amortized work per deleted arc and O(L) phases per
-// batch (each phase is a parallel loop over U), matching Theorem 1.2 with
-// phases as the depth proxy. Batch arc removal is also parallel: doomed
-// arcs are grouped by destination (distinct destinations own independent
-// in-trees) and the treap erases fan out over groups, with the orphan list
-// compiled serially in (dst, arc) order so every downstream queue fill is
-// thread-count independent (DESIGN.md §6.3).
+// Work/depth: O(L log n) amortized work per deleted arc for the scans and
+// O(L) phases per batch (each phase is a parallel loop over U), matching
+// Theorem 1.2 with phases as the depth proxy. Erasing from or moving within
+// a flat slice shifts entries, so one list edit costs O(|In(v)|) in the
+// worst case, against O(log |In(v)|) for Lemma 3.1's tree. Batch arc
+// removal is parallel: doomed arcs are grouped by destination (distinct
+// destinations own disjoint slices) and each slice is compacted once per
+// batch, with the orphan list compiled serially in (dst, arc) order so every
+// downstream queue fill is thread-count independent (DESIGN.md §6.3).
 //
 // Thread safety: calls into one ESTree must be serialized; the structure
 // parallelizes internally. Work counters are accumulated with atomic adds
@@ -38,7 +43,6 @@
 #include <span>
 #include <vector>
 
-#include "container/counted_treap.hpp"
 #include "util/types.hpp"
 
 namespace parspan {
@@ -46,7 +50,7 @@ namespace parspan {
 /// Operation counters for validating the amortized work bounds empirically.
 struct ESWorkCounters {
   uint64_t scan_steps = 0;    // in-list entries examined by NextWith
-  uint64_t treap_ops = 0;     // insert/erase on In(v) trees
+  uint64_t list_ops = 0;      // entries placed, erased or moved in In(v)
   uint64_t queue_pushes = 0;  // insertions into the phase sets U
   uint64_t phases = 0;        // total non-empty phases across all batches
 
@@ -160,8 +164,9 @@ class ESTree {
   ESWorkCounters& counters() { return counters_; }
   const ESWorkCounters& counters() const { return counters_; }
 
-  /// Debug invariant check (A1 + distance correctness via BFS recompute).
-  /// Expensive; used by tests.
+  /// Debug invariant check: every In(v) slice is strictly descending and
+  /// holds exactly v's valid in-arcs under their current keys, distances
+  /// match a BFS recompute, and A1 holds. Expensive; used by tests.
   bool check_invariants() const;
 
  private:
@@ -172,8 +177,18 @@ class ESTree {
   /// Records v's original parent the first time it changes in this batch.
   void note_parent_change(VertexId v);
 
+  /// Index within In(v)'s slice of the first entry with key <= `key`
+  /// (the slice length if there is none).
+  uint32_t slot_at_or_below(VertexId v, uint64_t key) const;
+
   std::vector<Arc> arcs_;
-  std::vector<CountedTreap<uint32_t>> in_;  // key -> arc id
+  // In-lists: In(v) is in_key_/in_arc_[in_off_[v] .. in_off_[v]+in_len_[v]),
+  // strictly descending by key; the slice's tail up to in_off_[v+1] is slack
+  // left behind by erased arcs.
+  std::vector<uint32_t> in_off_;
+  std::vector<uint32_t> in_len_;
+  std::vector<uint64_t> in_key_;
+  std::vector<uint32_t> in_arc_;
   std::vector<uint32_t> out_offsets_;       // CSR offsets into out_arcs_
   std::vector<uint32_t> out_arcs_;          // arc ids grouped by source
   std::vector<uint32_t> dist_;

@@ -70,6 +70,18 @@ TEST(ClusterSpanner, DeleteAbsentAndDuplicate) {
   EXPECT_TRUE(diff2.inserted.empty());
   EXPECT_TRUE(diff2.removed.empty());
   EXPECT_TRUE(sp.check_invariants());
+  // The edge index is a binary search over the key-sorted edge array: a
+  // reversed orientation finds the edge, keys below the first edge and
+  // past the last one (the search runs off the end) find nothing.
+  EXPECT_EQ(sp.alive_edges(), 9u);
+  sp.delete_edges({{2, 1}});
+  EXPECT_EQ(sp.alive_edges(), 8u);
+  EXPECT_FALSE(sp.in_spanner({1, 2}));
+  auto diff3 = sp.delete_edges({{0, 0}, {9, 10}, {11, 12}});
+  EXPECT_TRUE(diff3.inserted.empty());
+  EXPECT_TRUE(diff3.removed.empty());
+  EXPECT_EQ(sp.alive_edges(), 8u);
+  EXPECT_TRUE(sp.check_invariants());
 }
 
 class ClusterSpannerRandom

@@ -2,9 +2,12 @@
 //
 // The main weapon is the randomized oracle test: delete random arc batches
 // and after each batch compare distances/tree validity against a
-// from-scratch bounded BFS (ESTree::check_invariants).
+// from-scratch bounded BFS (ESTree::check_invariants). A second oracle test
+// interleaves priority moves with the deletions, the way the clustering
+// layer drives the tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -160,6 +163,103 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(size_t{120}, size_t{300}, uint32_t{15}, uint64_t{7}),
         std::make_tuple(size_t{17}, size_t{40}, uint32_t{3}, uint64_t{8})));
 
+class ESTreePriorityMoves
+    : public ::testing::TestWithParam<
+          std::tuple<size_t, size_t, uint32_t, uint64_t>> {};
+
+// Random key moves (up, down, to the head and to the tail of In(dst)) mixed
+// with batched deletions. Each move that can break Invariant A1 is followed
+// by the repair the cluster layer makes: a parent moved down is rescanned
+// from its pointer; a parent moved up, or another arc moved above the
+// parent's key, is rescanned from the head.
+TEST_P(ESTreePriorityMoves, MovesAndDeletionsMatchBfsOracle) {
+  auto [n, m, L, seed] = GetParam();
+  auto edges = gen_erdos_renyi(n, m, seed);
+  Rng rng(seed ^ 0xbeef);
+  ArcBuild b;
+  b.add_undirected(edges);
+  // Keys start in a band far from both ends, so head/tail moves never
+  // leave the valid range.
+  constexpr uint64_t kBase = uint64_t{1} << 40;
+  std::vector<std::set<uint64_t>> in_keys(n);
+  for (size_t a = 0; a < b.arcs.size(); ++a) {
+    uint64_t k;
+    do {
+      k = kBase + rng.next_below(uint64_t{1} << 32);
+    } while (!in_keys[b.arcs[a].second].insert(k).second);
+    b.keys[a] = k;
+  }
+  ESTree t;
+  t.init(n, b.arcs, b.keys, 0, L);
+  ASSERT_TRUE(t.check_invariants());
+
+  std::vector<uint32_t> order(edges.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+
+  auto move_arc = [&](uint32_t a) {
+    const ESTree::Arc& arc = t.arc(a);
+    VertexId v = arc.dst;
+    std::set<uint64_t>& ks = in_keys[v];
+    uint64_t old_key = arc.key, new_key;
+    do {
+      switch (rng.next_below(4)) {
+        case 0:  // up, past a random number of entries
+          new_key = old_key + 1 + rng.next_below(uint64_t{1} << 31);
+          break;
+        case 1:  // down
+          new_key = old_key - 1 - rng.next_below(uint64_t{1} << 31);
+          break;
+        case 2:  // to the head
+          new_key = *ks.rbegin() + 1 + rng.next_below(4);
+          break;
+        default:  // to the tail
+          new_key = *ks.begin() - 1 - rng.next_below(4);
+      }
+    } while (ks.count(new_key));
+    int32_t parent = t.parent_arc(v);
+    uint64_t parent_key = parent == ESTree::kNoArc ? 0 : t.arc(parent).key;
+    ks.erase(old_key);
+    ks.insert(new_key);
+    bool was_parent = t.update_arc_priority(a, new_key);
+    ASSERT_EQ(was_parent, parent == int32_t(a));
+    if (was_parent && new_key < old_key)
+      t.rescan(v);
+    else if (parent != ESTree::kNoArc && new_key > parent_key)
+      t.rescan_from_head(v);
+  };
+
+  size_t batch = 1 + rng.next_below(8);
+  for (size_t lo = 0; lo < order.size(); lo += batch) {
+    size_t moves = rng.next_below(24);
+    for (size_t i = 0; i < moves; ++i) {
+      uint32_t a = uint32_t(rng.next_below(t.num_arcs()));
+      if (t.arc(a).valid) move_arc(a);
+    }
+    ASSERT_TRUE(t.check_invariants()) << "seed=" << seed << " moves at " << lo;
+    std::vector<uint32_t> doomed;
+    for (size_t i = lo; i < std::min(order.size(), lo + batch); ++i) {
+      for (uint32_t a : {2 * order[i], 2 * order[i] + 1}) {
+        doomed.push_back(a);
+        in_keys[t.arc(a).dst].erase(t.arc(a).key);
+      }
+    }
+    t.delete_arcs(doomed);
+    ASSERT_TRUE(t.check_invariants())
+        << "seed=" << seed << " deletions at " << lo;
+  }
+  for (VertexId v = 1; v < n; ++v) EXPECT_EQ(t.dist(v), L + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ESTreePriorityMoves,
+    ::testing::Values(
+        std::make_tuple(size_t{40}, size_t{160}, uint32_t{6}, uint64_t{11}),
+        std::make_tuple(size_t{60}, size_t{300}, uint32_t{12}, uint64_t{12}),
+        std::make_tuple(size_t{100}, size_t{250}, uint32_t{40}, uint64_t{13}),
+        std::make_tuple(size_t{25}, size_t{200}, uint32_t{3}, uint64_t{14})));
+
 TEST(ESTree, PriorityOrderDeterminesParent) {
   // Diamond: 0->1, 0->2, 1->3, 2->3. Parent of 3 should be the in-arc with
   // the larger key.
@@ -196,9 +296,9 @@ TEST(ESTree, WorkCountersAccumulate) {
   b.add_undirected(edges);
   ESTree t;
   t.init(100, b.arcs, b.keys, 0, 20);
-  auto before = t.counters().treap_ops;
+  auto before = t.counters().list_ops;
   t.delete_arcs({0, 1, 2, 3});
-  EXPECT_GT(t.counters().treap_ops, before);
+  EXPECT_GT(t.counters().list_ops, before);
 }
 
 TEST(ESTree, ChildCascadeDepth) {

@@ -513,13 +513,20 @@ TEST(SnapshotConcurrency, PinnedVersionsStayValidWhileLaterOnesArePatched) {
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> checks{0};
+  // The writer starts once every reader is inside its loop; a reader that
+  // got there finishes at least one audit, even if the writer is done by
+  // then. Without this, a fast writer on a loaded host could finish every
+  // batch before any reader ran.
+  std::atomic<int> ready{0};
   auto reader = [&] {
     // Hold a few versions at once, and audit each again after the writer
     // has moved on: a patch that wrote into its predecessor's arrays would
     // break the held version's from-scratch checksum.
     std::vector<SpannerSnapshot::Ptr> held;
     uint64_t last = 0;
+    bool first = true;
     while (!done.load(std::memory_order_acquire)) {
+      if (first) ready.fetch_add(1), first = false;
       SpannerSnapshot::Ptr s = svc->snapshot();
       ASSERT_GE(s->version(), last);
       last = s->version();
@@ -531,6 +538,7 @@ TEST(SnapshotConcurrency, PinnedVersionsStayValidWhileLaterOnesArePatched) {
   };
   std::vector<std::thread> readers;
   for (int i = 0; i < 3; ++i) readers.emplace_back(reader);
+  while (ready.load() < 3) std::this_thread::yield();
   for (const auto& b : batches) svc->apply(b.insertions, b.deletions);
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
