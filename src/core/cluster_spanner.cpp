@@ -226,7 +226,7 @@ DecrementalClusterSpanner::DecrementalClusterSpanner(
         VertexId c = scratch[j].first;
         size_t k = j;
         while (k < scratch.size() && scratch[k].first == c) ++k;
-        Group& g = groups_[x][c];
+        RepBucket<VertexId>& g = groups_[x][c];
         g.members.reserve(k - j);
         for (size_t idx = j; idx < k; ++idx)
           g.members.push_back(scratch[idx].second);
@@ -278,9 +278,9 @@ void DecrementalClusterSpanner::refresh_tree_contrib(VertexId v) {
 
 void DecrementalClusterSpanner::add_membership(VertexId x, VertexId c,
                                                VertexId other) {
-  Group* g = groups_[x].find(c);
+  RepBucket<VertexId>* g = groups_[x].find(c);
   if (g == nullptr) {
-    Group& ng = groups_[x][c];
+    RepBucket<VertexId>& ng = groups_[x][c];
     ng.members.push_back(other);
     ng.rep = other;
     if (c != cluster_[x]) add_contrib(edge_key(x, other));
@@ -292,7 +292,7 @@ void DecrementalClusterSpanner::add_membership(VertexId x, VertexId c,
 
 void DecrementalClusterSpanner::remove_membership(VertexId x, VertexId c,
                                                   VertexId other) {
-  Group* g = groups_[x].find(c);
+  RepBucket<VertexId>* g = groups_[x].find(c);
   assert(g != nullptr);
   if (g->erase_member(other)) {
     VertexId rep = g->rep;
@@ -324,9 +324,9 @@ void DecrementalClusterSpanner::apply_cluster_change(VertexId v, VertexId newc,
     // Eligibility flips for v's own groups: (v, oldc) becomes eligible,
     // (v, newc) becomes ineligible (still using cluster_[v] == oldc).
     auto& m = groups_[v];
-    Group* go = m.find(oldc);
+    RepBucket<VertexId>* go = m.find(oldc);
     if (go != nullptr) add_contrib(edge_key(v, go->rep));
-    Group* gn = m.find(newc);
+    RepBucket<VertexId>* gn = m.find(newc);
     if (gn != nullptr) remove_contrib(edge_key(v, gn->rep));
   }
   cluster_[v] = newc;
@@ -522,7 +522,7 @@ bool DecrementalClusterSpanner::check_invariants() const {
     for (VertexId v = 0; v < n_; ++v) {
       if (ref_groups[v].size() != groups_[v].size()) return false;
       bool ok = true;
-      groups_[v].for_each([&](VertexId c, const Group& g) {
+      groups_[v].for_each([&](VertexId c, const RepBucket<VertexId>& g) {
         auto it = ref_groups[v].find(c);
         if (it == ref_groups[v].end() ||
             it->second.size() != g.members.size()) {

@@ -50,14 +50,13 @@
 // 1.1 rebuilds disjoint partitions in parallel this way).
 #pragma once
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <vector>
 
 #include "container/flat_map.hpp"
+#include "container/next_level_edges.hpp"
 #include "core/es_tree.hpp"
 #include "parallel/arena.hpp"
 #include "util/rng.hpp"
@@ -215,27 +214,9 @@ class DecrementalClusterSpanner {
 
   /// InterCluster[(v, c)]: neighbors of v lying in cluster c, plus the
   /// designated representative (paper's hash table of hash tables; the
-  /// outer level is a flat open-addressing table — DESIGN.md §1). Members
-  /// are a small unordered vector (erase = swap-pop): group sizes are
-  /// degree-bounded and average 1-2 entries, where a linear scan beats any
-  /// hash structure and teardown is one vector free.
-  struct Group {
-    std::vector<VertexId> members;
-    VertexId rep = kNoVertex;
-
-    bool contains(VertexId m) const {
-      return std::find(members.begin(), members.end(), m) != members.end();
-    }
-    /// Removes m (must be present); returns true if the group emptied.
-    bool erase_member(VertexId m) {
-      auto it = std::find(members.begin(), members.end(), m);
-      assert(it != members.end());
-      *it = members.back();
-      members.pop_back();
-      return members.empty();
-    }
-  };
-  std::vector<FlatHashMap<VertexId, Group>> groups_;
+  /// outer level is a flat open-addressing table — DESIGN.md §1). Each
+  /// group is the RepBucket of container/next_level_edges.hpp.
+  std::vector<FlatHashMap<VertexId, RepBucket<VertexId>>> groups_;
 
   FlatHashMap<EdgeKey, uint32_t> contrib_;  // spanner refcounts
   DiffAccumulator batch_delta_;             // per-batch diff (DESIGN.md §6.4)

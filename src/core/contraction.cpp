@@ -53,7 +53,7 @@ ContractionLayer::ContractionLayer(size_t n, const std::vector<Edge>& edges,
     h_add(head_edge_[v]);
   }
   h_delta_.reset();
-  touched_pairs_.clear();
+  buckets_.forget_touched();
 }
 
 uint64_t ContractionLayer::fresh_entry_key(VertexId other) {
@@ -117,33 +117,6 @@ EdgeKey ContractionLayer::pair_key_of(uint32_t eid) const {
   return edge_key(next_id_[hu], next_id_[hv]);
 }
 
-void ContractionLayer::note_pair_touched(EdgeKey pk) {
-  if (touched_pairs_.contains(pk)) return;
-  Bucket* b = buckets_.find(pk);
-  touched_pairs_[pk] =
-      PairSnapshot{b != nullptr, b != nullptr ? b->rep : uint32_t(0)};
-}
-
-void ContractionLayer::bucket_add(uint32_t eid) {
-  EdgeKey pk = pair_key_of(eid);
-  if (pk == kNoEdge) return;
-  note_pair_touched(pk);
-  Bucket& b = buckets_[pk];
-  if (b.members.empty()) b.rep = eid;
-  b.members.push_back(eid);
-}
-
-void ContractionLayer::bucket_remove(uint32_t eid, EdgeKey pk) {
-  if (pk == kNoEdge) return;
-  note_pair_touched(pk);
-  Bucket* b = buckets_.find(pk);
-  assert(b != nullptr);
-  if (b->erase_member(eid))
-    buckets_.erase(pk);
-  else if (b->rep == eid)
-    b->rep = b->members[0];
-}
-
 void ContractionLayer::h_add(EdgeKey ek) {
   if (++h_contrib_[ek] == 1) h_delta_.add(ek);
 }
@@ -164,12 +137,14 @@ bool ContractionLayer::edge_in_bot(uint32_t eid) const {
 
 void ContractionLayer::attach(uint32_t eid) {
   if (edge_in_bot(eid)) h_add(edges_[eid].e.key());
-  bucket_add(eid);
+  EdgeKey pk = pair_key_of(eid);
+  if (pk != kNoEdge) buckets_.add(pk, eid);
 }
 
 void ContractionLayer::detach(uint32_t eid) {
   if (edge_in_bot(eid)) h_remove(edges_[eid].e.key());
-  bucket_remove(eid, pair_key_of(eid));
+  EdgeKey pk = pair_key_of(eid);
+  if (pk != kNoEdge) buckets_.remove(pk, eid);
 }
 
 void ContractionLayer::recheck_head(VertexId v) {
@@ -206,7 +181,6 @@ void ContractionLayer::recheck_head(VertexId v) {
 ContractionLayer::UpdateResult ContractionLayer::update(
     const std::vector<Edge>& ins, const std::vector<Edge>& del) {
   assert(h_delta_.empty());
-  touched_pairs_.clear();
   std::vector<VertexId> recheck;
   recheck.reserve(2 * (ins.size() + del.size()));
 
@@ -264,15 +238,10 @@ ContractionLayer::UpdateResult ContractionLayer::update(
   SpannerDiff hd = h_delta_.drain();
   res.h_ins = std::move(hd.inserted);
   res.h_del = std::move(hd.removed);
-  for (EdgeKey pk : touched_pairs_.sorted_keys()) {
-    const PairSnapshot& snap = *touched_pairs_.find(pk);
-    Bucket* b = buckets_.find(pk);
-    bool exists = b != nullptr;
-    if (snap.existed && !exists) res.next_del.push_back(edge_from_key(pk));
-    if (!snap.existed && exists) res.next_ins.push_back(edge_from_key(pk));
-    if (snap.existed && exists && snap.old_rep != b->rep)
-      res.rep_changed.push_back(edge_from_key(pk));
-  }
+  NextLevelEdges<uint32_t>::Diff nd = buckets_.compile();
+  res.next_ins = std::move(nd.next_ins);
+  res.next_del = std::move(nd.next_del);
+  res.rep_changed = std::move(nd.rep_changed);
   // The snapshots are read: this batch's dead ids may be reused from now on.
   free_ids_.insert(free_ids_.end(), pending_free_.begin(),
                    pending_free_.end());
@@ -281,16 +250,11 @@ ContractionLayer::UpdateResult ContractionLayer::update(
 }
 
 std::vector<Edge> ContractionLayer::next_edges() const {
-  std::vector<Edge> out;
-  out.reserve(buckets_.size());
-  for (EdgeKey pk : buckets_.sorted_keys()) out.push_back(edge_from_key(pk));
-  return out;
+  return buckets_.pairs();
 }
 
 Edge ContractionLayer::rep(Edge pair) const {
-  const Bucket* b = buckets_.find(pair.key());
-  assert(b != nullptr);
-  return edges_[b->rep].e;
+  return edges_[buckets_.rep(pair.key())].e;
 }
 
 std::vector<Edge> ContractionLayer::h_edges() const {
@@ -351,23 +315,9 @@ bool ContractionLayer::check_invariants() const {
     if (head_edge_[v] != edge_key(v, head_[v])) return false;
     ++ref_h[head_edge_[v]];
   }
-  if (ref_buckets.size() != buckets_.size()) return false;
-  bool ok = true;
-  ref_buckets.for_each([&](EdgeKey pk, std::vector<uint32_t>& members) {
-    const Bucket* b = buckets_.find(pk);
-    if (b == nullptr) {
-      ok = false;
-      return;
-    }
-    std::vector<uint32_t> have = b->members;
-    std::sort(members.begin(), members.end());
-    std::sort(have.begin(), have.end());
-    if (have != members) ok = false;
-    if (std::find(have.begin(), have.end(), b->rep) == have.end())
-      ok = false;
-  });
-  if (!ok) return false;
+  if (!buckets_.matches(ref_buckets)) return false;
   if (ref_h.size() != h_contrib_.size()) return false;
+  bool ok = true;
   ref_h.for_each([&](EdgeKey ek, uint32_t c) {
     const uint32_t* it = h_contrib_.find(ek);
     if (it == nullptr || *it != c) ok = false;

@@ -26,7 +26,8 @@
 //                    endpoint, plus one edge (v, Head(v)) per clustered v;
 //   * NextLevelEdges — buckets keyed by contracted pairs
 //                    (Head(u), Head(v)), with Bwd/FwdCorrespondence as the
-//                    designated representative per pair;
+//                    designated representative per pair (the shared table
+//                    of container/next_level_edges.hpp, edge-id members);
 //   * next_ins/next_del — the update stream for the next layer.
 //
 // All dictionaries are flat open-addressing tables (DESIGN.md §1); the
@@ -40,7 +41,7 @@
 #include <vector>
 
 #include "container/flat_map.hpp"
-#include "container/rep_bucket.hpp"
+#include "container/next_level_edges.hpp"
 #include "core/cluster_spanner.hpp"  // DiffAccumulator
 #include "util/types.hpp"
 
@@ -113,10 +114,6 @@ class ContractionLayer {
     uint32_t slot_v = 0;  // arc slot in Adj(e.v)
     bool alive = false;
   };
-  /// NextLevelEdges bucket of edge ids (container/rep_bucket.hpp; the rep
-  /// is assigned with the first member).
-  using Bucket = RepBucket<uint32_t>;
-
   uint64_t fresh_entry_key(VertexId other);
   /// Adds edge eid's arcs to both endpoints' lists (fresh keys).
   void add_arcs(uint32_t eid);
@@ -130,8 +127,6 @@ class ContractionLayer {
   /// the edge is intra-cluster / touches ⊥.
   EdgeKey pair_key_of(uint32_t eid) const;
 
-  void bucket_add(uint32_t eid);
-  void bucket_remove(uint32_t eid, EdgeKey pk);
   void h_add(EdgeKey ek);
   void h_remove(EdgeKey ek);
   bool edge_in_bot(uint32_t eid) const;  // has a ⊥ endpoint
@@ -143,8 +138,6 @@ class ContractionLayer {
 
   /// Recomputes Head(v); if changed, moves all incident edges.
   void recheck_head(VertexId v);
-
-  void note_pair_touched(EdgeKey pk);
 
   size_t n_ = 0;
   size_t next_n_ = 0;
@@ -160,24 +153,19 @@ class ContractionLayer {
   std::vector<EdgeRec> edges_;
   FlatHashMap<EdgeKey, uint32_t> edge_index_;  // alive edges only
   // Dead records' ids. An id freed in a batch waits in pending_free_ until
-  // the batch's pair diffs are compiled: PairSnapshot::old_rep names the old
+  // the batch's pair diffs are compiled: the table's snapshots name the old
   // representative by id, so reusing it within the batch could hide a
   // representative change.
   std::vector<uint32_t> free_ids_;
   std::vector<uint32_t> pending_free_;
   size_t alive_count_ = 0;
 
-  FlatHashMap<EdgeKey, Bucket> buckets_;       // NextLevelEdges
-  FlatHashMap<EdgeKey, uint32_t> h_contrib_;   // H refcounts
+  NextLevelEdges<uint32_t> buckets_;          // pair -> edge ids
+  FlatHashMap<EdgeKey, uint32_t> h_contrib_;  // H refcounts
   std::vector<EdgeKey> head_edge_;  // per-vertex (v, Head(v)) contribution
 
   // Batch-scoped diff accumulation (drained key-sorted — DESIGN.md §6.4).
   DiffAccumulator h_delta_;
-  struct PairSnapshot {
-    bool existed = false;
-    uint32_t old_rep = 0;
-  };
-  FlatHashMap<EdgeKey, PairSnapshot> touched_pairs_;
 };
 
 }  // namespace parspan

@@ -1,7 +1,6 @@
 #include "core/sparse_spanner.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "parallel/csr.hpp"
@@ -66,146 +65,55 @@ SparseSpanner::SparseSpanner(size_t n, const std::vector<Edge>& edges,
   // Compose the initial spanner downward: S_L = top spanner,
   // S_i = H_i ∪ rep(S_{i+1}).
   size_t L = layers_.size();
-  s_mem_.assign(L + 1, {});
-  used_rep_.assign(L, {});
-  for (const Edge& e : top_->spanner_edges()) s_mem_[L].insert(e.key());
+  compose_.resize(L);
   stretch_bound_ = 2 * k - 1;
   for (size_t i = L; i-- > 0;) {
-    for (const Edge& e : layers_[i]->h_edges()) s_mem_[i].insert(e.key());
-    for (EdgeKey pk : s_mem_[i + 1].sorted_keys()) {
-      Edge r = layers_[i]->rep(edge_from_key(pk));
-      used_rep_[i][pk] = r.key();
-      bool fresh = s_mem_[i].insert(r.key());
-      assert(fresh && "H and representatives must be disjoint");
-      (void)fresh;
-    }
+    compose_[i].init(layers_[i]->h_edges(), next_spanner(i), rep_of(i));
     stretch_bound_ = 3 * stretch_bound_ + 2;
   }
 }
 
-std::vector<Edge> SparseSpanner::spanner_edges() const {
-  std::vector<Edge> out;
-  out.reserve(s_mem_[0].size());
-  for (EdgeKey ek : s_mem_[0].sorted_keys()) out.push_back(edge_from_key(ek));
-  return out;
+std::vector<Edge> SparseSpanner::next_spanner(size_t i) const {
+  return i + 1 == layers_.size() ? top_->spanner_edges()
+                                 : compose_[i + 1].edges();
+}
+
+SpannerComposition::RepOf SparseSpanner::rep_of(size_t i) const {
+  return [layer = layers_[i].get()](Edge pair) {
+    return layer->rep(pair).key();
+  };
 }
 
 SpannerDiff SparseSpanner::update(const std::vector<Edge>& insertions,
                                   const std::vector<Edge>& deletions) {
   size_t L = layers_.size();
-  // Upward pass: push updates through the contraction layers.
+  // Upward pass: push updates through the contraction layers (each layer
+  // filters duplicates and no-ops itself).
   std::vector<ContractionLayer::UpdateResult> results(L);
   std::vector<Edge> ins = insertions, del = deletions;
-  // Maintain the layer-0 edge count (duplicates / no-ops filtered by the
-  // layer itself; count via its alive counter).
   for (size_t i = 0; i < L; ++i) {
-    size_t before = layers_[i]->alive_edges();
     results[i] = layers_[i]->update(ins, del);
-    (void)before;
     ins = results[i].next_ins;
     del = results[i].next_del;
   }
-  num_edges_ = L > 0 ? layers_[0]->alive_edges() : num_edges_;
-  SpannerDiff top_diff = top_->update(ins, del);
+  num_edges_ = layers_[0]->alive_edges();
 
-  // Downward pass: apply diffs level by level.
-  // `down` is the S_{i+1} diff in layer-(i+1) edge keys.
-  SpannerDiff down = top_diff;
-  for (const Edge& e : top_diff.inserted) s_mem_[L].insert(e.key());
-  for (const Edge& e : top_diff.removed) s_mem_[L].erase(e.key());
-
-  for (size_t i = L; i-- > 0;) {
-    DiffAccumulator delta;
-    auto s_add = [&](EdgeKey ek) {
-      bool fresh = s_mem_[i].insert(ek);
-      assert(fresh && "S_i components must stay disjoint");
-      (void)fresh;
-      delta.add(ek);
-    };
-    auto s_remove = [&](EdgeKey ek) {
-      bool erased = s_mem_[i].erase(ek);
-      assert(erased);
-      (void)erased;
-      delta.remove(ek);
-    };
-    // All removals first (an edge may switch roles between H member and
-    // pair representative within one batch; removals-then-additions keeps
-    // S_i a true set throughout).
-    for (const Edge& e : results[i].h_del) s_remove(e.key());
-    for (const Edge& p : down.removed) {
-      EdgeKey* it = used_rep_[i].find(p.key());
-      assert(it != nullptr);
-      s_remove(*it);
-      used_rep_[i].erase(p.key());
-    }
-    std::vector<EdgeKey> pending_rep;  // surviving pairs with a stale rep
-    for (const Edge& p : results[i].rep_changed) {
-      EdgeKey* it = used_rep_[i].find(p.key());
-      if (it == nullptr) continue;  // pair not in S_{i+1}
-      Edge r = layers_[i]->rep(p);
-      if (*it == r.key()) continue;
-      s_remove(*it);
-      used_rep_[i].erase(p.key());
-      pending_rep.push_back(p.key());
-    }
-    // Additions.
-    for (const Edge& e : results[i].h_ins) s_add(e.key());
-    for (const Edge& p : down.inserted) {
-      Edge r = layers_[i]->rep(p);
-      used_rep_[i][p.key()] = r.key();
-      s_add(r.key());
-    }
-    for (EdgeKey pk : pending_rep) {
-      Edge r = layers_[i]->rep(edge_from_key(pk));
-      used_rep_[i][pk] = r.key();
-      s_add(r.key());
-    }
-    // Compile this layer's (key-sorted) diff for the next level down.
-    down = delta.drain();
-  }
+  // Downward pass: `down` is the S_{i+1} diff in layer-(i+1) edge keys.
+  SpannerDiff down = top_->update(ins, del);
+  for (size_t i = L; i-- > 0;)
+    down = compose_[i].apply(results[i].h_ins, results[i].h_del, down,
+                             results[i].rep_changed, rep_of(i));
   return down;
 }
 
 bool SparseSpanner::check_invariants() const {
-  size_t L = layers_.size();
   for (const auto& layer : layers_)
     if (!layer->check_invariants()) return false;
   if (!top_->check_invariants()) return false;
-  auto equals = [](const FlatHashSet<EdgeKey>& ref,
-                   const FlatHashSet<EdgeKey>& have) {
-    if (ref.size() != have.size()) return false;
-    bool ok = true;
-    ref.for_each([&](EdgeKey ek) {
-      if (!have.contains(ek)) ok = false;
-    });
-    return ok;
-  };
-  // S_L must equal the top spanner.
-  {
-    FlatHashSet<EdgeKey> ref;
-    for (const Edge& e : top_->spanner_edges()) ref.insert(e.key());
-    if (!equals(ref, s_mem_[L])) return false;
-  }
-  // S_i must equal H_i ∪ rep(S_{i+1}), with used_rep_ holding the actual
-  // representatives (which must be current).
-  for (size_t i = L; i-- > 0;) {
-    FlatHashSet<EdgeKey> ref;
-    for (const Edge& e : layers_[i]->h_edges()) ref.insert(e.key());
-    if (used_rep_[i].size() != s_mem_[i + 1].size()) return false;
-    bool ok = true;
-    s_mem_[i + 1].for_each([&](EdgeKey pk) {
-      const EdgeKey* it = used_rep_[i].find(pk);
-      if (it == nullptr) {
-        ok = false;
-        return;
-      }
-      Edge r = layers_[i]->rep(edge_from_key(pk));
-      if (r.key() != *it) ok = false;
-      else if (!ref.insert(r.key())) ok = false;
-    });
-    if (!ok) return false;
-    if (!equals(ref, s_mem_[i])) return false;
-  }
+  for (size_t i = 0; i < layers_.size(); ++i)
+    if (!compose_[i].check_invariants(layers_[i]->h_edges(), next_spanner(i),
+                                      rep_of(i)))
+      return false;
   return true;
 }
 

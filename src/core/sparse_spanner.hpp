@@ -11,15 +11,16 @@
 //
 // The spanner at layer i is S_i = H_i ∪ Bwd_i(S_{i+1}) (Algorithm 4's
 // "add the corresponding edges"): updates flow upward through the layers,
-// and spanner diffs flow back down, replacing each contracted pair by its
-// current representative edge. S_0 is the answer.
+// and spanner diffs flow back down through one SpannerComposition step per
+// layer (core/composition.hpp), replacing each contracted pair by its
+// current representative edge. S_L is the top spanner; S_0 is the answer.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "container/flat_map.hpp"
+#include "core/composition.hpp"
 #include "core/contraction.hpp"
 #include "core/fully_dynamic_spanner.hpp"
 #include "util/types.hpp"
@@ -46,9 +47,9 @@ class SparseSpanner {
 
   size_t num_vertices() const { return n_; }
   size_t num_edges() const { return num_edges_; }
-  size_t spanner_size() const { return s_mem_[0].size(); }
-  std::vector<Edge> spanner_edges() const;
-  bool in_spanner(Edge e) const { return s_mem_[0].contains(e.key()); }
+  size_t spanner_size() const { return compose_[0].size(); }
+  std::vector<Edge> spanner_edges() const { return compose_[0].edges(); }
+  bool in_spanner(Edge e) const { return compose_[0].contains(e.key()); }
 
   /// Applies one batch (deletions then insertions); returns the net diff,
   /// both sides sorted by canonical key (DESIGN.md §7.4).
@@ -76,12 +77,13 @@ class SparseSpanner {
   std::unique_ptr<FullyDynamicSpanner> top_;
   uint32_t stretch_bound_ = 0;
 
-  /// s_mem_[i] = S_i (layer-i local edge keys), i in [0, L]; s_mem_[L] is
-  /// the top spanner (top-graph edge keys).
-  std::vector<FlatHashSet<EdgeKey>> s_mem_;
-  /// used_rep_[i]: contracted pair (layer-(i+1) key) -> the layer-i edge
-  /// key currently standing in for it inside S_i.
-  std::vector<FlatHashMap<EdgeKey, EdgeKey>> used_rep_;
+  /// compose_[i] holds S_i (layer-i local edge keys), i in [0, L).
+  std::vector<SpannerComposition> compose_;
+
+  /// S_{i+1}, key-sorted: the top spanner for i = L-1.
+  std::vector<Edge> next_spanner(size_t i) const;
+  /// Layer i's representative lookup for contracted pairs.
+  SpannerComposition::RepOf rep_of(size_t i) const;
 };
 
 }  // namespace parspan

@@ -88,27 +88,21 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
   // Next-level structure over the contracted graph (vertex set = V).
   SparseSpannerConfig nc = cfg.next;
   nc.seed = hash_combine(cfg.seed, 0x4e7);
-  std::vector<Edge> pairs;
-  pairs.reserve(buckets_.size());
-  for (EdgeKey pk : buckets_.sorted_keys()) pairs.push_back(edge_from_key(pk));
-  next_ = std::make_unique<SparseSpanner>(n, pairs, nc);
+  next_ = std::make_unique<SparseSpanner>(n, buckets_.pairs(), nc);
 
-  // Compose S = H1 ∪ forest(H2) ∪ rep(S_next).
-  for (VertexId v = 0; v < n; ++v)
-    if (par_edge_[v] != kNoEdge) s_mem_.insert(par_edge_[v]);
-  for (const Edge& e : h2_->forest_edges()) {
-    bool fresh = s_mem_.insert(e.key());
-    assert(fresh);
-    (void)fresh;
-  }
-  for (const Edge& p : next_->spanner_edges()) {
-    EdgeKey rep = buckets_.find(p.key())->rep;
-    used_rep_[p.key()] = rep;
-    bool fresh = s_mem_.insert(rep);
-    assert(fresh);
-    (void)fresh;
-  }
-  touched_pairs_.clear();
+  compose_.init(h_edges(), next_->spanner_edges(), rep_of());
+  buckets_.forget_touched();
+}
+
+std::vector<Edge> UltraSparseSpanner::h_edges() const {
+  std::vector<Edge> h = h2_->forest_edges();
+  for (VertexId v = 0; v < n_; ++v)
+    if (par_edge_[v] != kNoEdge) h.push_back(edge_from_key(par_edge_[v]));
+  return h;
+}
+
+SpannerComposition::RepOf UltraSparseSpanner::rep_of() const {
+  return [this](Edge pair) { return buckets_.rep(pair.key()); };
 }
 
 uint32_t UltraSparseSpanner::stretch_bound() const {
@@ -250,38 +244,15 @@ EdgeKey UltraSparseSpanner::pair_key_of(Edge e) const {
   return edge_key(hu, hv);
 }
 
-void UltraSparseSpanner::note_pair_touched(EdgeKey pk) {
-  if (touched_pairs_.contains(pk)) return;
-  Bucket* b = buckets_.find(pk);
-  touched_pairs_[pk] =
-      PairSnapshot{b != nullptr, b != nullptr ? b->rep : kNoEdge};
-}
-
-void UltraSparseSpanner::bucket_add(Edge e) {
+void UltraSparseSpanner::attach(Edge e) {
   EdgeKey pk = pair_key_of(e);
-  if (pk == kNoEdge) return;
-  note_pair_touched(pk);
-  Bucket& b = buckets_[pk];
-  if (b.members.empty()) b.rep = e.key();
-  assert(std::find(b.members.begin(), b.members.end(), e.key()) ==
-         b.members.end());
-  b.members.push_back(e.key());
+  if (pk != kNoEdge) buckets_.add(pk, e.key());
 }
 
-void UltraSparseSpanner::bucket_remove(Edge e, EdgeKey pk) {
-  if (pk == kNoEdge) return;
-  note_pair_touched(pk);
-  Bucket* b = buckets_.find(pk);
-  assert(b != nullptr);
-  if (b->erase_member(e.key()))
-    buckets_.erase(pk);
-  else if (b->rep == e.key())
-    b->rep = b->members[0];
+void UltraSparseSpanner::detach(Edge e) {
+  EdgeKey pk = pair_key_of(e);
+  if (pk != kNoEdge) buckets_.remove(pk, e.key());
 }
-
-void UltraSparseSpanner::attach(Edge e) { bucket_add(e); }
-
-void UltraSparseSpanner::detach(Edge e) { bucket_remove(e, pair_key_of(e)); }
 
 void UltraSparseSpanner::commit_head(VertexId v, const HeadResult& hr) {
   // Move incident edges' bucket / H2 membership from the old head state to
@@ -305,29 +276,15 @@ void UltraSparseSpanner::commit_head(VertexId v, const HeadResult& hr) {
     want = edge_key(v, hr.par);
   }
   if (par_edge_[v] != want) {
-    if (par_edge_[v] != kNoEdge) s_remove(par_edge_[v]);
+    if (par_edge_[v] != kNoEdge) h_net_.remove(par_edge_[v]);
     par_edge_[v] = want;
-    if (want != kNoEdge) s_add(want);
+    if (want != kNoEdge) h_net_.add(want);
   }
-}
-
-void UltraSparseSpanner::s_add(EdgeKey ek) {
-  // Deferred: an edge may change roles (H1 parent / H2 forest / pair
-  // representative) within one batch; applying all removals before all
-  // insertions at the end keeps S a true set.
-  pending_add_.push_back(ek);
-  s_delta_.add(ek);
-}
-
-void UltraSparseSpanner::s_remove(EdgeKey ek) {
-  pending_rem_.push_back(ek);
-  s_delta_.remove(ek);
 }
 
 SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
                                        const std::vector<Edge>& deletions) {
-  assert(s_delta_.empty() && h2_net_.empty());
-  touched_pairs_.clear();
+  assert(h_net_.empty() && h2_net_.empty());
 
   // --- Apply the batch to the flat graph; bookkeep per applied edge. The
   // applied lists come back canonical and key-sorted, which pins down every
@@ -342,7 +299,7 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
     // recomputed below.
     for (VertexId w : {e.u, e.v}) {
       if (par_edge_[w] == e.key()) {
-        s_remove(par_edge_[w]);
+        h_net_.remove(par_edge_[w]);
         par_edge_[w] = kNoEdge;
       }
       touched.push_back(w);
@@ -406,73 +363,17 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
   {
     SpannerDiff net = h2_net_.drain();
     SpannerDiff fd = h2_->update(net.inserted, net.removed);
-    for (const Edge& e : fd.removed) s_remove(e.key());
-    for (const Edge& e : fd.inserted) s_add(e.key());
+    for (const Edge& e : fd.removed) h_net_.remove(e.key());
+    for (const Edge& e : fd.inserted) h_net_.add(e.key());
   }
 
-  // --- Next-level update and representative composition, touched pairs in
-  // canonical key order. ---
-  std::vector<Edge> next_ins, next_del, rep_changed;
-  for (EdgeKey pk : touched_pairs_.sorted_keys()) {
-    const PairSnapshot& snap = *touched_pairs_.find(pk);
-    Bucket* b = buckets_.find(pk);
-    bool exists = b != nullptr;
-    if (snap.existed && !exists) next_del.push_back(edge_from_key(pk));
-    if (!snap.existed && exists) next_ins.push_back(edge_from_key(pk));
-    if (snap.existed && exists && snap.old_rep != b->rep)
-      rep_changed.push_back(edge_from_key(pk));
-  }
-  SpannerDiff nd = next_->update(next_ins, next_del);
-  for (const Edge& p : nd.removed) {
-    EdgeKey* it = used_rep_.find(p.key());
-    assert(it != nullptr);
-    s_remove(*it);
-    used_rep_.erase(p.key());
-  }
-  std::vector<EdgeKey> pending;
-  for (const Edge& p : rep_changed) {
-    EdgeKey* it = used_rep_.find(p.key());
-    if (it == nullptr) continue;
-    EdgeKey cur = buckets_.find(p.key())->rep;
-    if (*it == cur) continue;
-    s_remove(*it);
-    used_rep_.erase(p.key());
-    pending.push_back(p.key());
-  }
-  for (const Edge& p : nd.inserted) {
-    EdgeKey rep = buckets_.find(p.key())->rep;
-    used_rep_[p.key()] = rep;
-    s_add(rep);
-  }
-  for (EdgeKey pk : pending) {
-    EdgeKey rep = buckets_.find(pk)->rep;
-    used_rep_[pk] = rep;
-    s_add(rep);
-  }
-  touched_pairs_.clear();
-
-  // Apply deferred S mutations: removals first, then insertions.
-  for (EdgeKey ek : pending_rem_) {
-    bool erased = s_mem_.erase(ek);
-    assert(erased);
-    (void)erased;
-  }
-  for (EdgeKey ek : pending_add_) {
-    bool fresh = s_mem_.insert(ek);
-    assert(fresh && "spanner components must stay disjoint");
-    (void)fresh;
-  }
-  pending_rem_.clear();
-  pending_add_.clear();
-
-  return s_delta_.drain();
-}
-
-std::vector<Edge> UltraSparseSpanner::spanner_edges() const {
-  std::vector<Edge> out;
-  out.reserve(s_mem_.size());
-  for (EdgeKey ek : s_mem_.sorted_keys()) out.push_back(edge_from_key(ek));
-  return out;
+  // --- Next-level update, then S = H ∪ rep(S_next) over the touched pairs
+  // in canonical key order. ---
+  NextLevelEdges<EdgeKey>::Diff pd = buckets_.compile();
+  SpannerDiff nd = next_->update(pd.next_ins, pd.next_del);
+  SpannerDiff hd = h_net_.drain();
+  return compose_.apply(hd.inserted, hd.removed, nd, pd.rep_changed,
+                        rep_of());
 }
 
 bool UltraSparseSpanner::check_invariants() const {
@@ -502,51 +403,19 @@ bool UltraSparseSpanner::check_invariants() const {
   // Buckets from scratch.
   FlatHashMap<EdgeKey, std::vector<EdgeKey>> ref_buckets;
   size_t h2_edges = 0;
-  bool ok = true;
   graph_.for_each_edge([&](Edge e) {
     EdgeKey pk = pair_key_of(e);
     if (pk != kNoEdge) ref_buckets[pk].push_back(e.key());
     if (edge_in_h2(e)) ++h2_edges;
   });
-  if (ref_buckets.size() != buckets_.size()) return false;
-  ref_buckets.for_each([&](EdgeKey pk, std::vector<EdgeKey>& members) {
-    const Bucket* b = buckets_.find(pk);
-    if (b == nullptr) {
-      ok = false;
-      return;
-    }
-    std::vector<EdgeKey> have = b->members;
-    std::sort(members.begin(), members.end());
-    std::sort(have.begin(), have.end());
-    if (have != members) ok = false;
-    if (std::find(have.begin(), have.end(), b->rep) == have.end())
-      ok = false;
-  });
-  if (!ok) return false;
+  if (!buckets_.matches(ref_buckets)) return false;
   if (h2_->num_edges() != h2_edges) return false;
   if (!h2_->check_invariants()) return false;
   if (!next_->check_invariants()) return false;
   // Next structure's graph must equal the bucket pairs.
   if (next_->num_edges() != buckets_.size()) return false;
-  // Composition.
-  FlatHashSet<EdgeKey> ref_s;
-  for (VertexId v = 0; v < n_; ++v)
-    if (par_edge_[v] != kNoEdge) ref_s.insert(par_edge_[v]);
-  for (const Edge& e : h2_->forest_edges())
-    if (!ref_s.insert(e.key())) return false;
-  auto ns = next_->spanner_edges();
-  if (used_rep_.size() != ns.size()) return false;
-  for (const Edge& p : ns) {
-    const EdgeKey* it = used_rep_.find(p.key());
-    if (it == nullptr) return false;
-    if (buckets_.find(p.key())->rep != *it) return false;
-    if (!ref_s.insert(*it)) return false;
-  }
-  if (ref_s.size() != s_mem_.size()) return false;
-  ref_s.for_each([&](EdgeKey ek) {
-    if (!s_mem_.contains(ek)) ok = false;
-  });
-  return ok;
+  return compose_.check_invariants(h_edges(), next_->spanner_edges(),
+                                   rep_of());
 }
 
 }  // namespace parspan

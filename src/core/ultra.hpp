@@ -21,7 +21,10 @@
 //    by SmallComponentForest (the [AABD19] substitution, DESIGN.md §1).
 //  * NextLevelEdges buckets + representatives map the contracted graph
 //    (over the original vertex-id space, as in the paper's white-box use
-//    of Theorem 1.3) into a SparseSpanner.
+//    of Theorem 1.3) into a SparseSpanner. The table is the one the
+//    contraction layers use (container/next_level_edges.hpp, edge-key
+//    members), and S = H ∪ rep(S_next) with H = H1 ∪ forest(H2) is the
+//    same SpannerComposition step SparseSpanner runs per layer.
 //
 // After a batch, recomputation follows the paper exactly: heavy heads are
 // refreshed at updated endpoints first; Algorithm 6's bounded BFS then
@@ -29,9 +32,9 @@
 // are recomputed against the committed heavy heads.
 //
 // Layout & parallelism (DESIGN.md §7.2): adjacency is the flat DynamicGraph
-// substrate (per-vertex dense vectors + one flat position index); buckets,
-// membership sets, and the contracted-pair index are flat open-addressing
-// tables; the Algorithm-5 balls run on epoch-stamped per-thread scratch.
+// substrate (per-vertex dense vectors + one flat position index); the
+// pair table and the composition are flat open-addressing tables; the
+// Algorithm-5 balls run on epoch-stamped per-thread scratch.
 // Each recomputation phase is two-phase — head *computation* is a
 // parallel_for over the affected vertices (reads committed state only),
 // head *commits* run serially in ascending vertex order — and the batch
@@ -46,8 +49,8 @@
 #include <vector>
 
 #include "connectivity/dynamic_forest.hpp"
-#include "container/flat_map.hpp"
-#include "container/rep_bucket.hpp"
+#include "container/next_level_edges.hpp"
+#include "core/composition.hpp"
 #include "core/sparse_spanner.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "util/types.hpp"
@@ -71,9 +74,9 @@ class UltraSparseSpanner {
 
   size_t num_vertices() const { return n_; }
   size_t num_edges() const { return graph_.num_edges(); }
-  size_t spanner_size() const { return s_mem_.size(); }
-  std::vector<Edge> spanner_edges() const;
-  bool in_spanner(Edge e) const { return s_mem_.contains(e.key()); }
+  size_t spanner_size() const { return compose_.size(); }
+  std::vector<Edge> spanner_edges() const { return compose_.edges(); }
+  bool in_spanner(Edge e) const { return compose_.contains(e.key()); }
 
   /// Applies one batch (deletions then insertions); returns the net spanner
   /// diff, both sides sorted by canonical key (deterministic across thread
@@ -141,15 +144,14 @@ class UltraSparseSpanner {
     return head_[e.u] == kBot && head_[e.v] == kBot;
   }
 
-  void bucket_add(Edge e);
-  void bucket_remove(Edge e, EdgeKey pk);
-  void note_pair_touched(EdgeKey pk);
   void attach(Edge e);
   void detach(Edge e);
   void commit_head(VertexId v, const HeadResult& hr);
 
-  void s_add(EdgeKey ek);
-  void s_remove(EdgeKey ek);
+  /// H = H1 ∪ forest(H2).
+  std::vector<Edge> h_edges() const;
+  /// Representative lookup for next-level pairs.
+  SpannerComposition::RepOf rep_of() const;
 
   size_t n_ = 0;
   UltraConfig cfg_;
@@ -163,27 +165,18 @@ class UltraSparseSpanner {
   std::vector<EdgeKey> par_edge_;  // H1 contribution per vertex
 
   /// NextLevelEdges[(c, c')]: the alive layer-0 edges whose endpoint heads
-  /// are {c, c'}, plus the designated representative (container/
-  /// rep_bucket.hpp; the rep is assigned with the first member).
-  using Bucket = RepBucket<EdgeKey>;
-  FlatHashMap<EdgeKey, Bucket> buckets_;
+  /// are {c, c'}, plus the designated representative.
+  NextLevelEdges<EdgeKey> buckets_;
 
   std::unique_ptr<SmallComponentForest> h2_;
   std::unique_ptr<SparseSpanner> next_;
 
-  // Final spanner composition S = H1 ∪ forest(H2) ∪ rep(S_next).
-  FlatHashSet<EdgeKey> s_mem_;
-  FlatHashMap<EdgeKey, EdgeKey> used_rep_;  // pair -> layer-0 edge
-  DiffAccumulator s_delta_;
+  // Final spanner S = H ∪ rep(S_next), H = H1 ∪ forest(H2).
+  SpannerComposition compose_;
 
   // Batch-scoped accumulators.
-  struct PairSnapshot {
-    bool existed = false;
-    EdgeKey old_rep = kNoEdge;
-  };
-  FlatHashMap<EdgeKey, PairSnapshot> touched_pairs_;
-  DiffAccumulator h2_net_;                          // H2 membership churn
-  std::vector<EdgeKey> pending_add_, pending_rem_;  // deferred S mutations
+  DiffAccumulator h_net_;   // H churn: H1 parent edges and forest(H2)
+  DiffAccumulator h2_net_;  // H2 membership churn
 
   // Algorithm-6 scratch (epoch-stamped seed/visited marks).
   std::vector<uint64_t> seed_mark_, visit_mark_;

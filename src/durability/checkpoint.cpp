@@ -1,6 +1,5 @@
 #include "durability/checkpoint.hpp"
 
-#include <cassert>
 #include <cstdio>
 #include <memory>
 
@@ -48,16 +47,8 @@ bool write_checkpoint(Fs& fs, const std::string& dir, const DurableState& ckpt) 
   store_le64(p + 36, ckpt.snap_keys.size());
   store_le64(p + 44, ckpt.graph_keys.size());
   p += kFixed;
-  for (const std::vector<EdgeKey>* v : {&ckpt.snap_keys, &ckpt.graph_keys}) {
-    uint64_t prev = 0;
-    bool first = true;
-    for (EdgeKey k : *v) {
-      assert((first || k > prev) && "checkpoint key lists must be ascending");
-      p += put_uvarint(p, first ? k : k - prev);
-      prev = k;
-      first = false;
-    }
-  }
+  for (const std::vector<EdgeKey>* v : {&ckpt.snap_keys, &ckpt.graph_keys})
+    p = encode_ascending_list(v->data(), v->size(), p);
   const size_t len = size_t(p - body.get());
   store_le32(p, crc32c(body.get(), len));
 
@@ -90,29 +81,21 @@ std::optional<DurableState> load_checkpoint(Fs& fs, const std::string& dir,
   uint64_t ns = get_le64(p + 36);
   uint64_t ng = get_le64(p + 44);
   if (c.version != version) return std::nullopt;
-  // A garbage count would make the reserve below attempt absurd memory.
-  if (ns + ng > (body.size() - kFixed - 4)) return std::nullopt;
   p += kFixed;
   const uint8_t* end = body.data() + body.size() - 4;
+  // Each count is bounded by the bytes left before anything is reserved.
   // Delta decoding proves strict ascent (sorted + unique) as a side effect
   // — a zero delta, a wrapping (descending) delta or a truncated varint
   // rejects the checkpoint — and every key must be an edge over n
   // vertices: the order-independent checksum proves neither.
-  auto read_list = [&](std::vector<EdgeKey>* out, uint64_t cnt) {
-    out->clear();
-    out->reserve(cnt);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < cnt; ++i) {
-      uint64_t d = 0;
-      if (!get_uvarint(&p, end, &d)) return false;
-      if (i > 0 && (d == 0 || d > UINT64_MAX - prev)) return false;
-      prev = i == 0 ? d : prev + d;
-      if (!valid_edge_key(prev, c.n)) return false;
-      out->push_back(prev);
-    }
+  auto valid_keys = [&](const std::vector<EdgeKey>& keys) {
+    for (EdgeKey k : keys)
+      if (!valid_edge_key(k, c.n)) return false;
     return true;
   };
-  if (!read_list(&c.snap_keys, ns) || !read_list(&c.graph_keys, ng))
+  if (!decode_ascending_list(&p, end, ns, &c.snap_keys) ||
+      !decode_ascending_list(&p, end, ng, &c.graph_keys) ||
+      !valid_keys(c.snap_keys) || !valid_keys(c.graph_keys))
     return std::nullopt;
   if (p != end) return std::nullopt;  // trailing garbage
   return c;

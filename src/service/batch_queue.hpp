@@ -98,37 +98,28 @@ class BatchQueue {
   /// and wedge real producers behind a bound only a drain can release.
   uint64_t submit(const std::vector<Edge>& insertions,
                   const std::vector<Edge>& deletions) {
-    const bool noop = insertions.empty() && deletions.empty();
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!noop)
-      not_full_.wait(lk, [this] {
-        return pending_.size() < capacity_ &&
-               (!record_times_ || submit_times_.size() < capacity_);
-      });
-    for (const Edge& e : deletions) pending_[e.key()] = kDelete;
-    for (const Edge& e : insertions) pending_[e.key()] |= kInsert;
-    uint64_t t = ++last_ticket_;
-    if (record_times_ && !noop)
-      submit_times_.emplace_back(t, std::chrono::steady_clock::now());
-    return t;
+    return *submit_for(insertions, deletions, std::nullopt);
   }
 
-  /// submit() with a deadline: waits at most `timeout` for admission
-  /// capacity, then gives up WITHOUT queuing anything (nullopt) — the
-  /// observable-backpressure path (DESIGN.md §9.5). A batch is admitted
-  /// whole or not at all; on success, the returned ticket means exactly
-  /// what submit()'s does.
-  std::optional<uint64_t> submit_for(const std::vector<Edge>& insertions,
-                                     const std::vector<Edge>& deletions,
-                                     std::chrono::nanoseconds timeout) {
+  /// submit() with an optional deadline: waits at most `timeout` for
+  /// admission capacity, then gives up WITHOUT queuing anything (nullopt)
+  /// — the observable-backpressure path (DESIGN.md §9.5). No timeout waits
+  /// as long as submit() does. A batch is admitted whole or not at all; on
+  /// success, the returned ticket means exactly what submit()'s does.
+  std::optional<uint64_t> submit_for(
+      const std::vector<Edge>& insertions, const std::vector<Edge>& deletions,
+      std::optional<std::chrono::nanoseconds> timeout) {
     const bool noop = insertions.empty() && deletions.empty();
     std::unique_lock<std::mutex> lk(mu_);
     if (!noop) {
-      bool ok = not_full_.wait_for(lk, timeout, [this] {
+      auto admissible = [this] {
         return pending_.size() < capacity_ &&
                (!record_times_ || submit_times_.size() < capacity_);
-      });
-      if (!ok) return std::nullopt;
+      };
+      if (!timeout)
+        not_full_.wait(lk, admissible);
+      else if (!not_full_.wait_for(lk, *timeout, admissible))
+        return std::nullopt;
     }
     for (const Edge& e : deletions) pending_[e.key()] = kDelete;
     for (const Edge& e : insertions) pending_[e.key()] |= kInsert;

@@ -252,48 +252,8 @@ ShardedSpannerService::~ShardedSpannerService() { pool_->stop(); }
 void ShardedSpannerService::submit(uint32_t graph_id,
                                    const std::vector<Edge>& insertions,
                                    const std::vector<Edge>& deletions) {
-  const size_t S = shards_.size();
-  const size_t offered = insertions.size() + deletions.size();
-  // paused_ is re-read AFTER each enqueue: if resume() ran concurrently and
-  // its queue scan missed this batch (scan before our insert, both under
-  // the queue mutex), that same mutex ordering guarantees we observe its
-  // paused_=false store here and issue the notify ourselves — the batch
-  // can never be stranded between a submit and a resume.
-  if (S == 1) {
-    // The routers are pure in graph_id alone for the tenant decision, so
-    // one representative probe validates the whole batch.
-    if (router_->shard_of(graph_id, 0) != 0) {
-      edges_rejected_.fetch_add(offered, std::memory_order_relaxed);
-      return;
-    }
-    edges_ingested_.fetch_add(offered, std::memory_order_relaxed);
-    shards_[0]->queue.submit(insertions, deletions);
-    if (!paused_.load(std::memory_order_relaxed)) pool_->notify(0);
-    return;
-  }
-  std::vector<std::vector<Edge>> ins_by(S), del_by(S);
-  size_t rejected = 0;
-  for (const Edge& e : insertions) {
-    uint32_t s = router_->shard_of(graph_id, e.key());
-    if (s < S)
-      ins_by[s].push_back(e);
-    else
-      ++rejected;  // unknown tenant id: drop observably, never index OOB
-  }
-  for (const Edge& e : deletions) {
-    uint32_t s = router_->shard_of(graph_id, e.key());
-    if (s < S)
-      del_by[s].push_back(e);
-    else
-      ++rejected;
-  }
-  if (rejected) edges_rejected_.fetch_add(rejected, std::memory_order_relaxed);
-  edges_ingested_.fetch_add(offered - rejected, std::memory_order_relaxed);
-  for (size_t s = 0; s < S; ++s) {
-    if (ins_by[s].empty() && del_by[s].empty()) continue;
-    shards_[s]->queue.submit(ins_by[s], del_by[s]);
-    if (!paused_.load(std::memory_order_relaxed)) pool_->notify(s);
-  }
+  RoutedBatch rb = route_batch(graph_id, insertions, deletions);
+  while (!rb.done()) admit_shard(rb, 0, std::nullopt);
 }
 
 ShardedSpannerService::RoutedBatch ShardedSpannerService::route_batch(
@@ -325,14 +285,20 @@ ShardedSpannerService::RoutedBatch ShardedSpannerService::route_batch(
   return rb;
 }
 
-bool ShardedSpannerService::admit_shard(RoutedBatch& batch, size_t idx,
-                                        std::chrono::nanoseconds timeout) {
+bool ShardedSpannerService::admit_shard(
+    RoutedBatch& batch, size_t idx,
+    std::optional<std::chrono::nanoseconds> timeout) {
   const uint32_t s = batch.pending_[idx];
   if (!shards_[s]->queue.submit_for(batch.ins_by_[s], batch.del_by_[s],
                                     timeout))
     return false;
   edges_ingested_.fetch_add(batch.ins_by_[s].size() + batch.del_by_[s].size(),
                             std::memory_order_relaxed);
+  // paused_ is re-read AFTER the enqueue: if resume() ran concurrently and
+  // its queue scan missed this batch (scan before our insert, both under
+  // the queue mutex), that same mutex ordering guarantees we observe its
+  // paused_=false store here and issue the notify ourselves — the batch
+  // can never be stranded between a submit and a resume.
   if (!paused_.load(std::memory_order_relaxed)) pool_->notify(s);
   batch.pending_.erase(batch.pending_.begin() + ptrdiff_t(idx));
   return true;

@@ -499,10 +499,11 @@ class ShardedSpannerService {
 
   bool drain_shard(size_t s);
 
-  /// Admission of batch.pending_[idx] with the given budget: on success
-  /// the sub-batch is counted, its shard notified, and the index removed.
+  /// Admission of batch.pending_[idx] with the given budget (none: wait
+  /// for capacity): on success the sub-batch is counted, its shard
+  /// notified, and the index removed.
   bool admit_shard(RoutedBatch& batch, size_t idx,
-                   std::chrono::nanoseconds timeout);
+                   std::optional<std::chrono::nanoseconds> timeout);
 
   /// One registered flush_async barrier: fire `done` once every shard's
   /// published ticket reaches its target. Guarded by barrier_mu_.

@@ -257,6 +257,24 @@ TEST(KeyOrder, CheckpointRejectsDescendingOrDuplicatedLists) {
   }
 }
 
+// Counts whose sum wraps past 2^64 (2^64 - 1 snapshot keys plus one graph
+// key) in a CRC-valid image: rejected as rotten, never reserved.
+TEST(Checkpoint, CountsThatWrapTheirSumAreRejected) {
+  MemFs fs;
+  const char* magic = "PSPCKP02";
+  std::vector<uint8_t> b(magic, magic + 8);
+  put_le64(b, 4);   // version
+  put_le64(b, 16);  // n
+  put_le32(b, 3);   // stretch
+  put_le64(b, 0);   // checksum
+  put_le64(b, UINT64_MAX);
+  put_le64(b, 1);
+  put_raw_key_list(b, {edge_key(0, 1)});
+  put_le32(b, crc32c(b.data(), b.size()));
+  write_raw(fs, "d/" + checkpoint_file_name(4), b);
+  EXPECT_FALSE(load_checkpoint(fs, "d", 4).has_value());
+}
+
 // --- Format 01 is refused, not replayed ------------------------------------
 //
 // Format 02 changed what the checksum field means (an order-independent

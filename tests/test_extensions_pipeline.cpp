@@ -2,8 +2,9 @@
 // thread-count determinism of the MonotoneSpanner / UltraSparseSpanner /
 // DecrementalSparsifier batch diffs (1 vs 4 workers, byte-identical over a
 // 50-batch deletion sequence, mirroring test_parallel_pipeline.cpp), the
-// key-sorted diff contract, identically-seeded run reproducibility, and
-// cumulative_recourse monotonicity over a long stream.
+// key-sorted diff contract, identically-seeded run reproducibility,
+// cumulative_recourse monotonicity over a long stream, and pinned hashes of
+// the UltraSparseSpanner / SparseSpanner diff streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +12,12 @@
 
 #include "core/bundle.hpp"
 #include "core/mpx_spanner.hpp"
+#include "core/sparse_spanner.hpp"
 #include "core/sparsifier.hpp"
 #include "core/ultra.hpp"
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
+#include "util/rng.hpp"
 
 namespace parspan {
 namespace {
@@ -260,6 +263,56 @@ TEST(ExtensionsPipeline, CumulativeRecourseMonotoneOverStream) {
   EXPECT_EQ(bsp.cumulative_recourse(), bundle_volume);
   EXPECT_EQ(msp.spanner_size(), 0u);
   EXPECT_EQ(bsp.bundle_size(), 0u);
+}
+
+// --- Pinned diff streams. ---------------------------------------------------
+// An order-sensitive hash of every diff of one seeded 50-batch mixed stream.
+// Seeds, key draws and representative elections fix every diff, so a
+// refactor of the NextLevelEdges table or the S = H ∪ rep(S_next) step
+// must leave these constants unchanged.
+template <typename Spanner>
+uint64_t diff_stream_hash(Spanner& sp,
+                          const std::vector<UpdateBatch>& batches) {
+  uint64_t h = 0;
+  for (const UpdateBatch& b : batches) {
+    SpannerDiff d = sp.update(b.insertions, b.deletions);
+    h = hash_combine(h, d.inserted.size());
+    for (const Edge& e : d.inserted) h = hash_combine(h, e.key());
+    h = hash_combine(h, d.removed.size());
+    for (const Edge& e : d.removed) h = hash_combine(h, e.key());
+  }
+  return h;
+}
+
+TEST(ExtensionsPipeline, UltraDiffStreamMatchesPinnedHash) {
+  const size_t n = 200;
+  auto [initial, batches] = gen_mixed_stream(n, 1200, 40, 50, 17);
+  using Pin = std::pair<uint32_t, uint64_t>;
+  for (auto [x, want] :
+       {Pin{2, 6831662857694335ull}, Pin{3, 4989122427396759623ull}}) {
+    UltraConfig cfg;
+    cfg.x = x;
+    cfg.seed = 23;
+    UltraSparseSpanner sp(n, initial, cfg);
+    EXPECT_EQ(diff_stream_hash(sp, batches), want) << "x=" << x;
+    EXPECT_TRUE(sp.check_invariants()) << "x=" << x;
+  }
+}
+
+TEST(ExtensionsPipeline, SparseDiffStreamMatchesPinnedHash) {
+  const size_t n = 200;
+  auto [initial, batches] = gen_mixed_stream(n, 1200, 40, 50, 17);
+  SparseSpannerConfig def;  // default contraction schedule
+  def.seed = 29;
+  SparseSpannerConfig two = def;
+  two.xs = {3.0, 2.0};
+  for (auto [cfg, want] : {std::pair{def, uint64_t{16746961656669647010ull}},
+                           std::pair{two, uint64_t{3898851150182121697ull}}}) {
+    SparseSpanner sp(n, initial, cfg);
+    EXPECT_EQ(diff_stream_hash(sp, batches), want)
+        << "layers=" << sp.num_layers();
+    EXPECT_TRUE(sp.check_invariants()) << "layers=" << sp.num_layers();
+  }
 }
 
 }  // namespace
