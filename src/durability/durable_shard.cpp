@@ -71,7 +71,7 @@ bool ShardDurability::open_segment(uint64_t base_version) {
                                      base_version, wopts);
   publish_durable_version();
   if (wal_->failed()) {
-    failed_ = true;
+    failed_.store(true, std::memory_order_release);
     return false;
   }
   return true;
@@ -114,11 +114,11 @@ bool ShardDurability::log_record(const WalRecord& rec) {
   // recovery-epilogue checkpoint — if durability ever came back — would
   // not lie. With sticky failure it simply stays consistent in memory.
   graph_.fold(rec, n_);
-  if (failed_) return false;
+  if (failed()) return false;
   const bool ok = wal_->append(rec);
   publish_durable_version();  // the append may have synced
   if (!ok) {
-    failed_ = true;
+    failed_.store(true, std::memory_order_release);
     return false;
   }
   ++records_logged_;
@@ -127,32 +127,32 @@ bool ShardDurability::log_record(const WalRecord& rec) {
 }
 
 bool ShardDurability::checkpoint_due() const {
-  return !failed_ && opts_.checkpoint_every != 0 &&
+  return !failed() && opts_.checkpoint_every != 0 &&
          records_since_ckpt_ >= opts_.checkpoint_every;
 }
 
 bool ShardDurability::maybe_checkpoint(uint64_t version,
                                        uint64_t snapshot_checksum,
                                        std::span<const EdgeKey> snap_keys) {
-  if (!checkpoint_due()) return !failed_;
+  if (!checkpoint_due()) return !failed();
   return checkpoint_now(version, snapshot_checksum,
                         std::vector<EdgeKey>(snap_keys.begin(), snap_keys.end()));
 }
 
 bool ShardDurability::maybe_checkpoint(const SpannerSnapshot& snap) {
-  if (!checkpoint_due()) return !failed_;
+  if (!checkpoint_due()) return !failed();
   return checkpoint_now(snap.version(), snap.checksum(), snap.edge_keys());
 }
 
 bool ShardDurability::checkpoint_now(uint64_t version,
                                      uint64_t snapshot_checksum,
                                      std::vector<EdgeKey> snap_keys) {
-  if (failed_) return false;
+  if (failed()) return false;
   // Complete the outgoing segment (write out + sync staged frames) before
   // superseding it: a fallback replay from an OLDER retained checkpoint
   // must be able to walk this segment's full record chain up to `version`.
   if (!wal_->sync()) {
-    failed_ = true;
+    failed_.store(true, std::memory_order_release);
     return false;
   }
   publish_durable_version();
@@ -164,7 +164,7 @@ bool ShardDurability::checkpoint_now(uint64_t version,
   ckpt.snap_keys = std::move(snap_keys);
   ckpt.graph_keys = graph_.keys();
   if (!write_checkpoint(*fs_, dir_, ckpt)) {
-    failed_ = true;
+    failed_.store(true, std::memory_order_release);
     return false;
   }
   graph_ = GraphShadow(std::move(ckpt.graph_keys));  // the new base

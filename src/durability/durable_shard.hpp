@@ -142,7 +142,9 @@ class ShardDurability {
   bool checkpoint_now(uint64_t version, uint64_t snapshot_checksum,
                       std::vector<EdgeKey> snap_keys);
 
-  bool failed() const { return failed_; }
+  /// Sticky I/O failure. Safe to read from any thread: the sharded drain
+  /// may cut a failing checkpoint after flush() has already returned.
+  bool failed() const { return failed_.load(std::memory_order_acquire); }
 
   /// Highest version guaranteed durable: covered by a synced WAL frame or
   /// a committed checkpoint. The crash sweep's recovery lower bound. Safe
@@ -177,7 +179,7 @@ class ShardDurability {
   uint32_t stretch_;
   GraphShadow graph_;  // shadow of the backend's graph edge set
   std::unique_ptr<WalWriter> wal_;
-  bool failed_ = false;
+  std::atomic<bool> failed_{false};
   uint64_t last_ckpt_version_ = 0;
   uint64_t records_since_ckpt_ = 0;
   uint64_t records_logged_ = 0;

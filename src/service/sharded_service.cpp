@@ -349,8 +349,8 @@ bool ShardedSpannerService::drain_shard(size_t s) {
   if (!d.empty()) {
     // The backend batch: deletions first, then insertions — exactly the
     // coalesced set semantics the queue drained (DESIGN.md §9.2).
-    SpannerService::ApplyResult r = sh.service->apply(d.insertions,
-                                                      d.deletions);
+    SpannerService::ApplyResult r = sh.service->publish(d.insertions,
+                                                        d.deletions);
     if (cfg_.record_publishes) {
       std::lock_guard<std::mutex> lk(sh.log_mu);
       sh.log.push_back(PublishRecord{r.snapshot->version(),
@@ -393,6 +393,11 @@ bool ShardedSpannerService::drain_shard(size_t s) {
     }
   }
   for (auto& done : fired) done(versions());
+  // Only now the checkpoint this batch made due: it is off the visible
+  // path, yet still in this drain task — the pool runs it before the
+  // shard's next drain, and the destructor's pool stop waits for it
+  // (DESIGN.md §9.3, §10.2).
+  sh.service->checkpoint_if_due();
   return !paused_.load(std::memory_order_relaxed) && !sh.queue.empty();
 }
 

@@ -397,14 +397,18 @@ class ShardedSpannerService {
   /// The returned VersionVector is dominated by every later view().
   /// Safe from any thread (including while paused — flush drains the
   /// pending rounds itself); concurrent submits may ride along.
+  /// Returns at the publish: a checkpoint the batch made due may still be
+  /// running in that drain; the shard's next drain and the destructor
+  /// wait for it (DESIGN.md §9.3).
   VersionVector flush();
 
   /// flush() without the wait: invokes `done` exactly once — when every
   /// submit that preceded this call is drained, applied, and published —
   /// passing a VersionVector every later view() dominates. `done` runs
   /// inline when the barrier is already satisfied, otherwise on whichever
-  /// writer-pool drain completes it; it must not block (it would stall
-  /// that shard's drain slot). This is the net front door's flush path: an
+  /// writer-pool drain completes it — at the publish, before that drain
+  /// cuts any due checkpoint; it must not block (it would stall that
+  /// shard's drain slot). This is the net front door's flush path: an
   /// event loop must never park a thread on the barrier (DESIGN.md §13.4).
   /// Callbacks still pending at destruction are dropped with the queues.
   void flush_async(std::function<void(VersionVector)> done);

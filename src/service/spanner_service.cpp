@@ -5,12 +5,12 @@
 
 namespace parspan {
 
-SpannerService::ApplyResult SpannerService::apply(
+SpannerService::ApplyResult SpannerService::publish(
     const std::vector<Edge>& insertions, const std::vector<Edge>& deletions) {
-  // Single-writer discipline: concurrent apply() calls are a caller bug
+  // Single-writer discipline: concurrent writer calls are a caller bug
   // (the backend itself forbids them), caught here before they corrupt it.
   bool was_busy = writer_busy_.exchange(true, std::memory_order_acquire);
-  assert(!was_busy && "SpannerService::apply: concurrent writers");
+  assert(!was_busy && "SpannerService::publish: concurrent writers");
   (void)was_busy;
 
   ApplyResult r;
@@ -63,10 +63,20 @@ SpannerService::ApplyResult SpannerService::apply(
     dur_->log_record(rec);
   }
   store_.publish(r.snapshot);
-  if (dur_ != nullptr) dur_->maybe_checkpoint(*r.snapshot);
 
   writer_busy_.store(false, std::memory_order_release);
   return r;
+}
+
+void SpannerService::checkpoint_if_due() {
+  if (dur_ == nullptr) return;
+  bool was_busy = writer_busy_.exchange(true, std::memory_order_acquire);
+  assert(!was_busy && "SpannerService::checkpoint_if_due: concurrent writers");
+  (void)was_busy;
+  // The store holds the version publish() just made visible: the
+  // checkpoint covers exactly what the WAL has logged so far.
+  dur_->maybe_checkpoint(*store_.acquire());
+  writer_busy_.store(false, std::memory_order_release);
 }
 
 bool SpannerService::enable_durability(std::shared_ptr<Fs> fs, std::string dir,

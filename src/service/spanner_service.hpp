@@ -7,7 +7,10 @@
 //    previous snapshot with the returned net SpannerDiff
 //    (SpannerSnapshot::apply — merge work on the touched lists, which
 //    the new version shares the untouched ones with; no re-export), and
-//    publishes the new version through the SnapshotStore.
+//    publishes the new version through the SnapshotStore. apply() is
+//    publish() plus checkpoint_if_due(); a writer that has others to
+//    signal (the sharded drain's flush barriers) calls the two halves
+//    itself and signals in between.
 //  * ANY number of reader threads call snapshot() and answer has_edge /
 //    neighbors / distance / edges queries against the pinned, immutable
 //    version — fully overlapped with the writer's next batch.
@@ -21,10 +24,10 @@
 // diff) is a deterministic function of (backend construction, batch
 // history), independent of the worker-thread count.
 //
-// Thread safety: apply() must be externally serialized (single writer —
-// enforced by a debug trap); snapshot(), version(), and all SpannerSnapshot
-// queries are safe from any thread at any time, including concurrently
-// with apply().
+// Thread safety: apply(), publish() and checkpoint_if_due() must be
+// externally serialized (single writer — enforced by a debug trap);
+// snapshot(), version(), and all SpannerSnapshot queries are safe from any
+// thread at any time, including concurrently with apply().
 #pragma once
 
 #include <algorithm>
@@ -69,9 +72,29 @@ class SpannerService {
   /// documented semantics) and publishes the next snapshot version.
   /// Writer thread only. With durability enabled, the batch's WAL record
   /// is appended (and fsynced per policy) BEFORE the version becomes
-  /// visible to readers — WAL-before-publish, DESIGN.md §10.2.
+  /// visible to readers — WAL-before-publish, DESIGN.md §10.2 — and a
+  /// checkpoint the batch made due is cut before apply() returns. Exactly
+  /// publish() followed by checkpoint_if_due().
   ApplyResult apply(const std::vector<Edge>& insertions,
-                    const std::vector<Edge>& deletions);
+                    const std::vector<Edge>& deletions) {
+    ApplyResult r = publish(insertions, deletions);
+    checkpoint_if_due();
+    return r;
+  }
+
+  /// The visible half of apply(): backend update, WAL append (fsync per
+  /// policy), publish. Returns once readers can see the new version. A
+  /// checkpoint the batch made due is left to checkpoint_if_due(), which
+  /// the writer calls before its next publish() to keep the checkpoint
+  /// cadence — the sharded drain fires its flush barriers in between
+  /// (DESIGN.md §10.2).
+  ApplyResult publish(const std::vector<Edge>& insertions,
+                      const std::vector<Edge>& deletions);
+
+  /// The deferred half of apply(): checkpoint + rotate + GC of the version
+  /// last published, if `checkpoint_every` records are logged since the
+  /// previous checkpoint. A no-op without durability. Writer thread only.
+  void checkpoint_if_due();
 
   /// Attaches a write-ahead log + checkpoint directory to this service
   /// (DESIGN.md §10). Must be called before the first apply() — the

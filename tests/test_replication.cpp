@@ -30,6 +30,7 @@
 #include "replication/failover.hpp"
 #include "replication/follower.hpp"
 #include "replication/log_shipper.hpp"
+#include "service/sharded_service.hpp"
 #include "service/spanner_service.hpp"
 #include "util/rng.hpp"
 
@@ -541,6 +542,63 @@ TEST(Replication, ShipperNeverShipsPastDurableWatermark) {
   for (int r = 0; r < 4; ++r) pump(rep, *svc);
   EXPECT_EQ(rep.follower->applied_version(), 0u);
   EXPECT_TRUE(converged(rep, *svc));  // converged AT the watermark
+}
+
+// The serving stack's shape: a catch-up starts right after flush(), while
+// the leader's drain is still cutting the checkpoint that batch made due —
+// rotating to a new segment and GC'ing the files behind the previous
+// checkpoint, in the directory the shipper tails. Incremental shipping
+// must never notice: the segment holding (ack, flushed] is synced before
+// the publish and outlives the GC (keep_checkpoints = 2).
+TEST(Replication, CatchUpRacesTheLeadersAfterBarrierCheckpoint) {
+  const size_t n = 120;
+  const size_t kRounds = 200;
+  auto [initial, batches] = gen_mixed_stream(n, 700, 16, kRounds, 0xC4A7);
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 3;
+  cfg.seed = 91;
+  auto fs = std::make_shared<MemFs>();
+  ShardedConfig sc;
+  sc.durability.enabled = true;
+  sc.durability.fs = fs;
+  sc.durability.dir = "leader";
+  sc.durability.opts.checkpoint_every = 2;
+  sc.durability.opts.keep_checkpoints = 2;
+  auto svc = ShardedSpannerService::single_graph(n, initial, 1, cfg, sc);
+  const SpannerService& leader = svc->shard_service(0);
+
+  auto chan = std::make_shared<ChannelTransport>();
+  FollowerReplica follower(std::make_shared<MemFs>(), "follower",
+                           sc.durability.opts, chan);
+  LogShipper shipper(fs, "leader/shard-0", /*epoch=*/1, chan);
+  auto catch_up = [&](uint64_t target) {
+    for (int spin = 0; spin < 1000; ++spin) {
+      if (follower.has_state() && follower.applied_version() >= target)
+        return true;
+      shipper.pump(durable_of(leader));
+      follower.pump();
+    }
+    return false;
+  };
+  ASSERT_TRUE(catch_up(0));  // seeded by one snapshot ship
+  const uint64_t seed_snapshots = shipper.snapshots_shipped();
+  const uint64_t seed_resyncs = follower.snapshot_resyncs();
+
+  for (size_t r = 0; r < kRounds; ++r) {
+    SCOPED_TRACE("round=" + std::to_string(r));
+    svc->submit(batches[r].insertions, batches[r].deletions);
+    const uint64_t v = svc->flush().v[0];
+    ASSERT_EQ(v, r + 1);  // one version per round: every version is checked
+    const uint64_t checksum = leader.snapshot()->checksum();
+    ASSERT_TRUE(catch_up(v));
+    ASSERT_EQ(follower.applied_version(), v);
+    ASSERT_EQ(follower.applied_checksum(), checksum);
+  }
+  EXPECT_EQ(shipper.records_shipped(), kRounds);
+  EXPECT_EQ(shipper.snapshots_shipped(), seed_snapshots);
+  EXPECT_EQ(follower.snapshot_resyncs(), seed_resyncs);
+  EXPECT_EQ(follower.rejects(), 0u);
+  EXPECT_FALSE(svc->durability_failed());
 }
 
 }  // namespace

@@ -15,10 +15,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "durability/checkpoint.hpp"
 #include "durability/fault_fs.hpp"
 #include "graph/bfs.hpp"
 #include "graph/dynamic_graph.hpp"
@@ -1032,6 +1035,127 @@ TEST(Sharded, DurabilityFailedSurfacesStickyWalFailure) {
   auto view = svc->view();
   EXPECT_TRUE(view.has_edge(2, 41));
   EXPECT_TRUE(view.has_edge(3, 42));
+}
+
+bool has_checkpoint(MemFs& fs, const std::string& dir, uint64_t v) {
+  const std::vector<std::string> names = fs.list(dir);
+  return std::find(names.begin(), names.end(), checkpoint_file_name(v)) !=
+         names.end();
+}
+
+// A drain fires its flush barriers at the publish and only then cuts the
+// checkpoint the batch made due: flush() returns without waiting for it.
+// The callback, run on the drain thread, must find no checkpoint for the
+// version it was handed; teardown waits for the drain, so afterwards the
+// checkpoint exists and recovery restores that version from it alone.
+TEST(Sharded, FlushBarrierFiresBeforeTheDueCheckpoint) {
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 2;
+  cfg.seed = 29;
+  const size_t n = 64;
+  auto initial = gen_erdos_renyi(n, 150, 7);
+  auto fs = std::make_shared<MemFs>();
+  ShardedConfig sc;
+  // Paused: the batch drains only on flush_async's demand, after the
+  // waiter is registered — so the callback runs in that drain.
+  sc.start_paused = true;
+  sc.durability.enabled = true;
+  sc.durability.fs = fs;
+  sc.durability.dir = "root";
+  sc.durability.opts.checkpoint_every = 1;
+  auto svc = ShardedSpannerService::single_graph(n, initial, 1, cfg, sc);
+
+  struct Seen {
+    uint64_t version;
+    bool on_drain_thread;
+    bool checkpoint_present;
+  };
+  std::promise<Seen> seen;
+  const std::thread::id caller = std::this_thread::get_id();
+  svc->submit({Edge(1, 40)}, {});
+  svc->flush_async([&](VersionVector vv) {
+    seen.set_value({vv.v[0], std::this_thread::get_id() != caller,
+                    has_checkpoint(*fs, "root/shard-0", vv.v[0])});
+  });
+  const Seen at_barrier = seen.get_future().get();
+  EXPECT_EQ(at_barrier.version, 1u);
+  EXPECT_TRUE(at_barrier.on_drain_thread);
+  EXPECT_FALSE(at_barrier.checkpoint_present);
+  const uint64_t checksum = svc->shard_service(0).snapshot()->checksum();
+
+  svc.reset();  // the pool stop waits for the checkpoint
+  EXPECT_TRUE(has_checkpoint(*fs, "root/shard-0", 1));
+  std::vector<ShardSpec> specs(1);
+  specs[0].kind = ShardSpec::Kind::kFullyDynamic;
+  specs[0].n = n;
+  specs[0].fd = cfg;
+  specs[0].fd.seed = hash_combine(cfg.seed, 0);
+  std::vector<SpannerService::RecoveryReport> reps;
+  auto back = ShardedSpannerService::recover(
+      std::move(specs), std::make_unique<VertexRangeRouter>(n, 1), sc, &reps);
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(reps[0].restored_version, 1u);
+  EXPECT_EQ(reps[0].restored_checksum, checksum);
+  EXPECT_EQ(reps[0].replayed_records, 0u);
+}
+
+// A checkpoint that fails after flush() returned still goes sticky: the
+// next round's drain runs only after it, so that round's flush() observes
+// the failure. The shard keeps serving reads and writes, minus the claim.
+TEST(Sharded, CheckpointFailureAfterFlushIsSticky) {
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 2;
+  cfg.seed = 23;
+  const size_t n = 64;
+  // Initial edges among 0..31 only: each new edge between two vertices
+  // above that is their only connection, so it is in the spanner.
+  auto initial = gen_erdos_renyi(32, 80, 6);
+  DurabilityOptions opts;
+  opts.checkpoint_every = 1;
+
+  // The mutating fs ops of one batch's WAL append, counted on a direct
+  // service that never checkpoints: the op after them is the first of the
+  // batch's checkpoint.
+  uint64_t wal_ops = 0;
+  {
+    auto probe_fs = std::make_shared<MemFs>();
+    DurabilityOptions no_ckpt = opts;
+    no_ckpt.checkpoint_every = 0;
+    SpannerService probe(
+        std::make_unique<FullyDynamicSpanner>(n, initial, cfg), 2 * cfg.k - 1);
+    ASSERT_TRUE(probe.enable_durability(probe_fs, "probe", no_ckpt, initial));
+    probe_fs->fail_at_op(0);  // resets the op count
+    probe.apply({Edge(40, 41)}, {});
+    wal_ops = probe_fs->ops();
+  }
+  ASSERT_GT(wal_ops, 0u);
+
+  auto fs = std::make_shared<MemFs>();
+  ShardedConfig sc;
+  sc.durability.enabled = true;
+  sc.durability.fs = fs;
+  sc.durability.dir = "root";
+  sc.durability.opts = opts;
+  auto svc = ShardedSpannerService::single_graph(n, initial, 1, cfg, sc);
+  ASSERT_FALSE(svc->durability_failed());
+
+  fs->fail_at_op(wal_ops + 1);  // round 1's checkpoint, after its barrier
+  svc->submit({Edge(40, 41)}, {});
+  svc->flush();
+  svc->submit({Edge(42, 43)}, {});
+  svc->flush();
+  EXPECT_TRUE(svc->durability_failed());
+  EXPECT_FALSE(has_checkpoint(*fs, "root/shard-0", 1));
+  // Round 1's record synced before its publish; nothing later is claimed.
+  EXPECT_EQ(svc->shard_service(0).durability()->durable_version(), 1u);
+
+  svc->submit({Edge(44, 45)}, {});
+  EXPECT_EQ(svc->flush().v[0], 3u);
+  EXPECT_TRUE(svc->durability_failed());
+  auto view = svc->view();
+  EXPECT_TRUE(view.has_edge(40, 41));
+  EXPECT_TRUE(view.has_edge(42, 43));
+  EXPECT_TRUE(view.has_edge(44, 45));
 }
 
 }  // namespace
