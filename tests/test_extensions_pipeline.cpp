@@ -4,13 +4,16 @@
 // 50-batch deletion sequence, mirroring test_parallel_pipeline.cpp), the
 // key-sorted diff contract, identically-seeded run reproducibility,
 // cumulative_recourse monotonicity over a long stream, and pinned hashes of
-// the UltraSparseSpanner / SparseSpanner diff streams.
+// the UltraSparseSpanner / SparseSpanner / FullyDynamicSpanner /
+// FullyDynamicSparsifier diff streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "core/bundle.hpp"
+#include "core/fully_dynamic_spanner.hpp"
 #include "core/mpx_spanner.hpp"
 #include "core/sparse_spanner.hpp"
 #include "core/sparsifier.hpp"
@@ -268,19 +271,39 @@ TEST(ExtensionsPipeline, CumulativeRecourseMonotoneOverStream) {
 // --- Pinned diff streams. ---------------------------------------------------
 // An order-sensitive hash of every diff of one seeded 50-batch mixed stream.
 // Seeds, key draws and representative elections fix every diff, so a
-// refactor of the NextLevelEdges table or the S = H ∪ rep(S_next) step
-// must leave these constants unchanged.
+// refactor of the NextLevelEdges table, the S = H ∪ rep(S_next) step or
+// the Bentley-Saxe partition reduction must leave these constants
+// unchanged.
+uint64_t hash_diff(uint64_t h, const SpannerDiff& d) {
+  h = hash_combine(h, d.inserted.size());
+  for (const Edge& e : d.inserted) h = hash_combine(h, e.key());
+  h = hash_combine(h, d.removed.size());
+  for (const Edge& e : d.removed) h = hash_combine(h, e.key());
+  return h;
+}
+
+uint64_t weight_bits(double w) {
+  uint64_t b;
+  std::memcpy(&b, &w, sizeof(b));
+  return b;
+}
+
+uint64_t hash_diff(uint64_t h, const WeightedDiff& d) {
+  h = hash_combine(h, d.inserted.size());
+  for (const WeightedEdge& we : d.inserted)
+    h = hash_combine(hash_combine(h, we.e.key()), weight_bits(we.w));
+  h = hash_combine(h, d.removed.size());
+  for (const WeightedEdge& we : d.removed)
+    h = hash_combine(hash_combine(h, we.e.key()), weight_bits(we.w));
+  return h;
+}
+
 template <typename Spanner>
 uint64_t diff_stream_hash(Spanner& sp,
                           const std::vector<UpdateBatch>& batches) {
   uint64_t h = 0;
-  for (const UpdateBatch& b : batches) {
-    SpannerDiff d = sp.update(b.insertions, b.deletions);
-    h = hash_combine(h, d.inserted.size());
-    for (const Edge& e : d.inserted) h = hash_combine(h, e.key());
-    h = hash_combine(h, d.removed.size());
-    for (const Edge& e : d.removed) h = hash_combine(h, e.key());
-  }
+  for (const UpdateBatch& b : batches)
+    h = hash_diff(h, sp.update(b.insertions, b.deletions));
   return h;
 }
 
@@ -313,6 +336,100 @@ TEST(ExtensionsPipeline, SparseDiffStreamMatchesPinnedHash) {
         << "layers=" << sp.num_layers();
     EXPECT_TRUE(sp.check_invariants()) << "layers=" << sp.num_layers();
   }
+}
+
+// A stream shaped against the Bentley-Saxe chunking for E_0 capacity c
+// (n's edge universe, shuffled). E_0 starts 3/5 full; batch 0 inserts 4c
+// fresh edges (rebuilt into slot 2); batch 1 deletes a few edges and
+// inserts 2c + c fresh ones: chunk 1 fills the empty slot 1, then chunk 0
+// scans past the occupied slots 0..2 into slot 3, absorbing slot 1 while
+// its rebuild is still pending. Twenty mixed rounds follow, each deleting
+// c live edges spread across every partition and inserting a rotating
+// amount (recycled deletions first, then unused edges).
+std::pair<std::vector<Edge>, std::vector<UpdateBatch>> bentley_saxe_stream(
+    size_t n, size_t c, uint64_t seed) {
+  std::vector<Edge> pool;
+  for (VertexId u = 0; u < n; ++u)
+    for (VertexId v = u + 1; v < n; ++v) pool.emplace_back(u, v);
+  Rng rng(seed);
+  for (size_t i = pool.size(); i > 1; --i)
+    std::swap(pool[i - 1], pool[rng.next_below(i)]);
+  std::vector<Edge> live;
+  auto take = [&](size_t count) {
+    std::vector<Edge> out(pool.end() - ptrdiff_t(count), pool.end());
+    pool.resize(pool.size() - count);
+    live.insert(live.end(), out.begin(), out.end());
+    return out;
+  };
+  auto drop = [&](size_t count) {
+    std::vector<Edge> out;
+    for (size_t i = 0; i < count; ++i) {
+      size_t at = rng.next_below(live.size());
+      out.push_back(live[at]);
+      live[at] = live.back();
+      live.pop_back();
+    }
+    return out;
+  };
+  std::vector<Edge> initial = take(c * 3 / 5);
+  std::vector<UpdateBatch> batches;
+  batches.push_back({take(4 * c), {}});
+  std::vector<Edge> del = drop(c / 16);
+  batches.push_back({take(3 * c), del});
+  pool.insert(pool.end(), del.begin(), del.end());
+  const size_t sizes[] = {c / 3, c + c / 8, 2 * c + 5, c / 2};
+  for (size_t round = 0; round < 20; ++round) {
+    del = drop(c);
+    std::vector<Edge> ins = take(sizes[round % 4]);
+    pool.insert(pool.begin(), del.begin(), del.end());
+    batches.push_back({ins, del});
+  }
+  return {initial, batches};
+}
+
+TEST(ExtensionsPipeline, FullyDynamicSpannerDiffStreamMatchesPinnedHash) {
+  const size_t n = 128;
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 4;  // 2^{l0} >= 128^{5/4}: l0 = 9, E_0 capacity 512
+  cfg.seed = 31;
+  auto [initial, batches] = bentley_saxe_stream(n, 512, 41);
+  FullyDynamicSpanner sp(n, initial, cfg);
+  uint64_t h = 0;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    const uint64_t rebuilds = sp.rebuilds();
+    h = hash_diff(h, sp.update(batches[i].insertions, batches[i].deletions));
+    ASSERT_TRUE(sp.check_invariants()) << "batch " << i;
+    if (i == 0) {
+      EXPECT_EQ(sp.num_partitions(), 3u);
+      EXPECT_EQ(sp.rebuilds(), rebuilds + 1);
+    } else if (i == 1) {
+      // Two rebuilds into four slots: slot 1's was absorbed, pending.
+      EXPECT_EQ(sp.num_partitions(), 4u);
+      EXPECT_EQ(sp.rebuilds(), rebuilds + 2);
+      EXPECT_EQ(sp.num_edges(), 512u * 3 / 5 + 7 * 512 - 512 / 16);
+    }
+  }
+  EXPECT_EQ(h, 7657203086024354479ull);
+}
+
+TEST(ExtensionsPipeline, FullyDynamicSparsifierDiffStreamMatchesPinnedHash) {
+  const size_t n = 128;
+  FullyDynamicSparsifierConfig cfg;  // Invariant B2: E_0 capacity 128
+  cfg.seed = 37;
+  auto [initial, batches] = bentley_saxe_stream(n, 128, 43);
+  FullyDynamicSparsifier sp(n, initial, cfg);
+  uint64_t h = 0;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    h = hash_diff(h, sp.update(batches[i].insertions, batches[i].deletions));
+    ASSERT_TRUE(sp.check_invariants()) << "batch " << i;
+    if (i == 0) {
+      EXPECT_EQ(sp.num_partitions(), 3u);
+    } else if (i == 1) {
+      EXPECT_EQ(sp.num_partitions(), 4u);
+      EXPECT_EQ(sp.num_edges(), 128u * 3 / 5 + 7 * 128 - 128 / 16);
+    }
+  }
+  EXPECT_EQ(h, 6123833433877724543ull);
 }
 
 }  // namespace
