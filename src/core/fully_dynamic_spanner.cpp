@@ -4,267 +4,92 @@
 #include <cassert>
 #include <cmath>
 
-#include "parallel/arena.hpp"
 #include "parallel/csr.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/primitives.hpp"
-#include "util/rng.hpp"
 
 namespace parspan {
+
+namespace {
+
+/// Invariant B1: the smallest l0 with 2^{l0} >= n^{1+1/k}.
+uint32_t b1_l0(size_t n, uint32_t k) {
+  double target =
+      std::pow(double(std::max<size_t>(n, 2)), 1.0 + 1.0 / double(k));
+  uint32_t l0 = 0;
+  while (std::pow(2.0, double(l0)) < target) ++l0;
+  return l0;
+}
+
+/// Theorem 1.1's side of the reduction: E_0 keys and instance spanner
+/// edges go straight into the batch's DiffAccumulator.
+struct SpannerSink {
+  size_t n;
+  uint32_t k;
+  DiffAccumulator& delta;
+
+  std::unique_ptr<DecrementalClusterSpanner> build(std::vector<EdgeKey> keys,
+                                                   uint64_t seed) const {
+    return std::make_unique<DecrementalClusterSpanner>(
+        n, DecrementalClusterSpanner::FromSortedKeys{}, std::move(keys),
+        ClusterSpannerConfig{.k = k, .seed = seed});
+  }
+  void e0(EdgeKey ek, int32_t dir) { delta.bump(ek, dir); }
+  void output(const DecrementalClusterSpanner& s, int32_t dir) {
+    for (const Edge& e : s.spanner_edges()) delta.bump(e.key(), dir);
+  }
+  void deleted(SpannerDiff&& d) {
+    for (const Edge& e : d.inserted) delta.add(e.key());
+    for (const Edge& e : d.removed) delta.remove(e.key());
+  }
+};
+
+}  // namespace
 
 FullyDynamicSpanner::FullyDynamicSpanner(
     size_t n, const std::vector<Edge>& initial,
     const FullyDynamicSpannerConfig& cfg)
-    : n_(n), cfg_(cfg) {
-  // 2^{l0} >= n^{1+1/k}.
-  double target = std::pow(double(std::max<size_t>(n, 2)),
-                           1.0 + 1.0 / double(cfg.k));
-  l0_ = 0;
-  while (std::pow(2.0, double(l0_)) < target) ++l0_;
-
-  // Canonicalize + dedup with one parallel sort, then install everything in
-  // the smallest slot j with |E| <= 2^{j+l0}.
-  std::vector<EdgeKey> keys = canonical_edge_keys(n, initial);
-  size_t j = 0;
-  while (capacity(j) < keys.size()) ++j;
-  ensure_parts(j);
-  index_.reserve(keys.size());
-  parts_[j].edges.reserve(keys.size());
-  for (EdgeKey ek : keys) {
-    parts_[j].edges.insert(ek);
-    index_[ek] = uint32_t(j);
-  }
-  if (j > 0) {
-    ClusterSpannerConfig scfg;
-    scfg.k = cfg_.k;
-    scfg.seed = hash_combine(cfg_.seed, ++instance_counter_);
-    parts_[j].spanner = std::make_unique<DecrementalClusterSpanner>(
-        n_, DecrementalClusterSpanner::FromSortedKeys{}, std::move(keys),
-        scfg);
-  }
-}
-
-void FullyDynamicSpanner::ensure_parts(size_t j) {
-  while (parts_.size() <= j) parts_.emplace_back();
-}
+    : n_(n),
+      cfg_(cfg),
+      core_(n, b1_l0(n, cfg.k), cfg.seed, canonical_edge_keys(n, initial),
+            SpannerSink{n, cfg.k, delta_}) {}
 
 size_t FullyDynamicSpanner::spanner_size() const {
   size_t s = 0;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (i == 0 || !parts_[i].spanner)
-      s += parts_[i].edges.size();  // E_0: everything is in the spanner
-    else
-      s += parts_[i].spanner->spanner_size();
-  }
+  for (const auto& p : core_.partitions())
+    s += p.inst ? p.inst->spanner_size() : p.edges.size();
   return s;
 }
 
 std::vector<Edge> FullyDynamicSpanner::spanner_edges() const {
   std::vector<Edge> out;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (i == 0 || !parts_[i].spanner) {
-      parts_[i].edges.for_each(
-          [&](EdgeKey ek) { out.push_back(edge_from_key(ek)); });
-    } else {
-      auto h = parts_[i].spanner->spanner_edges();
+  for (const auto& p : core_.partitions()) {
+    if (p.inst) {
+      auto h = p.inst->spanner_edges();
       out.insert(out.end(), h.begin(), h.end());
+    } else {
+      // E_0: everything is in the spanner.
+      p.edges.for_each([&](EdgeKey ek) { out.push_back(edge_from_key(ek)); });
     }
   }
   return out;
 }
 
-void FullyDynamicSpanner::prepare_rebuild(size_t j, size_t lo,
-                                          std::vector<EdgeKey> fresh,
-                                          std::vector<RebuildJob>& jobs) {
-  ensure_parts(j);
-  assert(parts_[j].edges.empty());
-  ++rebuilds_;
-  std::vector<EdgeKey> merged = std::move(fresh);
-  size_t total = merged.size();
-  for (size_t i = lo; i < j; ++i) total += parts_[i].edges.size();
-  merged.reserve(total);
-  for (size_t i = lo; i < j; ++i) {
-    Partition& p = parts_[i];
-    if (p.edges.empty()) {
-      p.spanner.reset();
-      continue;
-    }
-    // A slot filled earlier in this batch whose instance is still pending:
-    // cancel the job and take its edges. It never entered the diff (delta
-    // adds happen at install), so no contributions leave here.
-    RebuildJob* pending = nullptr;
-    for (RebuildJob& job : jobs)
-      if (!job.cancelled && job.j == uint32_t(i)) pending = &job;
-    if (pending != nullptr) {
-      assert(!p.spanner);
-      pending->cancelled = true;
-      merged.insert(merged.end(), pending->merged.begin(),
-                    pending->merged.end());
-    } else if (i == 0 || !p.spanner) {
-      // Current spanner contributions of the absorbed partition leave.
-      p.edges.for_each([&](EdgeKey ek) {
-        delta_.remove(ek);
-        merged.push_back(ek);
-      });
-    } else {
-      for (const Edge& e : p.spanner->spanner_edges())
-        delta_.remove(e.key());
-      p.edges.for_each([&](EdgeKey ek) { merged.push_back(ek); });
-    }
-    p.edges = FlatHashSet<EdgeKey>{};  // release the absorbed slot array
-    p.spanner.reset();
-  }
-  // U_i ∪ E_lo..E_{j-1} as one parallel sort (partitions are disjoint and
-  // fresh keys are new, so the union is already duplicate-free).
-  parallel_sort(merged);
-  assert(std::adjacent_find(merged.begin(), merged.end()) == merged.end());
-  assert(merged.size() <= capacity(j));
-  Partition& pj = parts_[j];
-  pj.edges.reserve(merged.size());
-  for (EdgeKey ek : merged) {
-    pj.edges.insert(ek);
-    index_[ek] = uint32_t(j);
-  }
-  if (j == 0) {
-    // E_0 keeps everything in the spanner; no instance to build.
-    for (EdgeKey ek : merged) delta_.add(ek);
-    return;
-  }
-  RebuildJob job;
-  job.j = uint32_t(j);
-  job.seed = hash_combine(cfg_.seed, ++instance_counter_);
-  job.merged = std::move(merged);
-  jobs.push_back(std::move(job));
-}
-
 SpannerDiff FullyDynamicSpanner::update(const std::vector<Edge>& insertions,
                                         const std::vector<Edge>& deletions) {
   assert(delta_.empty() && "previous batch drained its delta");
-
-  // Batch-scoped scratch (the routed deletion lists, the insertion key
-  // buffer) lives on the calling thread's bump arena and is reclaimed
-  // wholesale when the scope closes — the partition-rebuild path allocates
-  // these same shapes every batch (DESIGN.md §12.5). Job payloads that
-  // outlive the batch (job.merged moves into the new instance) stay on the
-  // heap.
-  ArenaScope batch_scratch;
-
-  // --- Deletions: route to partitions through Index. ---
-  ArenaVector<ArenaVector<Edge>> per_part(parts_.size());
-  for (const Edge& e : deletions) {
-    uint32_t* slot = index_.find(e.key());
-    if (slot == nullptr) continue;
-    per_part[*slot].push_back(e);
-    index_.erase(e.key());
-  }
-  for (size_t i = 0; i < per_part.size(); ++i) {
-    if (per_part[i].empty()) continue;
-    Partition& p = parts_[i];
-    for (const Edge& e : per_part[i]) p.edges.erase(e.key());
-    if (i == 0 || !p.spanner) {
-      for (const Edge& e : per_part[i]) delta_.remove(e.key());
-    } else {
-      absorb_diff(p.spanner->delete_edges(per_part[i]));
-    }
-  }
-
-  // --- Insertions: split U into U_r ∪ U_0 ∪ ... and merge upward. ---
-  ArenaVector<EdgeKey> u;
-  for (const Edge& e : insertions) {
-    if (e.u == e.v || e.u >= n_ || e.v >= n_) continue;
-    EdgeKey ek = e.key();
-    if (index_.contains(ek)) continue;  // already alive (or seen this batch)
-    index_[ek] = kUnassigned;           // reserved; set by prepare_rebuild
-    u.push_back(ek);
-  }
-  std::vector<RebuildJob> jobs;
-  if (!u.empty()) {
-    // Chunk sizes by the binary representation of |U|: highest first.
-    size_t remaining = u.size();
-    size_t pos = 0;
-    int bmax = 0;
-    while (capacity(bmax + 1) <= remaining) ++bmax;
-    for (int i = bmax; i >= 0; --i) {
-      size_t chunk = capacity(size_t(i));
-      if (remaining < chunk) continue;
-      std::vector<EdgeKey> ui(u.begin() + pos, u.begin() + pos + chunk);
-      pos += chunk;
-      remaining -= chunk;
-      size_t j = size_t(i);
-      while (j < parts_.size() && !parts_[j].edges.empty()) ++j;
-      prepare_rebuild(j, size_t(i), std::move(ui), jobs);
-    }
-    // Remainder U_r (< 2^{l0}).
-    if (remaining > 0) {
-      std::vector<EdgeKey> ur(u.begin() + pos, u.end());
-      ensure_parts(0);
-      if (parts_[0].edges.size() + ur.size() <= capacity(0)) {
-        for (EdgeKey ek : ur) {
-          parts_[0].edges.insert(ek);
-          index_[ek] = 0;
-          delta_.add(ek);
-        }
-      } else {
-        size_t j = 0;
-        while (j < parts_.size() && !parts_[j].edges.empty()) ++j;
-        prepare_rebuild(j, 0, std::move(ur), jobs);
-      }
-    }
-  }
-
-  // --- Build the rebuilt decremental instances concurrently. ---
-  // Jobs target disjoint slots and share no state; each construction is
-  // itself parallel, and nested parallel_for calls steal from the same
-  // scheduler instead of oversubscribing. grain 1 so every job is its own
-  // task (few, heavy iterations).
-  parallel_for(
-      0, jobs.size(),
-      [&](size_t idx) {
-        RebuildJob& job = jobs[idx];
-        if (job.cancelled) return;
-        ClusterSpannerConfig scfg;
-        scfg.k = cfg_.k;
-        scfg.seed = job.seed;
-        job.built = std::make_unique<DecrementalClusterSpanner>(
-            n_, DecrementalClusterSpanner::FromSortedKeys{},
-            std::move(job.merged), scfg);
-      },
-      /*grain=*/1);
-  // Install + account serially in job order: the diff stays deterministic
-  // no matter how the parallel build phase was scheduled.
-  for (RebuildJob& job : jobs) {
-    if (job.cancelled) continue;
-    parts_[job.j].spanner = std::move(job.built);
-    for (const Edge& e : parts_[job.j].spanner->spanner_edges())
-      delta_.add(e.key());
-  }
-
-  // --- Compile the net diff by draining the touched keys. ---
+  SpannerSink sink{n_, cfg_.k, delta_};
+  core_.update(insertions, deletions, sink);
   return delta_.drain();
 }
 
 bool FullyDynamicSpanner::check_invariants() const {
-  size_t total = 0;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    const Partition& p = parts_[i];
-    if (p.edges.size() > capacity(i)) return false;  // Invariant B1
-    total += p.edges.size();
-    bool ok = true;
-    p.edges.for_each([&](EdgeKey ek) {
-      const uint32_t* slot = index_.find(ek);
-      if (slot == nullptr || *slot != i) ok = false;
-    });
-    if (!ok) return false;
-    if (i >= 1 && p.spanner) {
-      if (!p.spanner->check_invariants()) return false;
-      // The instance's alive edges must be exactly p.edges.
-      if (p.spanner->alive_edges() != p.edges.size()) return false;
-      for (const Edge& e : p.spanner->spanner_edges())
-        if (!p.edges.contains(e.key())) return false;
-    }
-    if (i >= 1 && !p.spanner && !p.edges.empty()) return false;
+  if (!core_.check_invariants()) return false;
+  // Every instance's spanner lies inside its own partition.
+  for (const auto& p : core_.partitions()) {
+    if (!p.inst) continue;
+    for (const Edge& e : p.inst->spanner_edges())
+      if (!p.edges.contains(e.key())) return false;
   }
-  return total == index_.size();
+  return true;
 }
 
 }  // namespace parspan

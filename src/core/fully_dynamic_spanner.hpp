@@ -1,23 +1,13 @@
-// FullyDynamicSpanner: the fully-dynamic (2k-1)-spanner of Theorem 1.1,
-// obtained from the decremental structure of Lemma 3.3 via the
-// Bentley-Saxe-style reduction of [BS80, BS08] (paper §3.4).
-//
-// Edges are kept in a partition E = E_0 ∪ E_1 ∪ ... ∪ E_b with
+// FullyDynamicSpanner: the fully-dynamic (2k-1)-spanner of Theorem 1.1:
+// the decremental structure of Lemma 3.3 under the Bentley-Saxe reduction
+// (paper §3.4, core/bentley_saxe.hpp) with
 //
 //   Invariant B1:  |E_i| <= 2^{i + l0},   2^{l0} >= n^{1+1/k}.
 //
-// E_0 is maintained trivially (all of its edges are in the spanner; its
-// capacity matches the target spanner size). Every other E_i runs its own
-// DecrementalClusterSpanner. By Observation 3.7 (spanners are decomposable)
-// the union of the per-partition spanners is a (2k-1)-spanner of G.
-//
-// Batch insertion U splits into U_r ∪ U_0 ∪ ... ∪ U_b with |U_i| = 2^{l0+i}
-// or empty (determined by the binary representation of |U|); each nonempty
-// U_i is merged with E_i..E_{j-1} into the first empty slot E_j (j >= i).
-// The merge is one parallel sort over the union (DESIGN.md §6), and the
-// decremental instances of the rebuilt slots — disjoint by construction —
-// are built concurrently. Deletions are routed to their partition through
-// the flat open-addressing Index table (DESIGN.md §1).
+// E_0's capacity matches the target spanner size, so all of its edges are
+// in the spanner; every other E_i runs its own DecrementalClusterSpanner.
+// By Observation 3.7 (spanners are decomposable) the union of the
+// per-partition spanners is a (2k-1)-spanner of G.
 //
 // Batch semantics: update() applies deletions first, then insertions;
 // duplicates and no-ops are filtered. The returned SpannerDiff is the NET
@@ -31,10 +21,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "container/flat_map.hpp"
+#include "core/bentley_saxe.hpp"
 #include "core/cluster_spanner.hpp"
 #include "util/types.hpp"
 
@@ -53,10 +42,10 @@ class FullyDynamicSpanner {
                       const FullyDynamicSpannerConfig& cfg);
 
   size_t num_vertices() const { return n_; }
-  size_t num_edges() const { return index_.size(); }
+  size_t num_edges() const { return core_.num_edges(); }
   size_t spanner_size() const;
   std::vector<Edge> spanner_edges() const;
-  bool has_edge(Edge e) const { return index_.contains(e.key()); }
+  bool has_edge(Edge e) const { return core_.contains(e.key()); }
 
   /// Applies one batch of updates (deletions first, then insertions;
   /// duplicates and no-ops are filtered). Returns the net spanner diff,
@@ -73,67 +62,20 @@ class FullyDynamicSpanner {
   }
 
   /// Number of partitions currently allocated.
-  size_t num_partitions() const { return parts_.size(); }
+  size_t num_partitions() const { return core_.num_partitions(); }
 
   /// Number of decremental-instance rebuilds so far (amortization witness).
-  uint64_t rebuilds() const { return rebuilds_; }
+  uint64_t rebuilds() const { return core_.rebuilds(); }
 
   /// Oracle: Invariant B1, Index consistency, sub-structure invariants,
   /// and spanner-union consistency. Expensive; for tests.
   bool check_invariants() const;
 
  private:
-  struct Partition {
-    FlatHashSet<EdgeKey> edges;  // alive edges assigned here
-    std::unique_ptr<DecrementalClusterSpanner> spanner;  // null for E_0
-  };
-
-  /// One pending partition rebuild: slot, derived seed, and the merged
-  /// (sorted, unique) edge keys. Jobs target disjoint slots, so their
-  /// instance constructions run concurrently; `built` is filled by the
-  /// parallel build phase and installed serially in job order. A later
-  /// chunk of the same batch may absorb a slot whose job has not been
-  /// built yet — the job is then `cancelled` and its edges move into the
-  /// larger merge (it contributed nothing to the diff yet, so no delta
-  /// accounting is rolled back).
-  struct RebuildJob {
-    uint32_t j = 0;
-    uint64_t seed = 0;
-    bool cancelled = false;
-    std::vector<EdgeKey> merged;
-    std::unique_ptr<DecrementalClusterSpanner> built;
-  };
-
-  /// Index value marking an edge accepted this batch but not yet assigned
-  /// to a partition (set by prepare_rebuild / the E_0 append path).
-  static constexpr uint32_t kUnassigned = static_cast<uint32_t>(-1);
-
-  /// Capacity 2^{i+l0} of partition i.
-  size_t capacity(size_t i) const { return size_t{1} << (i + l0_); }
-
-  void ensure_parts(size_t j);
-
-  /// Phase 1 of a rebuild into slot j: empties partitions lo..j-1,
-  /// accounts their departing spanner contributions, merges their edges
-  /// with `fresh` via one parallel sort, installs the Index/partition
-  /// membership — and queues the (expensive) decremental-instance
-  /// construction as a RebuildJob instead of running it inline.
-  void prepare_rebuild(size_t j, size_t lo, std::vector<EdgeKey> fresh,
-                       std::vector<RebuildJob>& jobs);
-
-  void absorb_diff(const SpannerDiff& d) {
-    for (const Edge& e : d.inserted) delta_.add(e.key());
-    for (const Edge& e : d.removed) delta_.remove(e.key());
-  }
-
   size_t n_ = 0;
   FullyDynamicSpannerConfig cfg_;
-  uint32_t l0_ = 0;
-  std::vector<Partition> parts_;
-  FlatHashMap<EdgeKey, uint32_t> index_;  // alive edge -> partition
-  DiffAccumulator delta_;                 // per-batch diff (DESIGN.md §6.4)
-  uint64_t rebuilds_ = 0;
-  uint64_t instance_counter_ = 0;  // fresh seeds for rebuilt instances
+  DiffAccumulator delta_;  // per-batch diff (DESIGN.md §6.4)
+  BentleySaxe<DecrementalClusterSpanner> core_;
 };
 
 }  // namespace parspan

@@ -142,7 +142,7 @@ std::vector<WeightedEdge> DecrementalSparsifier::sparsifier_edges() const {
 }
 
 WeightedDiff DecrementalSparsifier::delete_edges(
-    const std::vector<Edge>& batch) {
+    std::span<const Edge> batch) {
   size_t K = stages_.size();
   std::vector<WEvent> events;
 
@@ -161,7 +161,7 @@ WeightedDiff DecrementalSparsifier::delete_edges(
   // glob[j]: batch edges surviving coins 0..j-1 — stage j's share of the
   // *global* deletions, computable up front.
   std::vector<std::vector<Edge>> glob(K + 1);
-  glob[0] = batch;
+  glob[0].assign(batch.begin(), batch.end());
   for (size_t j = 0; j < K; ++j) {
     glob[j + 1].reserve(glob[j].size() / 3);
     for (const Edge& e : glob[j])
@@ -248,205 +248,84 @@ bool DecrementalSparsifier::check_invariants() const {
 // FullyDynamicSparsifier (Theorem 1.6)
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Invariant B2: the smallest l0 with 2^{l0} >= n.
+uint32_t b2_l0(size_t n) {
+  uint32_t l0 = 0;
+  while ((size_t{1} << l0) < std::max<size_t>(n, 2)) ++l0;
+  return l0;
+}
+
+/// Theorem 1.6's side of the reduction: every output change becomes a
+/// packed (key, weight) event (E_0 edges carry weight 1), netted once per
+/// batch by net_weighted.
+struct SparsifierSink {
+  size_t n;
+  const SparsifierConfig& stage;
+  std::vector<WEvent>* events;  // null while constructing: build only
+
+  std::unique_ptr<DecrementalSparsifier> build(std::vector<EdgeKey> keys,
+                                               uint64_t seed) const {
+    std::vector<Edge> edges(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) edges[i] = edge_from_key(keys[i]);
+    SparsifierConfig sc = stage;
+    sc.seed = seed;
+    return std::make_unique<DecrementalSparsifier>(n, edges, sc);
+  }
+  void e0(EdgeKey ek, int32_t dir) {
+    events->push_back(wevent(edge_from_key(ek), 1.0, dir));
+  }
+  void push(const std::vector<WeightedEdge>& es, int32_t dir) {
+    for (const WeightedEdge& we : es)
+      events->push_back(wevent(we.e, we.w, dir));
+  }
+  void output(const DecrementalSparsifier& s, int32_t dir) {
+    push(s.sparsifier_edges(), dir);
+  }
+  void deleted(WeightedDiff&& d) {
+    push(d.inserted, +1);
+    push(d.removed, -1);
+  }
+};
+
+}  // namespace
+
 FullyDynamicSparsifier::FullyDynamicSparsifier(
     size_t n, const std::vector<Edge>& initial,
     const FullyDynamicSparsifierConfig& cfg)
-    : n_(n), cfg_(cfg) {
-  // Invariant B2: 2^{l0} >= n.
-  l0_ = 0;
-  while ((size_t{1} << l0_) < std::max<size_t>(n, 2)) ++l0_;
-  std::vector<Edge> edges;
-  for (const Edge& e : initial) {
-    if (e.u == e.v || e.u >= n || e.v >= n) continue;
-    if (index_.contains(e.key())) continue;
-    index_[e.key()] = 0;
-    edges.push_back(e);
-  }
-  size_t j = 0;
-  while (capacity(j) < edges.size()) ++j;
-  ensure_parts(j);
-  for (const Edge& e : edges) {
-    parts_[j].edges.insert(e.key());
-    index_[e.key()] = uint32_t(j);
-  }
-  if (j > 0 && !edges.empty()) {
-    SparsifierConfig sc = cfg_.stage;
-    sc.seed = hash_combine(cfg_.seed, ++instance_counter_);
-    parts_[j].sp = std::make_unique<DecrementalSparsifier>(n_, edges, sc);
-  }
-}
-
-void FullyDynamicSparsifier::ensure_parts(size_t j) {
-  while (parts_.size() <= j) parts_.emplace_back();
-}
+    : n_(n),
+      cfg_(cfg),
+      core_(n, b2_l0(n), cfg.seed, canonical_edge_keys(n, initial),
+            SparsifierSink{n, cfg.stage, nullptr}) {}
 
 size_t FullyDynamicSparsifier::size() const {
   size_t s = 0;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (i == 0 || !parts_[i].sp)
-      s += parts_[i].edges.size();
-    else
-      s += parts_[i].sp->size();
-  }
+  for (const auto& p : core_.partitions())
+    s += p.inst ? p.inst->size() : p.edges.size();
   return s;
 }
 
 std::vector<WeightedEdge> FullyDynamicSparsifier::sparsifier_edges() const {
   std::vector<WeightedEdge> out;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (i == 0 || !parts_[i].sp) {
-      for (EdgeKey ek : parts_[i].edges.sorted_keys())
-        out.push_back({edge_from_key(ek), 1.0});
-    } else {
-      auto h = parts_[i].sp->sparsifier_edges();
+  for (const auto& p : core_.partitions()) {
+    if (p.inst) {
+      auto h = p.inst->sparsifier_edges();
       out.insert(out.end(), h.begin(), h.end());
+    } else {
+      for (EdgeKey ek : p.edges.sorted_keys())
+        out.push_back({edge_from_key(ek), 1.0});
     }
   }
   return out;
 }
 
-void FullyDynamicSparsifier::rebuild_into(size_t j, size_t lo,
-                                          const std::vector<Edge>& fresh,
-                                          WeightedDiff& diff) {
-  ensure_parts(j);
-  assert(parts_[j].edges.empty());
-  std::vector<Edge> merged = fresh;
-  for (size_t i = lo; i < j; ++i) {
-    Partition& p = parts_[i];
-    if (p.edges.empty()) {
-      p.sp.reset();
-      continue;
-    }
-    std::vector<EdgeKey> keys = p.edges.sorted_keys();
-    if (i == 0 || !p.sp) {
-      for (EdgeKey ek : keys) diff.removed.push_back({edge_from_key(ek), 1.0});
-    } else {
-      auto h = p.sp->sparsifier_edges();
-      diff.removed.insert(diff.removed.end(), h.begin(), h.end());
-    }
-    for (EdgeKey ek : keys) merged.push_back(edge_from_key(ek));
-    p.edges.clear();
-    p.sp.reset();
-  }
-  assert(merged.size() <= capacity(j));
-  for (const Edge& e : merged) {
-    parts_[j].edges.insert(e.key());
-    index_[e.key()] = uint32_t(j);
-  }
-  if (j == 0) {
-    for (const Edge& e : merged) diff.inserted.push_back({e, 1.0});
-    return;
-  }
-  SparsifierConfig sc = cfg_.stage;
-  sc.seed = hash_combine(cfg_.seed, ++instance_counter_);
-  parts_[j].sp = std::make_unique<DecrementalSparsifier>(n_, merged, sc);
-  auto h = parts_[j].sp->sparsifier_edges();
-  diff.inserted.insert(diff.inserted.end(), h.begin(), h.end());
-}
-
 WeightedDiff FullyDynamicSparsifier::update(
     const std::vector<Edge>& insertions, const std::vector<Edge>& deletions) {
-  WeightedDiff work;
-
-  // Deletions routed through Index (serial), then applied per partition in
-  // parallel — partitions are disjoint structures (§6.1's discipline), and
-  // the per-partition diffs merge serially in partition order.
-  std::vector<std::vector<Edge>> per_part(parts_.size());
-  for (const Edge& e : deletions) {
-    uint32_t* it = index_.find(e.key());
-    if (it == nullptr) continue;
-    per_part[*it].push_back(e);
-    index_.erase(e.key());
-  }
-  std::vector<WeightedDiff> pdiffs(parts_.size());
-  parallel_for(
-      0, per_part.size(),
-      [&](size_t i) {
-        if (per_part[i].empty()) return;
-        Partition& p = parts_[i];
-        for (const Edge& e : per_part[i]) p.edges.erase(e.key());
-        if (i == 0 || !p.sp) {
-          for (const Edge& e : per_part[i])
-            pdiffs[i].removed.push_back({e, 1.0});
-        } else {
-          pdiffs[i] = p.sp->delete_edges(per_part[i]);
-        }
-      },
-      1);
-  for (const WeightedDiff& d : pdiffs) {
-    work.inserted.insert(work.inserted.end(), d.inserted.begin(),
-                         d.inserted.end());
-    work.removed.insert(work.removed.end(), d.removed.begin(),
-                        d.removed.end());
-  }
-
-  // Insertions: Bentley-Saxe merge (as in Theorem 1.1, with B2 capacities).
-  std::vector<Edge> u;
-  for (const Edge& e : insertions) {
-    if (e.u == e.v || e.u >= n_ || e.v >= n_) continue;
-    if (index_.contains(e.key())) continue;
-    index_[e.key()] = uint32_t(-1);
-    u.push_back(e);
-  }
-  if (!u.empty()) {
-    size_t remaining = u.size(), pos = 0;
-    int bmax = 0;
-    while (capacity(size_t(bmax) + 1) <= remaining) ++bmax;
-    for (int i = bmax; i >= 0; --i) {
-      size_t chunk = capacity(size_t(i));
-      if (remaining < chunk) continue;
-      std::vector<Edge> ui(u.begin() + pos, u.begin() + pos + chunk);
-      pos += chunk;
-      remaining -= chunk;
-      size_t j = size_t(i);
-      while (j < parts_.size() && !parts_[j].edges.empty()) ++j;
-      rebuild_into(j, size_t(i), ui, work);
-    }
-    if (remaining > 0) {
-      std::vector<Edge> ur(u.begin() + pos, u.end());
-      ensure_parts(0);
-      if (parts_[0].edges.size() + ur.size() <= capacity(0)) {
-        for (const Edge& e : ur) {
-          parts_[0].edges.insert(e.key());
-          index_[e.key()] = 0;
-          work.inserted.push_back({e, 1.0});
-        }
-      } else {
-        size_t j = 0;
-        while (j < parts_.size() && !parts_[j].edges.empty()) ++j;
-        rebuild_into(j, 0, ur, work);
-      }
-    }
-  }
-
   std::vector<WEvent> events;
-  events.reserve(work.inserted.size() + work.removed.size());
-  for (const WeightedEdge& we : work.inserted)
-    events.push_back(wevent(we.e, we.w, +1));
-  for (const WeightedEdge& we : work.removed)
-    events.push_back(wevent(we.e, we.w, -1));
+  SparsifierSink sink{n_, cfg_.stage, &events};
+  core_.update(insertions, deletions, sink);
   return net_weighted(events);
-}
-
-bool FullyDynamicSparsifier::check_invariants() const {
-  size_t total = 0;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    const Partition& p = parts_[i];
-    if (p.edges.size() > capacity(i)) return false;  // Invariant B2
-    total += p.edges.size();
-    bool ok = true;
-    p.edges.for_each([&](EdgeKey ek) {
-      const uint32_t* it = index_.find(ek);
-      if (it == nullptr || *it != i) ok = false;
-    });
-    if (!ok) return false;
-    if (i >= 1 && p.sp) {
-      if (!p.sp->check_invariants()) return false;
-      if (p.sp->alive_edges() != p.edges.size()) return false;
-    }
-    if (i >= 1 && !p.sp && !p.edges.empty()) return false;
-  }
-  return total == index_.size();
 }
 
 }  // namespace parspan

@@ -21,7 +21,9 @@
 // sorted and independent of the stage schedule.
 //
 // FullyDynamicSparsifier applies the Bentley-Saxe reduction of Theorem 1.6
-// (Invariant B2, Lemma 6.7: unions of (1±ε)-sparsifiers sparsify unions).
+// (Invariant B2, Lemma 6.7: unions of (1±ε)-sparsifiers sparsify unions)
+// through the same BentleySaxe core as Theorem 1.1 (core/bentley_saxe.hpp);
+// its events are packed as (key, weight) tuples and netted per batch.
 //
 // The bundle depth t controls quality: the theorem's
 // t = O(ε^{-2} log^2 m log^3 n) constants are far beyond practical sizes,
@@ -30,9 +32,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "container/flat_map.hpp"
+#include "core/bentley_saxe.hpp"
 #include "core/bundle.hpp"
 #include "verify/laplacian.hpp"
 
@@ -73,8 +77,9 @@ class DecrementalSparsifier {
   size_t num_stages() const { return stages_.size(); }
   size_t alive_edges() const;
 
-  /// Deletes a batch of edges; returns the net weighted diff.
-  WeightedDiff delete_edges(const std::vector<Edge>& batch);
+  /// Deletes a batch of edges; returns the net weighted diff. Takes a span
+  /// so the Bentley-Saxe core can pass its arena-backed routed deletions.
+  WeightedDiff delete_edges(std::span<const Edge> batch);
 
   bool check_invariants() const;
 
@@ -100,7 +105,7 @@ class FullyDynamicSparsifier {
                          const FullyDynamicSparsifierConfig& cfg);
 
   size_t num_vertices() const { return n_; }
-  size_t num_edges() const { return index_.size(); }
+  size_t num_edges() const { return core_.num_edges(); }
   size_t size() const;
   std::vector<WeightedEdge> sparsifier_edges() const;
 
@@ -108,25 +113,13 @@ class FullyDynamicSparsifier {
   WeightedDiff update(const std::vector<Edge>& insertions,
                       const std::vector<Edge>& deletions);
 
-  size_t num_partitions() const { return parts_.size(); }
-  bool check_invariants() const;
+  size_t num_partitions() const { return core_.num_partitions(); }
+  bool check_invariants() const { return core_.check_invariants(); }
 
  private:
-  struct Partition {
-    FlatHashSet<EdgeKey> edges;
-    std::unique_ptr<DecrementalSparsifier> sp;  // null for E_0
-  };
-  size_t capacity(size_t i) const { return size_t{1} << (i + l0_); }
-  void ensure_parts(size_t j);
-  void rebuild_into(size_t j, size_t lo, const std::vector<Edge>& fresh,
-                    WeightedDiff& diff);
-
   size_t n_ = 0;
   FullyDynamicSparsifierConfig cfg_;
-  uint32_t l0_ = 0;
-  std::vector<Partition> parts_;
-  FlatHashMap<EdgeKey, uint32_t> index_;
-  uint64_t instance_counter_ = 0;
+  BentleySaxe<DecrementalSparsifier> core_;
 };
 
 }  // namespace parspan

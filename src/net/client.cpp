@@ -60,40 +60,20 @@ bool NetClient::send_bytes(const std::vector<uint8_t>& bytes) {
 
 std::optional<OwnedResponse> NetClient::recv_response() {
   if (fd_ < 0) return std::nullopt;
-  for (;;) {
-    FrameView fv;
-    const FrameParse p = parse_frame(rbuf_.data() + roff_, rbuf_.size() - roff_,
-                                     kMaxFramePayload, &fv);
-    if (p == FrameParse::kOk) {
-      Response r;
-      if (!decode_response(fv.payload, fv.len, &r)) {
-        close_now();
-        return std::nullopt;
-      }
-      OwnedResponse out;
-      out.seq = r.seq;
-      out.status = r.status;
-      out.body.assign(r.body, r.body + r.body_len);
-      roff_ += fv.consumed;
-      if (roff_ == rbuf_.size()) {
-        rbuf_.clear();
-        roff_ = 0;
-      }
-      return out;
-    }
-    if (p == FrameParse::kBad) {
-      close_now();
-      return std::nullopt;
-    }
-    const size_t at = rbuf_.size();
-    rbuf_.resize(at + 16 * 1024);
-    const size_t r = read_some(fd_, rbuf_.data() + at, 16 * 1024);
-    rbuf_.resize(at + r);
-    if (r == 0) {
-      close_now();
-      return std::nullopt;
-    }
+  FrameView fv;
+  Response r;
+  if (!read_frame(fd_, rbuf_, roff_, kMaxFramePayload, &fv) ||
+      !decode_response(fv.payload, fv.len, &r)) {
+    close_now();
+    return std::nullopt;
   }
+  OwnedResponse out;
+  out.seq = r.seq;
+  out.status = r.status;
+  out.body.assign(r.body, r.body + r.body_len);
+  roff_ += fv.consumed;
+  drop_prefix(rbuf_, roff_);
+  return out;
 }
 
 std::optional<OwnedResponse> NetClient::roundtrip(

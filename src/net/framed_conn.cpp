@@ -79,6 +79,21 @@ size_t read_some(int fd, uint8_t* p, size_t len) {
   }
 }
 
+bool read_frame(int fd, std::vector<uint8_t>& in, size_t off,
+                uint32_t max_payload, FrameView* fv) {
+  constexpr size_t kChunk = 16 * 1024;
+  for (;;) {
+    const FrameParse p =
+        parse_frame(in.data() + off, in.size() - off, max_payload, fv);
+    if (p != FrameParse::kNeedMore) return p == FrameParse::kOk;
+    const size_t at = in.size();
+    in.resize(at + kChunk);
+    const size_t r = read_some(fd, in.data() + at, kChunk);
+    in.resize(at + r);
+    if (r == 0) return false;
+  }
+}
+
 int tcp_listen(const std::string& bind_addr, uint16_t port, int backlog,
                uint16_t* bound_port) {
   const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);

@@ -82,6 +82,14 @@ IoStatus flush_writes(int fd, ConnBufs& b);
 bool send_all(int fd, const uint8_t* p, size_t len);
 size_t read_some(int fd, uint8_t* p, size_t len);
 
+/// Blocking read of one frame: parses `in` from offset `off`, appending
+/// read_some() chunks until a frame parses. True with *fv pointing into
+/// `in` (the caller advances past fv->consumed); false on a corrupt frame
+/// — without reading further, the stream is dead — or on EOF, error, or
+/// receive timeout.
+bool read_frame(int fd, std::vector<uint8_t>& in, size_t off,
+                uint32_t max_payload, FrameView* fv);
+
 /// Parses the next frame from b.in at the parse offset; on kOk the view
 /// points into b.in (valid until the next read or compaction) and the
 /// caller advances with consume_frame.

@@ -92,20 +92,10 @@ std::optional<std::vector<uint8_t>> ctl_roundtrip(
     return std::vector<uint8_t>{};
   }
   std::vector<uint8_t> in;
-  uint8_t chunk[512];
+  FrameView fv;
   std::optional<std::vector<uint8_t>> body;
-  for (;;) {
-    FrameView fv;
-    const FrameParse pr = parse_frame(in.data(), in.size(), kCtlMaxPayload, &fv);
-    if (pr == FrameParse::kOk) {
-      body.emplace(fv.payload, fv.payload + fv.len);
-      break;
-    }
-    if (pr == FrameParse::kBad) break;
-    const size_t r = net::read_some(fd, chunk, sizeof(chunk));  // SO_RCVTIMEO
-    if (r == 0) break;
-    in.insert(in.end(), chunk, chunk + r);
-  }
+  if (net::read_frame(fd, in, 0, kCtlMaxPayload, &fv))  // SO_RCVTIMEO
+    body.emplace(fv.payload, fv.payload + fv.len);
   ::close(fd);
   return body;
 }

@@ -8,6 +8,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -19,6 +20,7 @@
 
 #include "graph/generators.hpp"
 #include "net/client.hpp"
+#include "net/framed_conn.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "service/sharded_service.hpp"
@@ -183,6 +185,45 @@ TEST(NetProtocol, EveryBitFlipIsRejected) {
     EXPECT_EQ(parse_frame(frame.data(), len, kMaxFramePayload, &fv),
               FrameParse::kNeedMore);
   }
+}
+
+// The blocking clients' one-frame reader: a frame split across writes
+// parses, and a CRC-corrupted frame fails at once even though the peer
+// stays open — reading on after kBad would block until the peer closed.
+// SO_RCVTIMEO bounds the test if that ever regresses.
+TEST(NetFraming, ReadFrameParsesSplitFrameAndFailsFastOnCorruptOne) {
+  int sv[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+  timeval tv{};
+  tv.tv_sec = 5;
+  ASSERT_EQ(setsockopt(sv[0], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  const uint8_t payload[] = {1, 2, 3, 4, 5};
+  std::vector<uint8_t> wire;
+  append_frame(wire, payload, sizeof(payload));
+
+  std::thread writer([&] {
+    ASSERT_TRUE(net::send_all(sv[1], wire.data(), 3));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(net::send_all(sv[1], wire.data() + 3, wire.size() - 3));
+  });
+  std::vector<uint8_t> in;
+  FrameView fv;
+  ASSERT_TRUE(net::read_frame(sv[0], in, 0, kMaxFramePayload, &fv));
+  writer.join();
+  EXPECT_EQ(std::vector<uint8_t>(fv.payload, fv.payload + fv.len),
+            std::vector<uint8_t>(payload, payload + sizeof(payload)));
+  EXPECT_EQ(fv.consumed, wire.size());
+
+  std::vector<uint8_t> bad = wire;
+  bad.back() ^= 0x01;  // payload bit flip: CRC mismatch
+  ASSERT_TRUE(net::send_all(sv[1], bad.data(), bad.size()));
+  in.clear();
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(net::read_frame(sv[0], in, 0, kMaxFramePayload, &fv));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2))
+      << "read_frame kept reading past a corrupt frame";
+  ::close(sv[0]);
+  ::close(sv[1]);
 }
 
 TEST(NetProtocol, NonAscendingKeyListRejected) {

@@ -1,14 +1,21 @@
-// Tests for the parallel batch-update pipeline (DESIGN.md §6): Invariant B1
-// under adversarial insert/delete interleavings, thread-count determinism
-// of SpannerDiff, and the (2k-1)-stretch guarantee over a long mixed
-// update stream.
+// Tests for the parallel batch-update pipeline (DESIGN.md §6): Invariants
+// B1 and B2 under adversarial insert/delete interleavings, pending-slot
+// absorption, thread-count determinism of the net diffs, and the
+// (2k-1)-stretch guarantee over a long mixed update stream. Both wrappers
+// of the Bentley-Saxe core (FullyDynamicSpanner, FullyDynamicSparsifier)
+// run the paths they share: fork-join deletions and concurrent rebuilds
+// with cancellation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/fully_dynamic_spanner.hpp"
+#include "core/sparsifier.hpp"
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -22,20 +29,51 @@ std::vector<Edge> keyed(std::vector<Edge> es) {
   return es;
 }
 
-// --- Invariant B1 under adversarial interleavings. -----------------------
+using WKey = std::pair<EdgeKey, uint64_t>;  // (edge key, weight bits)
+
+WKey wkey(const WeightedEdge& we) {
+  uint64_t bits;
+  std::memcpy(&bits, &we.w, sizeof(bits));
+  return {we.e.key(), bits};
+}
+
+std::vector<WKey> wkeys(const std::vector<WeightedEdge>& es) {
+  std::vector<WKey> out;
+  for (const WeightedEdge& we : es) out.push_back(wkey(we));
+  return out;
+}
+
+/// Byte-identical weighted diff streams (keys and weight bits, in order).
+void expect_same_stream(const std::vector<WeightedDiff>& a,
+                        const std::vector<WeightedDiff>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(wkeys(a[i].inserted), wkeys(b[i].inserted)) << "batch " << i;
+    ASSERT_EQ(wkeys(a[i].removed), wkeys(b[i].removed)) << "batch " << i;
+  }
+}
+
+/// Runs `run()` (which builds its own structure) at 1 and at 4 workers.
+template <typename Run>
+auto at_1_and_4_workers(Run run) {
+  int saved = num_workers();
+  set_num_workers(1);
+  auto one = run();
+  set_num_workers(4);
+  auto four = run();
+  set_num_workers(saved);
+  return std::pair{std::move(one), std::move(four)};
+}
+
+// --- Invariants B1/B2 under adversarial interleavings. -------------------
 // The stream is crafted against the Bentley-Saxe chunking: insertion bursts
 // sized exactly at partition capacities (so chunks land on slot
 // boundaries), deletions aimed at freshly rebuilt partitions (draining
 // them below capacity), and immediate re-insertion of just-deleted edges.
-TEST(ParallelPipeline, InvariantB1AdversarialInterleavings) {
-  const size_t n = 48;
-  const uint32_t k = 2;
-  FullyDynamicSpannerConfig cfg;
-  cfg.k = k;
-  cfg.seed = 99;
-  FullyDynamicSpanner sp(n, {}, cfg);
-  ASSERT_TRUE(sp.check_invariants());
-
+// `after(live)` runs after every batch; returns the diff stream.
+template <typename S, typename After>
+auto adversarial_interleavings(S& sp, size_t n, After after) {
+  std::vector<decltype(sp.update({}, {}))> diffs;
   // All edges of K_n, shuffled deterministically.
   std::vector<Edge> universe;
   for (VertexId u = 0; u < n; ++u)
@@ -54,8 +92,8 @@ TEST(ParallelPipeline, InvariantB1AdversarialInterleavings) {
     for (size_t i = 0; i < b && pos < universe.size(); ++i)
       ins.push_back(universe[pos++]);
     live.insert(live.end(), ins.begin(), ins.end());
-    sp.insert_edges(ins);
-    ASSERT_TRUE(sp.check_invariants()) << "after burst of " << b;
+    diffs.push_back(sp.update(ins, {}));
+    after(live);
   }
 
   // Phase 2: alternate deleting a prefix of the live set and re-inserting
@@ -64,14 +102,41 @@ TEST(ParallelPipeline, InvariantB1AdversarialInterleavings) {
     size_t del_count = std::min<size_t>(live.size(), 96 + size_t(round));
     std::vector<Edge> del(live.begin(), live.begin() + del_count);
     std::vector<Edge> reins(del.begin(), del.begin() + del_count / 2);
-    sp.update(reins, del);
+    diffs.push_back(sp.update(reins, del));
     live.erase(live.begin() + del_count / 2, live.begin() + del_count);
-    ASSERT_TRUE(sp.check_invariants()) << "round " << round;
-    ASSERT_EQ(sp.num_edges(), live.size());
-    ASSERT_TRUE(is_spanner(n, live, sp.spanner_edges(), 2 * k - 1));
+    after(live);
     // Rotate so later rounds target different edges.
     std::rotate(live.begin(), live.begin() + live.size() / 3, live.end());
   }
+  return diffs;
+}
+
+TEST(ParallelPipeline, InvariantB1AdversarialInterleavings) {
+  const size_t n = 48;
+  const uint32_t k = 2;
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = k;
+  cfg.seed = 99;
+  FullyDynamicSpanner sp(n, {}, cfg);
+  ASSERT_TRUE(sp.check_invariants());
+  adversarial_interleavings(sp, n, [&](const std::vector<Edge>& live) {
+    ASSERT_TRUE(sp.check_invariants()) << "live " << live.size();
+    ASSERT_EQ(sp.num_edges(), live.size());
+    ASSERT_TRUE(is_spanner(n, live, sp.spanner_edges(), 2 * k - 1));
+  });
+
+  // Invariant B2 (2^{l0} >= n = 48: capacities 64, 128, 256 — the bursts
+  // land on its slot boundaries too), at 1 and at 4 workers.
+  auto [one, four] = at_1_and_4_workers([&] {
+    FullyDynamicSparsifierConfig scfg;
+    scfg.seed = 99;
+    FullyDynamicSparsifier ssp(n, {}, scfg);
+    return adversarial_interleavings(ssp, n, [&](const auto& live) {
+      ASSERT_TRUE(ssp.check_invariants()) << "live " << live.size();
+      ASSERT_EQ(ssp.num_edges(), live.size());
+    });
+  });
+  expect_same_stream(one, four);
 }
 
 // --- Pending-slot absorption within one batch. ----------------------------
@@ -123,11 +188,48 @@ TEST(ParallelPipeline, PendingSlotAbsorbedByLargerMerge) {
   std::unordered_set<EdgeKey> now;
   for (const Edge& e : sp.spanner_edges()) now.insert(e.key());
   EXPECT_EQ(mat, now);
+
+  // The same shape under Invariant B2 (n = 128: capacities 128, 256, 512,
+  // 1024): 150 initial edges land in slot 1; 512 + 256 fresh edges fill
+  // slot 2 (job pending), then chunk 1 scans past slots 1 and 2 into slot
+  // 3, absorbing the pending slot. At 1 and at 4 workers.
+  const size_t sn = 128;
+  std::vector<Edge> sfresh;
+  std::unordered_set<EdgeKey> shave;
+  while (sfresh.size() < 150 + 512 + 256) {
+    VertexId u = VertexId(rng.next_below(sn));
+    VertexId v = VertexId(rng.next_below(sn));
+    if (u == v || !shave.insert(edge_key(u, v)).second) continue;
+    sfresh.emplace_back(u, v);
+  }
+  std::vector<Edge> sinitial(sfresh.begin(), sfresh.begin() + 150);
+  sfresh.erase(sfresh.begin(), sfresh.begin() + 150);
+  auto [one, four] = at_1_and_4_workers([&] {
+    FullyDynamicSparsifierConfig scfg;
+    scfg.seed = 13;
+    FullyDynamicSparsifier ssp(sn, sinitial, scfg);
+    EXPECT_EQ(ssp.num_partitions(), 2u);
+    auto before = wkeys(ssp.sparsifier_edges());
+    std::set<WKey> smat(before.begin(), before.end());
+    WeightedDiff sd = ssp.update(sfresh, {});
+    EXPECT_TRUE(ssp.check_invariants());
+    EXPECT_EQ(ssp.num_partitions(), 4u);
+    EXPECT_EQ(ssp.num_edges(), shave.size());
+    for (const WeightedEdge& we : sd.removed)
+      EXPECT_EQ(smat.erase(wkey(we)), 1u) << "phantom removal";
+    for (const WeightedEdge& we : sd.inserted)
+      EXPECT_TRUE(smat.insert(wkey(we)).second);
+    auto after = wkeys(ssp.sparsifier_edges());
+    EXPECT_EQ(smat, std::set<WKey>(after.begin(), after.end()));
+    return std::vector<WeightedDiff>{sd};
+  });
+  expect_same_stream(one, four);
 }
 
 // --- SpannerDiff determinism across thread counts. ------------------------
 // The same construction + update stream must produce byte-identical diffs
-// whether the pipeline runs on 1 worker or 4 (DESIGN.md §6's contract).
+// whether the pipeline runs on 1 worker or 4 (DESIGN.md §6's contract) —
+// for the spanner (B1) and for the sparsifier (B2) alike.
 TEST(ParallelPipeline, SpannerDiffDeterministicAcrossThreadCounts) {
   const size_t n = 300;
   const uint32_t k = 3;
@@ -172,6 +274,18 @@ TEST(ParallelPipeline, SpannerDiffDeterministicAcrossThreadCounts) {
     }
   }
   set_num_workers(saved);
+
+  auto [one, four] = at_1_and_4_workers([&] {
+    FullyDynamicSparsifierConfig scfg;
+    scfg.seed = 5;
+    FullyDynamicSparsifier ssp(n, initial, scfg);
+    std::vector<WeightedDiff> out;
+    for (auto& b : batches)
+      out.push_back(ssp.update(b.insertions, b.deletions));
+    EXPECT_TRUE(ssp.check_invariants());
+    return out;
+  });
+  expect_same_stream(one, four);
 }
 
 // --- Diff output is sorted by canonical key. ------------------------------

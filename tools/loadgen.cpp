@@ -54,6 +54,7 @@
 
 #include "graph/generators.hpp"
 #include "net/client.hpp"
+#include "net/framed_conn.hpp"
 #include "net/server.hpp"
 #include "service/sharded_service.hpp"
 
@@ -138,37 +139,21 @@ int connect_and_hello(uint16_t port) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   std::vector<uint8_t> frame;
   net::encode_hello(frame);
-  size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t w =
-        ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (w <= 0) {
-      std::fprintf(stderr, "loadgen: hello write failed\n");
-      std::exit(1);
-    }
-    off += size_t(w);
+  if (!net::send_all(fd, frame.data(), frame.size())) {
+    std::fprintf(stderr, "loadgen: hello write failed\n");
+    std::exit(1);
   }
   std::vector<uint8_t> buf;
-  for (;;) {
-    FrameView fv;
-    if (parse_frame(buf.data(), buf.size(), kMaxFramePayload, &fv) ==
-        FrameParse::kOk) {
-      net::Response r;
-      if (!net::decode_response(fv.payload, fv.len, &r) ||
-          r.status != net::Status::kOk) {
-        std::fprintf(stderr, "loadgen: hello rejected\n");
-        std::exit(1);
-      }
-      break;
-    }
-    const size_t at = buf.size();
-    buf.resize(at + 512);
-    const ssize_t r = ::read(fd, buf.data() + at, 512);
-    if (r <= 0) {
-      std::fprintf(stderr, "loadgen: hello read failed\n");
-      std::exit(1);
-    }
-    buf.resize(at + size_t(r));
+  FrameView fv;
+  if (!net::read_frame(fd, buf, 0, kMaxFramePayload, &fv)) {
+    std::fprintf(stderr, "loadgen: hello read failed\n");
+    std::exit(1);
+  }
+  net::Response r;
+  if (!net::decode_response(fv.payload, fv.len, &r) ||
+      r.status != net::Status::kOk) {
+    std::fprintf(stderr, "loadgen: hello rejected\n");
+    std::exit(1);
   }
   fcntl(fd, F_SETFL, fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
   return fd;
