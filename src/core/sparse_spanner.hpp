@@ -70,6 +70,9 @@ class SparseSpanner {
 
   bool check_invariants() const;
 
+  /// Bentley–Saxe instance rebuilds of the top Theorem 1.1 spanner.
+  uint64_t rebuilds() const { return top_->rebuilds(); }
+
  private:
   size_t n_ = 0;
   size_t num_edges_ = 0;

@@ -100,6 +100,9 @@ class UltraSparseSpanner {
 
   bool check_invariants() const;
 
+  /// Bentley–Saxe instance rebuilds inside the next level's top spanner.
+  uint64_t rebuilds() const { return next_->rebuilds(); }
+
  private:
   static constexpr VertexId kBot = kNoVertex;
 

@@ -6,6 +6,7 @@
 #include <future>
 
 #include "container/flat_map.hpp"
+#include "parallel/parallel_for.hpp"
 #include "util/rng.hpp"
 
 namespace parspan {
@@ -133,20 +134,26 @@ std::string shard_dir(const std::string& root, size_t s) {
   return root + "/shard-" + std::to_string(s);
 }
 
+// Shards share no mutable state (DESIGN.md §9), so each shard's build —
+// backend, initial snapshot, WAL genesis — is one iteration of a
+// fork-join into index-addressed slots. At one worker the loop runs in
+// shard order; a single shard takes parallel_for's inline n == 1 path.
 std::vector<std::unique_ptr<SpannerService>> build_shard_services(
     const std::vector<ShardSpec>& specs, const ShardedConfig& cfg) {
-  std::vector<std::unique_ptr<SpannerService>> services;
-  services.reserve(specs.size());
-  for (size_t s = 0; s < specs.size(); ++s) {
-    services.push_back(make_shard_service(specs[s]));
-    // A failed enable leaves the shard serving without the durability
-    // claim (durability()->failed() observable), mirroring the sticky
-    // runtime failure mode — construction does not throw on bad disks.
-    if (cfg.durability.enabled)
-      services.back()->enable_durability(
-          cfg.durability.fs, shard_dir(cfg.durability.dir, s),
-          cfg.durability.opts, specs[s].initial);
-  }
+  std::vector<std::unique_ptr<SpannerService>> services(specs.size());
+  parallel_for(
+      0, specs.size(),
+      [&](size_t s) {
+        services[s] = make_shard_service(specs[s]);
+        // A failed enable leaves the shard serving without the durability
+        // claim (durability()->failed() observable), mirroring the sticky
+        // runtime failure mode — construction does not throw on bad disks.
+        if (cfg.durability.enabled)
+          services[s]->enable_durability(
+              cfg.durability.fs, shard_dir(cfg.durability.dir, s),
+              cfg.durability.opts, specs[s].initial);
+      },
+      /*grain=*/1);
   return services;
 }
 
@@ -191,36 +198,38 @@ std::unique_ptr<ShardedSpannerService> ShardedSpannerService::recover(
     ShardedConfig cfg, std::vector<SpannerService::RecoveryReport>* reports) {
   assert(cfg.durability.enabled && cfg.durability.fs != nullptr &&
          "recover: needs the crashed service's durability fs/dir");
-  if (reports != nullptr) reports->assign(specs.size(), {});
-  std::vector<std::unique_ptr<SpannerService>> services;
-  services.reserve(specs.size());
-  for (size_t s = 0; s < specs.size(); ++s) {
-    const ShardSpec& spec = specs[s];
-    SpannerService::RecoveryReport rep;
-    std::unique_ptr<SpannerService> svc;
-    if (spec.kind == ShardSpec::Kind::kUltraSparse) {
-      svc = SpannerService::recover(
-          cfg.durability.fs, shard_dir(cfg.durability.dir, s),
-          cfg.durability.opts,
-          [&spec](uint64_t n, const std::vector<Edge>& edges, uint32_t) {
+  // Every shard recovers in its own fork-join slot (verified fold, rebase
+  // rebuild, forced checkpoint). The all-or-nothing verdict comes after
+  // the join: by then every shard has attempted its rebase, even when
+  // another shard fails (DESIGN.md §10.4).
+  std::vector<std::unique_ptr<SpannerService>> services(specs.size());
+  std::vector<SpannerService::RecoveryReport> reps(specs.size());
+  parallel_for(
+      0, specs.size(),
+      [&](size_t s) {
+        const ShardSpec& spec = specs[s];
+        auto recover_with = [&](auto make_backend) {
+          services[s] = SpannerService::recover(
+              cfg.durability.fs, shard_dir(cfg.durability.dir, s),
+              cfg.durability.opts, make_backend, &reps[s]);
+        };
+        if (spec.kind == ShardSpec::Kind::kUltraSparse)
+          recover_with([&spec](uint64_t n, const std::vector<Edge>& edges,
+                               uint32_t) {
             return std::make_unique<UltraSparseSpanner>(size_t(n), edges,
                                                         spec.ultra);
-          },
-          &rep);
-    } else {
-      svc = SpannerService::recover(
-          cfg.durability.fs, shard_dir(cfg.durability.dir, s),
-          cfg.durability.opts,
-          [&spec](uint64_t n, const std::vector<Edge>& edges, uint32_t) {
+          });
+        else
+          recover_with([&spec](uint64_t n, const std::vector<Edge>& edges,
+                               uint32_t) {
             return std::make_unique<FullyDynamicSpanner>(size_t(n), edges,
                                                          spec.fd);
-          },
-          &rep);
-    }
+          });
+      },
+      /*grain=*/1);
+  if (reports != nullptr) *reports = std::move(reps);
+  for (const auto& svc : services)
     if (svc == nullptr) return nullptr;  // all-or-nothing across shards
-    if (reports != nullptr) (*reports)[s] = rep;
-    services.push_back(std::move(svc));
-  }
   return std::unique_ptr<ShardedSpannerService>(new ShardedSpannerService(
       std::move(services),
       std::shared_ptr<const ShardRouter>(std::move(router)), std::move(cfg),

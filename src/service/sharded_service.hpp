@@ -277,7 +277,8 @@ class ShardedView {
 class ShardedSpannerService {
  public:
   /// Builds one shard per spec (specs.size() must equal
-  /// router->num_shards()) and starts the writer pool.
+  /// router->num_shards()), the shards concurrently under the loop
+  /// parallelism, and starts the writer pool.
   ShardedSpannerService(std::vector<ShardSpec> specs,
                         std::unique_ptr<ShardRouter> router,
                         ShardedConfig cfg = {});
@@ -293,14 +294,17 @@ class ShardedSpannerService {
 
   /// Rebuilds a sharded service from its durability root after a crash:
   /// every shard recovers independently (checkpoint + WAL-tail replay +
-  /// rebase epoch — SpannerService::recover), then the writer pool starts.
-  /// `specs` must be the same shard layout the crashed service was built
-  /// with (kind/n/configs; `initial` is ignored — the recovered graph
-  /// shadow replaces it). cfg.durability must be enabled and point at the
-  /// same fs/dir. nullptr when ANY shard lacks a valid checkpoint — a
-  /// sharded recovery is all-or-nothing, partial shard states would break
-  /// the single-graph composition. Per-shard reports land in `reports`
-  /// (shard order) when non-null.
+  /// rebase epoch — SpannerService::recover), the shards concurrently
+  /// under the loop parallelism, then the writer pool starts. `specs`
+  /// must be the same shard layout the crashed service was built with
+  /// (kind/n/configs; `initial` is ignored — the recovered graph shadow
+  /// replaces it). cfg.durability must be enabled and point at the same
+  /// fs/dir. nullptr when ANY shard lacks a valid checkpoint — a sharded
+  /// recovery is all-or-nothing, partial shard states would break the
+  /// single-graph composition. The verdict comes after every shard has
+  /// tried, so the other shards may be left rebased on disk; they recover
+  /// again (DESIGN.md §10.4). Per-shard reports land in `reports` (shard
+  /// order; zeroed for the shards that failed) when non-null.
   static std::unique_ptr<ShardedSpannerService> recover(
       std::vector<ShardSpec> specs, std::unique_ptr<ShardRouter> router,
       ShardedConfig cfg,

@@ -1158,5 +1158,196 @@ TEST(Sharded, CheckpointFailureAfterFlushIsSticky) {
   EXPECT_TRUE(view.has_edge(44, 45));
 }
 
+// --- Concurrent shard construction and recovery. --------------------------
+// Shards build and recover as one fork-join over shard indices, so nothing
+// a shard writes may depend on the worker count or on which shard ran
+// first: 1-worker and 4-worker runs must match byte for byte.
+
+/// Restores the loop parallelism on scope exit, failed assertions included.
+struct WorkersGuard {
+  int saved = num_workers();
+  ~WorkersGuard() { set_num_workers(saved); }
+};
+
+/// Two ultra-sparse and two fully-dynamic tenants, interleaved.
+std::vector<ShardSpec> mixed_tenant_specs() {
+  std::vector<ShardSpec> specs(4);
+  for (uint32_t s = 0; s < 4; ++s) {
+    ShardSpec& spec = specs[s];
+    spec.n = 160 + 40 * s;
+    if (s % 2 == 0) {
+      spec.kind = ShardSpec::Kind::kUltraSparse;
+      spec.initial = gen_random_regular(spec.n, 6, 30 + s);
+      spec.ultra.seed = 40 + s;
+    } else {
+      spec.kind = ShardSpec::Kind::kFullyDynamic;
+      spec.initial = gen_erdos_renyi(spec.n, 5 * spec.n, 30 + s);
+      spec.fd.k = 2;
+      spec.fd.seed = 40 + s;
+    }
+  }
+  return specs;
+}
+
+ShardedConfig durable_tenants_config(std::shared_ptr<MemFs> fs) {
+  ShardedConfig sc;
+  sc.num_writers = 2;
+  sc.durability.enabled = true;
+  sc.durability.fs = std::move(fs);
+  sc.durability.dir = "root";
+  sc.durability.opts.checkpoint_every = 3;
+  return sc;
+}
+
+/// Rounds of random inserts plus deletions of initial edges on every
+/// tenant, each round flushed: per-shard batches are a pure function of
+/// `specs`.
+void churn_tenants(ShardedSpannerService& svc,
+                   const std::vector<ShardSpec>& specs) {
+  Rng rng(77);
+  for (size_t round = 0; round < 7; ++round) {
+    for (uint32_t g = 0; g < specs.size(); ++g) {
+      const ShardSpec& spec = specs[g];
+      std::vector<Edge> ins, del;
+      for (int i = 0; i < 8; ++i) {
+        VertexId u = VertexId(rng.next_below(spec.n));
+        VertexId v = VertexId(rng.next_below(spec.n));
+        if (u != v) ins.push_back(Edge(u, v));
+      }
+      for (size_t i = 0; i < 4; ++i)
+        del.push_back(spec.initial[(round * 4 + i) % spec.initial.size()]);
+      svc.submit(g, ins, del);
+    }
+    svc.flush();
+  }
+}
+
+TEST(Sharded, ConcurrentBuildAndRecoverMatchSerial) {
+  WorkersGuard guard;
+  struct Run {
+    std::shared_ptr<MemFs> fs;
+    std::vector<uint64_t> versions, checksums;
+    std::vector<std::vector<std::vector<uint8_t>>> genesis;  // [shard][file]
+  };
+  auto build = [&](int workers) {
+    set_num_workers(workers);
+    Run run;
+    run.fs = std::make_shared<MemFs>();
+    auto svc = std::make_unique<ShardedSpannerService>(
+        mixed_tenant_specs(), std::make_unique<GraphIdRouter>(4),
+        durable_tenants_config(run.fs));
+    EXPECT_FALSE(svc->durability_failed());
+    for (size_t s = 0; s < 4; ++s) {
+      run.versions.push_back(svc->shard_service(s).version());
+      run.checksums.push_back(svc->shard_service(s).snapshot()->checksum());
+      const std::string dir = "root/shard-" + std::to_string(s);
+      std::vector<std::vector<uint8_t>> files;
+      for (const std::string& name : run.fs->list(dir)) {
+        files.emplace_back();
+        EXPECT_TRUE(run.fs->read_file(dir + "/" + name, &files.back()));
+      }
+      EXPECT_FALSE(files.empty()) << "shard " << s << " wrote no genesis";
+      run.genesis.push_back(std::move(files));
+    }
+    churn_tenants(*svc, mixed_tenant_specs());
+    svc.reset();  // crash: drop the service, keep only what hit the fs
+    Rng tail_rng(5);
+    run.fs->crash_and_restart(CrashTail::kKeepPrefix, tail_rng);
+    return run;
+  };
+  const Run serial = build(1);
+  const Run wide = build(4);
+  EXPECT_EQ(serial.versions, wide.versions);
+  EXPECT_EQ(serial.checksums, wide.checksums);
+  EXPECT_EQ(serial.genesis, wide.genesis);
+
+  auto recover = [&](const Run& run, int workers,
+                     std::vector<SpannerService::RecoveryReport>* reps) {
+    set_num_workers(workers);
+    auto back = ShardedSpannerService::recover(
+        mixed_tenant_specs(), std::make_unique<GraphIdRouter>(4),
+        durable_tenants_config(run.fs), reps);
+    std::vector<uint64_t> checksums;
+    if (back == nullptr) return checksums;
+    for (size_t s = 0; s < 4; ++s) {
+      SpannerSnapshot::Ptr snap = back->shard_service(s).snapshot();
+      EXPECT_TRUE(snap->consistent()) << "shard " << s;
+      checksums.push_back(snap->checksum());
+    }
+    return checksums;
+  };
+  std::vector<SpannerService::RecoveryReport> serial_reps, wide_reps;
+  const std::vector<uint64_t> serial_sums = recover(serial, 1, &serial_reps);
+  const std::vector<uint64_t> wide_sums = recover(wide, 4, &wide_reps);
+  ASSERT_EQ(serial_sums.size(), 4u);
+  EXPECT_EQ(serial_sums, wide_sums);
+  ASSERT_EQ(serial_reps.size(), 4u);
+  ASSERT_EQ(wide_reps.size(), 4u);
+  for (size_t s = 0; s < 4; ++s) {
+    const auto& a = serial_reps[s];
+    const auto& b = wide_reps[s];
+    EXPECT_GT(a.restored_version, 0u) << "shard " << s;
+    EXPECT_EQ(a.restored_version, b.restored_version) << "shard " << s;
+    EXPECT_EQ(a.restored_checksum, b.restored_checksum) << "shard " << s;
+    EXPECT_EQ(a.replayed_records, b.replayed_records) << "shard " << s;
+    EXPECT_EQ(a.tail_truncated, b.tail_truncated) << "shard " << s;
+    EXPECT_EQ(a.published_version, b.published_version) << "shard " << s;
+  }
+}
+
+// Recovery stays all-or-nothing when the shards recover concurrently: one
+// shard without a checkpoint fails the whole call, every time. The other
+// shards have each attempted their rebase by then (the one behaviour the
+// fan-out changes), and each still recovers on its own to a consistent
+// snapshot no older than what it had made durable before the crash.
+TEST(Sharded, RecoverFanOutStaysAllOrNothing) {
+  WorkersGuard guard;
+  set_num_workers(4);
+  auto fs = std::make_shared<MemFs>();
+  const ShardedConfig sc = durable_tenants_config(fs);
+  std::vector<uint64_t> durable(4);
+  {
+    ShardedSpannerService svc(mixed_tenant_specs(),
+                              std::make_unique<GraphIdRouter>(4), sc);
+    churn_tenants(svc, mixed_tenant_specs());
+    for (size_t s = 0; s < 4; ++s)
+      durable[s] = svc.shard_service(s).durability()->durable_version();
+  }
+  const size_t lost = 2;
+  const std::string lost_dir = "root/shard-" + std::to_string(lost);
+  for (const std::string& name : fs->list(lost_dir))
+    if (parse_checkpoint_file_name(name))
+      ASSERT_TRUE(fs->remove(lost_dir + "/" + name));
+
+  for (int attempt = 0; attempt < 2; ++attempt)
+    EXPECT_EQ(ShardedSpannerService::recover(
+                  mixed_tenant_specs(), std::make_unique<GraphIdRouter>(4), sc),
+              nullptr)
+        << "attempt " << attempt;
+
+  const std::vector<ShardSpec> specs = mixed_tenant_specs();
+  for (size_t s = 0; s < 4; ++s) {
+    if (s == lost) continue;
+    const ShardSpec& spec = specs[s];
+    auto make_fd = [&spec](uint64_t n, const std::vector<Edge>& edges,
+                           uint32_t) {
+      return std::make_unique<FullyDynamicSpanner>(size_t(n), edges, spec.fd);
+    };
+    auto make_ultra = [&spec](uint64_t n, const std::vector<Edge>& edges,
+                              uint32_t) {
+      return std::make_unique<UltraSparseSpanner>(size_t(n), edges,
+                                                  spec.ultra);
+    };
+    const std::string dir = "root/shard-" + std::to_string(s);
+    std::unique_ptr<SpannerService> svc =
+        spec.kind == ShardSpec::Kind::kUltraSparse
+            ? SpannerService::recover(fs, dir, sc.durability.opts, make_ultra)
+            : SpannerService::recover(fs, dir, sc.durability.opts, make_fd);
+    ASSERT_NE(svc, nullptr) << "shard " << s;
+    EXPECT_TRUE(svc->snapshot()->consistent()) << "shard " << s;
+    EXPECT_GE(svc->version(), durable[s]) << "shard " << s;
+  }
+}
+
 }  // namespace
 }  // namespace parspan

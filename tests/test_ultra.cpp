@@ -38,6 +38,25 @@ TEST(UltraSparseSpanner, UltraSparsity) {
   EXPECT_LE(sp.spanner_size(), n + n);  // generous O(n/x) slack at small n
 }
 
+// The Theorem 1.3 top spanner on the contracted graph is a Bentley–Saxe
+// FullyDynamicSpanner: a stream shaped like the tenants benchmark workload
+// (n = 4096, m = 8n, 1024-update batches) overflows its small partitions
+// within a few batches, so rebuilds() must count them.
+TEST(UltraSparseSpanner, TenantsShapedStreamRebuildsTheTopSpanner) {
+  const size_t n = 4096;
+  const size_t max_batches = 100;
+  auto [initial, batches] =
+      gen_mixed_stream(n, 8 * n, 1024, max_batches, 7 * 1000003ULL);
+  UltraConfig cfg;
+  cfg.seed = 1;
+  UltraSparseSpanner sp(n, initial, cfg);
+  EXPECT_EQ(sp.rebuilds(), 0u);
+  for (size_t i = 0; i < batches.size() && sp.rebuilds() == 0; ++i)
+    sp.update(batches[i].insertions, batches[i].deletions);
+  EXPECT_GT(sp.rebuilds(), 0u);
+  EXPECT_TRUE(sp.check_invariants());
+}
+
 class UltraRandom : public ::testing::TestWithParam<
                         std::tuple<size_t, size_t, uint32_t, uint64_t>> {};
 
