@@ -51,9 +51,6 @@ class SpannerBundle {
   /// Edges of G not claimed by any level (the residue G \ B). The spectral
   /// sparsifier samples its next stage from this set. Sorted by key.
   std::vector<Edge> residual_edges() const;
-  bool in_residual(Edge e) const {
-    return alive_.contains(e.key()) && !in_bundle(e);
-  }
 
   /// Deletes a batch of (graph) edges; returns the net bundle diff (both
   /// sides sorted by canonical key).

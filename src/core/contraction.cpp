@@ -16,18 +16,12 @@ ContractionLayer::ContractionLayer(size_t n, const std::vector<Edge>& edges,
   // "V' is not empty w.h.p."; the forcing only matters for tiny n).
   next_id_.assign(n, kNoVertex);
   Rng rng(hash_combine(seed, 0xd));
-  for (VertexId v = 0; v < n; ++v) {
-    if (rng.next_bool(1.0 / x_)) {
-      next_id_[v] = VertexId(prev_id_.size());
-      prev_id_.push_back(v);
-    }
+  for (VertexId v = 0; v < n; ++v)
+    if (rng.next_bool(1.0 / x_)) next_id_[v] = VertexId(next_n_++);
+  if (next_n_ == 0 && n > 0) {
+    next_id_[rng.next_below(n)] = 0;
+    next_n_ = 1;
   }
-  if (prev_id_.empty() && n > 0) {
-    VertexId v = VertexId(rng.next_below(n));
-    next_id_[v] = 0;
-    prev_id_.push_back(v);
-  }
-  next_n_ = prev_id_.size();
 
   adj_.assign(n, {});
   head_.assign(n, kNoVertex);

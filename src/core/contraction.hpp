@@ -77,8 +77,6 @@ class ContractionLayer {
 
   bool is_sampled(VertexId v) const { return next_id_[v] != kNoVertex; }
   VertexId next_id(VertexId v) const { return next_id_[v]; }
-  /// Layer-i vertex corresponding to next-layer id y.
-  VertexId prev_id(VertexId y) const { return prev_id_[y]; }
 
   /// Head(v) as a layer-local vertex, kNoVertex for ⊥.
   VertexId head(VertexId v) const { return head_[v]; }
@@ -146,7 +144,6 @@ class ContractionLayer {
   uint64_t entry_counter_ = 0;
 
   std::vector<VertexId> next_id_;  // kNoVertex if unsampled
-  std::vector<VertexId> prev_id_;
   std::vector<VertexId> head_;
   std::vector<ArcList> adj_;
 

@@ -116,7 +116,6 @@ class ESTree {
   const Arc& arc(uint32_t a) const { return arcs_[a]; }
   size_t num_arcs() const { return arcs_.size(); }
   size_t num_vertices() const { return dist_.size(); }
-  uint32_t depth_bound() const { return L_; }
   VertexId source() const { return source_; }
 
   /// Changes the priority key of arc `a` (new key must be distinct within

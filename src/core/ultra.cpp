@@ -28,7 +28,7 @@ T& slot_for_thread(std::vector<T>& pool) {
 UltraSparseSpanner::UltraSparseSpanner(size_t n,
                                        const std::vector<Edge>& edges,
                                        const UltraConfig& cfg)
-    : n_(n), cfg_(cfg), graph_(n) {
+    : n_(n), cfg_(cfg), graph_(n), h2_(n) {
   uint32_t x = std::max(2u, cfg.x);
   T_ = uint32_t(
       std::ceil(10.0 * double(x) * std::max(1.0, std::log2(double(x)))));
@@ -68,22 +68,21 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
     }
   });
 
-  // H1 parent edges + buckets + H2 edges (serial, canonical edge order).
-  h2_ = std::make_unique<SmallComponentForest>(n);
-  std::vector<Edge> h2_init;
-  for (const Edge& e : applied) {
-    attach(e);
-    if (edge_in_h2(e)) h2_init.push_back(e);
-  }
+  // H1 parent edges + buckets (serial, canonical edge order), then the H2
+  // forest seeded at every ⊥ vertex in ascending order.
+  for (const Edge& e : applied) attach(e);
+  std::vector<VertexId> bots;
   for (VertexId v = 0; v < n; ++v) {
     const HeadResult& hr = res[v];
     assert(hr.head == head_[v]);
+    if (hr.head == kBot) bots.push_back(v);
     if (hr.head != kBot && hr.head != v) {
       assert(hr.par != kNoVertex);
       par_edge_[v] = edge_key(v, hr.par);
     }
   }
-  h2_->update(h2_init, {});
+  h2_.rebuild(bots, h2_nbrs(), h_net_);
+  h_net_.reset();  // compose_.init reads the forest itself
 
   // Next-level structure over the contracted graph (vertex set = V).
   SparseSpannerConfig nc = cfg.next;
@@ -95,7 +94,7 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
 }
 
 std::vector<Edge> UltraSparseSpanner::h_edges() const {
-  std::vector<Edge> h = h2_->forest_edges();
+  std::vector<Edge> h = h2_.forest_edges();
   for (VertexId v = 0; v < n_; ++v)
     if (par_edge_[v] != kNoEdge) h.push_back(edge_from_key(par_edge_[v]));
   return h;
@@ -358,13 +357,17 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
     if (hr.head != head_[v] || par_edge_[v] != want) commit_head(v, hr);
   }
 
-  // --- H2 forest update (the accumulator nets the membership churn and
-  // drains it key-sorted). ---
+  // --- H2 forest rebuild around the endpoints of the netted membership
+  // churn (drained key-sorted); its tree churn lands in h_net_. ---
   {
     SpannerDiff net = h2_net_.drain();
-    SpannerDiff fd = h2_->update(net.inserted, net.removed);
-    for (const Edge& e : fd.removed) h_net_.remove(e.key());
-    for (const Edge& e : fd.inserted) h_net_.add(e.key());
+    std::vector<VertexId> seeds;
+    for (const auto* side : {&net.removed, &net.inserted})
+      for (const Edge& e : *side) {
+        seeds.push_back(e.u);
+        seeds.push_back(e.v);
+      }
+    h2_.rebuild(seeds, h2_nbrs(), h_net_);
   }
 
   // --- Next-level update, then S = H ∪ rep(S_next) over the touched pairs
@@ -402,15 +405,12 @@ bool UltraSparseSpanner::check_invariants() const {
   }
   // Buckets from scratch.
   FlatHashMap<EdgeKey, std::vector<EdgeKey>> ref_buckets;
-  size_t h2_edges = 0;
   graph_.for_each_edge([&](Edge e) {
     EdgeKey pk = pair_key_of(e);
     if (pk != kNoEdge) ref_buckets[pk].push_back(e.key());
-    if (edge_in_h2(e)) ++h2_edges;
   });
   if (!buckets_.matches(ref_buckets)) return false;
-  if (h2_->num_edges() != h2_edges) return false;
-  if (!h2_->check_invariants()) return false;
+  if (!h2_.check_invariants(h2_nbrs())) return false;
   if (!next_->check_invariants()) return false;
   // Next structure's graph must equal the bucket pairs.
   if (next_->num_edges() != buckets_.size()) return false;

@@ -18,7 +18,8 @@
 //  * H1 = the per-cluster shortest-path forest: one parent edge per
 //    clustered vertex (Lemma 5.3 guarantees the parent is in-cluster).
 //  * H2 = a spanning forest of the edges with both endpoints ⊥, maintained
-//    by SmallComponentForest (the [AABD19] substitution, DESIGN.md §1).
+//    by SmallComponentForest (the [AABD19] substitution, DESIGN.md §1)
+//    over a ⊥-filtered view of the graph: the forest keeps no copy of it.
 //  * NextLevelEdges buckets + representatives map the contracted graph
 //    (over the original vertex-id space, as in the paper's white-box use
 //    of Theorem 1.3) into a SparseSpanner. The table is the one the
@@ -93,7 +94,6 @@ class UltraSparseSpanner {
   /// Head of v: v itself for centers/unclustered, kNoVertex for ⊥.
   VertexId head(VertexId v) const { return head_[v]; }
   bool is_sampled(VertexId v) const { return sampled_[v] != 0; }
-  uint32_t heavy_threshold() const { return T_; }
 
   /// Composed stretch witness: 21 x log x · (L+1) over the next level's L.
   uint32_t stretch_bound() const;
@@ -146,6 +146,14 @@ class UltraSparseSpanner {
   bool edge_in_h2(Edge e) const {
     return head_[e.u] == kBot && head_[e.v] == kBot;
   }
+  /// The H2 subgraph as the forest's neighbor view of graph_.
+  auto h2_nbrs() const {
+    return [this](VertexId v, auto&& fn) {
+      if (head_[v] != kBot) return;
+      for (VertexId w : graph_.neighbors(v))
+        if (head_[w] == kBot) fn(w);
+    };
+  }
 
   void attach(Edge e);
   void detach(Edge e);
@@ -171,7 +179,7 @@ class UltraSparseSpanner {
   /// are {c, c'}, plus the designated representative.
   NextLevelEdges<EdgeKey> buckets_;
 
-  std::unique_ptr<SmallComponentForest> h2_;
+  SmallComponentForest h2_;
   std::unique_ptr<SparseSpanner> next_;
 
   // Final spanner S = H ∪ rep(S_next), H = H1 ∪ forest(H2).
@@ -179,7 +187,7 @@ class UltraSparseSpanner {
 
   // Batch-scoped accumulators.
   DiffAccumulator h_net_;   // H churn: H1 parent edges and forest(H2)
-  DiffAccumulator h2_net_;  // H2 membership churn
+  DiffAccumulator h2_net_;  // H2 membership churn: the forest's seeds
 
   // Algorithm-6 scratch (epoch-stamped seed/visited marks).
   std::vector<uint64_t> seed_mark_, visit_mark_;

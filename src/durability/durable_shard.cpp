@@ -63,12 +63,8 @@ ShardDurability::ShardDurability(std::shared_ptr<Fs> fs, std::string dir,
       stretch_(stretch) {}
 
 bool ShardDurability::open_segment(uint64_t base_version) {
-  WalWriterOptions wopts;
-  wopts.policy = opts_.fsync_policy;
-  wopts.every_n = opts_.fsync_every_n;
-  wopts.interval = opts_.fsync_interval;
   wal_ = std::make_unique<WalWriter>(*fs_, dir_ + "/" + wal_file_name(base_version),
-                                     base_version, wopts);
+                                     base_version, opts_);
   publish_durable_version();
   if (wal_->failed()) {
     failed_.store(true, std::memory_order_release);

@@ -66,21 +66,6 @@ class GraphShadow {
   FlatHashMap<EdgeKey, bool> delta_;  // touched key -> present now
 };
 
-struct DurabilityOptions {
-  FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
-  /// Sync once per this many records (kEveryN).
-  uint32_t fsync_every_n = 8;
-  /// Sync when this much time passed since the last sync (kTimed; checked
-  /// on the append path — an idle shard syncs on its next append).
-  std::chrono::milliseconds fsync_interval{50};
-  /// Checkpoint + truncate the log every this many records (0 = only the
-  /// genesis/recovery checkpoints; the log then grows unboundedly).
-  uint64_t checkpoint_every = 64;
-  /// Older checkpoints kept as fallback against media rot of the newest
-  /// (their log segments are retained too).
-  uint32_t keep_checkpoints = 2;
-};
-
 class ShardDurability {
  public:
   /// Initializes a FRESH shard directory: wipes leftover ckpt/wal files,

@@ -125,7 +125,7 @@ bool decode_wal_record(const uint8_t* data, size_t len, WalRecord* out) {
 }
 
 WalWriter::WalWriter(Fs& fs, const std::string& path, uint64_t base_version,
-                     const WalWriterOptions& opts)
+                     const DurabilityOptions& opts)
     : appended_version_(base_version),
       synced_version_(base_version),
       opts_(opts),
@@ -162,16 +162,17 @@ bool WalWriter::append(const WalRecord& rec) {
   appended_version_ = rec.version;
   ++unsynced_records_;
   bool want_sync = false;
-  switch (opts_.policy) {
+  switch (opts_.fsync_policy) {
     case FsyncPolicy::kEveryRecord:
       want_sync = true;
       break;
     case FsyncPolicy::kEveryN:
-      want_sync = unsynced_records_ >= std::max<uint32_t>(1, opts_.every_n);
+      want_sync =
+          unsynced_records_ >= std::max<uint32_t>(1, opts_.fsync_every_n);
       break;
     case FsyncPolicy::kTimed:
       want_sync =
-          std::chrono::steady_clock::now() - last_sync_ >= opts_.interval;
+          std::chrono::steady_clock::now() - last_sync_ >= opts_.fsync_interval;
       break;
   }
   if (want_sync) return sync();

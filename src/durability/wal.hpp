@@ -102,10 +102,21 @@ enum class FsyncPolicy : uint8_t {
   kTimed,        // sync when `fsync_interval` elapsed since the last sync
 };
 
-struct WalWriterOptions {
-  FsyncPolicy policy = FsyncPolicy::kEveryRecord;
-  uint32_t every_n = 8;
-  std::chrono::milliseconds interval{50};
+/// A shard's durability settings. The WAL writer reads the three fsync
+/// fields; ShardDurability reads the checkpoint cadence.
+struct DurabilityOptions {
+  FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
+  /// Sync once per this many records (kEveryN).
+  uint32_t fsync_every_n = 8;
+  /// Sync when this much time passed since the last sync (kTimed; checked
+  /// on the append path — an idle shard syncs on its next append).
+  std::chrono::milliseconds fsync_interval{50};
+  /// Checkpoint + truncate the log every this many records (0 = only the
+  /// genesis/recovery checkpoints; the log then grows unboundedly).
+  uint64_t checkpoint_every = 64;
+  /// Older checkpoints kept as fallback against media rot of the newest
+  /// (their log segments are retained too).
+  uint32_t keep_checkpoints = 2;
 };
 
 /// Appends frames to one segment under a fsync policy. Failure is sticky:
@@ -125,7 +136,7 @@ class WalWriter {
   /// the segment exists durably before any record does. failed() reports
   /// whether that worked.
   WalWriter(Fs& fs, const std::string& path, uint64_t base_version,
-            const WalWriterOptions& opts);
+            const DurabilityOptions& opts);
 
   /// Stages one frame and applies the fsync policy. False (and sticky
   /// failure) on I/O error.
@@ -153,7 +164,7 @@ class WalWriter {
   uint64_t appended_version_;
   uint64_t synced_version_;
   uint32_t unsynced_records_ = 0;
-  WalWriterOptions opts_;
+  DurabilityOptions opts_;
   std::chrono::steady_clock::time_point last_sync_;
 };
 

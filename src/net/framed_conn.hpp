@@ -69,7 +69,7 @@ IoStatus read_to_buffer(int fd, ConnBufs& b, uint32_t max_frame_payload);
 /// edge when the socket drains — call after every append too, because an
 /// idle-writable socket never gets another edge). Compacts the sent
 /// prefix. Never reports overflow: output bounding is caller policy
-/// (max_outbuf_bytes at the front door, max_buffered_bytes in the
+/// (kMaxOutbufBytes at the front door, max_buffered_bytes in the
 /// replication transport), checked against out_pending() after the flush.
 IoStatus flush_writes(int fd, ConnBufs& b);
 

@@ -25,6 +25,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Disconnect a connection whose unsent responses exceed this.
+constexpr size_t kMaxOutbufBytes = 8u << 20;
+/// Parked submit_for retry granularity (epoll_wait timeout while any
+/// request is parked).
+constexpr int kTickMs = 2;
+/// Pin-table cap per connection (kError above it).
+constexpr size_t kMaxPinsPerConn = 64;
+/// A gracefully-closing connection (peer EOF with responses pending, or an
+/// error reply sent just before close) keeps flushing its output for at
+/// most this long before the fd is reaped anyway — best-effort delivery of
+/// owed responses, never an unbounded hold.
+constexpr std::chrono::milliseconds kDrainLinger{1000};
+constexpr int kListenBacklog = 1024;
+
 /// One connection's entire state. Owned by exactly one event loop; never
 /// touched from any other thread (deferred completions go through the
 /// loop's mailbox and are resolved to a Conn* on the loop thread).
@@ -160,7 +174,7 @@ struct NetServer::Impl {
   // --- Two ways for a connection to die ---------------------------------
   // Hard: reaped at batch end no matter what is still buffered (protocol
   // violations, write errors, slow-reader overflow). Soft: stop reading
-  // but keep flushing buffered responses — bounded by drain_linger_ms —
+  // but keep flushing buffered responses — bounded by kDrainLinger —
   // so a version-mismatch kError or the pipelined responses behind a
   // half-close actually reach the peer before the fd closes.
 
@@ -173,8 +187,7 @@ struct NetServer::Impl {
     if (c->dead) return;
     c->dead = true;
     c->drain = true;
-    c->drain_deadline =
-        Clock::now() + std::chrono::milliseconds(cfg.drain_linger_ms);
+    c->drain_deadline = Clock::now() + kDrainLinger;
   }
 
   HelloInfo hello_info() const {
@@ -275,7 +288,7 @@ struct NetServer::Impl {
         break;
       }
       case Op::kPin: {
-        if (c->pins.size() >= cfg.max_pins_per_conn) {
+        if (c->pins.size() >= kMaxPinsPerConn) {
           respond_error(c, seq, "pin table full");
           break;
         }
@@ -376,7 +389,7 @@ struct NetServer::Impl {
   void process_frames(Loop& loop, Conn* c) {
     while (!c->dead) {
       FrameView fv;
-      const FrameParse p = next_frame(c->bufs, cfg.max_frame_payload, &fv);
+      const FrameParse p = next_frame(c->bufs, kDefaultMaxFramePayload, &fv);
       if (p == FrameParse::kNeedMore) break;
       if (p == FrameParse::kBad) {
         // Torn/corrupt/hostile frame: the stream is unrecoverable (no
@@ -396,7 +409,8 @@ struct NetServer::Impl {
   /// Edge-triggered read: read_to_buffer drains the socket completely —
   /// the next EPOLLIN edge only comes after new bytes arrive.
   void handle_readable(Loop& loop, Conn* c) {
-    const IoStatus st = read_to_buffer(c->fd, c->bufs, cfg.max_frame_payload);
+    const IoStatus st =
+        read_to_buffer(c->fd, c->bufs, kDefaultMaxFramePayload);
     if (st == IoStatus::kOverflow) {
       // A client shovelling bytes that never complete a frame is claiming
       // a payload the cap already rejected.
@@ -422,7 +436,7 @@ struct NetServer::Impl {
       kill_conn(c);  // EPIPE/ECONNRESET: nothing left to drain to
       return;
     }
-    if (c->bufs.out_pending() > cfg.max_outbuf_bytes) {
+    if (c->bufs.out_pending() > kMaxOutbufBytes) {
       // Slow reader with unbounded pipelined responses: disconnect rather
       // than buffer without bound.
       kill_conn(c);
@@ -507,7 +521,7 @@ struct NetServer::Impl {
       // Tick (instead of sleeping forever) while anything needs future
       // work: parked admission retries, or drain deadlines to enforce.
       const int timeout =
-          loop.parked.empty() && !loop.draining ? -1 : int(cfg.tick_ms);
+          loop.parked.empty() && !loop.draining ? -1 : kTickMs;
       const int n = epoll_wait(loop.epfd, evs, 64, timeout);
       for (int i = 0; i < n; ++i) {
         if (evs[i].data.ptr == nullptr) {
@@ -600,7 +614,7 @@ bool NetServer::start() {
   Impl& im = *impl_;
   if (im.started) return false;
   im.listen_fd =
-      tcp_listen(im.cfg.bind_addr, im.cfg.port, im.cfg.listen_backlog, &port_);
+      tcp_listen(im.cfg.bind_addr, im.cfg.port, kListenBacklog, &port_);
   if (im.listen_fd < 0) return false;
 
   im.accept_wakefd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);

@@ -36,7 +36,7 @@
 // Trust boundary: every byte off the socket is hostile until the frame
 // CRC and decode_request prove otherwise. A malformed frame counts one
 // protocol error and closes the connection — no resync scanning, exactly
-// the WAL's torn-tail rule. Slow readers are bounded by max_outbuf_bytes:
+// the WAL's torn-tail rule. Slow readers are bounded by kMaxOutbufBytes:
 // a client that stops reading while piling up pipelined queries gets
 // disconnected, not buffered without bound.
 #pragma once
@@ -58,23 +58,8 @@ struct NetServerConfig {
   /// Event-loop thread count (>= 1). Loops share nothing; scale with
   /// cores that are not busy draining shards.
   int num_loops = 1;
-  /// Per-connection inbound frame cap (protocol error above it).
-  uint32_t max_frame_payload = kDefaultMaxFramePayload;
   /// Hint returned with every kRetryAfter.
   uint32_t retry_after_ms = 10;
-  /// Disconnect a connection whose unsent responses exceed this.
-  size_t max_outbuf_bytes = 8u << 20;
-  /// Parked submit_for retry granularity (epoll_wait timeout while any
-  /// request is parked).
-  uint32_t tick_ms = 2;
-  /// Pin-table cap per connection (kError above it).
-  size_t max_pins_per_conn = 64;
-  /// A gracefully-closing connection (peer EOF with responses pending, or
-  /// an error reply sent just before close) keeps flushing its output for
-  /// at most this long before the fd is reaped anyway — best-effort
-  /// delivery of owed responses, never an unbounded hold.
-  uint32_t drain_linger_ms = 1000;
-  int listen_backlog = 1024;
 };
 
 class NetServer {

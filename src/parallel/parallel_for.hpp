@@ -18,10 +18,6 @@
 // Exceptions thrown by loop bodies are captured (first one wins), remaining
 // chunks are abandoned, and the exception rethrows at the call site once
 // the loop's tasks have quiesced.
-//
-// PARSPAN_FORCE_SERIAL=1 survives only as a documented alias for
-// PARSPAN_NUM_WORKERS=1 (serial loops); the scheduler's threads stay up and
-// fully sanitizer-instrumented either way.
 #pragma once
 
 #include <algorithm>

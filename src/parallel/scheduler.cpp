@@ -29,12 +29,6 @@ int initial_loop_parallelism() {
     int v = std::atoi(s);
     if (v >= 1) return v;
   }
-  // Documented compatibility alias: the old TSan kill-switch now just means
-  // "loop parallelism 1" — the scheduler itself stays multi-threaded and
-  // fully instrumented.
-  if (const char* s = std::getenv("PARSPAN_FORCE_SERIAL")) {
-    if (s[0] != '\0' && s[0] != '0') return 1;
-  }
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : int(hw);
 }

@@ -34,10 +34,7 @@
 // kMinPoolThreads threads so service drains overlap even on a 1-core
 // container (matching the old dedicated WorkerPool), while loops stay
 // serial there exactly as OpenMP-with-1-thread did. PARSPAN_NUM_WORKERS
-// overrides the initial loop parallelism; PARSPAN_FORCE_SERIAL=1 is kept
-// as the documented alias for PARSPAN_NUM_WORKERS=1 (it no longer
-// disables instrumentation-visible threading — there is nothing opaque
-// left to hide from TSan).
+// overrides the initial loop parallelism.
 //
 // Determinism. Work stealing moves *who executes a chunk*, never *what the
 // chunks are*: parallel_for applies f(i) exactly once per index with
@@ -228,17 +225,6 @@ class Scheduler {
     assert(tl_worker_index_ >= 0);
     stat_spawned_.fetch_add(1, std::memory_order_relaxed);
     workers_[size_t(tl_worker_index_)]->deque.push(t);
-    ring_doorbell();
-  }
-
-  /// Pushes a stack-allocated root task from an external thread (the
-  /// caller must block until the task completes before releasing it).
-  void inject(Task* t) {
-    stat_spawned_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(global_mu_);
-      global_.push_back(t);
-    }
     ring_doorbell();
   }
 

@@ -44,8 +44,6 @@ class LogShipper {
   void pump(uint64_t durable_version);
 
   uint64_t epoch() const { return epoch_; }
-  /// Follower's last advertised applied version (0 before any cursor).
-  uint64_t acked_version() const { return have_cursor_ ? cursor_.version : 0; }
   /// Epoch of the follower's last cursor (0 before any). A cursor from a
   /// HIGHER epoch than ours is how a deposed leader learns it was
   /// replaced while it was away (DESIGN.md §14.3).

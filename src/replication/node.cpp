@@ -477,7 +477,7 @@ void ReplicaNode::follower_tick_locked(bool* want_election) {
 void ReplicaNode::reconnect_locked() {
   const PeerAddr& leader = cfg_.peers[leader_index_];
   std::shared_ptr<SocketTransport> t = SocketTransport::connect(
-      leader.host, leader.repl_port, cfg_.index, cfg_.transport);
+      leader.host, leader.repl_port, cfg_.index);
   if (t == nullptr || t->peer_gone()) return;
   transport_ = std::move(t);
   // The follower binds its transport at construction: recover off our own
@@ -521,7 +521,7 @@ bool ReplicaNode::become_bootstrap_leader_locked() {
 
 bool ReplicaNode::start_leader_servers_locked() {
   const PeerAddr& self = cfg_.peers[cfg_.index];
-  repl_listener_ = std::make_unique<ReplicationListener>(cfg_.transport);
+  repl_listener_ = std::make_unique<ReplicationListener>();
   if (!repl_listener_->start(self.host, self.repl_port)) {
     repl_listener_.reset();
     return false;

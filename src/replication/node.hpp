@@ -115,7 +115,6 @@ struct ReplicaNodeConfig {
   uint32_t heartbeat_ms = 50;    // max leader quiet time per follower
   uint32_t lease_ms = 400;       // follower's leader-death threshold
   uint32_t peer_timeout_ms = 250;  // control-plane poll timeout
-  SocketTransportConfig transport;
 };
 
 class ReplicaNode {

@@ -19,6 +19,10 @@ using net::IoStatus;
 constexpr size_t kCursorBodySize = 8 + 8 + 1;   // epoch | version | need
 constexpr size_t kHeartbeatBodySize = 8;        // epoch
 constexpr size_t kSubscribeBodySize = 4 + 1;    // follower_id | version
+// Frame payload cap. Must admit the largest snapshot frame the leader can
+// ship (a full-graph key list); 64 MiB of keys is far past any graph the
+// benches or chaos harness build.
+constexpr uint32_t kMaxShipFramePayload = 64u << 20;
 // A half-open dialer gets this long to produce its subscribe frame before
 // the listener reclaims the fd — hostile peers must not park fds forever.
 constexpr auto kHandshakeTimeout = std::chrono::seconds(5);
@@ -101,7 +105,7 @@ void SocketTransport::fail_locked() {
 void SocketTransport::parse_locked() {
   while (!peer_gone_) {
     FrameView fv;
-    const FrameParse p = net::next_frame(bufs_, cfg_.max_frame_payload, &fv);
+    const FrameParse p = net::next_frame(bufs_, kMaxShipFramePayload, &fv);
     if (p == FrameParse::kNeedMore) break;
     if (p == FrameParse::kBad || fv.len < 1) {
       fail_locked();  // torn-tail rule: no resync scanning
@@ -155,7 +159,7 @@ void SocketTransport::parse_locked() {
 void SocketTransport::pump_locked() {
   if (peer_gone_ || fd_ < 0) return;
   const size_t before = bufs_.in.size();
-  const IoStatus st = net::read_to_buffer(fd_, bufs_, cfg_.max_frame_payload);
+  const IoStatus st = net::read_to_buffer(fd_, bufs_, kMaxShipFramePayload);
   if (bufs_.in.size() > before) last_rx_ = Clock::now();
   if (st == IoStatus::kError || st == IoStatus::kOverflow) {
     fail_locked();
@@ -277,12 +281,12 @@ void ReplicationListener::poll() {
   }
   for (size_t i = 0; i < pending_.size();) {
     Pending& p = pending_[i];
-    const IoStatus st = net::read_to_buffer(p.fd, p.bufs, cfg_.max_frame_payload);
+    const IoStatus st = net::read_to_buffer(p.fd, p.bufs, kMaxShipFramePayload);
     bool done = st == IoStatus::kEof || st == IoStatus::kError ||
                 st == IoStatus::kOverflow;
     if (!done) {
       FrameView fv;
-      const FrameParse pr = net::next_frame(p.bufs, cfg_.max_frame_payload, &fv);
+      const FrameParse pr = net::next_frame(p.bufs, kMaxShipFramePayload, &fv);
       if (pr == FrameParse::kOk) {
         done = true;  // the fd is either adopted or closed below
         // Anything but a subscribe of exactly this build's version is

@@ -59,10 +59,6 @@ void encode_heartbeat_msg(std::vector<uint8_t>& out, uint64_t epoch);
 void encode_subscribe_msg(std::vector<uint8_t>& out, uint32_t follower_id);
 
 struct SocketTransportConfig {
-  /// Frame payload cap. Must admit the largest snapshot frame the
-  /// leader can ship (a full-graph key list); 64 MiB of keys is far past
-  /// any graph the benches or chaos harness build.
-  uint32_t max_frame_payload = 64u << 20;
   /// Staged-output cap: a peer that stops reading (SIGSTOP mid-frame) is
   /// declared gone once this much output backs up, bounding the leader's
   /// memory — shipping to the other followers never stalls either way.

@@ -222,10 +222,6 @@ class ShardedView {
     require_in_range(s);
     return *snaps_[s];
   }
-  SpannerSnapshot::Ptr shard_ptr(size_t s) const {
-    require_in_range(s);
-    return snaps_[s];
-  }
   /// Tenant graph g's pinned snapshot (multi-tenant mode: shard g).
   const SpannerSnapshot& graph(uint32_t g) const { return shard(g); }
 

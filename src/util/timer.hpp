@@ -21,9 +21,6 @@ class Timer {
   /// Elapsed milliseconds since construction or last reset().
   double elapsed_ms() const { return elapsed_s() * 1e3; }
 
-  /// Elapsed microseconds since construction or last reset().
-  double elapsed_us() const { return elapsed_s() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

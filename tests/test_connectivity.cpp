@@ -4,14 +4,50 @@
 #include <unordered_set>
 
 #include "connectivity/dynamic_forest.hpp"
+#include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
 namespace parspan {
 namespace {
 
+/// Owns the subgraph the forest reads, as UltraSparseSpanner does: applies
+/// a batch to a DynamicGraph, then rebuilds the forest around the endpoints
+/// of the edges that actually changed.
+struct ForestHarness {
+  DynamicGraph g;
+  SmallComponentForest f;
+
+  explicit ForestHarness(size_t n) : g(n), f(n) {}
+
+  auto nbrs() const {
+    return [this](VertexId v, auto&& fn) {
+      for (VertexId w : g.neighbors(v)) fn(w);
+    };
+  }
+
+  SpannerDiff update(const std::vector<Edge>& ins,
+                     const std::vector<Edge>& del) {
+    std::vector<VertexId> seeds;
+    for (const auto& applied : {g.erase_edges(del), g.insert_edges(ins)})
+      for (const Edge& e : applied) {
+        seeds.push_back(e.u);
+        seeds.push_back(e.v);
+      }
+    DiffAccumulator churn;
+    f.rebuild(seeds, nbrs(), churn);
+    return churn.drain();
+  }
+
+  bool check_invariants() const { return f.check_invariants(nbrs()); }
+  bool connected(VertexId u, VertexId v) const { return f.connected(u, v); }
+  size_t forest_size() const { return f.forest_size(); }
+  std::vector<Edge> forest_edges() const { return f.forest_edges(); }
+  size_t num_edges() const { return g.num_edges(); }
+};
+
 TEST(SmallComponentForest, LinkAndCut) {
-  SmallComponentForest f(6);
+  ForestHarness f(6);
   auto d1 = f.update({{0, 1}, {1, 2}, {3, 4}}, {});
   EXPECT_EQ(d1.inserted.size(), 3u);  // all tree edges
   EXPECT_TRUE(f.connected(0, 2));
@@ -28,7 +64,7 @@ TEST(SmallComponentForest, LinkAndCut) {
 }
 
 TEST(SmallComponentForest, CycleDeletionKeepsConnectivity) {
-  SmallComponentForest f(5);
+  ForestHarness f(5);
   f.update(gen_cycle(5), {});
   EXPECT_EQ(f.forest_size(), 4u);
   // Deleting one tree edge must reroute through the cycle.
@@ -42,7 +78,7 @@ TEST(SmallComponentForest, CycleDeletionKeepsConnectivity) {
 TEST(SmallComponentForest, RandomizedAgainstBfsOracle) {
   Rng rng(31);
   const size_t n = 40;
-  SmallComponentForest f(n);
+  ForestHarness f(n);
   std::unordered_set<EdgeKey> live;
   for (int step = 0; step < 150; ++step) {
     std::vector<Edge> ins, del;
@@ -69,7 +105,7 @@ TEST(SmallComponentForest, RandomizedAgainstBfsOracle) {
 
 TEST(SmallComponentForest, BatchDeleteEverything) {
   auto edges = gen_erdos_renyi(30, 100, 3);
-  SmallComponentForest f(30);
+  ForestHarness f(30);
   f.update(edges, {});
   f.update({}, edges);
   EXPECT_EQ(f.forest_size(), 0u);

@@ -340,7 +340,7 @@ TEST(FormatBump, Version01SegmentsAndCheckpointsAreRefused) {
 
 TEST(Wal, WriteReadRoundTrip) {
   auto fs = std::make_shared<MemFs>();
-  WalWriterOptions opts;  // every-record
+  DurabilityOptions opts;  // every-record
   WalWriter w(*fs, "wal", 10, opts);
   ASSERT_FALSE(w.failed());
   for (uint64_t v = 11; v <= 15; ++v) ASSERT_TRUE(w.append(sample_record(v)));
@@ -436,8 +436,8 @@ TEST(Wal, HeaderCorruptionRejectsTheSegment) {
 
 TEST(FsyncPolicy, EveryRecordMakesEachAppendDurable) {
   auto fs = std::make_shared<MemFs>();
-  WalWriterOptions opts;
-  opts.policy = FsyncPolicy::kEveryRecord;
+  DurabilityOptions opts;
+  opts.fsync_policy = FsyncPolicy::kEveryRecord;
   WalWriter w(*fs, "wal", 0, opts);
   for (uint64_t v = 1; v <= 4; ++v) {
     ASSERT_TRUE(w.append(sample_record(v)));
@@ -461,9 +461,9 @@ TEST(FsyncPolicy, EveryRecordMakesEachAppendDurable) {
 
 TEST(FsyncPolicy, EveryNSyncsInSteps) {
   auto fs = std::make_shared<MemFs>();
-  WalWriterOptions opts;
-  opts.policy = FsyncPolicy::kEveryN;
-  opts.every_n = 3;
+  DurabilityOptions opts;
+  opts.fsync_policy = FsyncPolicy::kEveryN;
+  opts.fsync_every_n = 3;
   WalWriter w(*fs, "wal", 0, opts);
   ASSERT_TRUE(w.append(sample_record(1)));
   EXPECT_EQ(w.synced_version(), 0u);
@@ -481,13 +481,13 @@ TEST(FsyncPolicy, EveryNSyncsInSteps) {
 
 TEST(FsyncPolicy, TimedSyncsOnExpiry) {
   auto fs = std::make_shared<MemFs>();
-  WalWriterOptions opts;
-  opts.policy = FsyncPolicy::kTimed;
-  opts.interval = std::chrono::milliseconds(0);  // every append is "late"
+  DurabilityOptions opts;
+  opts.fsync_policy = FsyncPolicy::kTimed;
+  opts.fsync_interval = std::chrono::milliseconds(0);  // every append is "late"
   WalWriter w(*fs, "wal", 0, opts);
   ASSERT_TRUE(w.append(sample_record(1)));
   EXPECT_EQ(w.synced_version(), 1u);
-  opts.interval = std::chrono::hours(1);  // never expires in-test
+  opts.fsync_interval = std::chrono::hours(1);  // never expires in-test
   WalWriter w2(*fs, "wal2", 0, opts);
   ASSERT_TRUE(w2.append(sample_record(1)));
   EXPECT_EQ(w2.synced_version(), 0u);

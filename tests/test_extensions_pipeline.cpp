@@ -18,6 +18,7 @@
 #include "core/sparse_spanner.hpp"
 #include "core/sparsifier.hpp"
 #include "core/ultra.hpp"
+#include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/rng.hpp"
@@ -101,39 +102,64 @@ TEST(ExtensionsPipeline, MonotoneDiffDeterministicAcrossThreadCounts) {
 
 // --- UltraSparseSpanner: 1 vs 4 workers over a mixed stream. --------------
 TEST(ExtensionsPipeline, UltraDiffDeterministicAcrossThreadCounts) {
-  const size_t n = 60;
-  auto [initial, batches] = gen_mixed_stream(n, 700, 24, 25, 9);
+  // The sparse stream keeps ⊥ components alive, so the H2 forest is
+  // rebuilt along the way: some live edge must have both endpoints ⊥, and
+  // the invariants (forest included) are checked after every batch.
+  struct Input {
+    size_t n, m, batch_size, num_batches;
+    uint64_t stream_seed;
+    uint32_t x;
+    bool sparse;
+  };
+  for (const Input& in : {Input{60, 700, 24, 25, 9, 2, false},
+                          Input{400, 200, 24, 40, 5, 4, true}}) {
+    const size_t n = in.n;
+    auto [initial, batches] = gen_mixed_stream(n, in.m, in.batch_size,
+                                               in.num_batches, in.stream_seed);
 
-  int saved = num_workers();
-  std::vector<SpannerDiff> base;
-  std::vector<std::vector<Edge>> base_spanner;
-  {
-    set_num_workers(1);
-    UltraConfig cfg;
-    cfg.x = 2;
-    cfg.seed = 7;
-    UltraSparseSpanner sp(n, initial, cfg);
-    for (auto& b : batches) {
-      base.push_back(sp.update(b.insertions, b.deletions));
-      base_spanner.push_back(sp.spanner_edges());
+    int saved = num_workers();
+    std::vector<SpannerDiff> base;
+    std::vector<std::vector<Edge>> base_spanner;
+    {
+      set_num_workers(1);
+      UltraConfig cfg;
+      cfg.x = in.x;
+      cfg.seed = 7;
+      UltraSparseSpanner sp(n, initial, cfg);
+      for (auto& b : batches) {
+        base.push_back(sp.update(b.insertions, b.deletions));
+        base_spanner.push_back(sp.spanner_edges());
+      }
     }
-  }
-  {
-    set_num_workers(4);
-    UltraConfig cfg;
-    cfg.x = 2;
-    cfg.seed = 7;
-    UltraSparseSpanner sp(n, initial, cfg);
-    for (size_t i = 0; i < batches.size(); ++i) {
-      SpannerDiff d = sp.update(batches[i].insertions, batches[i].deletions);
-      ASSERT_TRUE(sorted_by_key(d.inserted)) << "batch " << i;
-      ASSERT_TRUE(sorted_by_key(d.removed)) << "batch " << i;
-      expect_equal(d, base[i], i);
-      // spanner_edges is key-sorted, so element-wise equality is exact.
-      ASSERT_EQ(sp.spanner_edges(), base_spanner[i]) << "batch " << i;
+    {
+      set_num_workers(4);
+      UltraConfig cfg;
+      cfg.x = in.x;
+      cfg.seed = 7;
+      UltraSparseSpanner sp(n, initial, cfg);
+      DynamicGraph live(n);
+      live.insert_edges(initial);
+      bool saw_h2_edge = false;
+      for (size_t i = 0; i < batches.size(); ++i) {
+        SpannerDiff d =
+            sp.update(batches[i].insertions, batches[i].deletions);
+        ASSERT_TRUE(sorted_by_key(d.inserted)) << "batch " << i;
+        ASSERT_TRUE(sorted_by_key(d.removed)) << "batch " << i;
+        expect_equal(d, base[i], i);
+        // spanner_edges is key-sorted, so element-wise equality is exact.
+        ASSERT_EQ(sp.spanner_edges(), base_spanner[i]) << "batch " << i;
+        if (!in.sparse) continue;
+        live.erase_edges(batches[i].deletions);
+        live.insert_edges(batches[i].insertions);
+        live.for_each_edge([&](Edge e) {
+          saw_h2_edge |= sp.head(e.u) == kNoVertex && sp.head(e.v) == kNoVertex;
+        });
+        ASSERT_TRUE(sp.check_invariants()) << "batch " << i;
+      }
+      EXPECT_TRUE(saw_h2_edge || !in.sparse) << "n=" << n;
     }
+    set_num_workers(saved);
   }
-  set_num_workers(saved);
 }
 
 // --- DecrementalSparsifier: 1 vs 4 workers, 50-batch deletion stream. -----
@@ -320,6 +346,15 @@ TEST(ExtensionsPipeline, UltraDiffStreamMatchesPinnedHash) {
     EXPECT_EQ(diff_stream_hash(sp, batches), want) << "x=" << x;
     EXPECT_TRUE(sp.check_invariants()) << "x=" << x;
   }
+  // A sparse stream whose ⊥ subgraph holds cycles at this seed, so the
+  // hash also pins which spanning forest H2 picks.
+  auto [sparse_initial, sparse_batches] = gen_mixed_stream(400, 200, 24, 40, 5);
+  UltraConfig cfg;
+  cfg.x = 4;
+  cfg.seed = 7;
+  UltraSparseSpanner sp(400, sparse_initial, cfg);
+  EXPECT_EQ(diff_stream_hash(sp, sparse_batches), 3325478412911506619ull);
+  EXPECT_TRUE(sp.check_invariants());
 }
 
 TEST(ExtensionsPipeline, SparseDiffStreamMatchesPinnedHash) {
