@@ -28,7 +28,6 @@
 // kernel socket hops on top of the protocol-only numbers above.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,15 +43,10 @@
 namespace parspan {
 namespace {
 
-const bool kTiny = [] {
-  const char* e = std::getenv("PARSPAN_BENCH_TINY");
-  return e != nullptr && *e != '\0' && *e != '0';
-}();
-
-const size_t kN = kTiny ? 256 : 2048;
+constexpr size_t kN = 2048;
 constexpr uint32_t kK = 3;
-const size_t kBatch = kTiny ? 32 : 128;
-const size_t kPoolBatches = kTiny ? 32 : 256;
+constexpr size_t kBatch = 128;
+constexpr size_t kPoolBatches = 256;
 
 std::unique_ptr<SpannerService> make_service(const std::vector<Edge>& initial,
                                              uint64_t seed) {
@@ -169,8 +163,8 @@ void BM_FollowerCatchup(benchmark::State& state) {
   state.counters["lag_records"] = double(lag);
 }
 BENCHMARK(BM_FollowerCatchup)
-    ->Arg(kTiny ? 4 : 16)
-    ->Arg(kTiny ? 8 : 64)
+    ->Arg(16)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 // Promotion cost: recover a full leader from a converged follower's own
@@ -180,7 +174,7 @@ BENCHMARK(BM_FollowerCatchup)
 // rebase record, so the chain stays ~constant size).
 void BM_FailoverPromote(benchmark::State& state) {
   auto [initial, batches] =
-      gen_mixed_stream(kN, 6 * kN, kBatch, kTiny ? 16 : 64, 29);
+      gen_mixed_stream(kN, 6 * kN, kBatch, 64, 29);
   auto leader_fs = std::make_shared<MemFs>();
   auto follower_fs = std::make_shared<MemFs>();
   DurabilityOptions opts;
@@ -357,8 +351,8 @@ void BM_TcpFollowerCatchup(benchmark::State& state) {
   state.counters["lag_records"] = double(lag);
 }
 BENCHMARK(BM_TcpFollowerCatchup)
-    ->Arg(kTiny ? 4 : 16)
-    ->Arg(kTiny ? 8 : 64)
+    ->Arg(16)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 // Failover to first serving read, over a chain the TCP path populated:
@@ -368,7 +362,7 @@ BENCHMARK(BM_TcpFollowerCatchup)
 // machine time is this recovery, and that is the row worth trending.
 void BM_TcpFailoverToFirstServingRead(benchmark::State& state) {
   auto [initial, batches] =
-      gen_mixed_stream(kN, 6 * kN, kBatch, kTiny ? 16 : 64, 31);
+      gen_mixed_stream(kN, 6 * kN, kBatch, 64, 31);
   DurabilityOptions opts;
   opts.checkpoint_every = 256;
   FullyDynamicSpannerConfig cfg;

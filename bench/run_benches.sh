@@ -10,11 +10,6 @@
 #                            throughput, parallel_for/reduce/sort medians
 #   BENCH_extensions.json  — Theorems 1.3-1.6 (sparse / ultra / bundle /
 #                            sparsifier) size + batch-update throughput
-#   BENCH_service.json     — serving layer: mixed read/write throughput vs
-#                            reader count, incremental publish vs re-export
-#   BENCH_sharded.json     — sharded ingestion: shard-count x writer-count
-#                            sweep (aggregate throughput) + p50/p99
-#                            ingest-to-visible latency at fixed offered load
 #   BENCH_wal.json         — durability: saturated-ingest overhead of the
 #                            WAL fsync policies vs WAL-off, and
 #                            recovery-time vs log-length curve
@@ -27,6 +22,10 @@
 #                            latency (p50/p99/p999) + saturated QPS via
 #                            tools/loadgen at 1000 connections, plus the
 #                            smoke-size config CI re-runs for deltas
+#
+# Snapshot publish, snapshot reads and sharded ingest-to-visible latency
+# are measured by perfbench inside the real pipeline (DESIGN.md §5), not
+# here.
 #
 # Usage: bench/run_benches.sh [build-dir]   (default: ./build)
 #
@@ -117,22 +116,6 @@ echo "== scheduler benches (fork-join overhead + steal throughput) =="
 merge "$tmpdir/bench_scheduler.tmp.json" \
   >"$repo_root/BENCH_scheduler.json"
 echo "wrote $repo_root/BENCH_scheduler.json"
-
-echo "== service benches (snapshot serving layer) =="
-"$build_dir/bench_service" \
-  --benchmark_format=json \
-  >"$tmpdir/bench_service.tmp.json"
-merge "$tmpdir/bench_service.tmp.json" \
-  >"$repo_root/BENCH_service.json"
-echo "wrote $repo_root/BENCH_service.json"
-
-echo "== sharded ingestion benches (shard x writer sweep) =="
-"$build_dir/bench_sharded" \
-  --benchmark_format=json \
-  >"$tmpdir/bench_sharded.tmp.json"
-merge "$tmpdir/bench_sharded.tmp.json" \
-  >"$repo_root/BENCH_sharded.json"
-echo "wrote $repo_root/BENCH_sharded.json"
 
 echo "== wal durability benches (fsync-policy overhead + recovery curve) =="
 # fdatasync latency on the shared virtio disk has a multi-ms p90 that can

@@ -13,7 +13,6 @@
 // bounded BFS that stitches cut edges at shard boundaries. A final flush()
 // proves read-your-writes: a probe edge submitted just before the barrier
 // is visible in the very next view.
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -37,7 +36,6 @@ int main() {
   cfg.seed = 42;
   ShardedConfig sc;
   sc.num_writers = 4;
-  sc.record_latency = true;
   auto svc = ShardedSpannerService::single_graph(n, initial, shards, cfg, sc);
 
   ShardedView v0 = svc->view();
@@ -96,13 +94,6 @@ int main() {
               probe.u, probe.v, after.has_edge(probe.u, probe.v) ? "YES" : "NO",
               after.distance(probe.u, probe.v, 2 * k - 1));
 
-  auto lat = svc->latency_samples_ns();
-  std::sort(lat.begin(), lat.end());
-  if (!lat.empty())
-    std::printf("ingest-to-visible latency over %zu submits: p50 %.2f ms, "
-                "p99 %.2f ms\n",
-                lat.size(), double(lat[lat.size() / 2]) * 1e-6,
-                double(lat[lat.size() * 99 / 100]) * 1e-6);
   uint64_t total_reads = 0;
   for (int t = 0; t < R; ++t) {
     std::printf("reader %d: %zu stitched query blocks\n", t,

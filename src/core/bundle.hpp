@@ -45,7 +45,6 @@ class SpannerBundle {
   size_t num_vertices() const { return n_; }
   size_t bundle_size() const { return contrib_.size(); }
   std::vector<Edge> bundle_edges() const;
-  bool in_bundle(Edge e) const { return contrib_.contains(e.key()); }
   uint32_t levels() const { return uint32_t(levels_.size()); }
 
   /// Edges of G not claimed by any level (the residue G \ B). The spectral

@@ -376,7 +376,6 @@ SpannerDiff DecrementalClusterSpanner::delete_edges(std::span<const Edge> batch)
 
   // --- Step 2: distance phases (Algorithm 1). ---
   auto rep = es_.delete_arcs(arc_ids);
-  last_phases_ = rep.phases;
 
   // --- Step 3: cluster cascade in level order. ---
   // The ES repair report is applied batch-style: distance stamps are a

@@ -170,9 +170,6 @@ class DecrementalClusterSpanner {
 
   const ESTree& es() const { return es_; }
 
-  /// Number of phases executed by the last delete_edges call (depth proxy).
-  uint32_t last_phases() const { return last_phases_; }
-
   /// Full oracle check: ES invariants, cluster fixpoint, InterCluster
   /// membership, spanner contribution refcounts. Expensive; for tests.
   bool check_invariants() const;
@@ -227,7 +224,6 @@ class DecrementalClusterSpanner {
   uint64_t epoch_ = 0;
 
   uint64_t cluster_change_count_ = 0;
-  uint32_t last_phases_ = 0;
 };
 
 }  // namespace parspan

@@ -4,19 +4,6 @@
 
 namespace parspan {
 
-void SpannerComposition::init(const std::vector<Edge>& h,
-                              const std::vector<Edge>& s_next,
-                              const RepOf& rep_of) {
-  for (const Edge& e : h) s_.insert(e.key());
-  for (const Edge& p : s_next) {
-    EdgeKey r = rep_of(p);
-    used_rep_[p.key()] = r;
-    bool fresh = s_.insert(r);
-    assert(fresh && "H and representatives must be disjoint");
-    (void)fresh;
-  }
-}
-
 SpannerDiff SpannerComposition::apply(const std::vector<Edge>& h_ins,
                                       const std::vector<Edge>& h_del,
                                       const SpannerDiff& next,

@@ -29,13 +29,10 @@ class SpannerComposition {
   /// The level edge currently representing a next-level pair.
   using RepOf = std::function<EdgeKey(Edge pair)>;
 
-  /// Builds S = h ∪ rep(s_next) (no diff: construction is not a batch).
-  void init(const std::vector<Edge>& h, const std::vector<Edge>& s_next,
-            const RepOf& rep_of);
-
   /// Applies one batch: this level's H diff, the S_next diff, and the
   /// surviving pairs whose representative changed (pairs not in S_next
   /// are ignored). Returns S's net diff, both sides key-sorted.
+  /// Construction is one all-insert batch on the empty step.
   SpannerDiff apply(const std::vector<Edge>& h_ins,
                     const std::vector<Edge>& h_del, const SpannerDiff& next,
                     const std::vector<Edge>& rep_changed,

@@ -63,12 +63,14 @@ SparseSpanner::SparseSpanner(size_t n, const std::vector<Edge>& edges,
   top_ = std::make_unique<FullyDynamicSpanner>(layer_n, cur, tc);
 
   // Compose the initial spanner downward: S_L = top spanner,
-  // S_i = H_i ∪ rep(S_{i+1}).
+  // S_i = H_i ∪ rep(S_{i+1}), each built as one all-insert batch whose
+  // diff is discarded.
   size_t L = layers_.size();
   compose_.resize(L);
   stretch_bound_ = 2 * k - 1;
   for (size_t i = L; i-- > 0;) {
-    compose_[i].init(layers_[i]->h_edges(), next_spanner(i), rep_of(i));
+    compose_[i].apply(layers_[i]->h_edges(), {},
+                      SpannerDiff{next_spanner(i), {}}, {}, rep_of(i));
     stretch_bound_ = 3 * stretch_bound_ + 2;
   }
 }

@@ -79,11 +79,8 @@ DecrementalSparsifier::DecrementalSparsifier(size_t n,
                                              const SparsifierConfig& cfg)
     : n_(n), cfg_(cfg) {
   coin_seed_ = hash_combine(cfg.seed, 0xc01);
-  uint32_t max_stages = cfg.max_stages;
-  if (max_stages == 0) {
-    size_t m = std::max<size_t>(edges.size(), 2);
-    max_stages = uint32_t(std::ceil(std::log2(double(m)))) + 1;
-  }
+  const size_t m = std::max<size_t>(edges.size(), 2);
+  const uint32_t max_stages = uint32_t(std::ceil(std::log2(double(m)))) + 1;
   std::vector<EdgeKey> keys = canonical_edge_keys(n, edges);
   std::vector<Edge> cur;
   cur.reserve(keys.size());

@@ -55,8 +55,6 @@ struct SparsifierConfig {
   uint32_t t = 3;
   /// Per-stage keep probability for the residual sampling.
   double sample_rate = 0.25;
-  /// Maximum number of stages; 0 means ceil(log2 m) + 1.
-  uint32_t max_stages = 0;
   /// Stop chaining when a stage has at most this many edges (the paper's
   /// "less than O(log n) edges" break).
   size_t min_stage_edges = 8;

@@ -82,14 +82,15 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
     }
   }
   h2_.rebuild(bots, h2_nbrs(), h_net_);
-  h_net_.reset();  // compose_.init reads the forest itself
+  h_net_.reset();  // the bulk compose_.apply below reads the forest itself
 
   // Next-level structure over the contracted graph (vertex set = V).
   SparseSpannerConfig nc = cfg.next;
   nc.seed = hash_combine(cfg.seed, 0x4e7);
   next_ = std::make_unique<SparseSpanner>(n, buckets_.pairs(), nc);
 
-  compose_.init(h_edges(), next_->spanner_edges(), rep_of());
+  compose_.apply(h_edges(), {}, SpannerDiff{next_->spanner_edges(), {}}, {},
+                 rep_of());
   buckets_.forget_touched();
 }
 

@@ -87,10 +87,9 @@ void FollowerReplica::apply_record(uint64_t frame_epoch, const WalRecord& rec) {
     ++duplicates_;  // re-ship overlap or transport duplicate — idempotent
     return;
   }
-  if (rec.version != version_ + 1) {
-    ++gaps_;  // reordered ahead of its predecessor — the re-ship closes it
-    return;
-  }
+  // A record reordered ahead of its predecessor waits: the re-ship closes
+  // the gap.
+  if (rec.version != version_ + 1) return;
   // The check and the publish are one pass: the patched snapshot is what
   // gets served, with no second build from a key list.
   SpannerSnapshot::Ptr next = SpannerSnapshot::apply(

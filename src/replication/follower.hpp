@@ -91,7 +91,6 @@ class FollowerReplica {
   // --- Apply accounting (test oracle + observability) ----------------------
   uint64_t records_applied() const { return records_applied_; }
   uint64_t duplicates_dropped() const { return duplicates_; }
-  uint64_t gaps_deferred() const { return gaps_; }
   /// Frames that failed parse/CRC or checksum/precondition verification —
   /// every one is an explicit, counted rejection, never a silent skip.
   uint64_t rejects() const { return rejects_; }
@@ -129,7 +128,6 @@ class FollowerReplica {
 
   uint64_t records_applied_ = 0;
   uint64_t duplicates_ = 0;
-  uint64_t gaps_ = 0;
   uint64_t rejects_ = 0;
   uint64_t resyncs_ = 0;
   uint64_t stale_drops_ = 0;

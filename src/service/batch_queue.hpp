@@ -41,9 +41,7 @@
 // paused queue must not eat the admission budget real producers need.
 // Tickets: every submit (noops included) gets the next per-queue ticket;
 // drain() reports the highest ticket it covers, which is what the
-// service's flush() barrier waits on. Optionally each non-empty submit's
-// steady_clock timestamp rides along so the service can report
-// ingest-to-visible latency per covered submit.
+// service's flush() barrier waits on.
 //
 // Thread safety: any number of producer threads may submit() concurrently
 // with one drain()er (drain itself is serialized per shard by WorkerPool's
@@ -56,7 +54,6 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "container/flat_map.hpp"
@@ -73,29 +70,20 @@ class BatchQueue {
     std::vector<Edge> deletions;
     /// Highest submit ticket covered (0 when nothing was pending).
     uint64_t ticket = 0;
-    /// (ticket, submit time) per covered submit, in ticket order; filled
-    /// only when the queue records timestamps.
-    std::vector<std::pair<uint64_t, std::chrono::steady_clock::time_point>>
-        submit_times;
     bool empty() const { return insertions.empty() && deletions.empty(); }
   };
 
-  explicit BatchQueue(size_t capacity, bool record_times = false,
-                      bool start_paused = false)
-      : capacity_(capacity ? capacity : 1),
-        record_times_(record_times),
-        paused_(start_paused) {}
+  explicit BatchQueue(size_t capacity, bool start_paused = false)
+      : capacity_(capacity ? capacity : 1), paused_(start_paused) {}
 
   /// Queues one batch, coalescing into the pending per-key flags. Blocks
-  /// while the queue is full (a drain frees it; with timestamp recording
-  /// on, the per-submit time log is admission-bounded too, so memory
-  /// stays proportional to capacity either way). Returns this submit's
+  /// while the queue is full (a drain frees it). Returns this submit's
   /// ticket — flush barriers compare it against drained tickets. Empty
   /// batches still take a ticket (flush-after-noop stays well-defined) but
-  /// are exempt from the admission bound and take no timestamp slot: they
-  /// add no pending keys and no drainable work, so a heartbeat/noop stream
-  /// against a paused queue must never fill the queue's admission budget
-  /// and wedge real producers behind a bound only a drain can release.
+  /// are exempt from the admission bound: they add no pending keys and no
+  /// drainable work, so a heartbeat/noop stream against a paused queue
+  /// must never wedge real producers behind a bound only a drain can
+  /// release.
   uint64_t submit(const std::vector<Edge>& insertions,
                   const std::vector<Edge>& deletions) {
     return *submit_for(insertions, deletions, std::nullopt);
@@ -112,10 +100,7 @@ class BatchQueue {
     const bool noop = insertions.empty() && deletions.empty();
     std::unique_lock<std::mutex> lk(mu_);
     if (!noop) {
-      auto admissible = [this] {
-        return pending_.size() < capacity_ &&
-               (!record_times_ || submit_times_.size() < capacity_);
-      };
+      auto admissible = [this] { return pending_.size() < capacity_; };
       if (!timeout)
         not_full_.wait(lk, admissible);
       else if (!not_full_.wait_for(lk, *timeout, admissible))
@@ -123,10 +108,7 @@ class BatchQueue {
     }
     for (const Edge& e : deletions) pending_[e.key()] = kDelete;
     for (const Edge& e : insertions) pending_[e.key()] |= kInsert;
-    uint64_t t = ++last_ticket_;
-    if (record_times_ && !noop)
-      submit_times_.emplace_back(t, std::chrono::steady_clock::now());
-    return t;
+    return ++last_ticket_;
   }
 
   /// Pauses/unpauses draining. The flag lives under the queue's own mutex
@@ -157,17 +139,13 @@ class BatchQueue {
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (paused_ && last_drained_ticket_ >= demand_ticket_) return out;
-      if (pending_.empty() && submit_times_.empty() &&
-          last_ticket_ == last_drained_ticket_)
-        return out;
+      if (pending_.empty() && last_ticket_ == last_drained_ticket_) return out;
       // O(1) moves only under the mutex: the O(P log P) key sort happens
       // below, after producers have been released.
       taken = std::move(pending_);
       pending_ = FlatHashMap<EdgeKey, uint8_t>();
       out.ticket = last_ticket_;
       last_drained_ticket_ = last_ticket_;
-      out.submit_times = std::move(submit_times_);
-      submit_times_.clear();
     }
     not_full_.notify_all();
     keys = taken.sorted_keys();
@@ -207,7 +185,6 @@ class BatchQueue {
   enum : uint8_t { kDelete = 1, kInsert = 2 };
 
   const size_t capacity_;
-  const bool record_times_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   FlatHashMap<EdgeKey, uint8_t> pending_;  // key -> pending flags
@@ -215,8 +192,6 @@ class BatchQueue {
   uint64_t last_drained_ticket_ = 0;
   uint64_t demand_ticket_ = 0;  // drains allowed up to here while paused
   bool paused_ = false;
-  std::vector<std::pair<uint64_t, std::chrono::steady_clock::time_point>>
-      submit_times_;
 };
 
 }  // namespace parspan

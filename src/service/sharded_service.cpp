@@ -178,7 +178,6 @@ ShardedSpannerService::ShardedSpannerService(
   for (auto& svc : services)
     shards_.push_back(std::make_unique<Shard>(std::move(svc),
                                               cfg_.queue_capacity,
-                                              cfg_.record_latency,
                                               cfg_.start_paused));
   pool_ = std::make_unique<WorkerPool>(
       cfg_.num_writers, shards_.size(),
@@ -367,18 +366,6 @@ bool ShardedSpannerService::drain_shard(size_t s) {
                                      std::move(r.diff)});
     }
   }
-  const auto visible = std::chrono::steady_clock::now();
-  // Samples land before the barrier ticket: once flush() returns, every
-  // covered submit's latency is observable.
-  if (cfg_.record_latency && !d.submit_times.empty()) {
-    std::lock_guard<std::mutex> lk(lat_mu_);
-    for (const auto& [ticket, t0] : d.submit_times) {
-      (void)ticket;
-      lat_ns_.push_back(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            visible - t0)
-                            .count());
-    }
-  }
   // Fire every flush_async barrier this publish completed. Callbacks are
   // collected under the lock but invoked outside it: a callback may call
   // back into the service (versions(), view(), even another flush_async).
@@ -506,11 +493,6 @@ void ShardedSpannerService::resume() {
 std::vector<PublishRecord> ShardedSpannerService::publish_log(size_t s) const {
   std::lock_guard<std::mutex> lk(shards_[s]->log_mu);
   return shards_[s]->log;
-}
-
-std::vector<int64_t> ShardedSpannerService::latency_samples_ns() const {
-  std::lock_guard<std::mutex> lk(lat_mu_);
-  return lat_ns_;
 }
 
 }  // namespace parspan

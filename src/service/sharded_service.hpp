@@ -187,9 +187,6 @@ struct ShardedConfig {
   /// batch can overshoot by its own size), and blocks otherwise
   /// (backpressure).
   size_t queue_capacity = 1 << 16;
-  /// Record one ingest-to-visible latency sample (ns) per submit, readable
-  /// via latency_samples_ns() — bench/monitoring instrumentation.
-  bool record_latency = false;
   /// Keep a per-shard log of every publish (version, checksum, diff) —
   /// the determinism tests' witness. Off in production: it retains every
   /// diff forever.
@@ -459,10 +456,6 @@ class ShardedSpannerService {
   /// Copy of shard s's publish log (requires cfg.record_publishes).
   std::vector<PublishRecord> publish_log(size_t s) const;
 
-  /// Copy of all recorded ingest-to-visible samples, ns (requires
-  /// cfg.record_latency).
-  std::vector<int64_t> latency_samples_ns() const;
-
   /// Total edge updates ACCEPTED by submit() so far (pre-coalescing: keys
   /// the queues later cancel or dedup still count). This is the offered
   /// load the service absorbed — a deterministic function of the submit
@@ -496,9 +489,8 @@ class ShardedSpannerService {
     uint64_t published_ticket = 0;  // guarded by barrier_mu_
     std::vector<PublishRecord> log;  // guarded by log_mu
     mutable std::mutex log_mu;
-    Shard(std::unique_ptr<SpannerService> svc, size_t cap, bool times,
-          bool paused)
-        : service(std::move(svc)), queue(cap, times, paused) {}
+    Shard(std::unique_ptr<SpannerService> svc, size_t cap, bool paused)
+        : service(std::move(svc)), queue(cap, paused) {}
   };
 
   bool drain_shard(size_t s);
@@ -525,9 +517,6 @@ class ShardedSpannerService {
 
   mutable std::mutex barrier_mu_;
   std::vector<FlushWaiter> flush_waiters_;  // guarded by barrier_mu_
-
-  mutable std::mutex lat_mu_;
-  std::vector<int64_t> lat_ns_;
 
   std::atomic<bool> paused_{false};
   std::atomic<uint64_t> edges_ingested_{0};

@@ -119,7 +119,7 @@ TEST(BatchQueue, BackpressureBlocksAndDrainsReleases) {
 }
 
 TEST(BatchQueue, PausedGateAdmitsOnlyDemandedDrains) {
-  BatchQueue q(16, false, /*start_paused=*/true);
+  BatchQueue q(16, /*start_paused=*/true);
   const Edge e(1, 2);
   uint64_t t1 = q.submit({e}, {});
 
@@ -801,24 +801,6 @@ TEST(Sharded, DestructionWithDurabilityLeavesRecoverableState) {
   }
 }
 
-TEST(Sharded, LatencySamplesRecorded) {
-  FullyDynamicSpannerConfig cfg;
-  cfg.k = 2;
-  ShardedConfig sc;
-  sc.record_latency = true;
-  auto svc = ShardedSpannerService::single_graph(
-      40, gen_erdos_renyi(40, 100, 3), 2, cfg, sc);
-  const size_t rounds = 5;
-  for (size_t i = 0; i < rounds; ++i) {
-    svc->submit({Edge(VertexId(i), VertexId(i + 20))}, {});
-    svc->flush();
-  }
-  auto samples = svc->latency_samples_ns();
-  ASSERT_GE(samples.size(), rounds);  // >= one sample per submit
-  for (int64_t ns : samples) EXPECT_GE(ns, 0);
-  EXPECT_GE(svc->edges_ingested(), rounds);
-}
-
 // Admission is per shard: when one shard's queue is wedged past the
 // deadline, only ITS sub-batch is dropped (counted in edges_timed_out);
 // responsive shards admit theirs. A retry after capacity returns is a
@@ -856,18 +838,15 @@ TEST(Sharded, SubmitForPartialAdmissionAcrossShards) {
   EXPECT_EQ(svc->edges_timed_out(), 1u);  // the retry timed nothing out
 }
 
-// Regression (PR 9): empty batches on a paused queue with record_times
-// used to take a timestamp slot each, so `capacity` heartbeat/noop submits
-// filled submit_times_ to the admission bound and every later REAL submit
-// blocked until a flush demand happened to drain — a wedge with no
-// producer-visible cause. Empty batches are now exempt from the admission
-// bound and the time log.
-TEST(BatchQueue, EmptySubmitsExemptFromAdmissionBoundAndTimeLog) {
+// Regression: empty batches on a paused queue once counted against the
+// admission bound, so `capacity` heartbeat/noop submits wedged every later
+// REAL submit until a flush demand happened to drain — a wedge with no
+// producer-visible cause. Empty batches are exempt from the bound.
+TEST(BatchQueue, EmptySubmitsExemptFromAdmissionBound) {
   constexpr size_t kCap = 4;
-  BatchQueue q(kCap, /*record_times=*/true, /*start_paused=*/true);
-  // Paused: nothing drains. Exactly kCap noops — before the fix each took
-  // a timestamp slot, filling the admission bound (one more would have
-  // hung outright).
+  BatchQueue q(kCap, /*start_paused=*/true);
+  // Paused: nothing drains. Exactly kCap noops, which would fill the
+  // admission bound if they counted against it.
   uint64_t last = 0;
   for (size_t i = 0; i < kCap; ++i) last = q.submit({}, {});
   EXPECT_EQ(last, kCap);  // noops still take tickets (flush-after-noop)
@@ -879,12 +858,11 @@ TEST(BatchQueue, EmptySubmitsExemptFromAdmissionBoundAndTimeLog) {
   ASSERT_TRUE(t.has_value()) << "empty submits consumed admission capacity";
   EXPECT_EQ(*t, kCap + 1);
 
-  // The drain covers every noop ticket but logs only the real submit.
+  // The drain covers every noop ticket and the real submit.
   q.demand(*t);
   BatchQueue::Drained d = q.drain();
   EXPECT_EQ(d.ticket, *t);
-  ASSERT_EQ(d.submit_times.size(), 1u);
-  EXPECT_EQ(d.submit_times[0].first, *t);
+  EXPECT_EQ(d.insertions.size(), 1u);
 }
 
 // Regression (PR 9): submit_for granted each owning shard the FULL
@@ -987,8 +965,9 @@ TEST(Sharded, SubmitFlushLoopSchedulesOneDrainPerRound) {
     svc->flush();
   }
   const uint64_t drains = sched.tasks_spawned() - before;
-  EXPECT_GE(drains, kRounds);
-  EXPECT_LE(drains, kRounds + kRounds / 10);
+  EXPECT_GE(drains, kRounds) << "drains=" << drains << " kRounds=" << kRounds;
+  EXPECT_LE(drains, kRounds + kRounds / 10)
+      << "drains=" << drains << " kRounds=" << kRounds;
   EXPECT_EQ(svc->versions().v[0], kRounds);
   set_num_workers(saved);
 }

@@ -20,9 +20,8 @@ run) exits 2 — a gate that silently stops gating is worse than a loud one.
 Benchmarks whose names don't appear in the baselines
 (e.g. tiny-size runs that change the workload, or newly added benches) are
 counted but not compared; binaries listed via --skip are excluded entirely
-(bench_service/bench_sharded run at PARSPAN_BENCH_TINY sizes in CI, which
-reuses full-size benchmark names on a different workload — a delta would be
-meaningless).
+(bench_wal runs at PARSPAN_BENCH_TINY sizes in CI, which reuses full-size
+benchmark names on a different workload — a delta would be meaningless).
 
 Baselines written with --benchmark_repetitions (BENCH_wal.json) carry only
 aggregate rows; their `_median` entries compare against plain smoke rows via
@@ -39,7 +38,7 @@ failures (2, 3) take priority over the perf gate (1).
 
 Usage:
   tools/compare_bench.py --baseline-dir . --fresh-dir bench-smoke-out \
-      [--threshold 0.25] [--skip bench_service bench_sharded ...] \
+      [--threshold 0.25] [--skip bench_wal ...] \
       [--fail-over 40 --stable-rows BM_ShipApplyThroughput ...]
 """
 
