@@ -46,6 +46,19 @@ class FlatHashMap {
     if (cap > slots_.size()) rehash(cap);
   }
 
+  /// Returns slots to the allocator once a quarter of them would do:
+  /// rehashes to the smallest capacity that holds size() entries, or frees
+  /// the array of an empty table. A small table under churn (one per
+  /// vertex) so stays within 4x of its size rather than at its peak.
+  void shrink() {
+    if (size_ == 0) {
+      *this = FlatHashMap();
+    } else if (4 * required_capacity(size_) <= slots_.size()) {
+      rehash(required_capacity(size_));
+      scan_cursor_ = 0;
+    }
+  }
+
   /// Removes all entries (keeps the slot array).
   void clear() {
     for (Slot& s : slots_) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "parallel/csr.hpp"
 #include "parallel/primitives.hpp"
 #include "util/rng.hpp"
 
@@ -24,8 +25,8 @@ ContractionLayer::ContractionLayer(size_t n, const std::vector<Edge>& edges,
   }
 
   adj_.assign(n, {});
-  head_.assign(n, kNoVertex);
   head_edge_.assign(n, kNoEdge);
+  buckets_ = Table(next_n_);
 
   // Insert edges, then compute heads, then attach contributions: init is
   // just an update() on an empty structure, but done in bulk.
@@ -36,10 +37,23 @@ ContractionLayer::ContractionLayer(size_t n, const std::vector<Edge>& edges,
     uint32_t eid = uint32_t(edges_.size());
     edge_index_[e.key()] = eid;
     edges_.push_back(EdgeRec{e});
-    add_arcs(eid);
+    EdgeRec& r = edges_.back();
+    r.alive = true;
+    // Adj(u)'s key is drawn first: the draw order fixes every key.
+    r.slot_u = push_arc(e.u, {entry_key(e.v, ++entry_counter_), e.v, eid});
+    r.slot_v = push_arc(e.v, {entry_key(e.u, ++entry_counter_), e.u, eid});
   }
+  alive_count_ = edges_.size();
+  head_.resize(n);
   for (VertexId v = 0; v < n; ++v) head_[v] = compute_head(v);
-  for (uint32_t eid = 0; eid < edges_.size(); ++eid) attach(eid);
+  new_head_ = head_;
+  std::vector<Table::Op> ops;
+  for (uint32_t eid = 0; eid < edges_.size(); ++eid) {
+    if (edge_in_bot(eid)) h_add(edges_[eid].e.key());
+    EdgeKey pk = pair_key_of(eid);
+    if (pk != kNoEdge) ops.push_back({pk, eid, true});
+  }
+  buckets_.apply(ops);
   // head-edge contributions.
   for (VertexId v = 0; v < n; ++v) {
     if (is_sampled(v) || head_[v] == kNoVertex) continue;
@@ -47,33 +61,22 @@ ContractionLayer::ContractionLayer(size_t n, const std::vector<Edge>& edges,
     h_add(head_edge_[v]);
   }
   h_delta_.reset();
-  buckets_.forget_touched();
 }
 
-uint64_t ContractionLayer::fresh_entry_key(VertexId other) {
+uint64_t ContractionLayer::entry_key(VertexId other, uint64_t count) const {
   // Composite (unmark, rand) key: unmarked (other ∉ D) entries sort after
   // all marked ones; the low bits keep keys distinct.
   uint64_t unmark = is_sampled(other) ? 0 : 1;
-  uint64_t rnd = hash_combine(seed_, ++entry_counter_) >> 2;
+  uint64_t rnd = hash_combine(seed_, count) >> 2;
   return (unmark << 62) | rnd;
 }
 
-void ContractionLayer::add_arcs(uint32_t eid) {
-  EdgeRec& r = edges_[eid];
-  r.alive = true;
-  ++alive_count_;
-  auto push = [&](VertexId x, Arc a) {
-    ArcList& l = adj_[x];
-    uint32_t i = uint32_t(l.arcs.size());
-    if (i == 0 || a.key < l.arcs[l.min].key) l.min = i;
-    l.arcs.push_back(a);
-    return i;
-  };
-  // Adj(u)'s key is drawn first: the draw order fixes every key.
-  uint64_t key_u = fresh_entry_key(r.e.v);
-  uint64_t key_v = fresh_entry_key(r.e.u);
-  r.slot_u = push(r.e.u, {key_u, r.e.v, eid});
-  r.slot_v = push(r.e.v, {key_v, r.e.u, eid});
+uint32_t ContractionLayer::push_arc(VertexId x, const Arc& a) {
+  ArcList& l = adj_[x];
+  uint32_t i = uint32_t(l.arcs.size());
+  if (i == 0 || a.key < l.arcs[l.min].key) l.min = i;
+  l.arcs.push_back(a);
+  return i;
 }
 
 void ContractionLayer::remove_arc(VertexId x, uint32_t i) {
@@ -104,13 +107,6 @@ VertexId ContractionLayer::compute_head(VertexId v) const {
   return m.key >> 62 ? kNoVertex : m.other;  // unmarked min: no D neighbor
 }
 
-EdgeKey ContractionLayer::pair_key_of(uint32_t eid) const {
-  const EdgeRec& r = edges_[eid];
-  VertexId hu = head_[r.e.u], hv = head_[r.e.v];
-  if (hu == kNoVertex || hv == kNoVertex || hu == hv) return kNoEdge;
-  return edge_key(next_id_[hu], next_id_[hv]);
-}
-
 void ContractionLayer::h_add(EdgeKey ek) {
   if (++h_contrib_[ek] == 1) h_delta_.add(ek);
 }
@@ -129,81 +125,20 @@ bool ContractionLayer::edge_in_bot(uint32_t eid) const {
   return head_[r.e.u] == kNoVertex || head_[r.e.v] == kNoVertex;
 }
 
-void ContractionLayer::attach(uint32_t eid) {
-  if (edge_in_bot(eid)) h_add(edges_[eid].e.key());
-  EdgeKey pk = pair_key_of(eid);
-  if (pk != kNoEdge) buckets_.add(pk, eid);
-}
-
-void ContractionLayer::detach(uint32_t eid) {
-  if (edge_in_bot(eid)) h_remove(edges_[eid].e.key());
-  EdgeKey pk = pair_key_of(eid);
-  if (pk != kNoEdge) buckets_.remove(pk, eid);
-}
-
-void ContractionLayer::recheck_head(VertexId v) {
-  if (is_sampled(v)) return;
-  VertexId h = compute_head(v);
-  if (h == head_[v]) {
-    // Head unchanged, but the head-edge contribution may have been dropped
-    // if the head edge was deleted and re-inserted within this batch.
-    EdgeKey want = h == kNoVertex ? kNoEdge : edge_key(v, h);
-    if (head_edge_[v] != want) {
-      if (head_edge_[v] != kNoEdge) h_remove(head_edge_[v]);
-      head_edge_[v] = want;
-      if (want != kNoEdge) h_add(want);
-    }
-    return;
-  }
-  // Move every incident edge: bot membership and bucket key both depend on
-  // Head(v). Remove under the old head, flip, re-add under the new head.
-  // Adjacency is stable during a move, so Adj(v) is walked twice in place.
-  const std::vector<Arc>& arcs = adj_[v].arcs;
-  for (const Arc& a : arcs) detach(a.edge_id);
-  if (head_edge_[v] != kNoEdge) {
-    h_remove(head_edge_[v]);
-    head_edge_[v] = kNoEdge;
-  }
-  head_[v] = h;
-  for (const Arc& a : arcs) attach(a.edge_id);
-  if (h != kNoVertex) {
-    head_edge_[v] = edge_key(v, h);
-    h_add(head_edge_[v]);
-  }
-}
-
 ContractionLayer::UpdateResult ContractionLayer::update(
     const std::vector<Edge>& ins, const std::vector<Edge>& del) {
   assert(h_delta_.empty());
-  std::vector<VertexId> recheck;
-  recheck.reserve(2 * (ins.size() + del.size()));
 
-  // --- Deletions. ---
+  // --- 1. Resolve the batch against the edge index (serial: the free-list
+  // order fixes every record id). Deletions first. ---
+  std::vector<uint32_t> dead, born;
   for (const Edge& e : del) {
     const uint32_t* it = edge_index_.find(e.key());
     if (it == nullptr) continue;
-    uint32_t eid = *it;
+    dead.push_back(*it);
+    edges_[*it].alive = false;
     edge_index_.erase(e.key());
-    EdgeRec& r = edges_[eid];
-    detach(eid);
-    remove_arc(r.e.u, r.slot_u);
-    remove_arc(r.e.v, r.slot_v);
-    r.alive = false;
-    --alive_count_;
-    pending_free_.push_back(eid);
-    // The deleted edge may carry a head-edge contribution of an endpoint;
-    // that endpoint's head necessarily changes (its min entry vanished), so
-    // recheck_head will refresh it — but remove the stale contribution
-    // first in case the new head edge coincides.
-    for (VertexId w : {r.e.u, r.e.v}) {
-      if (head_edge_[w] == r.e.key()) {
-        h_remove(head_edge_[w]);
-        head_edge_[w] = kNoEdge;
-      }
-      recheck.push_back(w);
-    }
   }
-  // --- Insertions. ---
   for (const Edge& e : ins) {
     if (e.u == e.v || e.u >= n_ || e.v >= n_) continue;
     if (edge_index_.contains(e.key())) continue;  // already present
@@ -216,30 +151,123 @@ ContractionLayer::UpdateResult ContractionLayer::update(
       eid = uint32_t(edges_.size());
       edges_.push_back(EdgeRec{e});
     }
+    edges_[eid].alive = true;
     edge_index_[e.key()] = eid;
-    add_arcs(eid);
-    attach(eid);
-    recheck.push_back(e.u);
-    recheck.push_back(e.v);
+    born.push_back(eid);
   }
-  // --- Head rechecks (the D4/I4/I5 procedures), in ascending vertex order
-  // so every bucket-representative election is deterministic. ---
-  sort_unique(recheck);
-  for (VertexId v : recheck) recheck_head(v);
+  free_ids_.insert(free_ids_.end(), dead.begin(), dead.end());
+  alive_count_ = alive_count_ + born.size() - dead.size();
+  const size_t D = dead.size(), edited = D + born.size();
+  auto rec_of = [&](size_t i) { return i < D ? dead[i] : born[i - D]; };
+  // The serial procedure drew born[j]'s keys as counter values
+  // first + 2j + 1 (Adj(u)) and first + 2j + 2 (Adj(v)).
+  const uint64_t first = entry_counter_;
+  entry_counter_ += 2 * born.size();
 
-  // --- Compile diffs, key-sorted (DESIGN.md §7.4). ---
+  // --- 2 + 3. Arc-list edits grouped by vertex: one task per vertex
+  // replays its edits in batch order (edit 2i+s is endpoint s of record
+  // rec_of(i)), then recomputes the vertex's head into new_head_. ---
+  std::vector<uint32_t> at(2 * edited);
+  parallel_for(0, edited, [&](size_t i) {
+    const Edge& e = edges_[rec_of(i)].e;
+    at[2 * i] = e.u;
+    at[2 * i + 1] = e.v;
+  });
+  const GroupRuns g = group_runs(n_, at);
+  std::vector<VertexId> touched(g.num_runs());  // ascending
+  parallel_for(
+      0, g.num_runs(),
+      [&](size_t r) {
+        const VertexId x = at[g.items[g.starts[r]]];
+        touched[r] = x;
+        for (size_t j = g.starts[r]; j < g.starts[r + 1]; ++j) {
+          const uint32_t t = g.items[j], i = t / 2;
+          const bool at_u = (t & 1) == 0;
+          EdgeRec& rec = edges_[rec_of(i)];
+          uint32_t& slot = at_u ? rec.slot_u : rec.slot_v;
+          if (i < D) {
+            remove_arc(x, slot);
+          } else {
+            const VertexId other = at_u ? rec.e.v : rec.e.u;
+            const uint64_t count = first + 2 * (i - D) + (at_u ? 1 : 2);
+            slot = push_arc(x, {entry_key(other, count), other, rec_of(i)});
+          }
+        }
+        new_head_[x] = compute_head(x);
+      },
+      grain_for(g.num_runs(), at.size()));
+  const std::vector<VertexId> moved = filter(
+      touched, [&](VertexId v) { return new_head_[v] != head_[v]; });
+
+  // --- 4. Table ops and H refcount edits, filled in parallel into
+  // fixed-width runs at prefix offsets (unused slots hold kNoEdge, which
+  // the consumers skip). The ops follow the serial procedure: deletions
+  // and insertions under the committed heads, then each moved vertex v in
+  // ascending order detaches and re-attaches its edges, seeing a neighbor
+  // w's new head only if w < v (w moved before it). The H edits are nets,
+  // which land the same in any order: ⊥ membership of the edited edges and
+  // of each edge at a moved endpoint (counted from its smaller moved
+  // endpoint), and every touched vertex's head edge. ---
+  const RunOffsets deg = run_offsets(
+      moved.size(), [&](size_t m) { return adj_[moved[m]].arcs.size(); });
+  std::vector<Table::Op> ops(edited + 2 * deg.total(),
+                            Table::Op{kNoEdge, 0, false});
+  std::vector<HEdit> hedits(edited + deg.total() + 2 * touched.size(),
+                            HEdit{kNoEdge, false});
+  parallel_for(0, edited, [&](size_t i) {
+    const uint32_t eid = rec_of(i);
+    const EdgeKey pk = pair_key_of(eid);
+    if (pk != kNoEdge) ops[i] = {pk, eid, i >= D};
+    if (edge_in_bot(eid)) hedits[i] = {edges_[eid].e.key(), i >= D};
+  });
+  parallel_for(
+      0, moved.size(),
+      [&](size_t m) {
+        const VertexId v = moved[m];
+        const std::vector<Arc>& arcs = adj_[v].arcs;
+        Table::Op* out = ops.data() + edited + 2 * deg.at[m];
+        HEdit* hout = hedits.data() + edited + deg.at[m];
+        for (size_t j = 0; j < arcs.size(); ++j) {
+          const VertexId w = arcs[j].other;
+          const VertexId hw = w < v ? new_head_[w] : head_[w];
+          EdgeKey pk = pair_of(head_[v], hw);
+          if (pk != kNoEdge) out[j] = {pk, arcs[j].edge_id, false};
+          pk = pair_of(new_head_[v], hw);
+          if (pk != kNoEdge) out[arcs.size() + j] = {pk, arcs[j].edge_id, true};
+          if (w < v && new_head_[w] != head_[w]) continue;
+          bool before = head_[v] == kNoVertex || head_[w] == kNoVertex;
+          bool after = new_head_[v] == kNoVertex || new_head_[w] == kNoVertex;
+          if (before != after) hout[j] = {edge_key(v, w), after};
+        }
+      },
+      deg.grain());
+  // Commit the heads (nothing reads the old ones past this point).
+  HEdit* head_edits = hedits.data() + edited + deg.total();
+  parallel_for(0, touched.size(), [&](size_t r) {
+    const VertexId v = touched[r], h = new_head_[v];
+    const EdgeKey want =
+        is_sampled(v) || h == kNoVertex ? kNoEdge : edge_key(v, h);
+    if (head_edge_[v] != want) {
+      head_edits[2 * r] = {head_edge_[v], false};
+      head_edits[2 * r + 1] = {want, true};
+      head_edge_[v] = want;
+    }
+    head_[v] = h;
+  });
+  // Adds first, so no refcount dips below zero on the way.
+  for (const HEdit& h : hedits)
+    if (h.add && h.e != kNoEdge) h_add(h.e);
+  for (const HEdit& h : hedits)
+    if (!h.add && h.e != kNoEdge) h_remove(h.e);
+
   UpdateResult res;
-  SpannerDiff hd = h_delta_.drain();
-  res.h_ins = std::move(hd.inserted);
-  res.h_del = std::move(hd.removed);
-  NextLevelEdges<uint32_t>::Diff nd = buckets_.compile();
+  Table::Diff nd = buckets_.apply(ops);
   res.next_ins = std::move(nd.next_ins);
   res.next_del = std::move(nd.next_del);
   res.rep_changed = std::move(nd.rep_changed);
-  // The snapshots are read: this batch's dead ids may be reused from now on.
-  free_ids_.insert(free_ids_.end(), pending_free_.begin(),
-                   pending_free_.end());
-  pending_free_.clear();
+  SpannerDiff hd = h_delta_.drain();
+  res.h_ins = std::move(hd.inserted);
+  res.h_del = std::move(hd.removed);
   return res;
 }
 
@@ -291,7 +319,7 @@ bool ContractionLayer::check_invariants() const {
     const uint32_t* it = edge_index_.find(edges_[eid].e.key());
     if (it == nullptr || *it != eid) return false;
   }
-  if (dead != free_ids_.size() + pending_free_.size()) return false;
+  if (dead != free_ids_.size()) return false;
   // Recompute buckets and H from scratch.
   FlatHashMap<EdgeKey, std::vector<uint32_t>> ref_buckets;
   FlatHashMap<EdgeKey, uint32_t> ref_h;

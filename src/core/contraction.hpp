@@ -33,6 +33,14 @@
 // All dictionaries are flat open-addressing tables (DESIGN.md §1); the
 // per-batch UpdateResult lists are key-sorted, so the layer's output is a
 // deterministic function of its inputs (DESIGN.md §7.4).
+//
+// A batch runs in four phases (DESIGN.md §7.2): (1) a serial pass resolves
+// the edges against the index and assigns record ids; (2) the arc-list
+// edits are grouped by vertex, one task per vertex replaying its edits in
+// batch order with pre-drawn keys, and (3) the same task recomputes the
+// vertex's head; (4) the table ops and H refcount edits are filled in
+// parallel from per-vertex prefix offsets, in the order the serial
+// procedure would issue them, and committed by one NextLevelEdges::apply.
 #pragma once
 
 #include <algorithm>
@@ -112,30 +120,39 @@ class ContractionLayer {
     uint32_t slot_v = 0;  // arc slot in Adj(e.v)
     bool alive = false;
   };
-  uint64_t fresh_entry_key(VertexId other);
-  /// Adds edge eid's arcs to both endpoints' lists (fresh keys).
-  void add_arcs(uint32_t eid);
+  using Table = NextLevelEdges<uint32_t>;
+  /// An H refcount edit (edge key, +1 or -1).
+  struct HEdit {
+    EdgeKey e;
+    bool add;
+  };
+
+  /// Adj(x)'s key for the entry toward `other`, from the entry counter's
+  /// value `count` (counter-based, so a batch pre-draws its keys).
+  uint64_t entry_key(VertexId other, uint64_t count) const;
+  /// Appends arc a to Adj(x), updating the cached minimum; returns its slot.
+  uint32_t push_arc(VertexId x, const Arc& a);
   /// Swap-pops slot i of Adj(x), fixing the moved arc's stored slot and
   /// the cached minimum (rescanned only if the minimum itself left).
   void remove_arc(VertexId x, uint32_t i);
   /// Head(v) implied by Adj(v)'s cached minimum.
   VertexId compute_head(VertexId v) const;
 
-  /// Contracted pair key for edge id (using current heads), or kNoEdge if
-  /// the edge is intra-cluster / touches ⊥.
-  EdgeKey pair_key_of(uint32_t eid) const;
+  /// Contracted pair key of an edge whose endpoints head to hu and hv, or
+  /// kNoEdge if it is intra-cluster / touches ⊥.
+  EdgeKey pair_of(VertexId hu, VertexId hv) const {
+    if (hu == kNoVertex || hv == kNoVertex || hu == hv) return kNoEdge;
+    return edge_key(next_id_[hu], next_id_[hv]);
+  }
+  /// pair_of under the committed heads.
+  EdgeKey pair_key_of(uint32_t eid) const {
+    const EdgeRec& r = edges_[eid];
+    return pair_of(head_[r.e.u], head_[r.e.v]);
+  }
 
   void h_add(EdgeKey ek);
   void h_remove(EdgeKey ek);
   bool edge_in_bot(uint32_t eid) const;  // has a ⊥ endpoint
-
-  /// Attaches/detaches edge contributions (bot membership + bucket) using
-  /// the CURRENT heads of both endpoints.
-  void attach(uint32_t eid);
-  void detach(uint32_t eid);
-
-  /// Recomputes Head(v); if changed, moves all incident edges.
-  void recheck_head(VertexId v);
 
   size_t n_ = 0;
   size_t next_n_ = 0;
@@ -149,17 +166,17 @@ class ContractionLayer {
 
   std::vector<EdgeRec> edges_;
   FlatHashMap<EdgeKey, uint32_t> edge_index_;  // alive edges only
-  // Dead records' ids. An id freed in a batch waits in pending_free_ until
-  // the batch's pair diffs are compiled: the table's snapshots name the old
-  // representative by id, so reusing it within the batch could hide a
-  // representative change.
+  // Dead records' ids, reused LIFO from the next batch on: an id freed in
+  // a batch is never reused within it, since the table's snapshots name
+  // the old representative by id.
   std::vector<uint32_t> free_ids_;
-  std::vector<uint32_t> pending_free_;
   size_t alive_count_ = 0;
 
-  NextLevelEdges<uint32_t> buckets_;          // pair -> edge ids
+  Table buckets_;                             // pair -> edge ids
   FlatHashMap<EdgeKey, uint32_t> h_contrib_;  // H refcounts
   std::vector<EdgeKey> head_edge_;  // per-vertex (v, Head(v)) contribution
+  // Heads staged by the batch in progress; equal to head_ between batches.
+  std::vector<VertexId> new_head_;
 
   // Batch-scoped diff accumulation (drained key-sorted — DESIGN.md §6.4).
   DiffAccumulator h_delta_;

@@ -28,7 +28,7 @@ T& slot_for_thread(std::vector<T>& pool) {
 UltraSparseSpanner::UltraSparseSpanner(size_t n,
                                        const std::vector<Edge>& edges,
                                        const UltraConfig& cfg)
-    : n_(n), cfg_(cfg), graph_(n), h2_(n) {
+    : n_(n), cfg_(cfg), graph_(n), buckets_(n), h2_(n) {
   uint32_t x = std::max(2u, cfg.x);
   T_ = uint32_t(
       std::ceil(10.0 * double(x) * std::max(1.0, std::log2(double(x)))));
@@ -68,18 +68,20 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
     }
   });
 
-  // H1 parent edges + buckets (serial, canonical edge order), then the H2
-  // forest seeded at every ⊥ vertex in ascending order.
-  for (const Edge& e : applied) attach(e);
+  // Buckets (canonical edge order) and H1 parent edges, then the H2 forest
+  // seeded at every ⊥ vertex in ascending order.
+  new_head_ = head_;
+  {
+    std::vector<Table::Op> ops;
+    emit_edge_ops(ops, applied, true);
+    buckets_.apply(ops);
+  }
   std::vector<VertexId> bots;
   for (VertexId v = 0; v < n; ++v) {
     const HeadResult& hr = res[v];
     assert(hr.head == head_[v]);
     if (hr.head == kBot) bots.push_back(v);
-    if (hr.head != kBot && hr.head != v) {
-      assert(hr.par != kNoVertex);
-      par_edge_[v] = edge_key(v, hr.par);
-    }
+    par_edge_[v] = par_edge_of(v, hr);
   }
   h2_.rebuild(bots, h2_nbrs(), h_net_);
   h_net_.reset();  // the bulk compose_.apply below reads the forest itself
@@ -91,7 +93,6 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
 
   compose_.apply(h_edges(), {}, SpannerDiff{next_->spanner_edges(), {}}, {},
                  rep_of());
-  buckets_.forget_touched();
 }
 
 std::vector<Edge> UltraSparseSpanner::h_edges() const {
@@ -238,48 +239,74 @@ std::vector<VertexId> UltraSparseSpanner::light_need_recompute(
   return out;
 }
 
-EdgeKey UltraSparseSpanner::pair_key_of(Edge e) const {
-  VertexId hu = head_[e.u], hv = head_[e.v];
-  if (hu == kBot || hv == kBot || hu == hv) return kNoEdge;
-  return edge_key(hu, hv);
+void UltraSparseSpanner::emit_edge_ops(std::vector<Table::Op>& ops,
+                                       const std::vector<Edge>& edges,
+                                       bool add) const {
+  const size_t base = ops.size();
+  ops.resize(base + edges.size(), Table::Op{kNoEdge, 0, false});
+  parallel_for(0, edges.size(), [&](size_t i) {
+    const EdgeKey pk = pair_key_of(edges[i]);
+    if (pk != kNoEdge) ops[base + i] = {pk, edges[i].key(), add};
+  });
 }
 
-void UltraSparseSpanner::attach(Edge e) {
-  EdgeKey pk = pair_key_of(e);
-  if (pk != kNoEdge) buckets_.add(pk, e.key());
-}
-
-void UltraSparseSpanner::detach(Edge e) {
-  EdgeKey pk = pair_key_of(e);
-  if (pk != kNoEdge) buckets_.remove(pk, e.key());
-}
-
-void UltraSparseSpanner::commit_head(VertexId v, const HeadResult& hr) {
-  // Move incident edges' bucket / H2 membership from the old head state to
-  // the new one, and refresh the H1 parent contribution. Adjacency is
-  // stable during a commit phase, so the neighbor span is iterated twice.
-  auto nbrs = graph_.neighbors(v);
-  for (VertexId w : nbrs) {
-    Edge e(v, w);
-    if (edge_in_h2(e)) h2_net_.remove(e.key());
-    detach(e);
+void UltraSparseSpanner::commit_heads(std::vector<Table::Op>& ops,
+                                      const std::vector<VertexId>& vs,
+                                      const std::vector<HeadResult>& hrs) {
+  parallel_for(0, vs.size(),
+               [&](size_t i) { new_head_[vs[i]] = hrs[i].head; });
+  // Each v detaches its edges under its old head and re-attaches them under
+  // its new one, seeing a neighbor w's new head only if w < v (w committed
+  // before it): fixed-width runs of ops at prefix offsets of the degrees
+  // (unused slots skip). H2 membership churn goes in as per-edge nets, each
+  // edge once from its smaller endpoint whose head moved. Adjacency is
+  // stable during a commit phase.
+  const RunOffsets deg =
+      run_offsets(vs.size(), [&](size_t i) { return graph_.degree(vs[i]); });
+  const size_t base = ops.size();
+  ops.resize(base + 2 * deg.total(), Table::Op{kNoEdge, 0, false});
+  struct Net {
+    EdgeKey e;
+    bool add;
+  };
+  std::vector<Net> h2(deg.total(), Net{kNoEdge, false});
+  parallel_for(
+      0, vs.size(),
+      [&](size_t i) {
+        const VertexId v = vs[i];
+        auto nbrs = graph_.neighbors(v);
+        Table::Op* out = ops.data() + base + 2 * deg.at[i];
+        Net* hout = h2.data() + deg.at[i];
+        const bool moved = new_head_[v] != head_[v];
+        for (size_t j = 0; j < nbrs.size(); ++j) {
+          const VertexId w = nbrs[j];
+          const EdgeKey e = edge_key(v, w);
+          const VertexId hw = w < v ? new_head_[w] : head_[w];
+          EdgeKey pk = pair_of(head_[v], hw);
+          if (pk != kNoEdge) out[j] = {pk, e, false};
+          pk = pair_of(new_head_[v], hw);
+          if (pk != kNoEdge) out[nbrs.size() + j] = {pk, e, true};
+          if (!moved || (w < v && new_head_[w] != head_[w])) continue;
+          bool before = head_[v] == kBot && head_[w] == kBot;
+          bool after = new_head_[v] == kBot && new_head_[w] == kBot;
+          if (before != after) hout[j] = {e, after};
+        }
+      },
+      deg.grain());
+  for (const Net& x : h2)
+    if (x.e != kNoEdge) x.add ? h2_net_.add(x.e) : h2_net_.remove(x.e);
+  // H1 parent edges.
+  for (size_t i = 0; i < vs.size(); ++i) {
+    const VertexId v = vs[i];
+    const EdgeKey want = par_edge_of(v, hrs[i]);
+    if (par_edge_[v] != want) {
+      if (par_edge_[v] != kNoEdge) h_net_.remove(par_edge_[v]);
+      par_edge_[v] = want;
+      if (want != kNoEdge) h_net_.add(want);
+    }
   }
-  head_[v] = hr.head;
-  for (VertexId w : nbrs) {
-    Edge e(v, w);
-    if (edge_in_h2(e)) h2_net_.add(e.key());
-    attach(e);
-  }
-  EdgeKey want = kNoEdge;
-  if (hr.head != kBot && hr.head != v) {
-    assert(hr.par != kNoVertex);
-    want = edge_key(v, hr.par);
-  }
-  if (par_edge_[v] != want) {
-    if (par_edge_[v] != kNoEdge) h_net_.remove(par_edge_[v]);
-    par_edge_[v] = want;
-    if (want != kNoEdge) h_net_.add(want);
-  }
+  parallel_for(0, vs.size(),
+               [&](size_t i) { head_[vs[i]] = new_head_[vs[i]]; });
 }
 
 SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
@@ -289,12 +316,13 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
   // --- Apply the batch to the flat graph; bookkeep per applied edge. The
   // applied lists come back canonical and key-sorted, which pins down every
   // bucket-representative election below. ---
+  std::vector<Table::Op> ops;  // the batch's table edits, in serial order
   std::vector<Edge> removed = graph_.erase_edges(deletions);
+  emit_edge_ops(ops, removed, false);
   std::vector<VertexId> touched;
   touched.reserve(2 * (removed.size() + insertions.size()));
   for (const Edge& e : removed) {
     if (edge_in_h2(e)) h2_net_.remove(e.key());
-    detach(e);
     // A dying parent edge leaves H1 immediately; the endpoint's head is
     // recomputed below.
     for (VertexId w : {e.u, e.v}) {
@@ -306,8 +334,8 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
     }
   }
   std::vector<Edge> added = graph_.insert_edges(insertions);
+  emit_edge_ops(ops, added, true);
   for (const Edge& e : added) {
-    attach(e);
     if (edge_in_h2(e)) h2_net_.add(e.key());
     touched.push_back(e.u);
     touched.push_back(e.v);
@@ -316,31 +344,37 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
 
   // --- Recomputation (paper §5.2): heavy seeds first, then Algorithm 6's
   // light set against the committed heavy heads. Each phase computes heads
-  // in parallel (reads committed state only) and commits serially in
-  // ascending vertex order (DESIGN.md §7.2). ---
+  // in parallel (reads committed state only) and commits the vertices whose
+  // head or parent edge changed (DESIGN.md §7.2). ---
   if (scratch_.size() < size_t(std::max(1, executor_slots())))
     scratch_.resize(size_t(std::max(1, executor_slots())));
   // Head-result arrays are the batch's big scratch: arena-backed, reclaimed
   // when this scope closes at the end of the recomputation (§12.5).
   ArenaScope recompute_scratch;
+  auto commit_changed = [&](const std::vector<VertexId>& vs,
+                            const ArenaVector<HeadResult>& res, auto&& skip) {
+    std::vector<VertexId> cv;
+    std::vector<HeadResult> chr;
+    for (size_t i = 0; i < vs.size(); ++i) {
+      const VertexId v = vs[i];
+      if (skip(v)) continue;
+      const HeadResult& hr = res[i];
+      if (hr.head != head_[v] || par_edge_[v] != par_edge_of(v, hr)) {
+        cv.push_back(v);
+        chr.push_back(hr);
+      }
+    }
+    commit_heads(ops, cv, chr);
+  };
+  // Most touched vertices are light and skip at once: adaptive grain.
   ArenaVector<HeadResult> hres(touched.size());
-  parallel_for(
-      0, touched.size(),
-      [&](size_t i) {
-        VertexId v = touched[i];
-        if (sampled_[v] || heavy(v))
-          hres[i] = compute_head(v, slot_for_thread(scratch_));
-      },
-      /*grain=*/1);
-  for (size_t i = 0; i < touched.size(); ++i) {
+  parallel_for(0, touched.size(), [&](size_t i) {
     VertexId v = touched[i];
-    if (!sampled_[v] && !heavy(v)) continue;  // light handled below
-    const HeadResult& hr = hres[i];
-    EdgeKey want = (hr.head != kBot && hr.head != v)
-                       ? edge_key(v, hr.par)
-                       : kNoEdge;
-    if (hr.head != head_[v] || par_edge_[v] != want) commit_head(v, hr);
-  }
+    if (sampled_[v] || heavy(v))
+      hres[i] = compute_head(v, slot_for_thread(scratch_));
+  });
+  commit_changed(touched, hres,
+                 [&](VertexId v) { return !sampled_[v] && !heavy(v); });
   std::vector<VertexId> lights = light_need_recompute(touched);
   ArenaVector<HeadResult> lres(lights.size());
   parallel_for(
@@ -349,14 +383,7 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
         lres[i] = compute_head(lights[i], slot_for_thread(scratch_));
       },
       /*grain=*/1);
-  for (size_t i = 0; i < lights.size(); ++i) {
-    VertexId v = lights[i];
-    const HeadResult& hr = lres[i];
-    EdgeKey want = (hr.head != kBot && hr.head != v)
-                       ? edge_key(v, hr.par)
-                       : kNoEdge;
-    if (hr.head != head_[v] || par_edge_[v] != want) commit_head(v, hr);
-  }
+  commit_changed(lights, lres, [](VertexId) { return false; });
 
   // --- H2 forest rebuild around the endpoints of the netted membership
   // churn (drained key-sorted); its tree churn lands in h_net_. ---
@@ -373,7 +400,7 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
 
   // --- Next-level update, then S = H ∪ rep(S_next) over the touched pairs
   // in canonical key order. ---
-  NextLevelEdges<EdgeKey>::Diff pd = buckets_.compile();
+  Table::Diff pd = buckets_.apply(ops);
   SpannerDiff nd = next_->update(pd.next_ins, pd.next_del);
   SpannerDiff hd = h_net_.drain();
   return compose_.apply(hd.inserted, hd.removed, nd, pd.rep_changed,

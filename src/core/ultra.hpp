@@ -38,9 +38,11 @@
 // Algorithm-5 balls run on epoch-stamped per-thread scratch.
 // Each recomputation phase is two-phase — head *computation* is a
 // parallel_for over the affected vertices (reads committed state only),
-// head *commits* run serially in ascending vertex order — and the batch
-// diff drains key-sorted from a flat accumulator, so output never depends
-// on the worker-thread count.
+// then the *commit* fills the phase's table ops in parallel, in the order
+// a serial commit in ascending vertex order would issue them. The whole
+// batch's ops go through one NextLevelEdges::apply, H and H2 churn is
+// netted (order-free), and the batch diff drains key-sorted, so output
+// never depends on the worker-thread count.
 #pragma once
 
 #include <algorithm>
@@ -132,6 +134,14 @@ class UltraSparseSpanner {
 
   bool heavy(VertexId v) const { return graph_.degree(v) >= T_; }
 
+  /// H1 parent edge of v under head result hr: kNoEdge unless v is
+  /// clustered under another vertex.
+  static EdgeKey par_edge_of(VertexId v, const HeadResult& hr) {
+    if (hr.head == kBot || hr.head == v) return kNoEdge;
+    assert(hr.par != kNoVertex);
+    return edge_key(v, hr.par);
+  }
+
   /// Algorithm 5 (light) / neighbor-min (heavy). Reads committed heavy
   /// heads; does not mutate structure state (scratch is caller-owned).
   HeadResult compute_head(VertexId v, HeadScratch& hs) const;
@@ -142,7 +152,15 @@ class UltraSparseSpanner {
   std::vector<VertexId> light_need_recompute(
       const std::vector<VertexId>& seeds);
 
-  EdgeKey pair_key_of(Edge e) const;
+  using Table = NextLevelEdges<EdgeKey>;
+
+  /// Contracted pair of an edge whose endpoints head to hu and hv, or
+  /// kNoEdge if it is intra-cluster / touches ⊥.
+  static EdgeKey pair_of(VertexId hu, VertexId hv) {
+    if (hu == kBot || hv == kBot || hu == hv) return kNoEdge;
+    return edge_key(hu, hv);
+  }
+  EdgeKey pair_key_of(Edge e) const { return pair_of(head_[e.u], head_[e.v]); }
   bool edge_in_h2(Edge e) const {
     return head_[e.u] == kBot && head_[e.v] == kBot;
   }
@@ -155,9 +173,16 @@ class UltraSparseSpanner {
     };
   }
 
-  void attach(Edge e);
-  void detach(Edge e);
-  void commit_head(VertexId v, const HeadResult& hr);
+  /// Appends to `ops` the table ops of edges leaving (!add) or joining the
+  /// graph.
+  void emit_edge_ops(std::vector<Table::Op>& ops,
+                     const std::vector<Edge>& edges, bool add) const;
+  /// Commits one recomputation phase: vertices vs[i] (ascending) take
+  /// heads hrs[i]. Their edges' table ops go to `ops` as a serial commit
+  /// in ascending order would issue them.
+  void commit_heads(std::vector<Table::Op>& ops,
+                    const std::vector<VertexId>& vs,
+                    const std::vector<HeadResult>& hrs);
 
   /// H = H1 ∪ forest(H2).
   std::vector<Edge> h_edges() const;
@@ -173,11 +198,13 @@ class UltraSparseSpanner {
   DynamicGraph graph_;  // flat adjacency + edge index (DESIGN.md §2)
 
   std::vector<VertexId> head_;
+  // Heads staged by the commit in progress; equal to head_ otherwise.
+  std::vector<VertexId> new_head_;
   std::vector<EdgeKey> par_edge_;  // H1 contribution per vertex
 
   /// NextLevelEdges[(c, c')]: the alive layer-0 edges whose endpoint heads
   /// are {c, c'}, plus the designated representative.
-  NextLevelEdges<EdgeKey> buckets_;
+  Table buckets_;
 
   SmallComponentForest h2_;
   std::unique_ptr<SparseSpanner> next_;

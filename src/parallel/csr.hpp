@@ -38,9 +38,11 @@ struct GroupedIndices {
 };
 
 /// Stable parallel counting sort of the indices [0, keys.size()) by
-/// keys[i] in [0, nbuckets).
+/// keys[i] in [0, nbuckets). Inputs shorter than `serial_below` sort
+/// serially.
 inline GroupedIndices group_by_key(size_t nbuckets,
-                                   const std::vector<uint32_t>& keys) {
+                                   const std::vector<uint32_t>& keys,
+                                   size_t serial_below = kParGrain) {
   size_t n = keys.size();
   GroupedIndices out;
   out.offsets.assign(nbuckets + 1, 0);
@@ -53,7 +55,7 @@ inline GroupedIndices group_by_key(size_t nbuckets,
   size_t nblocks = std::min<size_t>(
       static_cast<size_t>(p) * 4,
       std::max<size_t>(1, (8 * n) / std::max<size_t>(1, nbuckets)));
-  if (n < kParGrain || p <= 1 || nblocks <= 1) {
+  if (n < serial_below || p <= 1 || nblocks <= 1) {
     for (size_t i = 0; i < n; ++i) {
       assert(keys[i] < nbuckets);
       ++out.offsets[keys[i] + 1];
@@ -103,6 +105,49 @@ inline GroupedIndices group_by_key(size_t nbuckets,
               static_cast<uint32_t>(i);
       },
       /*grain=*/1);
+  return out;
+}
+
+/// The non-empty groups of a stable grouping: `items` holds the indices
+/// [0, keys.size()) in stable key order, and the r-th non-empty group (the
+/// r-th smallest key present) occupies items[starts[r] .. starts[r+1]).
+struct GroupRuns {
+  std::vector<uint32_t> items;
+  std::vector<uint32_t> starts;  // num_runs() + 1 entries
+
+  size_t num_runs() const { return starts.size() - 1; }
+};
+
+/// Stable grouping of [0, keys.size()) by keys[i] in [0, nbuckets) that
+/// reports only the groups present. Dense keys take the counting sort
+/// (group_by_key; serial at batch sizes, where its parallel passes cost
+/// more than they save); a few keys over a large range take a sort of
+/// (key, index) pairs instead, so a small batch never pays O(nbuckets).
+/// Both give the same permutation.
+inline GroupRuns group_runs(size_t nbuckets,
+                            const std::vector<uint32_t>& keys) {
+  const size_t k = keys.size();
+  GroupRuns out;
+  if (nbuckets <= 8 * k) {
+    GroupedIndices g = group_by_key(nbuckets, keys, 32 * kParGrain);
+    out.items = std::move(g.items);
+    for (size_t b = 0; b < nbuckets; ++b)
+      if (g.offsets[b + 1] > g.offsets[b]) out.starts.push_back(g.offsets[b]);
+  } else {
+    std::vector<uint64_t> tagged(k);
+    parallel_for(0, k, [&](size_t i) {
+      assert(keys[i] < nbuckets);
+      tagged[i] = (uint64_t(keys[i]) << 32) | i;
+    });
+    parallel_sort(tagged);
+    out.items.resize(k);
+    for (size_t j = 0; j < k; ++j) {
+      out.items[j] = uint32_t(tagged[j]);
+      if (j == 0 || (tagged[j] >> 32) != (tagged[j - 1] >> 32))
+        out.starts.push_back(uint32_t(j));
+    }
+  }
+  out.starts.push_back(uint32_t(k));
   return out;
 }
 

@@ -86,6 +86,35 @@ std::vector<T> pack(const std::vector<T>& xs, Pred&& pred) {
   return out;
 }
 
+/// parallel_for grain for n items that carry `total` units of work between
+/// them: chunks of ~256 units, or one inline chunk when the whole loop is
+/// too small to be worth sharing.
+inline size_t grain_for(size_t n, size_t total) {
+  if (total < kParForCutoff) return std::max<size_t>(n, 1);
+  return std::max<size_t>(1, 256 * n / total);
+}
+
+/// Run layout for filling per-item output runs in parallel: item i owns
+/// slots [at[i], at[i+1]) of width(i) slots (at.back() is the total), so
+/// items fill their runs concurrently and the concatenation is the serial
+/// loop's. Producers mark unused slots with a skip value.
+struct RunOffsets {
+  std::vector<size_t> at;  // n + 1 entries
+
+  size_t total() const { return at.back(); }
+  size_t grain() const { return grain_for(at.size() - 1, total()); }
+};
+
+template <typename Width>
+RunOffsets run_offsets(size_t n, Width&& width) {
+  RunOffsets r;
+  r.at.resize(n + 1);
+  for (size_t i = 0; i < n; ++i) r.at[i] = width(i);
+  r.at[n] = 0;
+  exclusive_scan_inplace(r.at);
+  return r;
+}
+
 /// filter: pack with a predicate on values rather than indices.
 template <typename T, typename Pred>
 std::vector<T> filter(const std::vector<T>& xs, Pred&& pred) {

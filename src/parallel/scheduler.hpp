@@ -47,6 +47,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -70,7 +71,10 @@ struct Task {
 namespace detail {
 
 /// Chase-Lev work-stealing deque of Task*. The owner pushes and pops at the
-/// bottom without locks; thieves compete for the top with a CAS. Buffers
+/// bottom without locks; thieves compete for the top with a CAS. All
+/// ordering sits on the deque's own atomics (release publish, seq_cst
+/// top/bottom handshake, acquire buffer loads) rather than on standalone
+/// fences, which ThreadSanitizer cannot see. Buffers
 /// grow geometrically; retired buffers are kept until destruction so a
 /// thief racing a grow never reads freed memory (the classic lazy
 /// reclamation, bounded by log2(max size) buffers).
@@ -93,17 +97,18 @@ class TaskDeque {
       buf = grow(buf, top, b);
     }
     buf->put(b, t);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // Publishes the slot (and the task behind it) to thieves.
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   /// Owner only.
   Task* pop() {
     int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     Buffer* buf = buf_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    int64_t top = top_.load(std::memory_order_relaxed);
+    // seq_cst store then seq_cst load: the claim on slot b is ordered
+    // before the read of top_, against steal's seq_cst loads.
+    bottom_.store(b, std::memory_order_seq_cst);
+    int64_t top = top_.load(std::memory_order_seq_cst);
     if (top > b) {  // empty: restore
       bottom_.store(b + 1, std::memory_order_relaxed);
       return nullptr;
@@ -121,11 +126,10 @@ class TaskDeque {
 
   /// Any thread.
   Task* steal() {
-    int64_t top = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    int64_t b = bottom_.load(std::memory_order_acquire);
+    int64_t top = top_.load(std::memory_order_seq_cst);
+    int64_t b = bottom_.load(std::memory_order_seq_cst);  // acquires push's
     if (top >= b) return nullptr;
-    Buffer* buf = buf_.load(std::memory_order_consume);
+    Buffer* buf = buf_.load(std::memory_order_acquire);
     Task* t = buf->get(top);
     if (!top_.compare_exchange_strong(top, top + 1,
                                       std::memory_order_seq_cst,
@@ -253,6 +257,12 @@ class Scheduler {
       size_t p = pending.load(std::memory_order_acquire);
       if (p == 0) return;
       if (tl_worker_index_ >= 0 && help_one()) continue;
+      const uint64_t e0 = doorbell_.load(std::memory_order_acquire);
+      if (spin_until([&] {
+            return pending.load(std::memory_order_acquire) != p ||
+                   doorbell_.load(std::memory_order_acquire) != e0;
+          }))
+        continue;
       pending.wait(p, std::memory_order_acquire);
     }
   }
@@ -280,6 +290,24 @@ class Scheduler {
     std::thread thread;
   };
 
+  /// Spins (pausing) until done() or the spin budget runs out; true if
+  /// done() held. Waiters spin before they sleep: the next fork-join phase
+  /// of a batch usually starts within microseconds, and a futex round trip
+  /// costs far more than that on virtualized hosts (DESIGN.md §12.1).
+  template <typename Done>
+  static bool spin_until(Done&& done) {
+    const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+    for (;;) {
+      for (int i = 0; i < 64; ++i) {
+        if (done()) return true;
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+      }
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+    }
+  }
+
   void worker_loop(int index);
   Task* find_root_task(int self);
   Task* try_steal(int self);
@@ -291,6 +319,7 @@ class Scheduler {
   // are fully constructed before spawned_ publishes them — lock-free
   // readers (spawn/steal paths) index only below spawned_.
   static constexpr int kMinPoolThreads = 4;
+  static constexpr std::chrono::microseconds kSpinBudget{100};
   std::mutex config_mu_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<int> spawned_{0};   // constructed & running pool threads
@@ -309,7 +338,9 @@ class Scheduler {
   std::atomic<uint64_t> stat_stolen_{0};
   std::atomic<uint64_t> stat_parks_{0};
 
-  static thread_local int tl_worker_index_;  // -1 on non-pool threads
+  // -1 on non-pool threads. Constant-initialized, so reads need no TLS
+  // init wrapper.
+  static inline constinit thread_local int tl_worker_index_ = -1;
 };
 
 /// Loop parallelism of the process-wide scheduler (compat shim for the

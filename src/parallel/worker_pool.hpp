@@ -24,11 +24,16 @@
 // kRunning → kIdle), with one extra state kRunningDirty for "notified while
 // running": the drain function may miss work that arrived after it snapped
 // the slot's queue, so a notify landing mid-run re-queues the slot when the
-// run finishes instead of being dropped. A slot stays kQueued until its
-// task actually starts: a notify before then is a no-op, because the drain
-// has not looked at its queue yet and will see the new work. The drain
-// function's return value ("I left work behind") re-queues the same way,
-// so a bounded drain can yield between rounds without stranding its slot.
+// run finishes instead of being dropped — if the optional has_work probe
+// (checked under the pool mutex, after the run) says work is left: a notify
+// that landed before the drain snapped its queue was already served, and
+// re-queueing it would only schedule an empty drain. Work enqueued after
+// the probe notifies an idle slot, so no wakeup is lost. A slot stays
+// kQueued until its task actually starts: a notify before then is a no-op,
+// because the drain has not looked at its queue yet and will see the new
+// work. The drain function's return value ("I left work behind") re-queues
+// the same way, so a bounded drain can yield between rounds without
+// stranding its slot.
 //
 // stop() (also run by the destructor) marks the pool stopped, drops queued
 // slots, and waits until every submitted drain task has finished touching
@@ -56,9 +61,14 @@ class WorkerPool {
   /// has work left (it is re-queued immediately). Called with no locks
   /// held; never called concurrently for the same slot.
   using DrainFn = std::function<bool(size_t slot)>;
+  /// True while `slot` holds work a drain has not taken. Called under the
+  /// pool mutex; must not call back into the pool.
+  using HasWorkFn = std::function<bool(size_t slot)>;
 
-  WorkerPool(int num_threads, size_t num_slots, DrainFn drain)
+  WorkerPool(int num_threads, size_t num_slots, DrainFn drain,
+             HasWorkFn has_work = nullptr)
       : drain_(std::move(drain)),
+        has_work_(std::move(has_work)),
         cap_(num_threads < 1 ? 1 : num_threads),
         state_(num_slots, kIdle) {}
 
@@ -125,7 +135,9 @@ class WorkerPool {
     }
     bool more = alive && drain_(slot);
     std::lock_guard<std::mutex> lk(mu_);
-    if (!stopped_ && (more || state_[slot] == kRunningDirty)) {
+    const bool dirty = state_[slot] == kRunningDirty &&
+                       (!has_work_ || has_work_(slot));
+    if (!stopped_ && (more || dirty)) {
       state_[slot] = kQueued;
       ready_.push_back(slot);
     } else {
@@ -139,6 +151,7 @@ class WorkerPool {
   }
 
   DrainFn drain_;
+  HasWorkFn has_work_;
   const int cap_;
   std::mutex mu_;
   std::condition_variable cv_;

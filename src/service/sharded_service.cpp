@@ -181,7 +181,8 @@ ShardedSpannerService::ShardedSpannerService(
                                               cfg_.start_paused));
   pool_ = std::make_unique<WorkerPool>(
       cfg_.num_writers, shards_.size(),
-      [this](size_t s) { return drain_shard(s); });
+      [this](size_t s) { return drain_shard(s); },
+      [this](size_t s) { return shards_[s]->queue.undrained(); });
 }
 
 ShardedSpannerService::ShardedSpannerService(std::vector<ShardSpec> specs,

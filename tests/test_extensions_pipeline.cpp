@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -355,6 +356,35 @@ TEST(ExtensionsPipeline, UltraDiffStreamMatchesPinnedHash) {
   UltraSparseSpanner sp(400, sparse_initial, cfg);
   EXPECT_EQ(diff_stream_hash(sp, sparse_batches), 3325478412911506619ull);
   EXPECT_TRUE(sp.check_invariants());
+}
+
+// The perfbench tenants shape (n=4096, m=8n, 1024-update batches, the
+// first tenant's stream and seed). Its batches are large enough for the
+// parallel commit paths — the table apply, the contraction layer's
+// per-vertex phases — which the small pins above never reach. The update
+// is rooted on a scheduler worker, as a service drain runs it.
+TEST(ExtensionsPipeline, TenantsShapedUltraStreamMatchesPinnedHash) {
+  const size_t n = 4096;
+  auto [initial, batches] =
+      gen_mixed_stream(n, 8 * n, 1024, 10, 7 * 1000003ULL);
+  const int saved = num_workers();
+  for (int workers : {1, 4}) {
+    set_num_workers(workers);
+    UltraConfig cfg;
+    cfg.seed = 1;
+    UltraSparseSpanner sp(n, initial, cfg);
+    uint64_t h = 0;
+    std::atomic<size_t> pending{1};
+    Scheduler::instance().submit([&] {
+      h = diff_stream_hash(sp, batches);
+      pending.store(0, std::memory_order_release);
+      pending.notify_all();
+    });
+    Scheduler::instance().join(pending);
+    EXPECT_EQ(h, 14185212029164763614ull) << "workers=" << workers;
+    EXPECT_TRUE(sp.check_invariants()) << "workers=" << workers;
+  }
+  set_num_workers(saved);
 }
 
 TEST(ExtensionsPipeline, SparseDiffStreamMatchesPinnedHash) {
