@@ -37,16 +37,30 @@ struct GroupedIndices {
   }
 };
 
-/// Stable parallel counting sort of the indices [0, keys.size()) by
-/// keys[i] in [0, nbuckets). Inputs shorter than `serial_below` sort
-/// serially.
-inline GroupedIndices group_by_key(size_t nbuckets,
-                                   const std::vector<uint32_t>& keys,
-                                   size_t serial_below = kParGrain) {
+/// Serial stable counting sort of the indices [0, keys.size()) by keys[i]
+/// in [0, nbuckets).
+inline GroupedIndices group_by_key_serial(size_t nbuckets,
+                                          const std::vector<uint32_t>& keys) {
   size_t n = keys.size();
   GroupedIndices out;
   out.offsets.assign(nbuckets + 1, 0);
   out.items.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    assert(keys[i] < nbuckets);
+    ++out.offsets[keys[i] + 1];
+  }
+  for (size_t k = 0; k < nbuckets; ++k) out.offsets[k + 1] += out.offsets[k];
+  std::vector<uint32_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  for (size_t i = 0; i < n; ++i)
+    out.items[cursor[keys[i]]++] = static_cast<uint32_t>(i);
+  return out;
+}
+
+/// Stable parallel counting sort of the indices [0, keys.size()) by
+/// keys[i] in [0, nbuckets).
+inline GroupedIndices group_by_key(size_t nbuckets,
+                                   const std::vector<uint32_t>& keys) {
+  size_t n = keys.size();
   int p = num_workers();
   // The parallel path keeps one histogram per block; cap the block count so
   // that scratch stays O(n) even when nbuckets is large relative to n
@@ -55,18 +69,11 @@ inline GroupedIndices group_by_key(size_t nbuckets,
   size_t nblocks = std::min<size_t>(
       static_cast<size_t>(p) * 4,
       std::max<size_t>(1, (8 * n) / std::max<size_t>(1, nbuckets)));
-  if (n < serial_below || p <= 1 || nblocks <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      assert(keys[i] < nbuckets);
-      ++out.offsets[keys[i] + 1];
-    }
-    for (size_t k = 0; k < nbuckets; ++k)
-      out.offsets[k + 1] += out.offsets[k];
-    std::vector<uint32_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
-    for (size_t i = 0; i < n; ++i)
-      out.items[cursor[keys[i]]++] = static_cast<uint32_t>(i);
-    return out;
-  }
+  if (n < kParGrain || p <= 1 || nblocks <= 1)
+    return group_by_key_serial(nbuckets, keys);
+  GroupedIndices out;
+  out.offsets.assign(nbuckets + 1, 0);
+  out.items.resize(n);
   // Per-block histograms keep the scatter stable: block b writes the
   // elements of its input range in input order at offsets disjoint from
   // every other block's.
@@ -119,17 +126,17 @@ struct GroupRuns {
 };
 
 /// Stable grouping of [0, keys.size()) by keys[i] in [0, nbuckets) that
-/// reports only the groups present. Dense keys take the counting sort
-/// (group_by_key; serial at batch sizes, where its parallel passes cost
-/// more than they save); a few keys over a large range take a sort of
-/// (key, index) pairs instead, so a small batch never pays O(nbuckets).
-/// Both give the same permutation.
+/// reports only the groups present. Dense keys take the serial counting
+/// sort (at batch sizes, group_by_key's parallel passes cost more than
+/// they save); a few keys over a large range take a sort of (key, index)
+/// pairs instead, so a small batch never pays O(nbuckets). Both give the
+/// same permutation.
 inline GroupRuns group_runs(size_t nbuckets,
                             const std::vector<uint32_t>& keys) {
   const size_t k = keys.size();
   GroupRuns out;
   if (nbuckets <= 8 * k) {
-    GroupedIndices g = group_by_key(nbuckets, keys, 32 * kParGrain);
+    GroupedIndices g = group_by_key_serial(nbuckets, keys);
     out.items = std::move(g.items);
     for (size_t b = 0; b < nbuckets; ++b)
       if (g.offsets[b + 1] > g.offsets[b]) out.starts.push_back(g.offsets[b]);

@@ -169,14 +169,6 @@ void Scheduler::park(int self) {
     return;
   }
   if (shutdown_.load(std::memory_order_acquire)) return;
-  // Spin only while loops fork: with serial loops the next task is a root
-  // task, and a spinning pool would scatter drains over every thread (each
-  // then keeps its own allocator arenas warm).
-  if (num_workers() > 1 && spin_until([&] {
-        return doorbell_.load(std::memory_order_acquire) != e0 ||
-               shutdown_.load(std::memory_order_acquire);
-      }))
-    return;
   stat_parks_.fetch_add(1, std::memory_order_relaxed);
   parked_.fetch_add(1, std::memory_order_seq_cst);
   // Releasing-edge check: a doorbell rung before parked_ went visible

@@ -47,7 +47,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -257,12 +256,6 @@ class Scheduler {
       size_t p = pending.load(std::memory_order_acquire);
       if (p == 0) return;
       if (tl_worker_index_ >= 0 && help_one()) continue;
-      const uint64_t e0 = doorbell_.load(std::memory_order_acquire);
-      if (spin_until([&] {
-            return pending.load(std::memory_order_acquire) != p ||
-                   doorbell_.load(std::memory_order_acquire) != e0;
-          }))
-        continue;
       pending.wait(p, std::memory_order_acquire);
     }
   }
@@ -290,24 +283,6 @@ class Scheduler {
     std::thread thread;
   };
 
-  /// Spins (pausing) until done() or the spin budget runs out; true if
-  /// done() held. Waiters spin before they sleep: the next fork-join phase
-  /// of a batch usually starts within microseconds, and a futex round trip
-  /// costs far more than that on virtualized hosts (DESIGN.md §12.1).
-  template <typename Done>
-  static bool spin_until(Done&& done) {
-    const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
-    for (;;) {
-      for (int i = 0; i < 64; ++i) {
-        if (done()) return true;
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#endif
-      }
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-    }
-  }
-
   void worker_loop(int index);
   Task* find_root_task(int self);
   Task* try_steal(int self);
@@ -319,7 +294,6 @@ class Scheduler {
   // are fully constructed before spawned_ publishes them — lock-free
   // readers (spawn/steal paths) index only below spawned_.
   static constexpr int kMinPoolThreads = 4;
-  static constexpr std::chrono::microseconds kSpinBudget{100};
   std::mutex config_mu_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<int> spawned_{0};   // constructed & running pool threads

@@ -4,8 +4,9 @@
 //
 // The pool owns nothing about the work itself — a slot is just an index a
 // producer marks ready with notify(slot), and the pool guarantees that the
-// user's drain function runs for that slot (i) at least once after every
-// notify, and (ii) never on two threads at once for the same slot. That
+// user's drain function runs for that slot (i) after every notify, again
+// and again until the owner's has_work(slot) probe reports nothing left,
+// and (ii) never on two threads at once for the same slot. That
 // pair is exactly what the sharded ingestion layer needs: shard backends
 // forbid concurrent update() calls, while distinct shards are fully
 // independent and should drain on as many threads as are available.
@@ -21,19 +22,16 @@
 // progress even when every scheduler thread is occupied by a drain.
 //
 // Lost-wakeup safety is a tiny per-slot state machine (kIdle → kQueued →
-// kRunning → kIdle), with one extra state kRunningDirty for "notified while
-// running": the drain function may miss work that arrived after it snapped
-// the slot's queue, so a notify landing mid-run re-queues the slot when the
-// run finishes instead of being dropped — if the optional has_work probe
-// (checked under the pool mutex, after the run) says work is left: a notify
-// that landed before the drain snapped its queue was already served, and
-// re-queueing it would only schedule an empty drain. Work enqueued after
-// the probe notifies an idle slot, so no wakeup is lost. A slot stays
-// kQueued until its task actually starts: a notify before then is a no-op,
-// because the drain has not looked at its queue yet and will see the new
-// work. The drain function's return value ("I left work behind") re-queues
-// the same way, so a bounded drain can yield between rounds without
-// stranding its slot.
+// kRunning → kIdle) plus the owner's has_work(slot) probe. A notify only
+// wakes an idle slot: a queued slot's drain has not looked at its queue
+// yet and will see the new work, and a running one is re-checked when it
+// finishes. The pool probes has_work under its mutex after every drain and
+// re-queues the slot iff work is left. Work enqueued before the probe is
+// seen by it; work enqueued after it is followed by a notify that waits
+// for the mutex and finds the slot idle. So no wakeup is lost, and a
+// notify whose work the drain already took schedules no empty drain. A
+// bounded drain can leave work behind and yield between rounds the same
+// way.
 //
 // stop() (also run by the destructor) marks the pool stopped, drops queued
 // slots, and waits until every submitted drain task has finished touching
@@ -57,16 +55,15 @@ namespace parspan {
 
 class WorkerPool {
  public:
-  /// Drains one round of work for `slot`; returns true when the slot still
-  /// has work left (it is re-queued immediately). Called with no locks
-  /// held; never called concurrently for the same slot.
-  using DrainFn = std::function<bool(size_t slot)>;
-  /// True while `slot` holds work a drain has not taken. Called under the
+  /// Drains one round of work for `slot`. Called with no locks held;
+  /// never called concurrently for the same slot.
+  using DrainFn = std::function<void(size_t slot)>;
+  /// True while `slot` holds work a drain would take. Called under the
   /// pool mutex; must not call back into the pool.
   using HasWorkFn = std::function<bool(size_t slot)>;
 
   WorkerPool(int num_threads, size_t num_slots, DrainFn drain,
-             HasWorkFn has_work = nullptr)
+             HasWorkFn has_work)
       : drain_(std::move(drain)),
         has_work_(std::move(has_work)),
         cap_(num_threads < 1 ? 1 : num_threads),
@@ -77,20 +74,15 @@ class WorkerPool {
 
   ~WorkerPool() { stop(); }
 
-  /// Marks `slot` ready. Any thread; cheap no-op when the slot is already
-  /// queued. A notify that lands while the slot is mid-drain re-queues it
-  /// afterwards, so work enqueued concurrently with a drain is never lost.
+  /// Marks `slot` ready. Any thread; call after enqueuing the slot's work.
+  /// A no-op unless the slot is idle: a queued or running slot is probed
+  /// after its drain, which sees the new work.
   void notify(size_t slot) {
     std::lock_guard<std::mutex> lk(mu_);
-    if (stopped_) return;
-    uint8_t& s = state_[slot];
-    if (s == kIdle) {
-      s = kQueued;
-      ready_.push_back(slot);
-      maybe_launch_locked();
-    } else if (s == kRunning) {
-      s = kRunningDirty;  // the running task re-queues on completion
-    }  // else: already queued (or already dirty)
+    if (stopped_ || state_[slot] != kIdle) return;
+    state_[slot] = kQueued;
+    ready_.push_back(slot);
+    maybe_launch_locked();
   }
 
   /// Drops queued slots, lets in-flight drains finish, and waits until no
@@ -112,7 +104,7 @@ class WorkerPool {
   int num_threads() const { return cap_; }
 
  private:
-  enum : uint8_t { kIdle = 0, kQueued = 1, kRunning = 2, kRunningDirty = 3 };
+  enum : uint8_t { kIdle = 0, kQueued = 1, kRunning = 2 };
 
   // Requires mu_. Counts a task as in-flight from SUBMISSION, not start:
   // stop() must outwait even tasks the scheduler has not run yet.
@@ -131,13 +123,11 @@ class WorkerPool {
     {
       std::lock_guard<std::mutex> lk(mu_);
       alive = !stopped_;
-      state_[slot] = kRunning;  // notifies from here on may find work missed
+      state_[slot] = kRunning;
     }
-    bool more = alive && drain_(slot);
+    if (alive) drain_(slot);
     std::lock_guard<std::mutex> lk(mu_);
-    const bool dirty = state_[slot] == kRunningDirty &&
-                       (!has_work_ || has_work_(slot));
-    if (!stopped_ && (more || dirty)) {
+    if (!stopped_ && has_work_(slot)) {
       state_[slot] = kQueued;
       ready_.push_back(slot);
     } else {

@@ -138,8 +138,7 @@ class BatchQueue {
     FlatHashMap<EdgeKey, uint8_t> taken;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      if (paused_ && last_drained_ticket_ >= demand_ticket_) return out;
-      if (pending_.empty() && last_ticket_ == last_drained_ticket_) return out;
+      if (!drainable_locked()) return out;
       // O(1) moves only under the mutex: the O(P log P) key sort happens
       // below, after producers have been released.
       taken = std::move(pending_);
@@ -169,11 +168,12 @@ class BatchQueue {
     return pending_.empty();
   }
 
-  /// True while some submitted ticket (an empty batch's too) has not been
-  /// taken by a drain.
-  bool undrained() const {
+  /// True while a drain() would take something: some submitted ticket (an
+  /// empty batch's too) is untaken, and the queue is not paused without an
+  /// outstanding flush demand.
+  bool drainable() const {
     std::lock_guard<std::mutex> lk(mu_);
-    return last_ticket_ != last_drained_ticket_;
+    return drainable_locked();
   }
 
   size_t pending_keys() const {
@@ -183,6 +183,13 @@ class BatchQueue {
 
  private:
   enum : uint8_t { kDelete = 1, kInsert = 2 };
+
+  // Requires mu_. Every submit takes a ticket, so pending keys imply an
+  // untaken ticket.
+  bool drainable_locked() const {
+    if (paused_ && last_drained_ticket_ >= demand_ticket_) return false;
+    return last_ticket_ != last_drained_ticket_;
+  }
 
   const size_t capacity_;
   mutable std::mutex mu_;

@@ -181,8 +181,8 @@ ShardedSpannerService::ShardedSpannerService(
                                               cfg_.start_paused));
   pool_ = std::make_unique<WorkerPool>(
       cfg_.num_writers, shards_.size(),
-      [this](size_t s) { return drain_shard(s); },
-      [this](size_t s) { return shards_[s]->queue.undrained(); });
+      [this](size_t s) { drain_shard(s); },
+      [this](size_t s) { return shards_[s]->queue.drainable(); });
 }
 
 ShardedSpannerService::ShardedSpannerService(std::vector<ShardSpec> specs,
@@ -351,10 +351,10 @@ ShardedSpannerService::SubmitStatus ShardedSpannerService::submit_for(
   return SubmitStatus::kTimeout;
 }
 
-bool ShardedSpannerService::drain_shard(size_t s) {
+void ShardedSpannerService::drain_shard(size_t s) {
   Shard& sh = *shards_[s];
   BatchQueue::Drained d = sh.queue.drain();
-  if (d.ticket == 0) return false;  // raced with another round: nothing left
+  if (d.ticket == 0) return;  // paused, or nothing left
   if (!d.empty()) {
     // The backend batch: deletions first, then insertions — exactly the
     // coalesced set semantics the queue drained (DESIGN.md §9.2).
@@ -395,7 +395,6 @@ bool ShardedSpannerService::drain_shard(size_t s) {
   // shard's next drain, and the destructor's pool stop waits for it
   // (DESIGN.md §9.3, §10.2).
   sh.service->checkpoint_if_due();
-  return !paused_.load(std::memory_order_relaxed) && !sh.queue.empty();
 }
 
 void ShardedSpannerService::flush_async(
@@ -425,9 +424,9 @@ void ShardedSpannerService::flush_async(
   // Wake only shards whose queue still holds batches. A drained queue means
   // the target ticket is in a running drain, which publishes and fires this
   // waiter under barrier_mu_; notifying it would only schedule an empty
-  // drain. Paused queues with demand are undrained, so they are notified.
+  // drain. Paused queues with demand are drainable, so they are notified.
   for (size_t s : needs)
-    if (shards_[s]->queue.undrained()) pool_->notify(s);
+    if (shards_[s]->queue.drainable()) pool_->notify(s);
 }
 
 VersionVector ShardedSpannerService::flush() {

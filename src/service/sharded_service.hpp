@@ -493,7 +493,7 @@ class ShardedSpannerService {
         : service(std::move(svc)), queue(cap, paused) {}
   };
 
-  bool drain_shard(size_t s);
+  void drain_shard(size_t s);
 
   /// Admission of batch.pending_[idx] with the given budget (none: wait
   /// for capacity): on success the sub-batch is counted, its shard

@@ -156,14 +156,16 @@ TEST(WorkerPool, SlotExclusivityAndNoLostWakeups) {
   for (auto& p : pending) p.store(0);
   for (auto& r : running) r.store(0);
 
-  WorkerPool pool(4, slots, [&](size_t s) {
-    // Per-slot exclusivity: never two drains of one slot at once.
-    EXPECT_EQ(running[s].fetch_add(1), 0);
-    int took = pending[s].exchange(0);
-    drained.fetch_add(uint64_t(took));
-    running[s].fetch_sub(1);
-    return pending[s].load() > 0;
-  });
+  WorkerPool pool(
+      4, slots,
+      [&](size_t s) {
+        // Per-slot exclusivity: never two drains of one slot at once.
+        EXPECT_EQ(running[s].fetch_add(1), 0);
+        int took = pending[s].exchange(0);
+        drained.fetch_add(uint64_t(took));
+        running[s].fetch_sub(1);
+      },
+      [&](size_t s) { return pending[s].load() > 0; });
 
   const int per_thread = 200;
   std::vector<std::thread> producers;
@@ -204,16 +206,21 @@ TEST(WorkerPool, StopDuringNestedParallelForDrains) {
     std::vector<std::atomic<int>> running(slots);
     for (auto& r : running) r.store(0);
     std::atomic<uint64_t> work_done{0};
-    WorkerPool pool(4, slots, [&](size_t s) {
-      EXPECT_EQ(running[s].fetch_add(1), 0);
-      // Nested fork-join inside the drain: grain=1 forces real task spawns.
-      parallel_for(
-          0, 64,
-          [&](size_t) { work_done.fetch_add(1, std::memory_order_relaxed); },
-          /*grain=*/1);
-      running[s].fetch_sub(1);
-      return false;
-    });
+    WorkerPool pool(
+        4, slots,
+        [&](size_t s) {
+          EXPECT_EQ(running[s].fetch_add(1), 0);
+          // Nested fork-join inside the drain: grain=1 forces real task
+          // spawns.
+          parallel_for(
+              0, 64,
+              [&](size_t) {
+                work_done.fetch_add(1, std::memory_order_relaxed);
+              },
+              /*grain=*/1);
+          running[s].fetch_sub(1);
+        },
+        [](size_t) { return false; });  // each notify asks for one drain
     std::atomic<bool> stop{false};
     std::thread producer([&] {
       uint64_t x = uint64_t(round) + 1;
