@@ -164,7 +164,7 @@ UltraSparseSpanner::HeadResult UltraSparseSpanner::compute_head(
         VertexId hw = head_[w];
         assert(hw != kBot);
         if (hs.stamp[hw] == hs.epoch)
-          offer(hs.dist[hw], hw, w);  // head visited: exact distance
+          offer(hs.dist[hw], hw, hw);  // visited: reached at its distance
         else
           offer(level + 1, hw, w);  // assume Dist(w) + 1
       }

@@ -381,7 +381,7 @@ TEST(ExtensionsPipeline, TenantsShapedUltraStreamMatchesPinnedHash) {
       pending.notify_all();
     });
     Scheduler::instance().join(pending);
-    EXPECT_EQ(h, 14185212029164763614ull) << "workers=" << workers;
+    EXPECT_EQ(h, 16259572075217938493ull) << "workers=" << workers;
     EXPECT_TRUE(sp.check_invariants()) << "workers=" << workers;
   }
   set_num_workers(saved);

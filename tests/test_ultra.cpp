@@ -57,6 +57,37 @@ TEST(UltraSparseSpanner, TenantsShapedStreamRebuildsTheTopSpanner) {
   EXPECT_TRUE(sp.check_invariants());
 }
 
+// Lemma 5.3: a clustered vertex's H1 parent lies in its cluster. In these
+// tenants shapes (tenant g of stream seed s: gen_mixed_stream(4096, 8n,
+// 1024, ·, s * 1000003 + g) under UltraConfig seed 1 + g) a light ball
+// visits a heavy vertex's head and takes it at its exact distance; the
+// parent walk must then head for that head, not for the heavy vertex, or
+// the parent edge leaves the cluster and may also be its pair's
+// representative (H ∩ rep(S_next) ≠ ∅).
+TEST(UltraSparseSpanner, TenantsShapesKeepParentsInCluster) {
+  const size_t n = 4096;
+  struct Shape {
+    uint64_t stream_seed;
+    uint32_t tenant;
+  };
+  for (Shape s : {Shape{5, 2}, Shape{1, 0}, Shape{11, 1}, Shape{12, 1}}) {
+    auto [initial, batches] = gen_mixed_stream(
+        n, 8 * n, 1024, 6, s.stream_seed * 1000003ULL + s.tenant);
+    UltraConfig cfg;
+    cfg.seed = 1 + s.tenant;
+    UltraSparseSpanner sp(n, initial, cfg);
+    EXPECT_TRUE(sp.check_invariants())
+        << "seed " << s.stream_seed << " tenant " << s.tenant
+        << " at construction";
+    for (size_t b = 0; b < batches.size(); ++b) {
+      sp.update(batches[b].insertions, batches[b].deletions);
+      EXPECT_TRUE(sp.check_invariants())
+          << "seed " << s.stream_seed << " tenant " << s.tenant
+          << " after batch " << b;
+    }
+  }
+}
+
 class UltraRandom : public ::testing::TestWithParam<
                         std::tuple<size_t, size_t, uint32_t, uint64_t>> {};
 
