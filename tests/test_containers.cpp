@@ -8,6 +8,7 @@
 
 #include "container/flat_map.hpp"
 #include "container/next_level_edges.hpp"
+#include "core/composition.hpp"
 #include "parallel/scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -315,6 +316,163 @@ TYPED_TEST(NextLevelEdgesTest, ApplyMatchesOneOpAtATimeReference) {
       EXPECT_GT(ref.recreated, 0u) << "n=" << sh.n;
       EXPECT_GT(ref.rep_left, 0u) << "n=" << sh.n;
     }
+  }
+  set_num_workers(saved);
+}
+
+// --- The composition S = H ∪ rep(S_next) over the pair table. -----------
+// The test plays both neighbours of the table: H is any set of member keys
+// outside every bucket, and the next level's spanner S_next any subset of
+// the table's pairs. Each batch's composed diff must equal the difference
+// of S = H ∪ rep(S_next) computed from scratch before and after it.
+
+/// Member id m stands for the level edge with this key (ids, as in
+/// ContractionLayer, are not keys themselves).
+EdgeKey member_key(uint32_t m) { return edge_key(m, m + 1000000); }
+
+/// One composition step under test: the table's batch diff `pd`, this
+/// level's H diff and the next level's S_next diff in, S's diff out.
+struct Composer {
+  SpannerComposition comp;
+  SpannerDiff step(NextLevelEdges<uint32_t>& t,
+                   const NextLevelEdges<uint32_t>::Diff& pd,
+                   const std::vector<Edge>& h_ins,
+                   const std::vector<Edge>& h_del, const SpannerDiff& next) {
+    return comp.apply(h_ins, h_del, next, pd.rep_changed, [&](Edge p) {
+      return member_key(t.rep(p.key()));
+    });
+  }
+};
+
+std::vector<Edge> keys_to_edges(const std::set<EdgeKey>& ks) {
+  std::vector<Edge> out;
+  for (EdgeKey k : ks) out.push_back(edge_from_key(k));
+  return out;
+}
+
+/// a \ b, key-sorted.
+std::vector<Edge> minus(const std::set<EdgeKey>& a,
+                        const std::set<EdgeKey>& b) {
+  std::vector<Edge> out;
+  for (EdgeKey k : a)
+    if (!b.count(k)) out.push_back(edge_from_key(k));
+  return out;
+}
+
+// Seeded random batches at 1 and 4 workers, over few pairs so elections,
+// emptied pairs and re-created pairs are common. Counters show that the
+// batches reach each composition edge case:
+//  * a pair leaves S_next in the batch its representative changes (the
+//    removal must name the representative S held, not the new one);
+//  * a held pair vanishes from the table;
+//  * a held pair is deleted and re-created within one batch and stays in
+//    S_next (the pair reports no deletion, only its representative);
+//  * an edge switches between H and a representative within one batch.
+TEST(PairTableComposition, MatchesFromScratchReference) {
+  const int saved = num_workers();
+  const uint32_t members = 3000, batch = 4000;
+  const VertexId span = 40;
+  for (int workers : {1, 4}) {
+    set_num_workers(workers);
+    Rng rng(0xc0ffee);
+    NextLevelEdges<uint32_t> t(span);
+    Composer comp;
+    std::vector<EdgeKey> where(members, kNoEdge);  // member -> pair
+    std::vector<uint8_t> in_h(members, 0);
+    std::set<EdgeKey> held;  // S_next
+    std::set<EdgeKey> s_ref;  // S before the batch
+    size_t left_on_rep_change = 0, held_vanished = 0, held_recreated = 0,
+           switched = 0;
+    for (int b = 0; b < 16; ++b) {
+      const std::set<EdgeKey> h_before = [&] {
+        std::set<EdgeKey> h;
+        for (uint32_t m = 0; m < members; ++m)
+          if (in_h[m]) h.insert(member_key(m));
+        return h;
+      }();
+      const std::set<EdgeKey> s_before = s_ref;
+      std::map<EdgeKey, int> count;  // bucket sizes through the batch
+      for (uint32_t m = 0; m < members; ++m)
+        if (where[m] != kNoEdge) ++count[where[m]];
+      std::set<EdgeKey> emptied, recreated;
+      std::vector<NextLevelEdges<uint32_t>::Op> ops;
+      while (ops.size() < batch) {
+        const uint32_t m = uint32_t(rng.next_below(members));
+        if (where[m] != kNoEdge) {  // leave the pair, maybe into H
+          ops.push_back({where[m], m, false});
+          if (--count[where[m]] == 0) emptied.insert(where[m]);
+          where[m] = kNoEdge;
+          in_h[m] = rng.next_below(3) == 0;
+        } else if (rng.next_below(4) == 0) {  // H churn
+          in_h[m] ^= 1;
+        } else {  // join a pair, leaving H if there
+          VertexId a = VertexId(rng.next_below(span));
+          VertexId c = VertexId(rng.next_below(span));
+          if (a == c) continue;
+          const EdgeKey pk = edge_key(a, c);
+          in_h[m] = 0;
+          where[m] = pk;
+          if (count[pk]++ == 0 && emptied.count(pk)) recreated.insert(pk);
+          ops.push_back({pk, m, true});
+        }
+      }
+      const auto pd = t.apply(ops);
+
+      // The next level's answer: vanished pairs leave S_next; so do some
+      // pairs whose representative changed, and a few others; some current
+      // pairs join.
+      std::set<EdgeKey> removed, inserted;
+      const std::set<EdgeKey> gone = [&] {
+        std::set<EdgeKey> g;
+        for (const Edge& p : pd.next_del) g.insert(p.key());
+        return g;
+      }();
+      std::set<EdgeKey> changed;
+      for (const Edge& p : pd.rep_changed) changed.insert(p.key());
+      for (EdgeKey p : held) {
+        if (gone.count(p)) {
+          removed.insert(p);
+          ++held_vanished;
+        } else if (changed.count(p) && rng.next_below(3) == 0) {
+          removed.insert(p);
+          ++left_on_rep_change;
+        } else if (rng.next_below(10) == 0) {
+          removed.insert(p);
+        } else if (recreated.count(p)) {
+          ++held_recreated;
+        }
+      }
+      for (const Edge& p : t.pairs())
+        if (!held.count(p.key()) && rng.next_below(2) == 0)
+          inserted.insert(p.key());
+      for (EdgeKey p : removed) held.erase(p);
+      for (EdgeKey p : inserted) held.insert(p);
+
+      std::set<EdgeKey> h_after;
+      for (uint32_t m = 0; m < members; ++m)
+        if (in_h[m]) h_after.insert(member_key(m));
+      s_ref = h_after;
+      for (EdgeKey p : held) {
+        ASSERT_TRUE(s_ref.insert(member_key(t.rep(p))).second)
+            << "H and the representatives must stay disjoint";
+      }
+      for (EdgeKey k : h_after)
+        if (s_before.count(k) && !h_before.count(k)) ++switched;
+      for (EdgeKey k : h_before)
+        if (s_ref.count(k) && !h_after.count(k)) ++switched;
+
+      const SpannerDiff got =
+          comp.step(t, pd, minus(h_after, h_before), minus(h_before, h_after),
+                    {keys_to_edges(inserted), keys_to_edges(removed)});
+      ASSERT_EQ(got.inserted, minus(s_ref, s_before))
+          << "workers=" << workers << " b=" << b;
+      ASSERT_EQ(got.removed, minus(s_before, s_ref))
+          << "workers=" << workers << " b=" << b;
+    }
+    EXPECT_GT(left_on_rep_change, 0u) << "workers=" << workers;
+    EXPECT_GT(held_vanished, 0u) << "workers=" << workers;
+    EXPECT_GT(held_recreated, 0u) << "workers=" << workers;
+    EXPECT_GT(switched, 0u) << "workers=" << workers;
   }
   set_num_workers(saved);
 }
