@@ -16,21 +16,30 @@
 // The table's one mutation entry point is apply(ops): a batch's edits as
 // (pair, member, ±) records in the serial order of its producer. Buckets
 // live in per-low-endpoint tables, so apply groups the ops by low endpoint
-// (a stable grouping) and replays each endpoint's ops in order inside one
-// task: every election is the serial one, whatever the worker count
-// (DESIGN.md §7.2). It returns the next level's update stream for the
-// batch, key-sorted (DESIGN.md §7.4): pairs that appeared, pairs that
-// vanished, and surviving pairs whose representative changed, each pair
-// compared against its state before its first op. A pair deleted and
-// re-created within one batch appears in neither of the first two lists.
+// (a stable grouping) and, inside one task per endpoint, replays each
+// pair's ops contiguously in batch order: every election is the serial
+// one, whatever the worker count (DESIGN.md §7.2). It returns the next
+// level's update stream for the batch, key-sorted (DESIGN.md §7.4): pairs
+// that appeared, pairs that vanished, and surviving pairs whose
+// representative changed, each pair compared against its state before the
+// batch, with the vanished and changed pairs' old representatives. A pair
+// deleted and re-created within one batch appears in neither of the first
+// two lists.
+//
+// The table also owns the composition S = H ∪ rep(S_next) of its level
+// (compose()): each pair carries one bit, "in S_next", and S is H plus the
+// representatives of the marked pairs, so no copy of S is kept.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "container/flat_map.hpp"
 #include "parallel/csr.hpp"
+#include "parallel/primitives.hpp"
 #include "util/types.hpp"
 
 namespace parspan {
@@ -76,6 +85,8 @@ class NextLevelEdges {
     std::vector<Edge> next_del;
     /// Pairs that survived the batch under a different representative.
     std::vector<Edge> rep_changed;
+    /// Pre-batch representatives of next_del's and rep_changed's pairs.
+    std::vector<Id> del_rep, old_rep;
   };
 
   explicit NextLevelEdges(size_t n = 0) : tables_(n) {}
@@ -93,12 +104,12 @@ class NextLevelEdges {
     const GroupRuns g = group_runs(n + 1, lo);
     size_t runs = g.num_runs();
     if (runs > 0 && lo[g.items[g.starts[runs - 1]]] == n) --runs;  // skips
-    // Per run: its touched pairs, snapshotted at first touch in the run's
-    // slots [start, start + touched), then sorted by high endpoint (which
-    // is key order within a low endpoint).
-    std::vector<uint64_t> first(k);  // high endpoint << 32 | snapshot slot
-    std::vector<Id> old_rep(k);
-    std::vector<uint8_t> existed(k), outcome(k);
+    // Per run: its ops sorted by (high endpoint, position), so each pair's
+    // ops replay contiguously in batch order; the run's pairs then take its
+    // slots [start, start + touched) in key order.
+    std::vector<uint64_t> order(k);
+    std::vector<Id> before(k);  // a pair's representative before the batch
+    std::vector<uint8_t> outcome(k);
     std::vector<size_t> touched(runs), n_ins(runs), n_del(runs), n_rep(runs);
     const size_t grain = grain_for(runs, k);
     parallel_for(
@@ -106,49 +117,44 @@ class NextLevelEdges {
         [&](size_t r) {
           const size_t s = g.starts[r], e = g.starts[r + 1];
           FlatHashMap<VertexId, Entry>& table = tables_[lo[g.items[s]]];
-          size_t t = s;
           for (size_t j = s; j < e; ++j) {
-            const Op& op = ops[g.items[j]];
-            const VertexId hi = edge_endpoints(op.pair).second;
-            Entry* en = table.find(hi);
-            if (en == nullptr || !en->touched) {
-              existed[t] = en != nullptr;
-              if (en == nullptr) en = &table[hi];
-              old_rep[t] = en->bucket.rep;
-              first[t] = (uint64_t(hi) << 32) | t;
-              ++t;
-              en->touched = true;
-            }
-            Bucket& b = en->bucket;
-            if (op.add) {
-              assert(!b.contains(op.member));
-              if (b.members.empty()) b.rep = op.member;
-              b.members.push_back(op.member);
-            } else if (!b.erase_member(op.member) && b.rep == op.member) {
-              b.rep = b.members[0];
-            }
+            const VertexId hi = edge_endpoints(ops[g.items[j]].pair).second;
+            order[j] = uint64_t(hi) << 32 | j;
           }
-          std::sort(first.begin() + s, first.begin() + t);
-          size_t ins = 0, del = 0, rep = 0;
-          for (size_t j = s; j < t; ++j) {
-            const VertexId hi = VertexId(first[j] >> 32);
-            const size_t slot = uint32_t(first[j]);
-            Entry& en = *table.find(hi);
-            en.touched = false;
-            const bool now = !en.bucket.members.empty();
+          std::sort(order.begin() + s, order.begin() + e);
+          size_t t = s, ins = 0, del = 0, rep = 0;
+          for (size_t j = s; j < e; ++t) {
+            const VertexId hi = VertexId(order[j] >> 32);
+            Entry* en = table.find(hi);
+            const bool existed = en != nullptr;
+            if (!existed) en = &table[hi];
+            Bucket& b = en->bucket;
+            before[t] = b.rep;
+            for (; j < e && VertexId(order[j] >> 32) == hi; ++j) {
+              const Op& op = ops[g.items[uint32_t(order[j])]];
+              if (op.add) {
+                assert(!b.contains(op.member));
+                if (b.members.empty()) b.rep = op.member;
+                b.members.push_back(op.member);
+              } else if (!b.erase_member(op.member) && b.rep == op.member) {
+                b.rep = b.members[0];
+              }
+            }
+            const bool now = !b.members.empty();
             uint8_t o = kSame;
-            if (existed[slot] && !now) {
+            if (existed && !now) {
               o = kDel;
               ++del;
-            } else if (!existed[slot] && now) {
+            } else if (!existed && now) {
               o = kIns;
               ++ins;
-            } else if (now && old_rep[slot] != en.bucket.rep) {
+            } else if (now && before[t] != b.rep) {
               o = kRep;
               ++rep;
             }
-            outcome[j] = o;
             if (!now) table.erase(hi);
+            outcome[t] = o;
+            order[t] = hi;  // slot t < this pair's first op: already read
           }
           table.shrink();
           touched[r] = t - s;
@@ -160,17 +166,25 @@ class NextLevelEdges {
     Diff d;
     d.next_ins.resize(exclusive_scan_inplace(n_ins));
     d.next_del.resize(exclusive_scan_inplace(n_del));
+    d.del_rep.resize(d.next_del.size());
     d.rep_changed.resize(exclusive_scan_inplace(n_rep));
+    d.old_rep.resize(d.rep_changed.size());
     parallel_for(
         0, runs,
         [&](size_t r) {
           const size_t s = g.starts[r];
           const VertexId u = lo[g.items[s]];
           for (size_t j = s; j < s + touched[r]; ++j) {
-            const Edge pair(u, VertexId(first[j] >> 32));
+            const Edge pair(u, VertexId(order[j]));
             if (outcome[j] == kIns) d.next_ins[n_ins[r]++] = pair;
-            if (outcome[j] == kDel) d.next_del[n_del[r]++] = pair;
-            if (outcome[j] == kRep) d.rep_changed[n_rep[r]++] = pair;
+            if (outcome[j] == kDel) {
+              d.del_rep[n_del[r]] = before[j];
+              d.next_del[n_del[r]++] = pair;
+            }
+            if (outcome[j] == kRep) {
+              d.old_rep[n_rep[r]] = before[j];
+              d.rep_changed[n_rep[r]++] = pair;
+            }
           }
         },
         grain);
@@ -178,15 +192,114 @@ class NextLevelEdges {
     return d;
   }
 
+  /// One composition step S = H ∪ rep(S_next) (Algorithm 4's "add the
+  /// corresponding edges"), after the apply() that returned `pd`: this
+  /// level's H diff and the next level's S_next diff in, S's net diff out,
+  /// key-sorted. S itself is never stored: it is H plus the representative
+  /// of every pair marked in S_next. key_of maps a member to its level
+  /// edge key. H and the marked representatives are disjoint at batch
+  /// boundaries, but an edge may switch roles within one batch, so the
+  /// step collects S's removals and additions, sorts each, and nets them.
+  template <typename KeyOf>
+  SpannerDiff compose(const std::vector<Edge>& h_ins,
+                      const std::vector<Edge>& h_del, const SpannerDiff& next,
+                      const Diff& pd, KeyOf&& key_of) {
+    std::vector<EdgeKey> out, in;  // S's removals and additions
+    out.reserve(h_del.size() + next.removed.size() + pd.rep_changed.size());
+    in.reserve(h_ins.size() + next.inserted.size() + pd.rep_changed.size());
+    for (const Edge& e : h_del) out.push_back(e.key());
+    for (const Edge& e : h_ins) in.push_back(e.key());
+    // A pair leaving S_next leaves the representative it held, which is its
+    // pre-batch one: a merge walk finds the pair among the vanished and the
+    // re-pointed pairs (all three lists are key-sorted).
+    const std::vector<Edge>& gone = pd.next_del;
+    const std::vector<Edge>& moved = pd.rep_changed;
+    size_t a = 0, c = 0;
+    for (const Edge& p : next.removed) {
+      while (a < gone.size() && gone[a] < p) ++a;
+      while (c < moved.size() && moved[c] < p) ++c;
+      Entry* en = entry(p.key());
+      if (en != nullptr) en->in_next = false;
+      const Id held = a < gone.size() && gone[a] == p    ? pd.del_rep[a]
+                      : c < moved.size() && moved[c] == p ? pd.old_rep[c]
+                                                          : en->bucket.rep;
+      out.push_back(key_of(held));
+    }
+    // A pair still held under a new representative swaps the two.
+    for (size_t i = 0; i < moved.size(); ++i) {
+      const Entry* en = entry(moved[i].key());
+      if (!en->in_next) continue;
+      out.push_back(key_of(pd.old_rep[i]));
+      in.push_back(key_of(en->bucket.rep));
+    }
+    for (const Edge& p : next.inserted) {
+      Entry* en = entry(p.key());
+      en->in_next = true;
+      in.push_back(key_of(en->bucket.rep));
+    }
+    held_ = held_ + next.inserted.size() - next.removed.size();
+    parallel_sort(out);
+    parallel_sort(in);
+    auto minus = [](const std::vector<EdgeKey>& a,
+                    const std::vector<EdgeKey>& b) {
+      std::vector<EdgeKey> ks;
+      std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(ks));
+      std::vector<Edge> es(ks.size());
+      std::transform(ks.begin(), ks.end(), es.begin(), edge_from_key);
+      return es;
+    };
+    return {minus(in, out), minus(out, in)};
+  }
+
   /// Representative of pair pk, which must exist.
   Id rep(EdgeKey pk) const {
-    auto [lo, hi] = edge_endpoints(pk);
-    const Entry* en = tables_[lo].find(hi);
+    const Entry* en = entry(pk);
     assert(en != nullptr);
     return en->bucket.rep;
   }
 
   size_t size() const { return size_; }
+  /// Pairs marked in S_next by compose().
+  size_t held() const { return held_; }
+
+  /// The composed S = H ∪ rep(S_next), ascending by key.
+  template <typename KeyOf>
+  std::vector<Edge> composed(const std::vector<Edge>& h,
+                             KeyOf&& key_of) const {
+    std::vector<Edge> out = h;
+    out.reserve(h.size() + held_);
+    for (const auto& table : tables_)
+      table.for_each([&](VertexId, const Entry& en) {
+        if (en.in_next) out.push_back(edge_from_key(key_of(en.bucket.rep)));
+      });
+    parallel_sort(out);
+    return out;
+  }
+
+  /// True iff pair pk is marked in S_next and `member` represents it.
+  bool holds(EdgeKey pk, Id member) const {
+    const Entry* en = entry(pk);
+    return en != nullptr && en->in_next && en->bucket.rep == member;
+  }
+
+  /// Oracle for compose(): the S_next marks sit exactly on `s_next`, and no
+  /// marked representative is in `h` (which holds no duplicates), so S is
+  /// the disjoint union H ∪ rep(S_next).
+  template <typename KeyOf>
+  bool check_composed(const std::vector<Edge>& h,
+                      const std::vector<Edge>& s_next, KeyOf&& key_of) const {
+    FlatHashSet<EdgeKey> hs;
+    for (const Edge& e : h)
+      if (!hs.insert(e.key())) return false;
+    if (s_next.size() != held_) return false;
+    for (const Edge& p : s_next) {
+      const Entry* en = entry(p.key());
+      if (en == nullptr || !en->in_next || hs.contains(key_of(en->bucket.rep)))
+        return false;
+    }
+    return true;
+  }
 
   /// Current pairs, ascending by key.
   std::vector<Edge> pairs() const {
@@ -206,9 +319,8 @@ class NextLevelEdges {
     if (ref.size() != size_ || held != size_) return false;
     bool ok = true;
     ref.for_each([&](EdgeKey pk, std::vector<Id>& members) {
-      auto [lo, hi] = edge_endpoints(pk);
-      const Entry* en = lo < tables_.size() ? tables_[lo].find(hi) : nullptr;
-      if (en == nullptr || en->touched) {
+      const Entry* en = entry(pk);
+      if (en == nullptr) {
         ok = false;
         return;
       }
@@ -225,11 +337,20 @@ class NextLevelEdges {
 
   struct Entry {
     Bucket bucket;
-    bool touched = false;  // inside the apply() in progress
+    bool in_next = false;  // the pair is in S_next (compose())
   };
+
+  const Entry* entry(EdgeKey pk) const {
+    auto [lo, hi] = edge_endpoints(pk);
+    return lo < tables_.size() ? tables_[lo].find(hi) : nullptr;
+  }
+  Entry* entry(EdgeKey pk) {
+    return const_cast<Entry*>(std::as_const(*this).entry(pk));
+  }
 
   std::vector<FlatHashMap<VertexId, Entry>> tables_;  // by low endpoint
   size_t size_ = 0;
+  size_t held_ = 0;
 };
 
 }  // namespace parspan

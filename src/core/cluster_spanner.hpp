@@ -64,14 +64,6 @@
 
 namespace parspan {
 
-/// Net change of a spanner edge set after one update batch. Producers in
-/// core/ emit both sides sorted by canonical edge key, so equal spanner
-/// evolutions compare equal element-wise.
-struct SpannerDiff {
-  std::vector<Edge> inserted;
-  std::vector<Edge> removed;
-};
-
 /// Per-batch net-diff accumulator shared by the spanner layers: a flat
 /// delta table plus the list of keys it holds. Draining by touched key
 /// keeps diff compilation O(batch) — a clear() would scan the table's

@@ -261,14 +261,31 @@ ContractionLayer::UpdateResult ContractionLayer::update(
     if (!h.add && h.e != kNoEdge) h_remove(h.e);
 
   UpdateResult res;
-  Table::Diff nd = buckets_.apply(ops);
-  res.next_ins = std::move(nd.next_ins);
-  res.next_del = std::move(nd.next_del);
-  res.rep_changed = std::move(nd.rep_changed);
+  static_cast<Table::Diff&>(res) = buckets_.apply(ops);
   SpannerDiff hd = h_delta_.drain();
   res.h_ins = std::move(hd.inserted);
   res.h_del = std::move(hd.removed);
   return res;
+}
+
+SpannerDiff ContractionLayer::compose(const UpdateResult& r,
+                                      const SpannerDiff& next) {
+  return buckets_.compose(r.h_ins, r.h_del, next, r, member_key());
+}
+
+std::vector<Edge> ContractionLayer::spanner_edges() const {
+  return buckets_.composed(h_edges(), member_key());
+}
+
+bool ContractionLayer::in_spanner(Edge e) const {
+  if (h_contrib_.contains(e.key())) return true;
+  const uint32_t* id = edge_index_.find(e.key());
+  return id != nullptr && pair_key_of(*id) != kNoEdge &&
+         buckets_.holds(pair_key_of(*id), *id);
+}
+
+bool ContractionLayer::check_composed(const std::vector<Edge>& s_next) const {
+  return buckets_.check_composed(h_edges(), s_next, member_key());
 }
 
 std::vector<Edge> ContractionLayer::next_edges() const {

@@ -28,7 +28,8 @@
 //                    (Head(u), Head(v)), with Bwd/FwdCorrespondence as the
 //                    designated representative per pair (the shared table
 //                    of container/next_level_edges.hpp, edge-id members);
-//   * next_ins/next_del — the update stream for the next layer.
+//   * next_ins/next_del — the update stream for the next layer;
+//   * S = H ∪ Bwd(S_next) — the layer's spanner, composed by the table.
 //
 // All dictionaries are flat open-addressing tables (DESIGN.md §1); the
 // per-batch UpdateResult lists are key-sorted, so the layer's output is a
@@ -61,20 +62,30 @@ class ContractionLayer {
   ContractionLayer(size_t n, const std::vector<Edge>& edges, double x,
                    uint64_t seed);
 
-  struct UpdateResult {
-    std::vector<Edge> next_ins;  // contracted-graph insertions (next ids)
-    std::vector<Edge> next_del;  // contracted-graph deletions (next ids)
-    std::vector<Edge> h_ins;     // H contribution diffs (layer-local edges)
+  /// The contracted graph's update stream (next_ins, next_del and
+  /// rep_changed, over next-id pairs, with the old representatives) plus
+  /// the H contribution diffs (layer-local edges).
+  struct UpdateResult : NextLevelEdges<uint32_t>::Diff {
+    std::vector<Edge> h_ins;
     std::vector<Edge> h_del;
-    /// Pairs (next-id edges) whose designated representative changed while
-    /// the pair survived the batch.
-    std::vector<Edge> rep_changed;
   };
 
   /// Applies a batch of layer-local edge insertions and deletions
   /// (deletions first). Duplicates / no-ops are filtered.
   UpdateResult update(const std::vector<Edge>& ins,
                       const std::vector<Edge>& del);
+
+  /// This layer's spanner S = H ∪ rep(S_next) for the batch `r` that
+  /// update() just reported, given the next level's spanner diff (next-id
+  /// pairs). Returns S's net diff (layer-local edges), key-sorted.
+  /// Construction composes once: r.h_ins = H, next.inserted = S_next.
+  SpannerDiff compose(const UpdateResult& r, const SpannerDiff& next);
+  /// S, ascending by key.
+  std::vector<Edge> spanner_edges() const;
+  size_t spanner_size() const { return h_contrib_.size() + buckets_.held(); }
+  bool in_spanner(Edge e) const;
+  /// compose()'s oracle against the next level's spanner S_next.
+  bool check_composed(const std::vector<Edge>& s_next) const;
 
   size_t num_vertices() const { return n_; }
   size_t next_n() const { return next_n_; }
@@ -148,6 +159,12 @@ class ContractionLayer {
   EdgeKey pair_key_of(uint32_t eid) const {
     const EdgeRec& r = edges_[eid];
     return pair_of(head_[r.e.u], head_[r.e.v]);
+  }
+
+  /// Edge key of a table member (a record id; a record freed in this
+  /// batch still holds its edge).
+  auto member_key() const {
+    return [this](uint32_t id) { return edges_[id].e.key(); };
   }
 
   void h_add(EdgeKey ek);

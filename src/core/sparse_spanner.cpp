@@ -65,25 +65,18 @@ SparseSpanner::SparseSpanner(size_t n, const std::vector<Edge>& edges,
   // Compose the initial spanner downward: S_L = top spanner,
   // S_i = H_i ∪ rep(S_{i+1}), each built as one all-insert batch whose
   // diff is discarded.
-  size_t L = layers_.size();
-  compose_.resize(L);
   stretch_bound_ = 2 * k - 1;
-  for (size_t i = L; i-- > 0;) {
-    compose_[i].apply(layers_[i]->h_edges(), {},
-                      SpannerDiff{next_spanner(i), {}}, {}, rep_of(i));
+  for (size_t i = layers_.size(); i-- > 0;) {
+    ContractionLayer::UpdateResult all;
+    all.h_ins = layers_[i]->h_edges();
+    layers_[i]->compose(all, {next_spanner(i), {}});
     stretch_bound_ = 3 * stretch_bound_ + 2;
   }
 }
 
 std::vector<Edge> SparseSpanner::next_spanner(size_t i) const {
   return i + 1 == layers_.size() ? top_->spanner_edges()
-                                 : compose_[i + 1].edges();
-}
-
-SpannerComposition::RepOf SparseSpanner::rep_of(size_t i) const {
-  return [layer = layers_[i].get()](Edge pair) {
-    return layer->rep(pair).key();
-  };
+                                 : layers_[i + 1]->spanner_edges();
 }
 
 SpannerDiff SparseSpanner::update(const std::vector<Edge>& insertions,
@@ -103,8 +96,7 @@ SpannerDiff SparseSpanner::update(const std::vector<Edge>& insertions,
   // Downward pass: `down` is the S_{i+1} diff in layer-(i+1) edge keys.
   SpannerDiff down = top_->update(ins, del);
   for (size_t i = L; i-- > 0;)
-    down = compose_[i].apply(results[i].h_ins, results[i].h_del, down,
-                             results[i].rep_changed, rep_of(i));
+    down = layers_[i]->compose(results[i], down);
   return down;
 }
 
@@ -113,9 +105,7 @@ bool SparseSpanner::check_invariants() const {
     if (!layer->check_invariants()) return false;
   if (!top_->check_invariants()) return false;
   for (size_t i = 0; i < layers_.size(); ++i)
-    if (!compose_[i].check_invariants(layers_[i]->h_edges(), next_spanner(i),
-                                      rep_of(i)))
-      return false;
+    if (!layers_[i]->check_composed(next_spanner(i))) return false;
   return true;
 }
 

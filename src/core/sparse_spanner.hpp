@@ -11,16 +11,16 @@
 //
 // The spanner at layer i is S_i = H_i ∪ Bwd_i(S_{i+1}) (Algorithm 4's
 // "add the corresponding edges"): updates flow upward through the layers,
-// and spanner diffs flow back down through one SpannerComposition step per
-// layer (core/composition.hpp), replacing each contracted pair by its
-// current representative edge. S_L is the top spanner; S_0 is the answer.
+// and spanner diffs flow back down through each layer's composition step
+// (ContractionLayer::compose, owned by its pair table), replacing each
+// contracted pair by its current representative edge. S_L is the top
+// spanner; S_0 is the answer.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/composition.hpp"
 #include "core/contraction.hpp"
 #include "core/fully_dynamic_spanner.hpp"
 #include "util/types.hpp"
@@ -47,9 +47,11 @@ class SparseSpanner {
 
   size_t num_vertices() const { return n_; }
   size_t num_edges() const { return num_edges_; }
-  size_t spanner_size() const { return compose_[0].size(); }
-  std::vector<Edge> spanner_edges() const { return compose_[0].edges(); }
-  bool in_spanner(Edge e) const { return compose_[0].contains(e.key()); }
+  size_t spanner_size() const { return layers_[0]->spanner_size(); }
+  std::vector<Edge> spanner_edges() const {
+    return layers_[0]->spanner_edges();
+  }
+  bool in_spanner(Edge e) const { return layers_[0]->in_spanner(e); }
 
   /// Applies one batch (deletions then insertions); returns the net diff,
   /// both sides sorted by canonical key (DESIGN.md §7.4).
@@ -80,13 +82,8 @@ class SparseSpanner {
   std::unique_ptr<FullyDynamicSpanner> top_;
   uint32_t stretch_bound_ = 0;
 
-  /// compose_[i] holds S_i (layer-i local edge keys), i in [0, L).
-  std::vector<SpannerComposition> compose_;
-
   /// S_{i+1}, key-sorted: the top spanner for i = L-1.
   std::vector<Edge> next_spanner(size_t i) const;
-  /// Layer i's representative lookup for contracted pairs.
-  SpannerComposition::RepOf rep_of(size_t i) const;
 };
 
 }  // namespace parspan

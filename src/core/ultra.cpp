@@ -91,8 +91,9 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
   nc.seed = hash_combine(cfg.seed, 0x4e7);
   next_ = std::make_unique<SparseSpanner>(n, buckets_.pairs(), nc);
 
-  compose_.apply(h_edges(), {}, SpannerDiff{next_->spanner_edges(), {}}, {},
-                 rep_of());
+  const std::vector<Edge> h = h_edges();
+  h_size_ = h.size();
+  buckets_.compose(h, {}, {next_->spanner_edges(), {}}, {}, member_key);
 }
 
 std::vector<Edge> UltraSparseSpanner::h_edges() const {
@@ -100,10 +101,6 @@ std::vector<Edge> UltraSparseSpanner::h_edges() const {
   for (VertexId v = 0; v < n_; ++v)
     if (par_edge_[v] != kNoEdge) h.push_back(edge_from_key(par_edge_[v]));
   return h;
-}
-
-SpannerComposition::RepOf UltraSparseSpanner::rep_of() const {
-  return [this](Edge pair) { return buckets_.rep(pair.key()); };
 }
 
 uint32_t UltraSparseSpanner::stretch_bound() const {
@@ -403,8 +400,8 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
   Table::Diff pd = buckets_.apply(ops);
   SpannerDiff nd = next_->update(pd.next_ins, pd.next_del);
   SpannerDiff hd = h_net_.drain();
-  return compose_.apply(hd.inserted, hd.removed, nd, pd.rep_changed,
-                        rep_of());
+  h_size_ = h_size_ + hd.inserted.size() - hd.removed.size();
+  return buckets_.compose(hd.inserted, hd.removed, nd, pd, member_key);
 }
 
 bool UltraSparseSpanner::check_invariants() const {
@@ -442,8 +439,9 @@ bool UltraSparseSpanner::check_invariants() const {
   if (!next_->check_invariants()) return false;
   // Next structure's graph must equal the bucket pairs.
   if (next_->num_edges() != buckets_.size()) return false;
-  return compose_.check_invariants(h_edges(), next_->spanner_edges(),
-                                   rep_of());
+  const std::vector<Edge> h = h_edges();
+  return h.size() == h_size_ &&
+         buckets_.check_composed(h, next_->spanner_edges(), member_key);
 }
 
 }  // namespace parspan

@@ -25,7 +25,7 @@
 //    of Theorem 1.3) into a SparseSpanner. The table is the one the
 //    contraction layers use (container/next_level_edges.hpp, edge-key
 //    members), and S = H ∪ rep(S_next) with H = H1 ∪ forest(H2) is the
-//    same SpannerComposition step SparseSpanner runs per layer.
+//    table's composition step, the one each SparseSpanner layer runs.
 //
 // After a batch, recomputation follows the paper exactly: heavy heads are
 // refreshed at updated endpoints first; Algorithm 6's bounded BFS then
@@ -34,7 +34,7 @@
 //
 // Layout & parallelism (DESIGN.md §7.2): adjacency is the flat DynamicGraph
 // substrate (per-vertex dense vectors + one flat position index); the
-// pair table and the composition are flat open-addressing tables; the
+// pair table is flat open-addressing tables, one per low endpoint; the
 // Algorithm-5 balls run on epoch-stamped per-thread scratch.
 // Each recomputation phase is two-phase — head *computation* is a
 // parallel_for over the affected vertices (reads committed state only),
@@ -53,7 +53,6 @@
 
 #include "connectivity/dynamic_forest.hpp"
 #include "container/next_level_edges.hpp"
-#include "core/composition.hpp"
 #include "core/sparse_spanner.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "util/types.hpp"
@@ -77,9 +76,10 @@ class UltraSparseSpanner {
 
   size_t num_vertices() const { return n_; }
   size_t num_edges() const { return graph_.num_edges(); }
-  size_t spanner_size() const { return compose_.size(); }
-  std::vector<Edge> spanner_edges() const { return compose_.edges(); }
-  bool in_spanner(Edge e) const { return compose_.contains(e.key()); }
+  size_t spanner_size() const { return h_size_ + buckets_.held(); }
+  std::vector<Edge> spanner_edges() const {
+    return buckets_.composed(h_edges(), member_key);
+  }
 
   /// Applies one batch (deletions then insertions); returns the net spanner
   /// diff, both sides sorted by canonical key (deterministic across thread
@@ -153,6 +153,8 @@ class UltraSparseSpanner {
       const std::vector<VertexId>& seeds);
 
   using Table = NextLevelEdges<EdgeKey>;
+  /// The table's members are the edge keys themselves.
+  static EdgeKey member_key(EdgeKey ek) { return ek; }
 
   /// Contracted pair of an edge whose endpoints head to hu and hv, or
   /// kNoEdge if it is intra-cluster / touches ⊥.
@@ -186,8 +188,6 @@ class UltraSparseSpanner {
 
   /// H = H1 ∪ forest(H2).
   std::vector<Edge> h_edges() const;
-  /// Representative lookup for next-level pairs.
-  SpannerComposition::RepOf rep_of() const;
 
   size_t n_ = 0;
   UltraConfig cfg_;
@@ -203,14 +203,13 @@ class UltraSparseSpanner {
   std::vector<EdgeKey> par_edge_;  // H1 contribution per vertex
 
   /// NextLevelEdges[(c, c')]: the alive layer-0 edges whose endpoint heads
-  /// are {c, c'}, plus the designated representative.
+  /// are {c, c'}, plus the designated representative. It also marks
+  /// S_next, so the final spanner S = H ∪ rep(S_next) is composed here.
   Table buckets_;
+  size_t h_size_ = 0;  // |H|
 
   SmallComponentForest h2_;
   std::unique_ptr<SparseSpanner> next_;
-
-  // Final spanner S = H ∪ rep(S_next), H = H1 ∪ forest(H2).
-  SpannerComposition compose_;
 
   // Batch-scoped accumulators.
   DiffAccumulator h_net_;   // H churn: H1 parent edges and forest(H2)

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
 namespace parspan {
 
@@ -72,6 +73,14 @@ inline Edge edge_from_key(EdgeKey k) {
   auto [u, v] = edge_endpoints(k);
   return Edge(u, v);
 }
+
+/// Net change of a spanner edge set after one update batch. Producers in
+/// core/ emit both sides sorted by canonical edge key, so equal spanner
+/// evolutions compare equal element-wise.
+struct SpannerDiff {
+  std::vector<Edge> inserted;
+  std::vector<Edge> removed;
+};
 
 }  // namespace parspan
 

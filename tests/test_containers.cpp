@@ -8,7 +8,6 @@
 
 #include "container/flat_map.hpp"
 #include "container/next_level_edges.hpp"
-#include "core/composition.hpp"
 #include "parallel/scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -330,19 +329,6 @@ TYPED_TEST(NextLevelEdgesTest, ApplyMatchesOneOpAtATimeReference) {
 /// ContractionLayer, are not keys themselves).
 EdgeKey member_key(uint32_t m) { return edge_key(m, m + 1000000); }
 
-/// One composition step under test: the table's batch diff `pd`, this
-/// level's H diff and the next level's S_next diff in, S's diff out.
-struct Composer {
-  SpannerComposition comp;
-  SpannerDiff step(NextLevelEdges<uint32_t>& t,
-                   const NextLevelEdges<uint32_t>::Diff& pd,
-                   const std::vector<Edge>& h_ins,
-                   const std::vector<Edge>& h_del, const SpannerDiff& next) {
-    return comp.apply(h_ins, h_del, next, pd.rep_changed, [&](Edge p) {
-      return member_key(t.rep(p.key()));
-    });
-  }
-};
 
 std::vector<Edge> keys_to_edges(const std::set<EdgeKey>& ks) {
   std::vector<Edge> out;
@@ -376,7 +362,6 @@ TEST(PairTableComposition, MatchesFromScratchReference) {
     set_num_workers(workers);
     Rng rng(0xc0ffee);
     NextLevelEdges<uint32_t> t(span);
-    Composer comp;
     std::vector<EdgeKey> where(members, kNoEdge);  // member -> pair
     std::vector<uint8_t> in_h(members, 0);
     std::set<EdgeKey> held;  // S_next
@@ -462,12 +447,17 @@ TEST(PairTableComposition, MatchesFromScratchReference) {
         if (s_ref.count(k) && !h_after.count(k)) ++switched;
 
       const SpannerDiff got =
-          comp.step(t, pd, minus(h_after, h_before), minus(h_before, h_after),
-                    {keys_to_edges(inserted), keys_to_edges(removed)});
+          t.compose(minus(h_after, h_before), minus(h_before, h_after),
+                    {keys_to_edges(inserted), keys_to_edges(removed)}, pd,
+                    member_key);
       ASSERT_EQ(got.inserted, minus(s_ref, s_before))
           << "workers=" << workers << " b=" << b;
       ASSERT_EQ(got.removed, minus(s_before, s_ref))
           << "workers=" << workers << " b=" << b;
+      ASSERT_EQ(t.composed(keys_to_edges(h_after), member_key),
+                keys_to_edges(s_ref));
+      ASSERT_TRUE(t.check_composed(keys_to_edges(h_after),
+                                   keys_to_edges(held), member_key));
     }
     EXPECT_GT(left_on_rep_change, 0u) << "workers=" << workers;
     EXPECT_GT(held_vanished, 0u) << "workers=" << workers;
