@@ -4,7 +4,9 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <tuple>
 
 #include "core/fully_dynamic_spanner.hpp"
 #include "core/ultra.hpp"
@@ -81,6 +83,61 @@ void BM_UltraTenantUpdate(benchmark::State& state) {
 BENCHMARK(BM_UltraTenantUpdate)
     ->Arg(1)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// One perfbench tenants round (`--seed 1`) in one process: four
+// tenants-shaped UltraSparseSpanners (n=4096, m=8n; tenant g streams seed
+// 1000003 + g under spanner seed 1 + g) each apply one 1024-update batch.
+// Either 1 or 3 root tasks take tenants from a shared counter, as the
+// service's writers take shards; loop parallelism is 3, perfbench's
+// worker count. Time is per round; the spanners are rebuilt, untimed,
+// every `rounds` rounds.
+void BM_UltraTenantRound(benchmark::State& state) {
+  const size_t roots = size_t(state.range(0));
+  const size_t n = 4096, tenants = 4, rounds = 16;
+  std::vector<std::vector<Edge>> initial(tenants);
+  std::vector<std::vector<UpdateBatch>> batches(tenants);
+  for (size_t g = 0; g < tenants; ++g)
+    std::tie(initial[g], batches[g]) =
+        gen_mixed_stream(n, 8 * n, 1024, rounds, 1000003ULL + g);
+  int saved = num_workers();
+  set_num_workers(3);
+  std::vector<std::unique_ptr<UltraSparseSpanner>> sp(tenants);
+  size_t round = rounds;
+  for (auto _ : state) {
+    if (round == rounds) {
+      state.PauseTiming();
+      for (size_t g = 0; g < tenants; ++g) {
+        UltraConfig cfg;
+        cfg.seed = 1 + g;
+        sp[g] = std::make_unique<UltraSparseSpanner>(n, initial[g], cfg);
+      }
+      round = 0;
+      state.ResumeTiming();
+    }
+    std::atomic<size_t> next{0}, pending{roots};
+    for (size_t r = 0; r < roots; ++r)
+      Scheduler::instance().submit([&] {
+        for (size_t g; (g = next.fetch_add(1)) < tenants;) {
+          const UpdateBatch& b = batches[g][round];
+          auto d = sp[g]->update(b.insertions, b.deletions);
+          benchmark::DoNotOptimize(d.inserted.size());
+        }
+        if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+          pending.notify_all();
+      });
+    Scheduler::instance().join(pending);
+    ++round;
+  }
+  set_num_workers(saved);
+  state.counters["roots"] = double(roots);
+  state.counters["num_cpus"] = double(std::thread::hardware_concurrency());
+}
+
+BENCHMARK(BM_UltraTenantRound)
+    ->Arg(1)
+    ->Arg(3)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
