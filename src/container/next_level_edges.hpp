@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -195,18 +194,15 @@ class NextLevelEdges {
   /// One composition step S = H ∪ rep(S_next) (Algorithm 4's "add the
   /// corresponding edges"), after the apply() that returned `pd`: this
   /// level's H diff and the next level's S_next diff in, S's net diff out,
-  /// key-sorted. S itself is never stored: it is H plus the representative
-  /// of every pair marked in S_next. key_of maps a member to its level
-  /// edge key. H and the marked representatives are disjoint at batch
-  /// boundaries, but an edge may switch roles within one batch, so the
-  /// step collects S's removals and additions, sorts each, and nets them.
+  /// key-sorted; key_of maps a member to its level edge key. H and the
+  /// marked representatives are disjoint at batch boundaries, but an edge
+  /// may switch roles within one batch, so S's removals and additions are
+  /// sorted and netted.
   template <typename KeyOf>
   SpannerDiff compose(const std::vector<Edge>& h_ins,
                       const std::vector<Edge>& h_del, const SpannerDiff& next,
                       const Diff& pd, KeyOf&& key_of) {
     std::vector<EdgeKey> out, in;  // S's removals and additions
-    out.reserve(h_del.size() + next.removed.size() + pd.rep_changed.size());
-    in.reserve(h_ins.size() + next.inserted.size() + pd.rep_changed.size());
     for (const Edge& e : h_del) out.push_back(e.key());
     for (const Edge& e : h_ins) in.push_back(e.key());
     // A pair leaving S_next leaves the representative it held, which is its
@@ -240,16 +236,16 @@ class NextLevelEdges {
     held_ = held_ + next.inserted.size() - next.removed.size();
     parallel_sort(out);
     parallel_sort(in);
-    auto minus = [](const std::vector<EdgeKey>& a,
-                    const std::vector<EdgeKey>& b) {
-      std::vector<EdgeKey> ks;
-      std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(ks));
-      std::vector<Edge> es(ks.size());
-      std::transform(ks.begin(), ks.end(), es.begin(), edge_from_key);
-      return es;
-    };
-    return {minus(in, out), minus(out, in)};
+    SpannerDiff d;
+    for (size_t i = 0, j = 0; i < out.size() || j < in.size();) {
+      if (j == in.size() || (i < out.size() && out[i] < in[j]))
+        d.removed.push_back(edge_from_key(out[i++]));
+      else if (i == out.size() || in[j] < out[i])
+        d.inserted.push_back(edge_from_key(in[j++]));
+      else
+        ++i, ++j;  // the edge switched roles: no net change
+    }
+    return d;
   }
 
   /// Representative of pair pk, which must exist.
@@ -277,7 +273,8 @@ class NextLevelEdges {
     return out;
   }
 
-  /// True iff pair pk is marked in S_next and `member` represents it.
+  /// True iff pair pk (kNoEdge: none) is marked in S_next and `member`
+  /// represents it.
   bool holds(EdgeKey pk, Id member) const {
     const Entry* en = entry(pk);
     return en != nullptr && en->in_next && en->bucket.rep == member;

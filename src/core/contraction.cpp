@@ -280,8 +280,7 @@ std::vector<Edge> ContractionLayer::spanner_edges() const {
 bool ContractionLayer::in_spanner(Edge e) const {
   if (h_contrib_.contains(e.key())) return true;
   const uint32_t* id = edge_index_.find(e.key());
-  return id != nullptr && pair_key_of(*id) != kNoEdge &&
-         buckets_.holds(pair_key_of(*id), *id);
+  return id != nullptr && buckets_.holds(pair_key_of(*id), *id);
 }
 
 bool ContractionLayer::check_composed(const std::vector<Edge>& s_next) const {

@@ -203,8 +203,7 @@ class UltraSparseSpanner {
   std::vector<EdgeKey> par_edge_;  // H1 contribution per vertex
 
   /// NextLevelEdges[(c, c')]: the alive layer-0 edges whose endpoint heads
-  /// are {c, c'}, plus the designated representative. It also marks
-  /// S_next, so the final spanner S = H ∪ rep(S_next) is composed here.
+  /// are {c, c'}, plus the designated representative and the S_next mark.
   Table buckets_;
   size_t h_size_ = 0;  // |H|
 
