@@ -13,7 +13,7 @@
 // when the representative leaves, `members[0]` is re-elected. Elections
 // depend only on the order of the edits to one pair.
 //
-// The table's one mutation entry point is apply(ops): a batch's edits as
+// The buckets' one mutation entry point is apply(ops): a batch's edits as
 // (pair, member, ±) records in the serial order of its producer. Buckets
 // live in per-low-endpoint tables, so apply groups the ops by low endpoint
 // (a stable grouping) and, inside one task per endpoint, replays each
