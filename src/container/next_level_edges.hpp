@@ -1,7 +1,9 @@
 // NextLevelEdges: the contracted-pair table of Lemma 4.1 / Lemma 5.1 — one
 // RepBucket per pair (Head(u), Head(v)) of the next level, holding the
 // level's edges between the two clusters and the designated representative
-// that stands in for the pair (the paper's Bwd/FwdCorrespondence).
+// that stands in for the pair (the paper's Bwd/FwdCorrespondence). Both
+// owners (ContractionLayer, UltraSparseSpanner) name an edge by its key, so
+// members and representatives are level edge keys.
 //
 // RepBucket is a tiny member list with a designated representative: a small
 // unordered vector with swap-pop erase. Bucket sizes are degree-bounded and
@@ -24,7 +26,8 @@
 // representative changed, each pair compared against its state before the
 // batch, with the vanished and changed pairs' old representatives. A pair
 // deleted and re-created within one batch appears in neither of the first
-// two lists.
+// two lists, and an edge deleted and re-inserted within one batch is the
+// same member.
 //
 // The table also owns the composition S = H ∪ rep(S_next) of its level
 // (compose()): each pair carries one bit, "in S_next", and S is H plus the
@@ -61,19 +64,18 @@ struct RepBucket {
   }
 };
 
-/// Pair key -> RepBucket of member ids (edge ids or edge keys), over pairs
-/// of vertices in [0, n).
-template <typename Id>
+/// Pair key -> RepBucket of member edge keys, over pairs of vertices in
+/// [0, n).
 class NextLevelEdges {
  public:
-  using Bucket = RepBucket<Id>;
+  using Bucket = RepBucket<EdgeKey>;
 
   /// One edit: `member` joins (add) or leaves (!add, must be present) the
   /// bucket of `pair`. An op whose pair is kNoEdge is skipped: producers
   /// fill fixed-width runs of ops in parallel and leave unused slots so.
   struct Op {
     EdgeKey pair;
-    Id member;
+    EdgeKey member;
     bool add;
   };
 
@@ -85,7 +87,7 @@ class NextLevelEdges {
     /// Pairs that survived the batch under a different representative.
     std::vector<Edge> rep_changed;
     /// Pre-batch representatives of next_del's and rep_changed's pairs.
-    std::vector<Id> del_rep, old_rep;
+    std::vector<EdgeKey> del_rep, old_rep;
   };
 
   explicit NextLevelEdges(size_t n = 0) : tables_(n) {}
@@ -107,7 +109,7 @@ class NextLevelEdges {
     // ops replay contiguously in batch order; the run's pairs then take its
     // slots [start, start + touched) in key order.
     std::vector<uint64_t> order(k);
-    std::vector<Id> before(k);  // a pair's representative before the batch
+    std::vector<EdgeKey> before(k);  // a pair's representative before the batch
     std::vector<uint8_t> outcome(k);
     std::vector<size_t> touched(runs), n_ins(runs), n_del(runs), n_rep(runs);
     const size_t grain = grain_for(runs, k);
@@ -193,15 +195,13 @@ class NextLevelEdges {
 
   /// One composition step S = H ∪ rep(S_next) (Algorithm 4's "add the
   /// corresponding edges"), after the apply() that returned `pd`: this
-  /// level's H diff and the next level's S_next diff in, S's net diff out,
-  /// key-sorted; key_of maps a member to its level edge key. H and the
-  /// marked representatives are disjoint at batch boundaries, but an edge
-  /// may switch roles within one batch, so S's removals and additions are
-  /// sorted and netted.
-  template <typename KeyOf>
+  /// level's H diff and the next level's S_next diff in, all key-sorted,
+  /// and S's net diff out, key-sorted. H and the marked representatives are
+  /// disjoint at batch boundaries, but an edge may switch roles within one
+  /// batch, so S's removals and additions are each merged and netted.
   SpannerDiff compose(const std::vector<Edge>& h_ins,
                       const std::vector<Edge>& h_del, const SpannerDiff& next,
-                      const Diff& pd, KeyOf&& key_of) {
+                      const Diff& pd) {
     std::vector<EdgeKey> out, in;  // S's removals and additions
     for (const Edge& e : h_del) out.push_back(e.key());
     for (const Edge& e : h_ins) in.push_back(e.key());
@@ -216,26 +216,25 @@ class NextLevelEdges {
       while (c < moved.size() && moved[c] < p) ++c;
       Entry* en = entry(p.key());
       if (en != nullptr) en->in_next = false;
-      const Id held = a < gone.size() && gone[a] == p    ? pd.del_rep[a]
-                      : c < moved.size() && moved[c] == p ? pd.old_rep[c]
-                                                          : en->bucket.rep;
-      out.push_back(key_of(held));
+      out.push_back(a < gone.size() && gone[a] == p    ? pd.del_rep[a]
+                    : c < moved.size() && moved[c] == p ? pd.old_rep[c]
+                                                        : en->bucket.rep);
     }
     // A pair still held under a new representative swaps the two.
     for (size_t i = 0; i < moved.size(); ++i) {
       const Entry* en = entry(moved[i].key());
       if (!en->in_next) continue;
-      out.push_back(key_of(pd.old_rep[i]));
-      in.push_back(key_of(en->bucket.rep));
+      out.push_back(pd.old_rep[i]);
+      in.push_back(en->bucket.rep);
     }
     for (const Edge& p : next.inserted) {
       Entry* en = entry(p.key());
       en->in_next = true;
-      in.push_back(key_of(en->bucket.rep));
+      in.push_back(en->bucket.rep);
     }
     held_ = held_ + next.inserted.size() - next.removed.size();
-    parallel_sort(out);
-    parallel_sort(in);
+    merge_tail(out, h_del.size());
+    merge_tail(in, h_ins.size());
     SpannerDiff d;
     for (size_t i = 0, j = 0; i < out.size() || j < in.size();) {
       if (j == in.size() || (i < out.size() && out[i] < in[j]))
@@ -249,7 +248,7 @@ class NextLevelEdges {
   }
 
   /// Representative of pair pk, which must exist.
-  Id rep(EdgeKey pk) const {
+  EdgeKey rep(EdgeKey pk) const {
     const Entry* en = entry(pk);
     assert(en != nullptr);
     return en->bucket.rep;
@@ -260,14 +259,12 @@ class NextLevelEdges {
   size_t held() const { return held_; }
 
   /// The composed S = H ∪ rep(S_next), ascending by key.
-  template <typename KeyOf>
-  std::vector<Edge> composed(const std::vector<Edge>& h,
-                             KeyOf&& key_of) const {
+  std::vector<Edge> composed(const std::vector<Edge>& h) const {
     std::vector<Edge> out = h;
     out.reserve(h.size() + held_);
     for (const auto& table : tables_)
       table.for_each([&](VertexId, const Entry& en) {
-        if (en.in_next) out.push_back(edge_from_key(key_of(en.bucket.rep)));
+        if (en.in_next) out.push_back(edge_from_key(en.bucket.rep));
       });
     parallel_sort(out);
     return out;
@@ -275,7 +272,7 @@ class NextLevelEdges {
 
   /// True iff pair pk (kNoEdge: none) is marked in S_next and `member`
   /// represents it.
-  bool holds(EdgeKey pk, Id member) const {
+  bool holds(EdgeKey pk, EdgeKey member) const {
     const Entry* en = entry(pk);
     return en != nullptr && en->in_next && en->bucket.rep == member;
   }
@@ -283,16 +280,15 @@ class NextLevelEdges {
   /// Oracle for compose(): the S_next marks sit exactly on `s_next`, and no
   /// marked representative is in `h` (which holds no duplicates), so S is
   /// the disjoint union H ∪ rep(S_next).
-  template <typename KeyOf>
   bool check_composed(const std::vector<Edge>& h,
-                      const std::vector<Edge>& s_next, KeyOf&& key_of) const {
+                      const std::vector<Edge>& s_next) const {
     FlatHashSet<EdgeKey> hs;
     for (const Edge& e : h)
       if (!hs.insert(e.key())) return false;
     if (s_next.size() != held_) return false;
     for (const Edge& p : s_next) {
       const Entry* en = entry(p.key());
-      if (en == nullptr || !en->in_next || hs.contains(key_of(en->bucket.rep)))
+      if (en == nullptr || !en->in_next || hs.contains(en->bucket.rep))
         return false;
     }
     return true;
@@ -310,18 +306,18 @@ class NextLevelEdges {
   /// Oracle: true iff the table holds exactly the buckets of `ref` (pair ->
   /// members in any order; sorted in place) and each representative is a
   /// member.
-  bool matches(FlatHashMap<EdgeKey, std::vector<Id>>& ref) const {
+  bool matches(FlatHashMap<EdgeKey, std::vector<EdgeKey>>& ref) const {
     size_t held = 0;
     for (const auto& table : tables_) held += table.size();
     if (ref.size() != size_ || held != size_) return false;
     bool ok = true;
-    ref.for_each([&](EdgeKey pk, std::vector<Id>& members) {
+    ref.for_each([&](EdgeKey pk, std::vector<EdgeKey>& members) {
       const Entry* en = entry(pk);
       if (en == nullptr) {
         ok = false;
         return;
       }
-      std::vector<Id> have = en->bucket.members;
+      std::vector<EdgeKey> have = en->bucket.members;
       std::sort(members.begin(), members.end());
       std::sort(have.begin(), have.end());
       if (have != members || !en->bucket.contains(en->bucket.rep)) ok = false;
@@ -336,6 +332,12 @@ class NextLevelEdges {
     Bucket bucket;
     bool in_next = false;  // the pair is in S_next (compose())
   };
+
+  /// Sorts v[from, end) and merges it into the key-sorted prefix.
+  static void merge_tail(std::vector<EdgeKey>& v, size_t from) {
+    std::sort(v.begin() + from, v.end());
+    std::inplace_merge(v.begin(), v.begin() + from, v.end());
+  }
 
   const Entry* entry(EdgeKey pk) const {
     auto [lo, hi] = edge_endpoints(pk);

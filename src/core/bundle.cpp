@@ -26,7 +26,6 @@ SpannerBundle::SpannerBundle(size_t n, const std::vector<Edge>& edges,
     Level lvl;
     MonotoneSpannerConfig mc;
     mc.seed = hash_combine(cfg.seed, 0x10000 + i);
-    mc.beta = cfg.beta;
     mc.instances = cfg.instances;
     lvl.spanner = std::make_unique<MonotoneSpanner>(n, remaining, mc);
     FlatHashSet<EdgeKey> in_h;

@@ -32,9 +32,8 @@ struct BundleConfig {
   /// Number of bundle levels t.
   uint32_t t = 2;
   uint64_t seed = 1;
-  /// Per-level MonotoneSpanner parameters.
-  double beta = 0.4;
-  uint32_t instances = 0;  // 0 = default of MonotoneSpanner
+  /// Per-level MonotoneSpanner instances; 0 = MonotoneSpanner's default.
+  uint32_t instances = 0;
 };
 
 class SpannerBundle {

@@ -13,17 +13,21 @@
 namespace parspan {
 
 SpannerDiff DiffAccumulator::drain() {
-  SpannerDiff diff;
+  std::vector<EdgeKey> ins, del;
   for (EdgeKey ek : touched_) {
     int32_t* d = delta_.find(ek);
     assert(d != nullptr && *d >= -1 && *d <= 1);
-    if (*d > 0) diff.inserted.push_back(edge_from_key(ek));
-    if (*d < 0) diff.removed.push_back(edge_from_key(ek));
+    if (*d > 0) ins.push_back(ek);
+    if (*d < 0) del.push_back(ek);
     delta_.erase(ek);
   }
   touched_.clear();
-  parallel_sort(diff.inserted);
-  parallel_sort(diff.removed);
+  // Sorted as raw keys, which compare in one instruction.
+  parallel_sort(ins);
+  parallel_sort(del);
+  SpannerDiff diff;
+  for (EdgeKey ek : ins) diff.inserted.push_back(edge_from_key(ek));
+  for (EdgeKey ek : del) diff.removed.push_back(edge_from_key(ek));
   return diff;
 }
 

@@ -27,7 +27,7 @@
 //   * NextLevelEdges — buckets keyed by contracted pairs
 //                    (Head(u), Head(v)), with Bwd/FwdCorrespondence as the
 //                    designated representative per pair (the shared table
-//                    of container/next_level_edges.hpp, edge-id members);
+//                    of container/next_level_edges.hpp);
 //   * next_ins/next_del — the update stream for the next layer;
 //   * S = H ∪ Bwd(S_next) — the layer's spanner, composed by the table.
 //
@@ -35,13 +35,15 @@
 // per-batch UpdateResult lists are key-sorted, so the layer's output is a
 // deterministic function of its inputs (DESIGN.md §7.4).
 //
-// A batch runs in four phases (DESIGN.md §7.2): (1) a serial pass resolves
-// the edges against the index and assigns record ids; (2) the arc-list
-// edits are grouped by vertex, one task per vertex replaying its edits in
-// batch order with pre-drawn keys, and (3) the same task recomputes the
-// vertex's head; (4) the table ops and H refcount edits are filled in
-// parallel from per-vertex prefix offsets, in the order the serial
-// procedure would issue them, and committed by one NextLevelEdges::apply.
+// An edge is named by its key everywhere: in the index of its two arc
+// slots, in the table's buckets and in H. A batch runs in four phases
+// (DESIGN.md §7.2): (1) a serial pass resolves the edges against the
+// index, marking deleted edges dying; (2) the arc-list edits are grouped by
+// vertex, one task per vertex replaying its edits in batch order with
+// pre-drawn keys, and (3) the same task recomputes the vertex's head; (4)
+// the table ops and H edits are filled in parallel from per-vertex prefix
+// offsets, in the order the serial procedure would issue them; the ops are
+// committed by one NextLevelEdges::apply and the H edits are netted.
 #pragma once
 
 #include <algorithm>
@@ -65,7 +67,7 @@ class ContractionLayer {
   /// The contracted graph's update stream (next_ins, next_del and
   /// rep_changed, over next-id pairs, with the old representatives) plus
   /// the H contribution diffs (layer-local edges).
-  struct UpdateResult : NextLevelEdges<uint32_t>::Diff {
+  struct UpdateResult : NextLevelEdges::Diff {
     std::vector<Edge> h_ins;
     std::vector<Edge> h_del;
   };
@@ -78,21 +80,18 @@ class ContractionLayer {
   /// This layer's spanner S = H ∪ rep(S_next) for the batch `r` that
   /// update() just reported, given the next level's spanner diff (next-id
   /// pairs). Returns S's net diff (layer-local edges), key-sorted.
-  /// Construction composes once: r.h_ins = H, next.inserted = S_next.
+  /// Construction composes once: r empty, next.inserted = S_next.
   SpannerDiff compose(const UpdateResult& r, const SpannerDiff& next);
   /// S, ascending by key.
   std::vector<Edge> spanner_edges() const;
-  size_t spanner_size() const { return h_contrib_.size() + buckets_.held(); }
+  size_t spanner_size() const { return h_.size() + buckets_.held(); }
   bool in_spanner(Edge e) const;
   /// compose()'s oracle against the next level's spanner S_next.
   bool check_composed(const std::vector<Edge>& s_next) const;
 
   size_t num_vertices() const { return n_; }
   size_t next_n() const { return next_n_; }
-  size_t alive_edges() const { return alive_count_; }
-  /// Edge records held, alive or free for reuse (test-facing: deleted
-  /// edges' records are recycled, so this tracks alive_edges()).
-  size_t edge_records() const { return edges_.size(); }
+  size_t alive_edges() const { return index_.size(); }
 
   bool is_sampled(VertexId v) const { return next_id_[v] != kNoVertex; }
   VertexId next_id(VertexId v) const { return next_id_[v]; }
@@ -109,30 +108,28 @@ class ContractionLayer {
 
   /// Current H contribution set (layer-local edges).
   std::vector<Edge> h_edges() const;
-  size_t h_size() const { return h_contrib_.size(); }
+  size_t h_size() const { return h_.size(); }
 
   bool check_invariants() const;
 
  private:
-  /// One entry of Adj(v): the (unmark, rand) key, the other endpoint and
-  /// the edge record.
+  /// One entry of Adj(v): the (unmark, rand) key and the other endpoint.
   struct Arc {
     uint64_t key;
     VertexId other;
-    uint32_t edge_id;
   };
   struct ArcList {
     std::vector<Arc> arcs;  // unordered
     uint32_t min = 0;       // slot of the minimum-key arc (if non-empty)
   };
-  struct EdgeRec {
-    Edge e;
-    uint32_t slot_u = 0;  // arc slot in Adj(e.u)
-    uint32_t slot_v = 0;  // arc slot in Adj(e.v)
-    bool alive = false;
+  /// An edge's arc slots in Adj(lo) and Adj(hi), separate words so that
+  /// the two endpoints' tasks repair them concurrently. A deleted edge is
+  /// `dying` until phase 2 has removed its arcs.
+  struct Slots {
+    uint32_t lo = 0, hi = 0;
+    bool dying = false;
   };
-  using Table = NextLevelEdges<uint32_t>;
-  /// An H refcount edit (edge key, +1 or -1).
+  /// An H edit (edge key, add or remove).
   struct HEdit {
     EdgeKey e;
     bool add;
@@ -143,9 +140,15 @@ class ContractionLayer {
   uint64_t entry_key(VertexId other, uint64_t count) const;
   /// Appends arc a to Adj(x), updating the cached minimum; returns its slot.
   uint32_t push_arc(VertexId x, const Arc& a);
-  /// Swap-pops slot i of Adj(x), fixing the moved arc's stored slot and
-  /// the cached minimum (rescanned only if the minimum itself left).
+  /// Swap-pops slot i of Adj(x), fixing the moved arc's slot in the index
+  /// and the cached minimum (rescanned only if the minimum itself left).
   void remove_arc(VertexId x, uint32_t i);
+  /// The slot word of edge (x, other)'s arc in Adj(x); the edge is indexed.
+  uint32_t& slot(VertexId x, VertexId other) {
+    Slots* s = index_.find(edge_key(x, other));
+    assert(s != nullptr);
+    return x < other ? s->lo : s->hi;
+  }
   /// Head(v) implied by Adj(v)'s cached minimum.
   VertexId compute_head(VertexId v) const;
 
@@ -156,20 +159,11 @@ class ContractionLayer {
     return edge_key(next_id_[hu], next_id_[hv]);
   }
   /// pair_of under the committed heads.
-  EdgeKey pair_key_of(uint32_t eid) const {
-    const EdgeRec& r = edges_[eid];
-    return pair_of(head_[r.e.u], head_[r.e.v]);
+  EdgeKey pair_key_of(Edge e) const { return pair_of(head_[e.u], head_[e.v]); }
+  /// True iff e has a ⊥ endpoint under the committed heads.
+  bool edge_in_bot(Edge e) const {
+    return head_[e.u] == kNoVertex || head_[e.v] == kNoVertex;
   }
-
-  /// Edge key of a table member (a record id; a record freed in this
-  /// batch still holds its edge).
-  auto member_key() const {
-    return [this](uint32_t id) { return edges_[id].e.key(); };
-  }
-
-  void h_add(EdgeKey ek);
-  void h_remove(EdgeKey ek);
-  bool edge_in_bot(uint32_t eid) const;  // has a ⊥ endpoint
 
   size_t n_ = 0;
   size_t next_n_ = 0;
@@ -180,22 +174,17 @@ class ContractionLayer {
   std::vector<VertexId> next_id_;  // kNoVertex if unsampled
   std::vector<VertexId> head_;
   std::vector<ArcList> adj_;
+  FlatHashMap<EdgeKey, Slots> index_;  // the alive edges (and dying ones)
 
-  std::vector<EdgeRec> edges_;
-  FlatHashMap<EdgeKey, uint32_t> edge_index_;  // alive edges only
-  // Dead records' ids, reused LIFO from the next batch on: an id freed in
-  // a batch is never reused within it, since the table's snapshots name
-  // the old representative by id.
-  std::vector<uint32_t> free_ids_;
-  size_t alive_count_ = 0;
-
-  Table buckets_;                             // pair -> edge ids
-  FlatHashMap<EdgeKey, uint32_t> h_contrib_;  // H refcounts
+  NextLevelEdges buckets_;  // pair -> edge keys
+  // H: the edges with a ⊥ endpoint and the head edges (v, Head(v)), two
+  // disjoint parts (a head edge's endpoints both have heads).
+  FlatHashSet<EdgeKey> h_;
   std::vector<EdgeKey> head_edge_;  // per-vertex (v, Head(v)) contribution
   // Heads staged by the batch in progress; equal to head_ between batches.
   std::vector<VertexId> new_head_;
 
-  // Batch-scoped diff accumulation (drained key-sorted — DESIGN.md §6.4).
+  // Batch-scoped net H edits (drained key-sorted — DESIGN.md §6.4).
   DiffAccumulator h_delta_;
 };
 

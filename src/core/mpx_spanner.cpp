@@ -8,6 +8,9 @@
 
 namespace parspan {
 
+/// Exponential rate per instance; constant (Lemma 6.5 regime).
+constexpr double kBeta = 0.4;
+
 MonotoneSpanner::MonotoneSpanner(size_t n, const std::vector<Edge>& edges,
                                  const MonotoneSpannerConfig& cfg)
     : n_(n) {
@@ -18,7 +21,7 @@ MonotoneSpanner::MonotoneSpanner(size_t n, const std::vector<Edge>& edges,
   // Resample cap 10 ln(n)/beta keeps the path length t = O(log n) and is
   // exceeded with probability <= n^{-9} (paper §6.2).
   double cap =
-      10.0 * std::log(double(std::max<size_t>(n, 2))) / cfg.beta + 1.0;
+      10.0 * std::log(double(std::max<size_t>(n, 2))) / kBeta + 1.0;
   // Per-instance seeds are fixed up front, so each build job is a pure
   // function of (seed, edges) and the fan-out below is schedule-independent.
   inst_.resize(count);
@@ -27,7 +30,7 @@ MonotoneSpanner::MonotoneSpanner(size_t n, const std::vector<Edge>& edges,
       [&](size_t i) {
         ClusterSpannerConfig c;
         c.k = 1;  // unused: beta and cap are explicit
-        c.beta = cfg.beta;
+        c.beta = kBeta;
         c.delta_cap = cap;
         c.intercluster = false;
         c.seed = hash_combine(cfg.seed, i);

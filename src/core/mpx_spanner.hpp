@@ -36,8 +36,6 @@ namespace parspan {
 
 struct MonotoneSpannerConfig {
   uint64_t seed = 1;
-  /// Exponential rate per instance; constant (Lemma 6.5 regime).
-  double beta = 0.4;
   /// Number of independent instances; 0 means 3*ceil(log2 n) + 2.
   uint32_t instances = 0;
 };

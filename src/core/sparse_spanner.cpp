@@ -52,24 +52,21 @@ SparseSpanner::SparseSpanner(size_t n, const std::vector<Edge>& edges,
     layer_n = layers_.back()->next_n();
     if (layer_n <= 2) break;
   }
-  // Top spanner (Theorem 1.1) on the contracted graph.
-  uint32_t k = cfg.top_k;
-  if (k == 0)
-    k = uint32_t(
-        std::ceil(std::log2(double(std::max<size_t>(layer_n, 2)) + 2.0)));
+  // Top spanner (Theorem 1.1) on the contracted graph, with stretch
+  // parameter k = ceil(log2(n_top + 2)).
+  const uint32_t k = uint32_t(
+      std::ceil(std::log2(double(std::max<size_t>(layer_n, 2)) + 2.0)));
   FullyDynamicSpannerConfig tc;
   tc.k = k;
   tc.seed = hash_combine(cfg.seed, 0x707);
   top_ = std::make_unique<FullyDynamicSpanner>(layer_n, cur, tc);
 
   // Compose the initial spanner downward: S_L = top spanner,
-  // S_i = H_i ∪ rep(S_{i+1}), each built as one all-insert batch whose
-  // diff is discarded.
+  // S_i = H_i ∪ rep(S_{i+1}), with H_i already held: each layer marks
+  // S_{i+1}'s pairs in one all-insert batch whose diff is discarded.
   stretch_bound_ = 2 * k - 1;
   for (size_t i = layers_.size(); i-- > 0;) {
-    ContractionLayer::UpdateResult all;
-    all.h_ins = layers_[i]->h_edges();
-    layers_[i]->compose(all, {next_spanner(i), {}});
+    layers_[i]->compose({}, {next_spanner(i), {}});
     stretch_bound_ = 3 * stretch_bound_ + 2;
   }
 }

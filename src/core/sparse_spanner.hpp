@@ -35,9 +35,6 @@ struct SparseSpannerConfig {
   uint64_t seed = 1;
   /// Contraction factors; empty = contraction_schedule(max(4, log2 n)).
   std::vector<double> xs;
-  /// Stretch parameter of the top-level Theorem 1.1 spanner;
-  /// 0 = ceil(log2(n_top + 2)).
-  uint32_t top_k = 0;
 };
 
 class SparseSpanner {

@@ -92,7 +92,6 @@ DecrementalSparsifier::DecrementalSparsifier(size_t n,
     BundleConfig bc;
     bc.t = cfg.t;
     bc.seed = hash_combine(cfg.seed, 0xb000 + j);
-    bc.beta = cfg.beta;
     bc.instances = cfg.instances;
     stages_.push_back(std::make_unique<SpannerBundle>(n, cur, bc));
     std::vector<Edge> next;

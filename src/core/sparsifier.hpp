@@ -59,8 +59,7 @@ struct SparsifierConfig {
   /// "less than O(log n) edges" break).
   size_t min_stage_edges = 8;
   uint64_t seed = 1;
-  /// MonotoneSpanner parameters inside the bundles.
-  double beta = 0.4;
+  /// MonotoneSpanner instances inside the bundles; 0 = its default.
   uint32_t instances = 0;
 };
 

@@ -72,7 +72,7 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
   // seeded at every ⊥ vertex in ascending order.
   new_head_ = head_;
   {
-    std::vector<Table::Op> ops;
+    std::vector<NextLevelEdges::Op> ops;
     emit_edge_ops(ops, applied, true);
     buckets_.apply(ops);
   }
@@ -84,16 +84,15 @@ UltraSparseSpanner::UltraSparseSpanner(size_t n,
     par_edge_[v] = par_edge_of(v, hr);
   }
   h2_.rebuild(bots, h2_nbrs(), h_net_);
-  h_net_.reset();  // the bulk compose_.apply below reads the forest itself
+  h_net_.reset();  // h_size_ below counts the forest itself
 
   // Next-level structure over the contracted graph (vertex set = V).
   SparseSpannerConfig nc = cfg.next;
   nc.seed = hash_combine(cfg.seed, 0x4e7);
   next_ = std::make_unique<SparseSpanner>(n, buckets_.pairs(), nc);
 
-  const std::vector<Edge> h = h_edges();
-  h_size_ = h.size();
-  buckets_.compose(h, {}, {next_->spanner_edges(), {}}, {}, member_key);
+  h_size_ = h_edges().size();
+  buckets_.compose({}, {}, {next_->spanner_edges(), {}}, {});
 }
 
 std::vector<Edge> UltraSparseSpanner::h_edges() const {
@@ -236,18 +235,18 @@ std::vector<VertexId> UltraSparseSpanner::light_need_recompute(
   return out;
 }
 
-void UltraSparseSpanner::emit_edge_ops(std::vector<Table::Op>& ops,
+void UltraSparseSpanner::emit_edge_ops(std::vector<NextLevelEdges::Op>& ops,
                                        const std::vector<Edge>& edges,
                                        bool add) const {
   const size_t base = ops.size();
-  ops.resize(base + edges.size(), Table::Op{kNoEdge, 0, false});
+  ops.resize(base + edges.size(), {kNoEdge, 0, false});
   parallel_for(0, edges.size(), [&](size_t i) {
     const EdgeKey pk = pair_key_of(edges[i]);
     if (pk != kNoEdge) ops[base + i] = {pk, edges[i].key(), add};
   });
 }
 
-void UltraSparseSpanner::commit_heads(std::vector<Table::Op>& ops,
+void UltraSparseSpanner::commit_heads(std::vector<NextLevelEdges::Op>& ops,
                                       const std::vector<VertexId>& vs,
                                       const std::vector<HeadResult>& hrs) {
   parallel_for(0, vs.size(),
@@ -261,7 +260,7 @@ void UltraSparseSpanner::commit_heads(std::vector<Table::Op>& ops,
   const RunOffsets deg =
       run_offsets(vs.size(), [&](size_t i) { return graph_.degree(vs[i]); });
   const size_t base = ops.size();
-  ops.resize(base + 2 * deg.total(), Table::Op{kNoEdge, 0, false});
+  ops.resize(base + 2 * deg.total(), {kNoEdge, 0, false});
   struct Net {
     EdgeKey e;
     bool add;
@@ -272,7 +271,7 @@ void UltraSparseSpanner::commit_heads(std::vector<Table::Op>& ops,
       [&](size_t i) {
         const VertexId v = vs[i];
         auto nbrs = graph_.neighbors(v);
-        Table::Op* out = ops.data() + base + 2 * deg.at[i];
+        NextLevelEdges::Op* out = ops.data() + base + 2 * deg.at[i];
         Net* hout = h2.data() + deg.at[i];
         const bool moved = new_head_[v] != head_[v];
         for (size_t j = 0; j < nbrs.size(); ++j) {
@@ -313,7 +312,7 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
   // --- Apply the batch to the flat graph; bookkeep per applied edge. The
   // applied lists come back canonical and key-sorted, which pins down every
   // bucket-representative election below. ---
-  std::vector<Table::Op> ops;  // the batch's table edits, in serial order
+  std::vector<NextLevelEdges::Op> ops;  // table edits, in serial order
   std::vector<Edge> removed = graph_.erase_edges(deletions);
   emit_edge_ops(ops, removed, false);
   std::vector<VertexId> touched;
@@ -397,11 +396,11 @@ SpannerDiff UltraSparseSpanner::update(const std::vector<Edge>& insertions,
 
   // --- Next-level update, then S = H ∪ rep(S_next) over the touched pairs
   // in canonical key order. ---
-  Table::Diff pd = buckets_.apply(ops);
+  NextLevelEdges::Diff pd = buckets_.apply(ops);
   SpannerDiff nd = next_->update(pd.next_ins, pd.next_del);
   SpannerDiff hd = h_net_.drain();
   h_size_ = h_size_ + hd.inserted.size() - hd.removed.size();
-  return buckets_.compose(hd.inserted, hd.removed, nd, pd, member_key);
+  return buckets_.compose(hd.inserted, hd.removed, nd, pd);
 }
 
 bool UltraSparseSpanner::check_invariants() const {
@@ -441,7 +440,7 @@ bool UltraSparseSpanner::check_invariants() const {
   if (next_->num_edges() != buckets_.size()) return false;
   const std::vector<Edge> h = h_edges();
   return h.size() == h_size_ &&
-         buckets_.check_composed(h, next_->spanner_edges(), member_key);
+         buckets_.check_composed(h, next_->spanner_edges());
 }
 
 }  // namespace parspan

@@ -23,9 +23,9 @@
 //  * NextLevelEdges buckets + representatives map the contracted graph
 //    (over the original vertex-id space, as in the paper's white-box use
 //    of Theorem 1.3) into a SparseSpanner. The table is the one the
-//    contraction layers use (container/next_level_edges.hpp, edge-key
-//    members), and S = H ∪ rep(S_next) with H = H1 ∪ forest(H2) is the
-//    table's composition step, the one each SparseSpanner layer runs.
+//    contraction layers use (container/next_level_edges.hpp), and
+//    S = H ∪ rep(S_next) with H = H1 ∪ forest(H2) is the table's
+//    composition step, the one each SparseSpanner layer runs.
 //
 // After a batch, recomputation follows the paper exactly: heavy heads are
 // refreshed at updated endpoints first; Algorithm 6's bounded BFS then
@@ -78,7 +78,7 @@ class UltraSparseSpanner {
   size_t num_edges() const { return graph_.num_edges(); }
   size_t spanner_size() const { return h_size_ + buckets_.held(); }
   std::vector<Edge> spanner_edges() const {
-    return buckets_.composed(h_edges(), member_key);
+    return buckets_.composed(h_edges());
   }
 
   /// Applies one batch (deletions then insertions); returns the net spanner
@@ -152,10 +152,6 @@ class UltraSparseSpanner {
   std::vector<VertexId> light_need_recompute(
       const std::vector<VertexId>& seeds);
 
-  using Table = NextLevelEdges<EdgeKey>;
-  /// The table's members are the edge keys themselves.
-  static EdgeKey member_key(EdgeKey ek) { return ek; }
-
   /// Contracted pair of an edge whose endpoints head to hu and hv, or
   /// kNoEdge if it is intra-cluster / touches ⊥.
   static EdgeKey pair_of(VertexId hu, VertexId hv) {
@@ -177,12 +173,12 @@ class UltraSparseSpanner {
 
   /// Appends to `ops` the table ops of edges leaving (!add) or joining the
   /// graph.
-  void emit_edge_ops(std::vector<Table::Op>& ops,
+  void emit_edge_ops(std::vector<NextLevelEdges::Op>& ops,
                      const std::vector<Edge>& edges, bool add) const;
   /// Commits one recomputation phase: vertices vs[i] (ascending) take
   /// heads hrs[i]. Their edges' table ops go to `ops` as a serial commit
   /// in ascending order would issue them.
-  void commit_heads(std::vector<Table::Op>& ops,
+  void commit_heads(std::vector<NextLevelEdges::Op>& ops,
                     const std::vector<VertexId>& vs,
                     const std::vector<HeadResult>& hrs);
 
@@ -204,7 +200,7 @@ class UltraSparseSpanner {
 
   /// NextLevelEdges[(c, c')]: the alive layer-0 edges whose endpoint heads
   /// are {c, c'}, plus the designated representative and the S_next mark.
-  Table buckets_;
+  NextLevelEdges buckets_;
   size_t h_size_ = 0;  // |H|
 
   SmallComponentForest h2_;

@@ -285,20 +285,4 @@ inline CsrGraph csr_build_from_keys(size_t n, std::span<const EdgeKey> keys) {
   return csr;
 }
 
-/// Builds the CSR adjacency of an explicit directed arc list: arc i is
-/// srcs[i] -> dsts[i] and keeps its index as the payload id.
-inline CsrGraph csr_build_directed(size_t n,
-                                   const std::vector<VertexId>& srcs,
-                                   const std::vector<VertexId>& dsts) {
-  assert(srcs.size() == dsts.size());
-  GroupedIndices g = group_by_key(n, srcs);
-  CsrGraph csr;
-  csr.offsets = std::move(g.offsets);
-  csr.nbr.resize(dsts.size());
-  csr.arc = std::move(g.items);
-  parallel_for(0, csr.arc.size(),
-               [&](size_t j) { csr.nbr[j] = dsts[csr.arc[j]]; });
-  return csr;
-}
-
 }  // namespace parspan

@@ -106,47 +106,33 @@ TEST(FlatHashSet, InsertEraseAnyMember) {
 }
 
 // --- NextLevelEdges: elections and the per-batch pair diff. ---------------
-// Both member types in use: edge ids (ContractionLayer) and edge keys
-// (UltraSparseSpanner).
-template <typename Id>
-class NextLevelEdgesTest : public ::testing::Test {};
-using MemberIds = ::testing::Types<uint32_t, EdgeKey>;
-TYPED_TEST_SUITE(NextLevelEdgesTest, MemberIds);
+// Members are edge keys; small numbers stand in for them here.
+NextLevelEdges::Op add(EdgeKey pk, EdgeKey m) { return {pk, m, true}; }
+NextLevelEdges::Op del(EdgeKey pk, EdgeKey m) { return {pk, m, false}; }
 
-template <typename Id>
-typename NextLevelEdges<Id>::Op add(EdgeKey pk, Id m) {
-  return {pk, m, true};
-}
-template <typename Id>
-typename NextLevelEdges<Id>::Op del(EdgeKey pk, Id m) {
-  return {pk, m, false};
-}
-
-TYPED_TEST(NextLevelEdgesTest, FirstMemberIsRepAndMembers0IsReElected) {
-  using Id = TypeParam;
-  NextLevelEdges<Id> t(4);
+TEST(NextLevelEdges, FirstMemberIsRepAndMembers0IsReElected) {
+  NextLevelEdges t(4);
   const EdgeKey p = edge_key(1, 2);
-  t.apply({add<Id>(p, 7), add<Id>(p, 3), add<Id>(p, 9)});
+  t.apply({add(p, 7), add(p, 3), add(p, 9)});
   EXPECT_EQ(t.rep(p), 7u);
-  t.apply({del<Id>(p, 3)});  // not the rep: no election
+  t.apply({del(p, 3)});  // not the rep: no election
   EXPECT_EQ(t.rep(p), 7u);
-  auto d = t.apply({del<Id>(p, 7)});  // swap-pop leaves {9}
+  auto d = t.apply({del(p, 7)});  // swap-pop leaves {9}
   EXPECT_EQ(t.rep(p), 9u);
   EXPECT_TRUE(d.next_ins.empty());
   EXPECT_TRUE(d.next_del.empty());
   EXPECT_EQ(d.rep_changed, std::vector<Edge>{Edge(1, 2)});
 }
 
-TYPED_TEST(NextLevelEdgesTest, BatchDiffAgainstSnapshots) {
-  using Id = TypeParam;
-  NextLevelEdges<Id> t(8);
+TEST(NextLevelEdges, BatchDiffAgainstSnapshots) {
+  NextLevelEdges t(8);
   const EdgeKey re_elected = edge_key(0, 5), recreated = edge_key(2, 3),
                 vanished = edge_key(1, 4), fresh = edge_key(0, 1),
                 untouched = edge_key(6, 7);
-  std::vector<typename NextLevelEdges<Id>::Op> bulk;
+  std::vector<NextLevelEdges::Op> bulk;
   for (EdgeKey p : {re_elected, recreated, vanished, untouched}) {
-    bulk.push_back(add<Id>(p, 10));
-    bulk.push_back(add<Id>(p, 11));
+    bulk.push_back(add(p, 10));
+    bulk.push_back(add(p, 11));
   }
   auto d = t.apply(bulk);
   EXPECT_EQ(d.next_ins.size(), 4u);
@@ -154,10 +140,10 @@ TYPED_TEST(NextLevelEdgesTest, BatchDiffAgainstSnapshots) {
   // One batch. The rep of `re_elected` leaves and comes back as a plain
   // member: the pair survives under members[0] = 11. `recreated` empties
   // and is rebuilt with its old rep first.
-  d = t.apply({del<Id>(re_elected, 10), add<Id>(re_elected, 10),
-               del<Id>(recreated, 10), del<Id>(recreated, 11),
-               add<Id>(recreated, 10), del<Id>(vanished, 11),
-               del<Id>(vanished, 10), add<Id>(fresh, 12)});
+  d = t.apply({del(re_elected, 10), add(re_elected, 10),
+               del(recreated, 10), del(recreated, 11),
+               add(recreated, 10), del(vanished, 11),
+               del(vanished, 10), add(fresh, 12)});
   EXPECT_EQ(d.next_ins, std::vector<Edge>{edge_from_key(fresh)});
   EXPECT_EQ(d.next_del, std::vector<Edge>{edge_from_key(vanished)});
   EXPECT_EQ(d.rep_changed, std::vector<Edge>{edge_from_key(re_elected)});
@@ -171,15 +157,16 @@ TYPED_TEST(NextLevelEdgesTest, BatchDiffAgainstSnapshots) {
 
   // A pair deleted and re-created under a new rep within one batch is a
   // rep change, never a deletion plus an insertion.
-  d = t.apply({del<Id>(recreated, 10), add<Id>(recreated, 13)});
+  d = t.apply({del(recreated, 10), add(recreated, 13)});
   EXPECT_TRUE(d.next_ins.empty());
   EXPECT_TRUE(d.next_del.empty());
   EXPECT_EQ(d.rep_changed, std::vector<Edge>{edge_from_key(recreated)});
 
-  // Ids freed by an earlier batch are reused: 11 left `vanished` above and
-  // now founds a new pair; `re_elected`'s old rep 10 rejoins elsewhere.
-  d = t.apply({add<Id>(vanished, 11), del<Id>(re_elected, 11),
-               add<Id>(recreated, 11)});
+  // Members that left a pair in an earlier batch join again: 11 left
+  // `vanished` above and now founds a new pair; `re_elected`'s old rep 10
+  // rejoins elsewhere.
+  d = t.apply({add(vanished, 11), del(re_elected, 11),
+               add(recreated, 11)});
   EXPECT_EQ(d.next_ins, std::vector<Edge>{edge_from_key(vanished)});
   EXPECT_EQ(d.rep_changed, std::vector<Edge>{edge_from_key(re_elected)});
   EXPECT_EQ(t.rep(re_elected), 10u);
@@ -191,12 +178,11 @@ TYPED_TEST(NextLevelEdgesTest, BatchDiffAgainstSnapshots) {
               d.rep_changed.empty());
 }
 
-TYPED_TEST(NextLevelEdgesTest, MatchesOracle) {
-  using Id = TypeParam;
-  NextLevelEdges<Id> t(4);
-  t.apply({add<Id>(edge_key(0, 1), 4), add<Id>(edge_key(0, 1), 2),
-           add<Id>(edge_key(2, 3), 5)});
-  FlatHashMap<EdgeKey, std::vector<Id>> ref;
+TEST(NextLevelEdges, MatchesOracle) {
+  NextLevelEdges t(4);
+  t.apply({add(edge_key(0, 1), 4), add(edge_key(0, 1), 2),
+           add(edge_key(2, 3), 5)});
+  FlatHashMap<EdgeKey, std::vector<EdgeKey>> ref;
   ref[edge_key(0, 1)] = {2, 4};
   ref[edge_key(2, 3)] = {5};
   EXPECT_TRUE(t.matches(ref));
@@ -208,28 +194,27 @@ TYPED_TEST(NextLevelEdgesTest, MatchesOracle) {
 
 // The one-op-at-a-time reference: snapshot each pair at its first op, edit
 // an ordered map of buckets, diff the snapshots in key order.
-template <typename Id>
 struct ReferenceTable {
-  using Op = typename NextLevelEdges<Id>::Op;
-  std::map<EdgeKey, RepBucket<Id>> buckets;
+  using Op = NextLevelEdges::Op;
+  std::map<EdgeKey, RepBucket<EdgeKey>> buckets;
   // Scenario counters, so the random logs provably reach each case.
   size_t recreated = 0, rep_left = 0;
 
-  typename NextLevelEdges<Id>::Diff apply(const std::vector<Op>& ops) {
-    std::map<EdgeKey, std::pair<bool, Id>> snap;
+  NextLevelEdges::Diff apply(const std::vector<Op>& ops) {
+    std::map<EdgeKey, std::pair<bool, EdgeKey>> snap;
     std::set<EdgeKey> emptied;
     for (const Op& op : ops) {
       auto it = buckets.find(op.pair);
       if (!snap.count(op.pair))
         snap[op.pair] = {it != buckets.end(),
-                         it != buckets.end() ? it->second.rep : Id{}};
+                         it != buckets.end() ? it->second.rep : 0};
       if (op.add) {
-        RepBucket<Id>& b = buckets[op.pair];
+        RepBucket<EdgeKey>& b = buckets[op.pair];
         if (b.members.empty()) b.rep = op.member;
         if (emptied.count(op.pair)) ++recreated;
         b.members.push_back(op.member);
       } else {
-        RepBucket<Id>& b = it->second;
+        RepBucket<EdgeKey>& b = it->second;
         if (b.rep == op.member) ++rep_left;
         if (b.erase_member(op.member)) {
           buckets.erase(it);
@@ -239,7 +224,7 @@ struct ReferenceTable {
         }
       }
     }
-    typename NextLevelEdges<Id>::Diff d;
+    NextLevelEdges::Diff d;
     for (const auto& [pk, s] : snap) {
       auto it = buckets.find(pk);
       bool now = it != buckets.end();
@@ -254,12 +239,11 @@ struct ReferenceTable {
 
 // Seeded random op logs against the reference, at 1 and 4 workers: members
 // hop between few pairs (elections, pairs emptied and re-created within a
-// batch), and ids freed in one batch are reused in later ones. Batches of
+// batch), and members that left in one batch rejoin in later ones. Batches of
 // thousands of ops take the parallel path at 4 workers; a wide vertex range
 // with short batches takes the sorted grouping.
-TYPED_TEST(NextLevelEdgesTest, ApplyMatchesOneOpAtATimeReference) {
-  using Id = TypeParam;
-  using Op = typename NextLevelEdges<Id>::Op;
+TEST(NextLevelEdges, ApplyMatchesOneOpAtATimeReference) {
+  using Op = NextLevelEdges::Op;
   const int saved = num_workers();
   struct Shape {
     size_t n;        // table vertex count
@@ -272,23 +256,23 @@ TYPED_TEST(NextLevelEdgesTest, ApplyMatchesOneOpAtATimeReference) {
     for (int workers : {1, 4}) {
       set_num_workers(workers);
       Rng rng(hash_combine(sh.n, sh.batch));
-      NextLevelEdges<Id> t(sh.n);
-      ReferenceTable<Id> ref;
+      NextLevelEdges t(sh.n);
+      ReferenceTable ref;
       const VertexId offset = VertexId(sh.n - sh.span);
       std::vector<EdgeKey> where(sh.members, kNoEdge);  // member -> pair
-      std::vector<Id> placed;  // members currently in some pair
+      std::vector<EdgeKey> placed;  // members currently in some pair
       for (int b = 0; b < 12; ++b) {
         std::vector<Op> ops;
         while (ops.size() < sh.batch) {
           if (!placed.empty() && rng.next_below(2) == 0) {
             size_t at = rng.next_below(placed.size());
-            Id m = placed[at];
+            EdgeKey m = placed[at];
             ops.push_back({where[size_t(m)], m, false});
             where[size_t(m)] = kNoEdge;
             placed[at] = placed.back();
             placed.pop_back();
           } else {
-            Id m = Id(rng.next_below(sh.members));
+            EdgeKey m = rng.next_below(sh.members);
             if (where[size_t(m)] != kNoEdge) continue;
             VertexId a = offset + VertexId(rng.next_below(sh.span));
             VertexId c = offset + VertexId(rng.next_below(sh.span));
@@ -305,7 +289,7 @@ TYPED_TEST(NextLevelEdgesTest, ApplyMatchesOneOpAtATimeReference) {
         ASSERT_EQ(got.rep_changed, want.rep_changed)
             << "n=" << sh.n << " b=" << b;
         ASSERT_EQ(t.size(), ref.buckets.size());
-        FlatHashMap<EdgeKey, std::vector<Id>> oracle;
+        FlatHashMap<EdgeKey, std::vector<EdgeKey>> oracle;
         for (const auto& [pk, bucket] : ref.buckets) {
           oracle[pk] = bucket.members;
           ASSERT_EQ(t.rep(pk), bucket.rep) << "n=" << sh.n << " b=" << b;
@@ -325,8 +309,7 @@ TYPED_TEST(NextLevelEdgesTest, ApplyMatchesOneOpAtATimeReference) {
 // the table's pairs. Each batch's composed diff must equal the difference
 // of S = H ∪ rep(S_next) computed from scratch before and after it.
 
-/// Member id m stands for the level edge with this key (ids, as in
-/// ContractionLayer, are not keys themselves).
+/// The level edge that member number m stands for.
 EdgeKey member_key(uint32_t m) { return edge_key(m, m + 1000000); }
 
 
@@ -361,7 +344,7 @@ TEST(PairTableComposition, MatchesFromScratchReference) {
   for (int workers : {1, 4}) {
     set_num_workers(workers);
     Rng rng(0xc0ffee);
-    NextLevelEdges<uint32_t> t(span);
+    NextLevelEdges t(span);
     std::vector<EdgeKey> where(members, kNoEdge);  // member -> pair
     std::vector<uint8_t> in_h(members, 0);
     std::set<EdgeKey> held;  // S_next
@@ -380,11 +363,11 @@ TEST(PairTableComposition, MatchesFromScratchReference) {
       for (uint32_t m = 0; m < members; ++m)
         if (where[m] != kNoEdge) ++count[where[m]];
       std::set<EdgeKey> emptied, recreated;
-      std::vector<NextLevelEdges<uint32_t>::Op> ops;
+      std::vector<NextLevelEdges::Op> ops;
       while (ops.size() < batch) {
         const uint32_t m = uint32_t(rng.next_below(members));
         if (where[m] != kNoEdge) {  // leave the pair, maybe into H
-          ops.push_back({where[m], m, false});
+          ops.push_back({where[m], member_key(m), false});
           if (--count[where[m]] == 0) emptied.insert(where[m]);
           where[m] = kNoEdge;
           in_h[m] = rng.next_below(3) == 0;
@@ -398,7 +381,7 @@ TEST(PairTableComposition, MatchesFromScratchReference) {
           in_h[m] = 0;
           where[m] = pk;
           if (count[pk]++ == 0 && emptied.count(pk)) recreated.insert(pk);
-          ops.push_back({pk, m, true});
+          ops.push_back({pk, member_key(m), true});
         }
       }
       const auto pd = t.apply(ops);
@@ -438,7 +421,7 @@ TEST(PairTableComposition, MatchesFromScratchReference) {
         if (in_h[m]) h_after.insert(member_key(m));
       s_ref = h_after;
       for (EdgeKey p : held) {
-        ASSERT_TRUE(s_ref.insert(member_key(t.rep(p))).second)
+        ASSERT_TRUE(s_ref.insert(t.rep(p)).second)
             << "H and the representatives must stay disjoint";
       }
       for (EdgeKey k : h_after)
@@ -448,16 +431,14 @@ TEST(PairTableComposition, MatchesFromScratchReference) {
 
       const SpannerDiff got =
           t.compose(minus(h_after, h_before), minus(h_before, h_after),
-                    {keys_to_edges(inserted), keys_to_edges(removed)}, pd,
-                    member_key);
+                    {keys_to_edges(inserted), keys_to_edges(removed)}, pd);
       ASSERT_EQ(got.inserted, minus(s_ref, s_before))
           << "workers=" << workers << " b=" << b;
       ASSERT_EQ(got.removed, minus(s_before, s_ref))
           << "workers=" << workers << " b=" << b;
-      ASSERT_EQ(t.composed(keys_to_edges(h_after), member_key),
-                keys_to_edges(s_ref));
-      ASSERT_TRUE(t.check_composed(keys_to_edges(h_after),
-                                   keys_to_edges(held), member_key));
+      ASSERT_EQ(t.composed(keys_to_edges(h_after)), keys_to_edges(s_ref));
+      ASSERT_TRUE(
+          t.check_composed(keys_to_edges(h_after), keys_to_edges(held)));
     }
     EXPECT_GT(left_on_rep_change, 0u) << "workers=" << workers;
     EXPECT_GT(held_vanished, 0u) << "workers=" << workers;

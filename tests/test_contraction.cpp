@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_set>
+#include <utility>
 
 #include "core/contraction.hpp"
 #include "core/sparse_spanner.hpp"
 #include "graph/generators.hpp"
 #include "parallel/csr.hpp"
+#include "parallel/scheduler.hpp"
 #include "util/rng.hpp"
 #include "verify/spanner_check.hpp"
 
@@ -151,17 +154,148 @@ TEST(ContractionLayer, AllArcsUnmarkedMeansNoHead) {
   EXPECT_GT(found, 0u);
 }
 
-// Deleted edges' records are recycled, so a long churn holds about as many
-// records as live edges rather than one per distinct edge ever inserted.
-TEST(ContractionLayer, DeadEdgeRecordsAreRecycled) {
-  const size_t n = 200;
-  auto [initial, batches] = gen_mixed_stream(n, 600, 64, 200, 11);
-  ContractionLayer layer(n, initial, 4.0, 3);
-  for (auto& b : batches) {
-    layer.update(b.insertions, b.deletions);
-    ASSERT_LE(layer.edge_records(), layer.alive_edges() + b.insertions.size());
+/// a \ b over key-sorted edge lists.
+std::vector<Edge> minus(const std::vector<Edge>& a,
+                        const std::vector<Edge>& b) {
+  std::vector<Edge> out;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
+  return out;
+}
+
+// Batches of thousands of updates, so the per-vertex phase runs as parallel
+// tasks at 4 workers, each holding every same-key case: keys deleted twice;
+// keys deleted and re-inserted, among them head edges whose arc an earlier
+// swap-pop at the same vertex moves first; keys inserted twice or while
+// present; self-loops and out-of-range endpoints. A model of the arc lists
+// (swap-pops, then pushes, in batch order) counts the moved head arcs. S_next
+// is every pair, and each composed diff must match S before and after. The
+// lists and diffs must be equal at 1 and 4 workers.
+TEST(ContractionLayer, SameKeyCasesAtParallelBatchSizes) {
+  const size_t n = 3000, batches = 6;
+  const int saved = num_workers();
+  std::vector<ContractionLayer::UpdateResult> first_res;
+  std::vector<SpannerDiff> first_diff;
+  for (int workers : {1, 4}) {
+    set_num_workers(workers);
+    Rng rng(77);
+    const std::vector<Edge> initial = gen_erdos_renyi(n, 6 * n, 5);
+    ContractionLayer layer(n, initial, 4.0, 9);
+    layer.compose({}, {layer.next_edges(), {}});
+    std::vector<std::vector<VertexId>> adj(n);  // other endpoints by slot
+    std::unordered_set<EdgeKey> present;
+    for (const Edge& e : initial)
+      if (e.u != e.v && present.insert(e.key()).second) {
+        adj[e.u].push_back(e.v);
+        adj[e.v].push_back(e.u);
+      }
+    for (size_t b = 0; b < batches; ++b) {
+      std::vector<Edge> del, ins;
+      // v's head edge whose arc is last in Adj(v): deleting v's first arc
+      // before it moves it.
+      std::unordered_set<EdgeKey> head_reborn;
+      for (VertexId v = VertexId(rng.next_below(n));
+           v < n && head_reborn.size() < 40; ++v) {
+        const VertexId h = layer.head(v);
+        if (layer.is_sampled(v) || h == kNoVertex || adj[v].size() < 2 ||
+            adj[v].back() != h)
+          continue;
+        del.push_back(Edge(v, adj[v][0]));
+        del.push_back(Edge(h, v));
+        ins.push_back(Edge(v, h));
+        head_reborn.insert(edge_key(v, h));
+      }
+      const std::vector<EdgeKey> alive(present.begin(), present.end());
+      for (int i = 0; i < 1200; ++i) {
+        const Edge e = edge_from_key(alive[rng.next_below(alive.size())]);
+        del.push_back(rng.next_below(2) ? e : Edge(e.v, e.u));
+        if (rng.next_below(4) == 0) del.push_back(e);
+        if (rng.next_below(4) == 0) ins.push_back(Edge(e.v, e.u));
+      }
+      for (int i = 0; i < 1200; ++i) {
+        const VertexId a = VertexId(rng.next_below(n));
+        const VertexId c = VertexId(rng.next_below(n));
+        ins.push_back(Edge(a, c));
+        if (rng.next_below(6) == 0) ins.push_back(Edge(c, a));
+        if (rng.next_below(10) == 0)
+          ins.push_back(edge_from_key(alive[rng.next_below(alive.size())]));
+      }
+      for (VertexId i = 0; i < 20; ++i) {
+        const VertexId v = VertexId(rng.next_below(n));
+        del.push_back(Edge(v, v));
+        ins.push_back(Edge(v, v));
+        del.push_back(Edge(v, VertexId(n) + i));
+        ins.push_back(Edge(VertexId(n) + i, v));
+      }
+
+      // Replay the batch on the model, as the layer resolves it.
+      size_t deleted_twice = 0, reinserted = 0, moved_head = 0,
+             inserted_twice = 0, inserted_present = 0, invalid = 0;
+      std::unordered_set<EdgeKey> dead, born;
+      for (const Edge& e : del) {
+        if (e.u == e.v || e.u >= n || e.v >= n) ++invalid;
+        if (!present.erase(e.key())) {
+          deleted_twice += dead.count(e.key());
+          continue;
+        }
+        dead.insert(e.key());
+        for (auto [x, o] : {std::pair(e.u, e.v), std::pair(e.v, e.u)}) {
+          std::vector<VertexId>& l = adj[x];
+          const size_t i = std::find(l.begin(), l.end(), o) - l.begin();
+          if (i + 1 != l.size() && layer.head(x) == l.back() &&
+              head_reborn.count(edge_key(x, l.back())))
+            ++moved_head;
+          l[i] = l.back();
+          l.pop_back();
+        }
+      }
+      for (const Edge& e : ins) {
+        if (e.u == e.v || e.u >= n || e.v >= n) {
+          ++invalid;
+        } else if (present.count(e.key())) {
+          ++(born.count(e.key()) ? inserted_twice : inserted_present);
+        } else {
+          reinserted += dead.count(e.key());
+          present.insert(e.key());
+          born.insert(e.key());
+          adj[e.u].push_back(e.v);
+          adj[e.v].push_back(e.u);
+        }
+      }
+      EXPECT_GT(deleted_twice, 0u) << "b=" << b;
+      EXPECT_GT(reinserted, 0u) << "b=" << b;
+      EXPECT_GT(moved_head, 0u) << "b=" << b;
+      EXPECT_GT(inserted_twice, 0u) << "b=" << b;
+      EXPECT_GT(inserted_present, 0u) << "b=" << b;
+      EXPECT_GT(invalid, 0u) << "b=" << b;
+
+      const std::vector<Edge> s_before = layer.spanner_edges();
+      ContractionLayer::UpdateResult res = layer.update(ins, del);
+      ASSERT_TRUE(layer.check_invariants()) << "workers=" << workers;
+      ASSERT_EQ(layer.alive_edges(), present.size());
+      SpannerDiff d = layer.compose(res, {res.next_ins, res.next_del});
+      ASSERT_TRUE(layer.check_composed(layer.next_edges()));
+      const std::vector<Edge> s_after = layer.spanner_edges();
+      ASSERT_EQ(d.inserted, minus(s_after, s_before)) << "b=" << b;
+      ASSERT_EQ(d.removed, minus(s_before, s_after)) << "b=" << b;
+      if (workers == 1) {
+        first_res.push_back(std::move(res));
+        first_diff.push_back(std::move(d));
+        continue;
+      }
+      const ContractionLayer::UpdateResult& want = first_res[b];
+      EXPECT_EQ(res.next_ins, want.next_ins) << "b=" << b;
+      EXPECT_EQ(res.next_del, want.next_del) << "b=" << b;
+      EXPECT_EQ(res.rep_changed, want.rep_changed) << "b=" << b;
+      EXPECT_EQ(res.del_rep, want.del_rep) << "b=" << b;
+      EXPECT_EQ(res.old_rep, want.old_rep) << "b=" << b;
+      EXPECT_EQ(res.h_ins, want.h_ins) << "b=" << b;
+      EXPECT_EQ(res.h_del, want.h_del) << "b=" << b;
+      EXPECT_EQ(d.inserted, first_diff[b].inserted) << "b=" << b;
+      EXPECT_EQ(d.removed, first_diff[b].removed) << "b=" << b;
+    }
   }
-  EXPECT_TRUE(layer.check_invariants());
+  set_num_workers(saved);
 }
 
 // In one batch, a contracted pair's only member (its representative) is

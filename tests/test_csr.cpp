@@ -97,19 +97,5 @@ TEST(CsrBuild, MatchesAdjacencyOracle) {
   EXPECT_EQ(total, 2 * edges.size());
 }
 
-TEST(CsrBuildDirected, KeepsArcIdsAndTargets) {
-  std::vector<VertexId> srcs = {3, 0, 3, 1};
-  std::vector<VertexId> dsts = {1, 2, 0, 1};
-  auto csr = csr_build_directed(4, srcs, dsts);
-  EXPECT_EQ(csr.degree(3), 2u);
-  EXPECT_EQ(csr.degree(2), 0u);
-  // Stable: vertex 3's arcs in input order.
-  EXPECT_EQ(csr.arcs(3)[0], 0u);
-  EXPECT_EQ(csr.arcs(3)[1], 2u);
-  EXPECT_EQ(csr.neighbors(3)[0], 1u);
-  EXPECT_EQ(csr.neighbors(3)[1], 0u);
-  EXPECT_EQ(csr.neighbors(1)[0], 1u);  // self-loop arc 3 allowed here
-}
-
 }  // namespace
 }  // namespace parspan
