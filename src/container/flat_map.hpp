@@ -39,6 +39,10 @@ class FlatHashMap {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots allocated, occupied or not.
+  size_t capacity() const { return slots_.size(); }
+  /// Bytes of one slot (a key and its value).
+  static constexpr size_t slot_bytes() { return sizeof(Slot); }
 
   /// Ensures capacity for `n` entries without rehashing.
   void reserve(size_t n) {

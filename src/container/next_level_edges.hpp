@@ -1,19 +1,23 @@
 // NextLevelEdges: the contracted-pair table of Lemma 4.1 / Lemma 5.1 — one
 // RepBucket per pair (Head(u), Head(v)) of the next level, holding the
-// level's edges between the two clusters and the designated representative
-// that stands in for the pair (the paper's Bwd/FwdCorrespondence). Both
-// owners (ContractionLayer, UltraSparseSpanner) name an edge by its key, so
-// members and representatives are level edge keys.
+// level's edges between the two clusters; the bucket's first member is the
+// designated representative that stands in for the pair (the paper's
+// Bwd/FwdCorrespondence). Both owners (ContractionLayer, UltraSparseSpanner)
+// name an edge by its key, so members and representatives are level edge
+// keys.
 //
-// RepBucket is a tiny member list with a designated representative: a small
-// unordered vector with swap-pop erase. Bucket sizes are degree-bounded and
-// average a couple of entries, where a linear scan beats any hash structure
-// and teardown is one vector free (the InterCluster trade-off of DESIGN.md
-// §6.4; DecrementalClusterSpanner's InterCluster groups are RepBuckets too).
+// RepBucket is a tiny member list whose first member is the representative:
+// swap-pop erase, with up to 16 bytes of members (two edge keys, four vertex
+// ids) stored inline in the bucket, so the common bucket owns no heap block.
+// Bucket sizes are degree-bounded and average a couple of entries, where a
+// linear scan beats any hash structure (the InterCluster trade-off of
+// DESIGN.md §6.4; DecrementalClusterSpanner's InterCluster groups are
+// RepBuckets too).
 //
 // Election: the first member of an empty bucket becomes the representative;
-// when the representative leaves, `members[0]` is re-elected. Elections
-// depend only on the order of the edits to one pair.
+// when the representative leaves, swap-pop moves the last member into the
+// first slot, and it is re-elected. Elections depend only on the order of
+// the edits to one pair.
 //
 // The buckets' one mutation entry point is apply(ops): a batch's edits as
 // (pair, member, ±) records in the serial order of its producer. Buckets
@@ -30,12 +34,13 @@
 // same member.
 //
 // The table also owns the composition S = H ∪ rep(S_next) of its level
-// (compose()): each pair carries one bit, "in S_next", and S is H plus the
-// representatives of the marked pairs, so no copy of S is kept.
+// (compose()): each pair's bucket mark is its "in S_next" bit, and S is H
+// plus the representatives of the marked pairs, so no copy of S is kept.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,23 +51,115 @@
 
 namespace parspan {
 
+/// Unordered member list whose first member is the representative. Members
+/// sit inline while they fit in 16 bytes and in one heap array of 2^k slots
+/// beyond that; a bucket that shrinks back to the inline size returns its
+/// array. The header carries one spare mark bit for the owner.
 template <typename Id>
-struct RepBucket {
-  std::vector<Id> members;
-  Id rep{};
+class RepBucket {
+  static_assert(std::is_trivially_copyable_v<Id> && sizeof(Id) <= 8);
+  static constexpr uint32_t kInline = 16 / sizeof(Id);
 
-  bool contains(Id m) const {
-    return std::find(members.begin(), members.end(), m) != members.end();
+ public:
+  RepBucket() = default;
+  RepBucket(const RepBucket& o)
+      : size_(o.size_), cap_log_(o.cap_log_), mark_(o.mark_), s_(o.s_) {
+    if (on_heap()) {
+      s_.heap = new Id[capacity()];
+      std::copy_n(o.s_.heap, size_, s_.heap);
+    }
   }
-  /// Removes m (must be present); returns true if the bucket emptied.
+  RepBucket(RepBucket&& o) noexcept
+      : size_(o.size_), cap_log_(o.cap_log_), mark_(o.mark_), s_(o.s_) {
+    o.size_ = 0;
+    o.cap_log_ = 0;
+  }
+  RepBucket& operator=(RepBucket o) noexcept {  // copy or move, then swap
+    std::swap(size_, o.size_);
+    std::swap(cap_log_, o.cap_log_);
+    std::swap(mark_, o.mark_);
+    std::swap(s_, o.s_);
+    return *this;
+  }
+  ~RepBucket() {
+    if (on_heap()) delete[] s_.heap;
+  }
+
+  uint32_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Id* begin() const { return data(); }
+  const Id* end() const { return data() + size_; }
+
+  /// The representative: the first member. Requires !empty().
+  Id rep() const {
+    assert(size_ > 0);
+    return data()[0];
+  }
+
+  bool contains(Id m) const { return std::find(begin(), end(), m) != end(); }
+
+  /// Appends m, which must not be a member; the first member of an empty
+  /// bucket becomes the representative.
+  void add(Id m) {
+    if (size_ == capacity()) grow(capacity() * 2);
+    data()[size_++] = m;
+  }
+
+  /// Removes m (must be present) by swap-pop: the last member takes its
+  /// slot, so removing the representative elects the last member. Returns
+  /// true if the bucket emptied.
   bool erase_member(Id m) {
-    auto it = std::find(members.begin(), members.end(), m);
-    assert(it != members.end());
-    *it = members.back();
-    members.pop_back();
-    return members.empty();
+    Id* d = data();
+    Id* it = std::find(d, d + size_, m);
+    assert(it != d + size_);
+    *it = d[--size_];
+    if (on_heap() && size_ <= kInline) {
+      std::copy_n(d, size_, s_.in);
+      delete[] d;
+      cap_log_ = 0;
+    }
+    return size_ == 0;
   }
+
+  /// Makes room for n members with at most one allocation.
+  void reserve(uint32_t n) {
+    if (n > capacity()) grow(n);
+  }
+
+  bool mark() const { return mark_ != 0; }
+  void set_mark(bool on) { mark_ = on; }
+
+  /// Bytes of the heap array (0 while the members sit inline).
+  size_t heap_bytes() const { return on_heap() ? capacity() * sizeof(Id) : 0; }
+
+ private:
+  bool on_heap() const { return cap_log_ != 0; }
+  uint32_t capacity() const { return on_heap() ? 1u << cap_log_ : kInline; }
+  Id* data() { return on_heap() ? s_.heap : s_.in; }
+  const Id* data() const { return on_heap() ? s_.heap : s_.in; }
+
+  /// Moves the members to a heap array of the least 2^k >= n slots.
+  void grow(uint32_t n) {
+    uint8_t lg = 1;
+    while ((1u << lg) < n) ++lg;
+    Id* p = new Id[size_t(1) << lg];
+    std::copy_n(data(), size_, p);
+    if (on_heap()) delete[] s_.heap;
+    s_.heap = p;
+    cap_log_ = lg;
+  }
+
+  uint32_t size_ = 0;
+  uint8_t cap_log_ = 0;  // 0: members inline; else 2^cap_log_ heap slots
+  uint8_t mark_ = 0;
+  union Storage {
+    Id in[kInline];
+    Id* heap;
+  } s_{};
 };
+
+static_assert(sizeof(RepBucket<EdgeKey>) == 24 &&
+              sizeof(RepBucket<VertexId>) == 24);
 
 /// Pair key -> RepBucket of member edge keys, over pairs of vertices in
 /// [0, n).
@@ -117,7 +214,7 @@ class NextLevelEdges {
         0, runs,
         [&](size_t r) {
           const size_t s = g.starts[r], e = g.starts[r + 1];
-          FlatHashMap<VertexId, Entry>& table = tables_[lo[g.items[s]]];
+          FlatHashMap<VertexId, Bucket>& table = tables_[lo[g.items[s]]];
           for (size_t j = s; j < e; ++j) {
             const VertexId hi = edge_endpoints(ops[g.items[j]].pair).second;
             order[j] = uint64_t(hi) << 32 | j;
@@ -126,22 +223,20 @@ class NextLevelEdges {
           size_t t = s, ins = 0, del = 0, rep = 0;
           for (size_t j = s; j < e; ++t) {
             const VertexId hi = VertexId(order[j] >> 32);
-            Entry* en = table.find(hi);
-            const bool existed = en != nullptr;
-            if (!existed) en = &table[hi];
-            Bucket& b = en->bucket;
-            before[t] = b.rep;
+            Bucket* found = table.find(hi);
+            const bool existed = found != nullptr;
+            Bucket& b = existed ? *found : table[hi];
+            before[t] = existed ? b.rep() : kNoEdge;
             for (; j < e && VertexId(order[j] >> 32) == hi; ++j) {
               const Op& op = ops[g.items[uint32_t(order[j])]];
               if (op.add) {
                 assert(!b.contains(op.member));
-                if (b.members.empty()) b.rep = op.member;
-                b.members.push_back(op.member);
-              } else if (!b.erase_member(op.member) && b.rep == op.member) {
-                b.rep = b.members[0];
+                b.add(op.member);
+              } else {
+                b.erase_member(op.member);
               }
             }
-            const bool now = !b.members.empty();
+            const bool now = !b.empty();
             uint8_t o = kSame;
             if (existed && !now) {
               o = kDel;
@@ -149,7 +244,7 @@ class NextLevelEdges {
             } else if (!existed && now) {
               o = kIns;
               ++ins;
-            } else if (now && before[t] != b.rep) {
+            } else if (now && before[t] != b.rep()) {
               o = kRep;
               ++rep;
             }
@@ -214,23 +309,23 @@ class NextLevelEdges {
     for (const Edge& p : next.removed) {
       while (a < gone.size() && gone[a] < p) ++a;
       while (c < moved.size() && moved[c] < p) ++c;
-      Entry* en = entry(p.key());
-      if (en != nullptr) en->in_next = false;
+      Bucket* b = bucket(p.key());
+      if (b != nullptr) b->set_mark(false);
       out.push_back(a < gone.size() && gone[a] == p    ? pd.del_rep[a]
                     : c < moved.size() && moved[c] == p ? pd.old_rep[c]
-                                                        : en->bucket.rep);
+                                                        : b->rep());
     }
     // A pair still held under a new representative swaps the two.
     for (size_t i = 0; i < moved.size(); ++i) {
-      const Entry* en = entry(moved[i].key());
-      if (!en->in_next) continue;
+      const Bucket* b = bucket(moved[i].key());
+      if (!b->mark()) continue;
       out.push_back(pd.old_rep[i]);
-      in.push_back(en->bucket.rep);
+      in.push_back(b->rep());
     }
     for (const Edge& p : next.inserted) {
-      Entry* en = entry(p.key());
-      en->in_next = true;
-      in.push_back(en->bucket.rep);
+      Bucket* b = bucket(p.key());
+      b->set_mark(true);
+      in.push_back(b->rep());
     }
     held_ = held_ + next.inserted.size() - next.removed.size();
     merge_tail(out, h_del.size());
@@ -249,22 +344,33 @@ class NextLevelEdges {
 
   /// Representative of pair pk, which must exist.
   EdgeKey rep(EdgeKey pk) const {
-    const Entry* en = entry(pk);
-    assert(en != nullptr);
-    return en->bucket.rep;
+    const Bucket* b = bucket(pk);
+    assert(b != nullptr);
+    return b->rep();
   }
 
   size_t size() const { return size_; }
   /// Pairs marked in S_next by compose().
   size_t held() const { return held_; }
 
+  /// Resident bytes: the tables' slot arrays plus the buckets' heap arrays.
+  size_t bytes() const {
+    size_t total = tables_.capacity() * sizeof(tables_[0]);
+    for (const auto& table : tables_) {
+      total += table.capacity() * table.slot_bytes();
+      table.for_each(
+          [&](VertexId, const Bucket& b) { total += b.heap_bytes(); });
+    }
+    return total;
+  }
+
   /// The composed S = H ∪ rep(S_next), ascending by key.
   std::vector<Edge> composed(const std::vector<Edge>& h) const {
     std::vector<Edge> out = h;
     out.reserve(h.size() + held_);
     for (const auto& table : tables_)
-      table.for_each([&](VertexId, const Entry& en) {
-        if (en.in_next) out.push_back(edge_from_key(en.bucket.rep));
+      table.for_each([&](VertexId, const Bucket& b) {
+        if (b.mark()) out.push_back(edge_from_key(b.rep()));
       });
     parallel_sort(out);
     return out;
@@ -273,8 +379,8 @@ class NextLevelEdges {
   /// True iff pair pk (kNoEdge: none) is marked in S_next and `member`
   /// represents it.
   bool holds(EdgeKey pk, EdgeKey member) const {
-    const Entry* en = entry(pk);
-    return en != nullptr && en->in_next && en->bucket.rep == member;
+    const Bucket* b = bucket(pk);
+    return b != nullptr && b->mark() && b->rep() == member;
   }
 
   /// Oracle for compose(): the S_next marks sit exactly on `s_next`, and no
@@ -287,9 +393,8 @@ class NextLevelEdges {
       if (!hs.insert(e.key())) return false;
     if (s_next.size() != held_) return false;
     for (const Edge& p : s_next) {
-      const Entry* en = entry(p.key());
-      if (en == nullptr || !en->in_next || hs.contains(en->bucket.rep))
-        return false;
+      const Bucket* b = bucket(p.key());
+      if (b == nullptr || !b->mark() || hs.contains(b->rep())) return false;
     }
     return true;
   }
@@ -304,23 +409,22 @@ class NextLevelEdges {
   }
 
   /// Oracle: true iff the table holds exactly the buckets of `ref` (pair ->
-  /// members in any order; sorted in place) and each representative is a
-  /// member.
+  /// members in any order; sorted in place).
   bool matches(FlatHashMap<EdgeKey, std::vector<EdgeKey>>& ref) const {
     size_t held = 0;
     for (const auto& table : tables_) held += table.size();
     if (ref.size() != size_ || held != size_) return false;
     bool ok = true;
     ref.for_each([&](EdgeKey pk, std::vector<EdgeKey>& members) {
-      const Entry* en = entry(pk);
-      if (en == nullptr) {
+      const Bucket* b = bucket(pk);
+      if (b == nullptr) {
         ok = false;
         return;
       }
-      std::vector<EdgeKey> have = en->bucket.members;
+      std::vector<EdgeKey> have(b->begin(), b->end());
       std::sort(members.begin(), members.end());
       std::sort(have.begin(), have.end());
-      if (have != members || !en->bucket.contains(en->bucket.rep)) ok = false;
+      if (have != members) ok = false;
     });
     return ok;
   }
@@ -328,28 +432,27 @@ class NextLevelEdges {
  private:
   enum : uint8_t { kSame = 0, kIns = 1, kDel = 2, kRep = 3 };
 
-  struct Entry {
-    Bucket bucket;
-    bool in_next = false;  // the pair is in S_next (compose())
-  };
-
   /// Sorts v[from, end) and merges it into the key-sorted prefix.
   static void merge_tail(std::vector<EdgeKey>& v, size_t from) {
     std::sort(v.begin() + from, v.end());
     std::inplace_merge(v.begin(), v.begin() + from, v.end());
   }
 
-  const Entry* entry(EdgeKey pk) const {
+  const Bucket* bucket(EdgeKey pk) const {
     auto [lo, hi] = edge_endpoints(pk);
     return lo < tables_.size() ? tables_[lo].find(hi) : nullptr;
   }
-  Entry* entry(EdgeKey pk) {
-    return const_cast<Entry*>(std::as_const(*this).entry(pk));
+  Bucket* bucket(EdgeKey pk) {
+    return const_cast<Bucket*>(std::as_const(*this).bucket(pk));
   }
 
-  std::vector<FlatHashMap<VertexId, Entry>> tables_;  // by low endpoint
+  // A bucket's mark is its pair's S_next bit (compose()).
+  std::vector<FlatHashMap<VertexId, Bucket>> tables_;  // by low endpoint
   size_t size_ = 0;
   size_t held_ = 0;
 };
+
+static_assert(FlatHashMap<VertexId, NextLevelEdges::Bucket>::slot_bytes() ==
+              32);
 
 }  // namespace parspan

@@ -18,9 +18,7 @@ SpannerBundle::SpannerBundle(size_t n, const std::vector<Edge>& edges,
   // Build levels: D_i over G minus the previous levels' H sets. The chain
   // is serial in i (level i+1's graph is level i's residual); each level's
   // MonotoneSpanner parallelizes over its own instances.
-  std::vector<Edge> remaining;
-  remaining.reserve(keys.size());
-  for (EdgeKey ek : keys) remaining.push_back(edge_from_key(ek));
+  std::vector<Edge> remaining = edges_from_keys(keys);
   levels_.reserve(cfg.t);
   for (uint32_t i = 0; i < cfg.t; ++i) {
     Level lvl;
@@ -45,11 +43,7 @@ SpannerBundle::SpannerBundle(size_t n, const std::vector<Edge>& edges,
 }
 
 std::vector<Edge> SpannerBundle::bundle_edges() const {
-  std::vector<EdgeKey> keys = contrib_.sorted_keys();
-  std::vector<Edge> out;
-  out.reserve(keys.size());
-  for (EdgeKey ek : keys) out.push_back(edge_from_key(ek));
-  return out;
+  return edges_from_keys(contrib_.sorted_keys());
 }
 
 std::vector<Edge> SpannerBundle::level_edges(size_t i) const {

@@ -25,10 +25,7 @@ SpannerDiff DiffAccumulator::drain() {
   // Sorted as raw keys, which compare in one instruction.
   parallel_sort(ins);
   parallel_sort(del);
-  SpannerDiff diff;
-  for (EdgeKey ek : ins) diff.inserted.push_back(edge_from_key(ek));
-  for (EdgeKey ek : del) diff.removed.push_back(edge_from_key(ek));
-  return diff;
+  return {edges_from_keys(ins), edges_from_keys(del)};
 }
 
 DecrementalClusterSpanner::DecrementalClusterSpanner(
@@ -231,11 +228,9 @@ DecrementalClusterSpanner::DecrementalClusterSpanner(
         size_t k = j;
         while (k < scratch.size() && scratch[k].first == c) ++k;
         RepBucket<VertexId>& g = groups_[x][c];
-        g.members.reserve(k - j);
-        for (size_t idx = j; idx < k; ++idx)
-          g.members.push_back(scratch[idx].second);
-        g.rep = scratch[j].second;
-        if (c != cluster_[x]) add_contrib(edge_key(x, g.rep));
+        g.reserve(uint32_t(k - j));
+        for (size_t idx = j; idx < k; ++idx) g.add(scratch[idx].second);
+        if (c != cluster_[x]) add_contrib(edge_key(x, g.rep()));
         j = k;
       }
     }
@@ -284,13 +279,11 @@ void DecrementalClusterSpanner::add_membership(VertexId x, VertexId c,
                                                VertexId other) {
   RepBucket<VertexId>* g = groups_[x].find(c);
   if (g == nullptr) {
-    RepBucket<VertexId>& ng = groups_[x][c];
-    ng.members.push_back(other);
-    ng.rep = other;
+    groups_[x][c].add(other);
     if (c != cluster_[x]) add_contrib(edge_key(x, other));
   } else {
     assert(!g->contains(other));
-    g->members.push_back(other);
+    g->add(other);
   }
 }
 
@@ -298,17 +291,13 @@ void DecrementalClusterSpanner::remove_membership(VertexId x, VertexId c,
                                                   VertexId other) {
   RepBucket<VertexId>* g = groups_[x].find(c);
   assert(g != nullptr);
+  const bool was_rep = g->rep() == other;
   if (g->erase_member(other)) {
-    VertexId rep = g->rep;
-    if (c != cluster_[x]) remove_contrib(edge_key(x, rep));
+    if (c != cluster_[x]) remove_contrib(edge_key(x, other));
     groups_[x].erase(c);
-  } else if (g->rep == other) {
-    VertexId nr = g->members.front();
-    if (c != cluster_[x]) {
-      remove_contrib(edge_key(x, other));
-      add_contrib(edge_key(x, nr));
-    }
-    g->rep = nr;
+  } else if (was_rep && c != cluster_[x]) {
+    remove_contrib(edge_key(x, other));
+    add_contrib(edge_key(x, g->rep()));
   }
 }
 
@@ -329,9 +318,9 @@ void DecrementalClusterSpanner::apply_cluster_change(VertexId v, VertexId newc,
     // (v, newc) becomes ineligible (still using cluster_[v] == oldc).
     auto& m = groups_[v];
     RepBucket<VertexId>* go = m.find(oldc);
-    if (go != nullptr) add_contrib(edge_key(v, go->rep));
+    if (go != nullptr) add_contrib(edge_key(v, go->rep()));
     RepBucket<VertexId>* gn = m.find(newc);
-    if (gn != nullptr) remove_contrib(edge_key(v, gn->rep));
+    if (gn != nullptr) remove_contrib(edge_key(v, gn->rep()));
   }
   cluster_[v] = newc;
 
@@ -528,14 +517,13 @@ bool DecrementalClusterSpanner::check_invariants() const {
       groups_[v].for_each([&](VertexId c, const RepBucket<VertexId>& g) {
         auto it = ref_groups[v].find(c);
         if (it == ref_groups[v].end() ||
-            it->second.size() != g.members.size()) {
+            it->second.size() != g.size()) {
           ok = false;
           return;
         }
         for (VertexId m : it->second)
           if (!g.contains(m)) ok = false;
-        if (!g.contains(g.rep)) ok = false;
-        if (c != cluster_[v]) ++expect[edge_key(v, g.rep)];
+        if (c != cluster_[v]) ++expect[edge_key(v, g.rep())];
       });
       if (!ok) return false;
     }

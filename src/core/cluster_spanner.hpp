@@ -201,10 +201,11 @@ class DecrementalClusterSpanner {
   std::vector<VertexId> cluster_;
   std::vector<EdgeKey> tree_contrib_;  // per-vertex tree edge, kNoEdge if none
 
-  /// InterCluster[(v, c)]: neighbors of v lying in cluster c, plus the
-  /// designated representative (paper's hash table of hash tables; the
+  /// InterCluster[(v, c)]: neighbors of v lying in cluster c; the first is
+  /// the designated representative (paper's hash table of hash tables; the
   /// outer level is a flat open-addressing table — DESIGN.md §1). Each
-  /// group is the RepBucket of container/next_level_edges.hpp.
+  /// group is the RepBucket of container/next_level_edges.hpp, whose up to
+  /// four members sit inline.
   std::vector<FlatHashMap<VertexId, RepBucket<VertexId>>> groups_;
 
   FlatHashMap<EdgeKey, uint32_t> contrib_;  // spanner refcounts

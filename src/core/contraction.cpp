@@ -261,10 +261,7 @@ Edge ContractionLayer::rep(Edge pair) const {
 }
 
 std::vector<Edge> ContractionLayer::h_edges() const {
-  std::vector<Edge> out;
-  out.reserve(h_.size());
-  for (EdgeKey ek : h_.sorted_keys()) out.push_back(edge_from_key(ek));
-  return out;
+  return edges_from_keys(h_.sorted_keys());
 }
 
 bool ContractionLayer::check_invariants() const {

@@ -50,11 +50,7 @@ size_t MonotoneSpanner::alive_edges() const {
 }
 
 std::vector<Edge> MonotoneSpanner::spanner_edges() const {
-  std::vector<EdgeKey> keys = contrib_.sorted_keys();
-  std::vector<Edge> out;
-  out.reserve(keys.size());
-  for (EdgeKey ek : keys) out.push_back(edge_from_key(ek));
-  return out;
+  return edges_from_keys(contrib_.sorted_keys());
 }
 
 SpannerDiff MonotoneSpanner::delete_edges(const std::vector<Edge>& batch) {

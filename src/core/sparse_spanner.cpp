@@ -35,12 +35,7 @@ SparseSpanner::SparseSpanner(size_t n, const std::vector<Edge>& edges,
         std::max(4.0, std::log2(double(std::max<size_t>(n, 2)))));
 
   // Deduplicate input edges (canonical key order).
-  std::vector<Edge> cur;
-  {
-    std::vector<EdgeKey> keys = canonical_edge_keys(n, edges);
-    cur.reserve(keys.size());
-    for (EdgeKey ek : keys) cur.push_back(edge_from_key(ek));
-  }
+  std::vector<Edge> cur = edges_from_keys(canonical_edge_keys(n, edges));
   num_edges_ = cur.size();
 
   // Build contraction layers bottom-up.

@@ -81,10 +81,7 @@ DecrementalSparsifier::DecrementalSparsifier(size_t n,
   coin_seed_ = hash_combine(cfg.seed, 0xc01);
   const size_t m = std::max<size_t>(edges.size(), 2);
   const uint32_t max_stages = uint32_t(std::ceil(std::log2(double(m)))) + 1;
-  std::vector<EdgeKey> keys = canonical_edge_keys(n, edges);
-  std::vector<Edge> cur;
-  cur.reserve(keys.size());
-  for (EdgeKey ek : keys) cur.push_back(edge_from_key(ek));
+  std::vector<Edge> cur = edges_from_keys(canonical_edge_keys(n, edges));
   // The chain is serial by definition (stage j+1 samples stage j's
   // residual); each stage's bundle parallelizes internally.
   for (uint32_t j = 0; j < max_stages; ++j) {
@@ -263,11 +260,10 @@ struct SparsifierSink {
 
   std::unique_ptr<DecrementalSparsifier> build(std::vector<EdgeKey> keys,
                                                uint64_t seed) const {
-    std::vector<Edge> edges(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) edges[i] = edge_from_key(keys[i]);
     SparsifierConfig sc = stage;
     sc.seed = seed;
-    return std::make_unique<DecrementalSparsifier>(n, edges, sc);
+    return std::make_unique<DecrementalSparsifier>(n, edges_from_keys(keys),
+                                                   sc);
   }
   void e0(EdgeKey ek, int32_t dir) {
     events->push_back(wevent(edge_from_key(ek), 1.0, dir));

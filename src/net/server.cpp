@@ -208,13 +208,6 @@ struct NetServer::Impl {
     return true;
   }
 
-  static std::vector<Edge> to_edges(const std::vector<EdgeKey>& keys) {
-    std::vector<Edge> edges;
-    edges.reserve(keys.size());
-    for (EdgeKey k : keys) edges.push_back(edge_from_key(k));
-    return edges;
-  }
-
   // --- Request handling (loop thread) -----------------------------------
 
   void handle_request(Loop& loop, Conn* c, uint32_t seq,
@@ -261,8 +254,9 @@ struct NetServer::Impl {
         // edges_timed_out exactly once, and "retry the whole batch" is
         // the client contract (resubmission is idempotent under the
         // queue's last-op-wins set semantics).
-        auto batch = svc.route_batch(req.graph_id, to_edges(req.insertions),
-                                     to_edges(req.deletions));
+        auto batch =
+            svc.route_batch(req.graph_id, edges_from_keys(req.insertions),
+                            edges_from_keys(req.deletions));
         auto st = svc.try_admit(batch);
         if (st == ShardedSpannerService::SubmitStatus::kOk) {
           respond_ok(c, seq, {});

@@ -108,10 +108,7 @@ std::vector<Edge> ShardedView::edges() const {
     keys.insert(keys.end(), sk.begin(), sk.end());
   }
   std::sort(keys.begin(), keys.end());
-  std::vector<Edge> out;
-  out.reserve(keys.size());
-  for (EdgeKey k : keys) out.push_back(edge_from_key(k));
-  return out;
+  return edges_from_keys(keys);
 }
 
 // --- ShardedSpannerService --------------------------------------------------

@@ -260,10 +260,7 @@ std::vector<EdgeKey> SpannerSnapshot::edge_keys() const {
 }
 
 std::vector<Edge> SpannerSnapshot::edges() const {
-  std::vector<Edge> out;
-  out.reserve(num_edges());
-  for (EdgeKey k : edge_keys()) out.push_back(edge_from_key(k));
-  return out;
+  return edges_from_keys(edge_keys());
 }
 
 uint32_t SpannerSnapshot::distance(VertexId u, VertexId v,

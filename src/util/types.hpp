@@ -74,6 +74,14 @@ inline Edge edge_from_key(EdgeKey k) {
   return Edge(u, v);
 }
 
+/// The edges of canonical keys, in the keys' order.
+inline std::vector<Edge> edges_from_keys(const std::vector<EdgeKey>& keys) {
+  std::vector<Edge> edges;
+  edges.reserve(keys.size());
+  for (EdgeKey k : keys) edges.push_back(edge_from_key(k));
+  return edges;
+}
+
 /// Net change of a spanner edge set after one update batch. Producers in
 /// core/ emit both sides sorted by canonical edge key, so equal spanner
 /// evolutions compare equal element-wise.

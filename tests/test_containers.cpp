@@ -1,9 +1,11 @@
 // Unit + randomized oracle tests for the flat open-addressing containers
-// (FlatHashMap, FlatHashSet) and the NextLevelEdges pair table.
+// (FlatHashMap, FlatHashSet), RepBucket and the NextLevelEdges pair table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "container/flat_map.hpp"
@@ -105,6 +107,164 @@ TEST(FlatHashSet, InsertEraseAnyMember) {
   EXPECT_EQ(seen.size(), 1u);
 }
 
+// --- RepBucket: members inline or on the heap, first member the rep. ------
+// The model is a plain bucket: a vector with swap-pop erase and an explicit
+// representative, re-elected as members[0] when it leaves. The reference
+// pair table below uses it too, so every election is checked against code
+// that shares none of RepBucket's.
+template <typename Id>
+struct PlainBucket {
+  std::vector<Id> members;
+  Id rep{};
+
+  void add(Id m) {
+    if (members.empty()) rep = m;
+    members.push_back(m);
+  }
+  /// Removes m (present); returns true if the bucket emptied.
+  bool erase_member(Id m) {
+    auto it = std::find(members.begin(), members.end(), m);
+    *it = members.back();
+    members.pop_back();
+    if (members.empty()) return true;
+    if (rep == m) rep = members[0];
+    return false;
+  }
+};
+
+template <typename Id>
+void expect_same(const RepBucket<Id>& b, const PlainBucket<Id>& ref) {
+  ASSERT_EQ(b.size(), ref.members.size());
+  ASSERT_EQ(b.empty(), ref.members.empty());
+  ASSERT_EQ(std::multiset<Id>(b.begin(), b.end()),
+            std::multiset<Id>(ref.members.begin(), ref.members.end()));
+  if (!b.empty()) {
+    ASSERT_EQ(b.rep(), ref.rep);
+  }
+}
+
+template <typename Id>
+class RepBucketTest : public ::testing::Test {};
+using BucketIds = ::testing::Types<EdgeKey, VertexId>;
+TYPED_TEST_SUITE(RepBucketTest, BucketIds);
+
+// Seeded add/erase walks whose sizes drift between 0 and ~40, crossing the
+// inline/heap boundary both ways; after every op the bucket, its copy, its
+// move-constructed and move-assigned copies, a reserved copy and its mark
+// match the model, and members sit inline exactly while they fit in 16 B.
+TYPED_TEST(RepBucketTest, RandomEditsMatchExplicitRepModel) {
+  using Id = TypeParam;
+  Rng rng(101 + sizeof(Id));
+  size_t to_heap = 0, to_inline = 0, rep_left = 0, largest = 0;
+  for (int walk = 0; walk < 40; ++walk) {
+    RepBucket<Id> b;
+    PlainBucket<Id> ref;
+    bool mark = false;
+    const size_t target = rng.next_below(41);
+    for (int step = 0; step < 400; ++step) {
+      const bool was_heap = b.heap_bytes() != 0;
+      const size_t sz = ref.members.size();
+      const bool grow = sz == 0 || rng.next_below(8) < (sz < target ? 6u : 2u);
+      if (grow) {
+        Id m = Id(rng.next_below(1000));
+        if (std::find(ref.members.begin(), ref.members.end(), m) !=
+            ref.members.end())
+          continue;
+        b.add(m);
+        ref.add(m);
+      } else {
+        Id m = ref.members[rng.next_below(sz)];
+        if (m == b.rep()) ++rep_left;
+        ASSERT_EQ(b.erase_member(m), ref.erase_member(m));
+      }
+      if (rng.next_below(4) == 0) b.set_mark(mark = !mark);
+      to_heap += !was_heap && b.heap_bytes() != 0;
+      to_inline += was_heap && b.heap_bytes() == 0;
+      largest = std::max<size_t>(largest, b.size());
+      expect_same(b, ref);
+      ASSERT_EQ(b.mark(), mark);
+      ASSERT_EQ(b.heap_bytes() == 0, b.size() * sizeof(Id) <= 16);
+
+      RepBucket<Id> reserved(b);
+      const uint32_t want = uint32_t(rng.next_below(48));
+      reserved.reserve(want);
+      expect_same(reserved, ref);
+      ASSERT_GE(std::max<size_t>(reserved.heap_bytes(), 16),
+                want * sizeof(Id));
+
+      RepBucket<Id> copy(b);
+      expect_same(copy, ref);
+      ASSERT_EQ(copy.mark(), mark);
+      RepBucket<Id> moved(std::move(copy));
+      expect_same(moved, ref);
+      ASSERT_EQ(moved.mark(), mark);
+      ASSERT_TRUE(copy.empty());
+      RepBucket<Id> assigned;  // holds members of its own first
+      for (Id m = 0; m < Id(step % 7); ++m) assigned.add(Id(5000) + m);
+      assigned = std::move(moved);
+      expect_same(assigned, ref);
+      ASSERT_EQ(assigned.mark(), mark);
+      RepBucket<Id> copied;
+      for (Id m = 0; m < Id(step % 9); ++m) copied.add(Id(6000) + m);
+      copied = assigned;
+      expect_same(copied, ref);
+      ASSERT_EQ(copied.mark(), mark);
+    }
+  }
+  EXPECT_GT(to_heap, 0u);
+  EXPECT_GT(to_inline, 0u);
+  EXPECT_GT(rep_left, 0u);
+  EXPECT_GE(largest, 35u);
+}
+
+// Table moves keep each bucket's members, representative and mark: inserts
+// rehash the table repeatedly, erasures backward-shift later entries into
+// freed slots, and shrink() rehashes into a smaller array.
+TYPED_TEST(RepBucketTest, MarksSurviveTableRehashShiftAndShrink) {
+  using Id = TypeParam;
+  Rng rng(7 + sizeof(Id));
+  FlatHashMap<uint32_t, RepBucket<Id>> t;
+  std::map<uint32_t, std::pair<PlainBucket<Id>, bool>> ref;
+  auto check = [&] {
+    ASSERT_EQ(t.size(), ref.size());
+    for (const auto& [k, want] : ref) {
+      const RepBucket<Id>* b = t.find(k);
+      ASSERT_NE(b, nullptr);
+      expect_same(*b, want.first);
+      ASSERT_EQ(b->mark(), want.second);
+    }
+  };
+  for (uint32_t k = 0; k < 600; ++k) {
+    RepBucket<Id>& b = t[k];
+    auto& [pb, mark] = ref[k];
+    const size_t sz = rng.next_below(12);
+    for (size_t i = 0; i < sz; ++i) {
+      b.add(Id(16 * k + i));
+      pb.add(Id(16 * k + i));
+    }
+    if (sz > 1) {  // a re-election, so the rep is not the first added
+      b.erase_member(Id(16 * k));
+      pb.erase_member(Id(16 * k));
+    }
+    mark = rng.next_below(2) == 1;
+    b.set_mark(mark);
+  }
+  check();
+  std::vector<uint32_t> keys;
+  for (const auto& [k, want] : ref) keys.push_back(k);
+  for (size_t i = 0; i < 520; ++i) {
+    size_t at = i + rng.next_below(keys.size() - i);
+    std::swap(keys[i], keys[at]);
+    ASSERT_TRUE(t.erase(keys[i]));
+    ref.erase(keys[i]);
+  }
+  check();
+  const size_t cap = t.capacity();
+  t.shrink();
+  EXPECT_LT(t.capacity(), cap);
+  check();
+}
+
 // --- NextLevelEdges: elections and the per-batch pair diff. ---------------
 // Members are edge keys; small numbers stand in for them here.
 NextLevelEdges::Op add(EdgeKey pk, EdgeKey m) { return {pk, m, true}; }
@@ -196,7 +356,7 @@ TEST(NextLevelEdges, MatchesOracle) {
 // an ordered map of buckets, diff the snapshots in key order.
 struct ReferenceTable {
   using Op = NextLevelEdges::Op;
-  std::map<EdgeKey, RepBucket<EdgeKey>> buckets;
+  std::map<EdgeKey, PlainBucket<EdgeKey>> buckets;
   // Scenario counters, so the random logs provably reach each case.
   size_t recreated = 0, rep_left = 0;
 
@@ -209,18 +369,14 @@ struct ReferenceTable {
         snap[op.pair] = {it != buckets.end(),
                          it != buckets.end() ? it->second.rep : 0};
       if (op.add) {
-        RepBucket<EdgeKey>& b = buckets[op.pair];
-        if (b.members.empty()) b.rep = op.member;
         if (emptied.count(op.pair)) ++recreated;
-        b.members.push_back(op.member);
+        buckets[op.pair].add(op.member);
       } else {
-        RepBucket<EdgeKey>& b = it->second;
+        PlainBucket<EdgeKey>& b = it->second;
         if (b.rep == op.member) ++rep_left;
         if (b.erase_member(op.member)) {
           buckets.erase(it);
           emptied.insert(op.pair);
-        } else if (b.rep == op.member) {
-          b.rep = b.members[0];
         }
       }
     }
