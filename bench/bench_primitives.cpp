@@ -1,10 +1,12 @@
-// Microbenchmarks for the parallel substrate (scan / pack / sort).
-// These calibrate the constant factors that underlie the work bounds of the
-// batch-dynamic structures.
+// Microbenchmarks for the parallel substrate (scan / pack / sort) and the
+// serial stable counting sort (group_by_key). These calibrate the constant
+// factors that underlie the work bounds of the batch-dynamic structures.
 #include <benchmark/benchmark.h>
 
+#include <thread>
 #include <vector>
 
+#include "parallel/csr.hpp"
 #include "parallel/primitives.hpp"
 #include "util/rng.hpp"
 
@@ -50,6 +52,32 @@ void BM_Pack(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
 }
 BENCHMARK(BM_Pack)->Arg(1 << 14)->Arg(1 << 18)->Arg(1 << 22);
+
+// group_by_key over uniform keys at (buckets, keys) shapes its callers
+// reach: a tenants top-spanner rebuild (373, 20k), tenants construction
+// and snapshots (4096, 65k), small_batch construction (4096, 393k), and
+// two larger shapes no gated workload reaches yet. The serial yardstick a
+// parallel integer sort has to beat (DESIGN.md §2).
+void BM_GroupByKey(benchmark::State& state) {
+  const size_t nbuckets = size_t(state.range(0));
+  const size_t n = size_t(state.range(1));
+  Rng rng(4);
+  std::vector<uint32_t> keys(n);
+  for (auto& k : keys) k = uint32_t(rng.next_below(nbuckets));
+  for (auto _ : state) {
+    GroupedIndices g = group_by_key(nbuckets, keys);
+    benchmark::DoNotOptimize(g.items.data());
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
+  state.counters["num_cpus"] = double(std::thread::hardware_concurrency());
+}
+BENCHMARK(BM_GroupByKey)
+    ->Args({373, 20000})
+    ->Args({4096, 65536})
+    ->Args({4096, 393216})
+    ->Args({8192, 990000})
+    ->Args({1 << 20, 1 << 21})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace parspan

@@ -116,7 +116,7 @@ DecrementalClusterSpanner::DecrementalClusterSpanner(
 
   // Flat CSR adjacency (arc ids 2i / 2i+1 match the ES arc table below);
   // reused further down to bulk-build the InterCluster groups.
-  CsrGraph adj = csr_build(n, edges_);
+  CsrGraph adj = csr_build_from_keys(n, keys);
 
   std::vector<uint32_t> distp(n, UINT32_MAX);
   cluster_.assign(n, kNoVertex);

@@ -88,14 +88,10 @@ std::optional<DurableState> load_checkpoint(Fs& fs, const std::string& dir,
   // — a zero delta, a wrapping (descending) delta or a truncated varint
   // rejects the checkpoint — and every key must be an edge over n
   // vertices: the order-independent checksum proves neither.
-  auto valid_keys = [&](const std::vector<EdgeKey>& keys) {
-    for (EdgeKey k : keys)
-      if (!valid_edge_key(k, c.n)) return false;
-    return true;
-  };
   if (!decode_ascending_list(&p, end, ns, &c.snap_keys) ||
       !decode_ascending_list(&p, end, ng, &c.graph_keys) ||
-      !valid_keys(c.snap_keys) || !valid_keys(c.graph_keys))
+      !valid_edge_keys(c.snap_keys, c.n) ||
+      !valid_edge_keys(c.graph_keys, c.n))
     return std::nullopt;
   if (p != end) return std::nullopt;  // trailing garbage
   return c;

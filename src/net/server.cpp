@@ -198,16 +198,6 @@ struct NetServer::Impl {
     return h;
   }
 
-  /// Canonical-key validation against the serving vertex space: client
-  /// keys are data, and an out-of-range vertex must bounce at the front
-  /// door — past it, a backend would index out of bounds.
-  bool keys_valid(const std::vector<EdgeKey>& keys) const {
-    const uint64_t n = svc.vertex_space();
-    for (EdgeKey k : keys)
-      if (!valid_edge_key(k, n)) return false;
-    return true;
-  }
-
   // --- Request handling (loop thread) -----------------------------------
 
   void handle_request(Loop& loop, Conn* c, uint32_t seq,
@@ -242,7 +232,11 @@ struct NetServer::Impl {
         break;
       case Op::kSubmit:
       case Op::kSubmitFor: {
-        if (!keys_valid(req.insertions) || !keys_valid(req.deletions)) {
+        // Client keys are data: an out-of-range vertex must bounce at the
+        // front door — past it, a backend would index out of bounds.
+        const uint64_t n = svc.vertex_space();
+        if (!valid_edge_keys(req.insertions, n) ||
+            !valid_edge_keys(req.deletions, n)) {
           respond_error(c, seq, "edge key out of range");
           break;
         }

@@ -1,4 +1,4 @@
-// Flat CSR (compressed sparse row) adjacency built by parallel counting
+// Flat CSR (compressed sparse row) adjacency built by a stable counting
 // sort: histogram -> exclusive scan -> scatter (DESIGN.md §2).
 //
 // This is the standard work-efficient vehicle for "for each neighbor of v in
@@ -8,10 +8,10 @@
 // allocations and scattered headers dominate construction time and defeat
 // the prefetcher during traversal.
 //
-// group_by_key is the reusable primitive: a *stable* counting sort of element
-// indices by an integer key in [0, nbuckets). The parallel path uses
-// per-block histograms so the output permutation is identical to the serial
-// one — layouts are deterministic regardless of thread count.
+// group_by_key is the reusable primitive: a *stable* serial counting sort of
+// element indices by an integer key in [0, nbuckets), so layouts are
+// deterministic regardless of thread count. group_runs reports only the
+// groups present, and sorts instead when a few keys span a large range.
 #pragma once
 
 #include <algorithm>
@@ -37,10 +37,11 @@ struct GroupedIndices {
   }
 };
 
-/// Serial stable counting sort of the indices [0, keys.size()) by keys[i]
-/// in [0, nbuckets).
-inline GroupedIndices group_by_key_serial(size_t nbuckets,
-                                          const std::vector<uint32_t>& keys) {
+/// Stable counting sort of the indices [0, keys.size()) by keys[i] in
+/// [0, nbuckets), O(n + nbuckets). Serial: at every measured caller size a
+/// per-block parallel pass cost more than it saved (DESIGN.md §2).
+inline GroupedIndices group_by_key(size_t nbuckets,
+                                   const std::vector<uint32_t>& keys) {
   size_t n = keys.size();
   GroupedIndices out;
   out.offsets.assign(nbuckets + 1, 0);
@@ -56,65 +57,6 @@ inline GroupedIndices group_by_key_serial(size_t nbuckets,
   return out;
 }
 
-/// Stable parallel counting sort of the indices [0, keys.size()) by
-/// keys[i] in [0, nbuckets).
-inline GroupedIndices group_by_key(size_t nbuckets,
-                                   const std::vector<uint32_t>& keys) {
-  size_t n = keys.size();
-  int p = num_workers();
-  // The parallel path keeps one histogram per block; cap the block count so
-  // that scratch stays O(n) even when nbuckets is large relative to n
-  // (sparse graphs), falling back to the serial sort when one block is all
-  // the budget allows. Both paths emit the identical stable permutation.
-  size_t nblocks = std::min<size_t>(
-      static_cast<size_t>(p) * 4,
-      std::max<size_t>(1, (8 * n) / std::max<size_t>(1, nbuckets)));
-  if (n < kParGrain || p <= 1 || nblocks <= 1)
-    return group_by_key_serial(nbuckets, keys);
-  GroupedIndices out;
-  out.offsets.assign(nbuckets + 1, 0);
-  out.items.resize(n);
-  // Per-block histograms keep the scatter stable: block b writes the
-  // elements of its input range in input order at offsets disjoint from
-  // every other block's.
-  size_t bsz = (n + nblocks - 1) / nblocks;
-  std::vector<uint32_t> counts(nblocks * nbuckets, 0);
-  parallel_for(
-      0, nblocks,
-      [&](size_t b) {
-        uint32_t* local = counts.data() + b * nbuckets;
-        size_t lo = b * bsz, hi = std::min(n, lo + bsz);
-        for (size_t i = lo; i < hi; ++i) {
-          assert(keys[i] < nbuckets);
-          ++local[keys[i]];
-        }
-      },
-      /*grain=*/1);
-  // Column-wise exclusive scan: cursor for (block b, bucket k) becomes
-  // bucket_start(k) + sum of counts of k over blocks < b.
-  parallel_for(0, nbuckets, [&](size_t k) {
-    uint32_t total = 0;
-    for (size_t b = 0; b < nblocks; ++b) {
-      uint32_t c = counts[b * nbuckets + k];
-      counts[b * nbuckets + k] = total;
-      total += c;
-    }
-    out.offsets[k] = total;
-  });
-  exclusive_scan_inplace(out.offsets);  // offsets[k] = start of bucket k
-  parallel_for(
-      0, nblocks,
-      [&](size_t b) {
-        uint32_t* local = counts.data() + b * nbuckets;
-        size_t lo = b * bsz, hi = std::min(n, lo + bsz);
-        for (size_t i = lo; i < hi; ++i)
-          out.items[out.offsets[keys[i]] + local[keys[i]]++] =
-              static_cast<uint32_t>(i);
-      },
-      /*grain=*/1);
-  return out;
-}
-
 /// The non-empty groups of a stable grouping: `items` holds the indices
 /// [0, keys.size()) in stable key order, and the r-th non-empty group (the
 /// r-th smallest key present) occupies items[starts[r] .. starts[r+1]).
@@ -126,17 +68,15 @@ struct GroupRuns {
 };
 
 /// Stable grouping of [0, keys.size()) by keys[i] in [0, nbuckets) that
-/// reports only the groups present. Dense keys take the serial counting
-/// sort (at batch sizes, group_by_key's parallel passes cost more than
-/// they save); a few keys over a large range take a sort of (key, index)
-/// pairs instead, so a small batch never pays O(nbuckets). Both give the
-/// same permutation.
+/// reports only the groups present. Dense keys take group_by_key; a few
+/// keys over a large range take a sort of (key, index) pairs instead, so a
+/// small batch never pays O(nbuckets). Both give the same permutation.
 inline GroupRuns group_runs(size_t nbuckets,
                             const std::vector<uint32_t>& keys) {
   const size_t k = keys.size();
   GroupRuns out;
   if (nbuckets <= 8 * k) {
-    GroupedIndices g = group_by_key_serial(nbuckets, keys);
+    GroupedIndices g = group_by_key(nbuckets, keys);
     out.items = std::move(g.items);
     for (size_t b = 0; b < nbuckets; ++b)
       if (g.offsets[b + 1] > g.offsets[b]) out.starts.push_back(g.offsets[b]);
@@ -232,37 +172,13 @@ struct CsrGraph {
   }
 };
 
-/// Builds the symmetric CSR adjacency of an undirected edge list: edge i
-/// contributes arc 2i (u -> v) and arc 2i + 1 (v -> u), matching the arc-id
-/// convention of the cluster spanner and ES tree layers. Endpoints must lie
-/// in [0, n).
-inline CsrGraph csr_build(size_t n, const std::vector<Edge>& edges) {
-  size_t m = edges.size();
-  std::vector<uint32_t> srcs(2 * m);
-  parallel_for(0, m, [&](size_t i) {
-    assert(edges[i].u < n && edges[i].v < n);
-    srcs[2 * i] = edges[i].u;
-    srcs[2 * i + 1] = edges[i].v;
-  });
-  GroupedIndices g = group_by_key(n, srcs);
-  CsrGraph csr;
-  csr.offsets = std::move(g.offsets);
-  csr.nbr.resize(2 * m);
-  csr.arc = std::move(g.items);  // arc id == element index by construction
-  parallel_for(0, 2 * m, [&](size_t j) {
-    uint32_t a = csr.arc[j];
-    const Edge& e = edges[a >> 1];
-    csr.nbr[j] = (a & 1) ? e.u : e.v;  // arc 2i: u->v, arc 2i+1: v->u
-  });
-  return csr;
-}
-
 /// Builds the symmetric CSR adjacency of canonical edge keys (sorted or
-/// not; must be valid, i.e. not kNoEdge, with endpoints < n). Same arc-id
-/// convention as csr_build: key i contributes arcs 2i (lo -> hi) and
-/// 2i + 1 (hi -> lo). When the keys are ascending the per-vertex neighbor
-/// lists come out ascending too (group_by_key is stable), which the
-/// snapshot layer relies on for its binary-searched has_edge.
+/// not; must be valid, i.e. not kNoEdge, with endpoints < n): key i
+/// contributes arcs 2i (lo -> hi) and 2i + 1 (hi -> lo), the arc-id
+/// convention of the cluster spanner and ES tree layers. When the keys are
+/// ascending the per-vertex neighbor lists come out ascending too
+/// (group_by_key is stable), which the snapshot layer relies on for its
+/// binary-searched has_edge.
 inline CsrGraph csr_build_from_keys(size_t n, std::span<const EdgeKey> keys) {
   size_t m = keys.size();
   std::vector<uint32_t> srcs(2 * m);
@@ -276,7 +192,7 @@ inline CsrGraph csr_build_from_keys(size_t n, std::span<const EdgeKey> keys) {
   CsrGraph csr;
   csr.offsets = std::move(g.offsets);
   csr.nbr.resize(2 * m);
-  csr.arc = std::move(g.items);
+  csr.arc = std::move(g.items);  // arc id == element index by construction
   parallel_for(0, 2 * m, [&](size_t j) {
     uint32_t a = csr.arc[j];
     auto [u, v] = edge_endpoints(keys[a >> 1]);

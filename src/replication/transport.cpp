@@ -31,15 +31,6 @@ void seal_ship(ShipFrame& f, const uint8_t* body_end) {
   seal_frame(f.bytes.data(), f.bytes.size() - kFrameHeaderSize);
 }
 
-// Canonical, in-range edge keys only: a snapshot frame's key lists define
-// a graph over n vertices, and adopting out-of-range keys would poison the
-// follower's own checkpoint chain.
-bool keys_in_range(std::span<const EdgeKey> keys, uint64_t n) {
-  for (EdgeKey k : keys)
-    if (!valid_edge_key(k, n)) return false;
-  return true;
-}
-
 }  // namespace
 
 ShipFrame make_record_frame(uint64_t epoch, const WalRecord& rec) {
@@ -105,7 +96,11 @@ std::optional<ParsedFrame> parse_ship_frame(const ShipFrame& frame) {
   if (!decode_ascending_list(&p, end, snap_cnt, &s.snap_keys) ||
       !decode_ascending_list(&p, end, graph_cnt, &s.graph_keys) || p != end)
     return std::nullopt;
-  if (!keys_in_range(s.snap_keys, s.n) || !keys_in_range(s.graph_keys, s.n))
+  // Canonical, in-range edge keys only: a snapshot frame's key lists define
+  // a graph over n vertices, and adopting out-of-range keys would poison
+  // the follower's own checkpoint chain.
+  if (!valid_edge_keys(s.snap_keys, s.n) ||
+      !valid_edge_keys(s.graph_keys, s.n))
     return std::nullopt;
   return out;
 }

@@ -160,6 +160,10 @@ size_t max_spec_n(const std::vector<ShardSpec>& specs) {
   return n;
 }
 
+// The services whose barrier callback is running on this thread, innermost
+// last.
+thread_local std::vector<const ShardedSpannerService*> t_in_callback;
+
 }  // namespace
 
 ShardedSpannerService::ShardedSpannerService(
@@ -367,7 +371,7 @@ void ShardedSpannerService::drain_shard(size_t s) {
   // Fire every flush_async barrier this publish completed. Callbacks are
   // collected under the lock but invoked outside it: a callback may call
   // back into the service (versions(), view(), even another flush_async).
-  std::vector<std::function<void(VersionVector)>> fired;
+  std::vector<FiredBarrier> fired;
   {
     std::lock_guard<std::mutex> lk(barrier_mu_);
     if (d.ticket > sh.published_ticket) sh.published_ticket = d.ticket;
@@ -379,14 +383,15 @@ void ShardedSpannerService::drain_shard(size_t s) {
           break;
         }
       if (done) {
-        fired.push_back(std::move(flush_waiters_[i].done));
+        fired.push_back({take_turn(flush_waiters_[i].nested),
+                         std::move(flush_waiters_[i].done)});
         flush_waiters_.erase(flush_waiters_.begin() + i);  // FIFO fairness
       } else {
         ++i;
       }
     }
   }
-  for (auto& done : fired) done(versions());
+  for (FiredBarrier& b : fired) fire_in_order(b);
   // Only now the checkpoint this batch made due: it is off the visible
   // path, yet still in this drain task — the pool runs it before the
   // shard's next drain, and the destructor's pool stop waits for it
@@ -402,20 +407,21 @@ void ShardedSpannerService::flush_async(
   // Raise the flush demand first: it is what authorizes drains on paused
   // queues (BatchQueue::drain's gate) before the notifies land.
   for (size_t s = 0; s < S; ++s) shards_[s]->queue.demand(targets[s]);
+  const bool nested = std::find(t_in_callback.begin(), t_in_callback.end(),
+                                this) != t_in_callback.end();
   std::vector<size_t> needs;
-  bool satisfied = true;
+  std::optional<FiredBarrier> now;
   {
     std::lock_guard<std::mutex> lk(barrier_mu_);
     for (size_t s = 0; s < S; ++s)
-      if (shards_[s]->published_ticket < targets[s]) {
-        satisfied = false;
-        needs.push_back(s);
-      }
-    if (!satisfied)
-      flush_waiters_.push_back({std::move(targets), std::move(done)});
+      if (shards_[s]->published_ticket < targets[s]) needs.push_back(s);
+    if (needs.empty())
+      now = FiredBarrier{take_turn(nested), std::move(done)};
+    else
+      flush_waiters_.push_back({std::move(targets), std::move(done), nested});
   }
-  if (satisfied) {
-    done(versions());
+  if (now) {
+    fire_in_order(*now);
     return;
   }
   // Wake only shards whose queue still holds batches. A drained queue means
@@ -424,6 +430,33 @@ void ShardedSpannerService::flush_async(
   // drain. Paused queues with demand are drainable, so they are notified.
   for (size_t s : needs)
     if (shards_[s]->queue.drainable()) pool_->notify(s);
+}
+
+void ShardedSpannerService::fire_in_order(FiredBarrier& b) {
+  // Callbacks run one at a time in turn order, so a barrier satisfied at
+  // once cannot overtake a callback still in a drain's list. A nested
+  // barrier runs at once: it was issued under the running turn, whose
+  // callback may be waiting on it.
+  if (b.turn != kNoTurn) {
+    std::unique_lock<std::mutex> lk(barrier_mu_);  // released while waiting
+    turn_cv_.wait(lk, [&] { return turn_ == b.turn; });
+  }
+  struct PassTurn {  // also on a throw, so later callbacks still run
+    ShardedSpannerService* svc;
+    uint64_t turn;
+    ~PassTurn() {
+      t_in_callback.pop_back();
+      if (turn == kNoTurn) return;
+      {
+        std::lock_guard<std::mutex> lk(svc->barrier_mu_);
+        ++svc->turn_;
+      }
+      svc->turn_cv_.notify_all();
+    }
+  };
+  t_in_callback.push_back(this);
+  PassTurn pass{this, b.turn};
+  b.done(versions());
 }
 
 VersionVector ShardedSpannerService::flush() {

@@ -58,6 +58,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -407,6 +408,14 @@ class ShardedSpannerService {
   /// cuts any due checkpoint; it must not block (it would stall that
   /// shard's drain slot). This is the net front door's flush path: an
   /// event loop must never park a thread on the barrier (DESIGN.md §13.4).
+  /// Callbacks run one at a time, in the order their barriers are
+  /// satisfied: a barrier satisfied at once still waits for every earlier
+  /// callback to return, so a flush() issued after a flush_async() returns
+  /// after that callback. A barrier issued from inside a callback is the
+  /// exception: it fires as soon as it is satisfied (its enclosing callback
+  /// cannot return first), so a callback may call flush_async(), and
+  /// flush() when no drain it waits for needs the callback's own writer
+  /// thread or shard slot.
   /// Callbacks still pending at destruction are dropped with the queues.
   void flush_async(std::function<void(VersionVector)> done);
 
@@ -502,11 +511,28 @@ class ShardedSpannerService {
                    std::optional<std::chrono::nanoseconds> timeout);
 
   /// One registered flush_async barrier: fire `done` once every shard's
-  /// published ticket reaches its target. Guarded by barrier_mu_.
+  /// published ticket reaches its target. `nested`: registered from inside
+  /// one of this service's callbacks. Guarded by barrier_mu_.
   struct FlushWaiter {
     std::vector<uint64_t> targets;
     std::function<void(VersionVector)> done;
+    bool nested = false;
   };
+
+  /// A satisfied barrier's callback and its turn. Barriers take turns in
+  /// the order they are found satisfied; a nested one takes none.
+  struct FiredBarrier {
+    uint64_t turn;
+    std::function<void(VersionVector)> done;
+  };
+  static constexpr uint64_t kNoTurn = UINT64_MAX;
+
+  /// The turn of a barrier found satisfied. Caller holds barrier_mu_.
+  uint64_t take_turn(bool nested) { return nested ? kNoTurn : next_turn_++; }
+
+  /// Runs `b.done` when its turn comes (at once without one), then passes
+  /// the turn on. Call without barrier_mu_.
+  void fire_in_order(FiredBarrier& b);
 
   ShardedConfig cfg_;
   // shared_ptr so views can co-own it (a pinned ShardedView must outlive
@@ -517,6 +543,9 @@ class ShardedSpannerService {
 
   mutable std::mutex barrier_mu_;
   std::vector<FlushWaiter> flush_waiters_;  // guarded by barrier_mu_
+  uint64_t next_turn_ = 0;                  // guarded by barrier_mu_
+  uint64_t turn_ = 0;  // the turn whose callback may run; barrier_mu_
+  std::condition_variable turn_cv_;  // notified as turn_ advances
 
   std::atomic<bool> paused_{false};
   std::atomic<uint64_t> edges_ingested_{0};

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -43,6 +44,13 @@ inline constexpr std::pair<VertexId, VertexId> edge_endpoints(EdgeKey k) {
 inline constexpr bool valid_edge_key(EdgeKey k, uint64_t n) {
   auto [lo, hi] = edge_endpoints(k);
   return lo < hi && hi < n;
+}
+
+/// True iff every key is an edge over n vertices (valid_edge_key).
+inline bool valid_edge_keys(std::span<const EdgeKey> keys, uint64_t n) {
+  for (EdgeKey k : keys)
+    if (!valid_edge_key(k, n)) return false;
+  return true;
 }
 
 /// An undirected edge as an explicit endpoint pair.

@@ -282,6 +282,9 @@ TEST(NetServer, SubmitFlushReadYourWritesAndPinByVersionVector) {
 
   auto r = client->submit(0, {Edge(4, 7), Edge(40, 41)}, {});
   EXPECT_EQ(r.status, Status::kOk);
+  // A key outside the vertex space is refused, and the connection keeps
+  // serving: the flush and pins below run on it.
+  EXPECT_EQ(client->submit(0, {Edge(5, 64)}, {}).status, Status::kError);
   auto vv = client->flush();
   ASSERT_TRUE(vv.has_value());
   ASSERT_EQ(vv->size(), 2u);

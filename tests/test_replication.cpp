@@ -513,10 +513,13 @@ TEST(Replication, SnapshotFrameRejectsDescendingOrDuplicatedLists) {
   const std::vector<EdgeKey> ascending = {edge_key(0, 1), edge_key(2, 5)};
   const std::vector<EdgeKey> descending = {edge_key(2, 5), edge_key(0, 1)};
   const std::vector<EdgeKey> duplicated = {edge_key(0, 1), edge_key(0, 1)};
+  // Ascending and unique, but not edges over the frame's n = 16 vertices.
+  const std::vector<EdgeKey> out_of_range = {edge_key(0, 1), edge_key(3, 16)};
+  const std::vector<EdgeKey> self_loop = {edge_key(0, 1), edge_key(4, 4)};
   auto ok = parse_ship_frame(raw_snapshot_frame(ascending, ascending));
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->state.snap_keys, ascending);
-  for (const auto* bad : {&descending, &duplicated}) {
+  for (const auto* bad : {&descending, &duplicated, &out_of_range, &self_loop}) {
     EXPECT_FALSE(parse_ship_frame(raw_snapshot_frame(*bad, ascending)).has_value());
     EXPECT_FALSE(parse_ship_frame(raw_snapshot_frame(ascending, *bad)).has_value());
   }

@@ -948,6 +948,65 @@ TEST(Sharded, FlushAsyncBarrierAndPinByVersionVector) {
   EXPECT_FALSE(svc->try_view_at_least(wrong_shape).has_value());
 }
 
+// Barriers fire in order: a flush() that is satisfied at once must not
+// return while an earlier flush_async callback, already handed to a drain,
+// is still running. The first callback parks inside the drain long enough
+// for the main thread's flush() to find its targets published.
+TEST(Sharded, FlushWaitsForEarlierBarrierCallbacks) {
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 2;
+  ShardedConfig sc;
+  sc.start_paused = true;
+  auto svc = ShardedSpannerService::single_graph(64, {}, 2, cfg, sc);
+  svc->submit({Edge(1, 2)}, {});
+  std::promise<void> entered;
+  std::atomic<int> calls{0};
+  svc->flush_async([&](VersionVector) {
+    entered.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    calls.fetch_add(1);
+  });
+  entered.get_future().wait();
+  svc->flush();
+  EXPECT_EQ(calls.load(), 1);
+}
+
+// A callback may issue barriers itself, from a drain or inline: a nested
+// barrier fires as soon as it is satisfied (its enclosing callback cannot
+// return before it), whether inline or from another shard's drain, so
+// neither path deadlocks. The drained flush() targets the other shard, on
+// a second writer: a callback blocking on a drain that needs its own
+// writer thread or shard slot would wait forever.
+TEST(Sharded, BarrierCallbacksMayIssueBarriers) {
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 2;
+  ShardedConfig sc;
+  sc.start_paused = true;
+  sc.num_writers = 2;
+  auto svc = ShardedSpannerService::single_graph(64, {}, 2, cfg, sc);
+  svc->submit({Edge(1, 2)}, {});  // shard 0
+  std::atomic<int> nested{0};
+  std::promise<void> outer_done;
+  svc->flush_async([&](VersionVector) {  // fired by shard 0's drain
+    svc->submit({Edge(40, 41)}, {});     // shard 1
+    svc->flush();                        // fired by shard 1's drain
+    svc->flush_async([&](VersionVector) { nested.fetch_add(1); });  // inline
+    nested.fetch_add(1);
+    outer_done.set_value();
+  });
+  outer_done.get_future().wait();
+  EXPECT_EQ(nested.load(), 2);
+  EXPECT_TRUE(svc->view().has_edge(40, 41));
+
+  int inline_calls = 0;
+  svc->flush_async([&](VersionVector) {  // satisfied at once: inline
+    svc->flush();
+    svc->flush_async([&](VersionVector) { ++inline_calls; });
+    ++inline_calls;
+  });
+  EXPECT_EQ(inline_calls, 2);
+}
+
 // A closed submit-then-flush loop schedules one drain per round. flush()
 // wakes only queues that still hold batches (a drained queue's ticket is
 // in a running drain, which fires the barrier), and a notify that lands
