@@ -3,7 +3,6 @@
 // factors that underlie the work bounds of the batch-dynamic structures.
 #include <benchmark/benchmark.h>
 
-#include <thread>
 #include <vector>
 
 #include "parallel/csr.hpp"
@@ -69,7 +68,6 @@ void BM_GroupByKey(benchmark::State& state) {
     benchmark::DoNotOptimize(g.items.data());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
-  state.counters["num_cpus"] = double(std::thread::hardware_concurrency());
 }
 BENCHMARK(BM_GroupByKey)
     ->Args({373, 20000})

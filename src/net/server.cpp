@@ -265,9 +265,10 @@ struct NetServer::Impl {
         break;
       }
       case Op::kFlush: {
-        // The barrier completes on a writer drain (or inline right here);
-        // either way the result goes through the mailbox and is written
-        // out by the loop thread — flush never parks this thread.
+        // The barrier completes on a writer drain, inline right here, or
+        // on the thread running earlier callbacks; either way the result
+        // goes through the mailbox and is written out by the loop thread.
+        // flush_async never waits for another thread (DESIGN.md §13.4).
         auto mbox = loop.mbox;
         const uint64_t conn_id = c->id;
         svc.flush_async([mbox, conn_id, seq](VersionVector vv) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <future>
+#include <utility>
 
 #include "container/flat_map.hpp"
 #include "parallel/parallel_for.hpp"
@@ -160,9 +162,10 @@ size_t max_spec_n(const std::vector<ShardSpec>& specs) {
   return n;
 }
 
-// The services whose barrier callback is running on this thread, innermost
-// last.
-thread_local std::vector<const ShardedSpannerService*> t_in_callback;
+// The barrier callbacks running on this thread, innermost last: the
+// service and the turn each runs under (one fired at once: its issuer's).
+thread_local std::vector<std::pair<const ShardedSpannerService*, uint64_t>>
+    t_in_callback;
 
 }  // namespace
 
@@ -371,7 +374,7 @@ void ShardedSpannerService::drain_shard(size_t s) {
   // Fire every flush_async barrier this publish completed. Callbacks are
   // collected under the lock but invoked outside it: a callback may call
   // back into the service (versions(), view(), even another flush_async).
-  std::vector<FiredBarrier> fired;
+  std::vector<Callback> at_once;
   {
     std::lock_guard<std::mutex> lk(barrier_mu_);
     if (d.ticket > sh.published_ticket) sh.published_ticket = d.ticket;
@@ -383,15 +386,14 @@ void ShardedSpannerService::drain_shard(size_t s) {
           break;
         }
       if (done) {
-        fired.push_back({take_turn(flush_waiters_[i].nested),
-                         std::move(flush_waiters_[i].done)});
+        satisfied_locked(flush_waiters_[i], at_once);
         flush_waiters_.erase(flush_waiters_.begin() + i);  // FIFO fairness
       } else {
         ++i;
       }
     }
   }
-  for (FiredBarrier& b : fired) fire_in_order(b);
+  fire(at_once);
   // Only now the checkpoint this batch made due: it is off the visible
   // path, yet still in this drain task — the pool runs it before the
   // shard's next drain, and the destructor's pool stop waits for it
@@ -407,21 +409,23 @@ void ShardedSpannerService::flush_async(
   // Raise the flush demand first: it is what authorizes drains on paused
   // queues (BatchQueue::drain's gate) before the notifies land.
   for (size_t s = 0; s < S; ++s) shards_[s]->queue.demand(targets[s]);
-  const bool nested = std::find(t_in_callback.begin(), t_in_callback.end(),
-                                this) != t_in_callback.end();
+  auto in = std::find_if(t_in_callback.rbegin(), t_in_callback.rend(),
+                         [this](const auto& e) { return e.first == this; });
+  const uint64_t within = in == t_in_callback.rend() ? kNoTurn : in->second;
   std::vector<size_t> needs;
-  std::optional<FiredBarrier> now;
+  std::vector<Callback> at_once;
   {
     std::lock_guard<std::mutex> lk(barrier_mu_);
     for (size_t s = 0; s < S; ++s)
       if (shards_[s]->published_ticket < targets[s]) needs.push_back(s);
+    FlushWaiter w{std::move(targets), std::move(done), within};
     if (needs.empty())
-      now = FiredBarrier{take_turn(nested), std::move(done)};
+      satisfied_locked(w, at_once);
     else
-      flush_waiters_.push_back({std::move(targets), std::move(done), nested});
+      flush_waiters_.push_back(std::move(w));
   }
-  if (now) {
-    fire_in_order(*now);
+  if (needs.empty()) {
+    fire(at_once);
     return;
   }
   // Wake only shards whose queue still holds batches. A drained queue means
@@ -432,31 +436,44 @@ void ShardedSpannerService::flush_async(
     if (shards_[s]->queue.drainable()) pool_->notify(s);
 }
 
-void ShardedSpannerService::fire_in_order(FiredBarrier& b) {
-  // Callbacks run one at a time in turn order, so a barrier satisfied at
-  // once cannot overtake a callback still in a drain's list. A nested
-  // barrier runs at once: it was issued under the running turn, whose
-  // callback may be waiting on it.
-  if (b.turn != kNoTurn) {
-    std::unique_lock<std::mutex> lk(barrier_mu_);  // released while waiting
-    turn_cv_.wait(lk, [&] { return turn_ == b.turn; });
-  }
-  struct PassTurn {  // also on a throw, so later callbacks still run
-    ShardedSpannerService* svc;
-    uint64_t turn;
-    ~PassTurn() {
-      t_in_callback.pop_back();
-      if (turn == kNoTurn) return;
-      {
-        std::lock_guard<std::mutex> lk(svc->barrier_mu_);
-        ++svc->turn_;
-      }
-      svc->turn_cv_.notify_all();
+void ShardedSpannerService::satisfied_locked(FlushWaiter& w,
+                                             std::vector<Callback>& at_once) {
+  if (w.within != kNoTurn && w.within == running_turn_)
+    at_once.push_back({w.within, std::move(w.done)});
+  else
+    ready_.push_back({next_turn_++, std::move(w.done)});
+}
+
+void ShardedSpannerService::fire(std::vector<Callback>& at_once) {
+  std::exception_ptr thrown;  // the first; later callbacks still run
+  auto run = [&](Callback& c) {
+    t_in_callback.emplace_back(this, c.turn);
+    try {
+      c.done(versions());
+    } catch (...) {
+      if (!thrown) thrown = std::current_exception();
     }
+    t_in_callback.pop_back();
   };
-  t_in_callback.push_back(this);
-  PassTurn pass{this, b.turn};
-  b.done(versions());
+  // First the barriers whose issuing callback still runs: it may be
+  // waiting for them, and every queued callback waits for it.
+  for (Callback& c : at_once) run(c);
+  // Then the queue in turn order, unless another thread is running it:
+  // that thread takes what was queued here before it lets go. So no thread
+  // waits for another's callback.
+  for (bool mine = false;; mine = true) {
+    Callback c;
+    {
+      std::lock_guard<std::mutex> lk(barrier_mu_);
+      if (mine) running_turn_ = kNoTurn;
+      if (running_turn_ != kNoTurn || ready_.empty()) break;
+      c = std::move(ready_.front());
+      ready_.pop_front();
+      running_turn_ = c.turn;
+    }
+    run(c);
+  }
+  if (thrown) std::rethrow_exception(thrown);
 }
 
 VersionVector ShardedSpannerService::flush() {

@@ -58,8 +58,8 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -402,20 +402,18 @@ class ShardedSpannerService {
 
   /// flush() without the wait: invokes `done` exactly once — when every
   /// submit that preceded this call is drained, applied, and published —
-  /// passing a VersionVector every later view() dominates. `done` runs
-  /// inline when the barrier is already satisfied, otherwise on whichever
-  /// writer-pool drain completes it — at the publish, before that drain
-  /// cuts any due checkpoint; it must not block (it would stall that
-  /// shard's drain slot). This is the net front door's flush path: an
-  /// event loop must never park a thread on the barrier (DESIGN.md §13.4).
-  /// Callbacks run one at a time, in the order their barriers are
-  /// satisfied: a barrier satisfied at once still waits for every earlier
-  /// callback to return, so a flush() issued after a flush_async() returns
-  /// after that callback. A barrier issued from inside a callback is the
-  /// exception: it fires as soon as it is satisfied (its enclosing callback
-  /// cannot return first), so a callback may call flush_async(), and
-  /// flush() when no drain it waits for needs the callback's own writer
-  /// thread or shard slot.
+  /// passing a VersionVector every later view() dominates. Callbacks run
+  /// one at a time, in the order their barriers are satisfied, on the
+  /// thread that finds the barrier satisfied (inline here, or the
+  /// writer-pool drain that completes it, at the publish, before any due
+  /// checkpoint) — unless an earlier callback still runs: then the thread
+  /// running that one runs `done` after it. So flush_async never waits for
+  /// another thread; it is the net front door's flush path (DESIGN.md
+  /// §9.3, §13.4). A callback must not block: it holds its thread, maybe a
+  /// drain's shard slot, and the callbacks behind it. A barrier issued
+  /// inside a callback and satisfied while that callback runs fires at
+  /// once, so a callback may call flush_async(), and flush() when no drain
+  /// it waits for needs the callback's thread.
   /// Callbacks still pending at destruction are dropped with the queues.
   void flush_async(std::function<void(VersionVector)> done);
 
@@ -510,29 +508,31 @@ class ShardedSpannerService {
   bool admit_shard(RoutedBatch& batch, size_t idx,
                    std::optional<std::chrono::nanoseconds> timeout);
 
+  static constexpr uint64_t kNoTurn = UINT64_MAX;
+
   /// One registered flush_async barrier: fire `done` once every shard's
-  /// published ticket reaches its target. `nested`: registered from inside
-  /// one of this service's callbacks. Guarded by barrier_mu_.
+  /// published ticket reaches its target. `within`: the turn it was issued
+  /// under, kNoTurn outside any callback. Guarded by barrier_mu_.
   struct FlushWaiter {
     std::vector<uint64_t> targets;
     std::function<void(VersionVector)> done;
-    bool nested = false;
+    uint64_t within = kNoTurn;
   };
 
-  /// A satisfied barrier's callback and its turn. Barriers take turns in
-  /// the order they are found satisfied; a nested one takes none.
-  struct FiredBarrier {
-    uint64_t turn;
+  /// A satisfied callback: `turn` is its place in ready_, or for one fired
+  /// at once, the turn it was issued under.
+  struct Callback {
+    uint64_t turn = kNoTurn;
     std::function<void(VersionVector)> done;
   };
-  static constexpr uint64_t kNoTurn = UINT64_MAX;
 
-  /// The turn of a barrier found satisfied. Caller holds barrier_mu_.
-  uint64_t take_turn(bool nested) { return nested ? kNoTurn : next_turn_++; }
+  /// At once if `w` was issued under the running turn, else onto ready_
+  /// with the next turn. Caller holds barrier_mu_.
+  void satisfied_locked(FlushWaiter& w, std::vector<Callback>& at_once);
 
-  /// Runs `b.done` when its turn comes (at once without one), then passes
-  /// the turn on. Call without barrier_mu_.
-  void fire_in_order(FiredBarrier& b);
+  /// Runs `at_once`, then ready_ unless another thread runs it. Call
+  /// without barrier_mu_.
+  void fire(std::vector<Callback>& at_once);
 
   ShardedConfig cfg_;
   // shared_ptr so views can co-own it (a pinned ShardedView must outlive
@@ -543,9 +543,9 @@ class ShardedSpannerService {
 
   mutable std::mutex barrier_mu_;
   std::vector<FlushWaiter> flush_waiters_;  // guarded by barrier_mu_
-  uint64_t next_turn_ = 0;                  // guarded by barrier_mu_
-  uint64_t turn_ = 0;  // the turn whose callback may run; barrier_mu_
-  std::condition_variable turn_cv_;  // notified as turn_ advances
+  std::deque<Callback> ready_;       // turn order; guarded by barrier_mu_
+  uint64_t next_turn_ = 0;           // guarded by barrier_mu_
+  uint64_t running_turn_ = kNoTurn;  // ready_'s running one; barrier_mu_
 
   std::atomic<bool> paused_{false};
   std::atomic<uint64_t> edges_ingested_{0};

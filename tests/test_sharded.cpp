@@ -971,12 +971,43 @@ TEST(Sharded, FlushWaitsForEarlierBarrierCallbacks) {
   EXPECT_EQ(calls.load(), 1);
 }
 
-// A callback may issue barriers itself, from a drain or inline: a nested
-// barrier fires as soon as it is satisfied (its enclosing callback cannot
-// return before it), whether inline or from another shard's drain, so
+// flush_async never waits for another thread's callback. Satisfied at once
+// while an earlier callback still runs, it queues its own callback and
+// returns; the thread running the earlier callback runs it next.
+TEST(Sharded, FlushAsyncQueuesBehindARunningCallback) {
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 2;
+  ShardedConfig sc;
+  sc.start_paused = true;
+  auto svc = ShardedSpannerService::single_graph(64, {}, 2, cfg, sc);
+  svc->submit({Edge(1, 2)}, {});
+  std::promise<void> entered, release, second_ran;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> order{0};
+  int first = -1, second = -1;
+  svc->flush_async([&, released](VersionVector) {
+    entered.set_value();
+    released.wait_for(std::chrono::seconds(5));  // bounded: fails, not hangs
+    first = order.fetch_add(1);
+  });
+  entered.get_future().wait();
+  svc->flush_async([&](VersionVector) {  // satisfied at once
+    second = order.fetch_add(1);
+    second_ran.set_value();
+  });
+  EXPECT_EQ(order.load(), 0) << "flush_async waited for an earlier callback";
+  release.set_value();
+  second_ran.get_future().wait();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+}
+
+// A callback may issue barriers itself, from a drain or inline: a barrier
+// satisfied while its issuing callback runs fires at once (that callback
+// may be waiting for it), whether inline or from another shard's drain, so
 // neither path deadlocks. The drained flush() targets the other shard, on
-// a second writer: a callback blocking on a drain that needs its own
-// writer thread or shard slot would wait forever.
+// a second writer: a callback blocking on a drain that needs the thread
+// running it would wait forever.
 TEST(Sharded, BarrierCallbacksMayIssueBarriers) {
   FullyDynamicSpannerConfig cfg;
   cfg.k = 2;
@@ -998,13 +1029,69 @@ TEST(Sharded, BarrierCallbacksMayIssueBarriers) {
   EXPECT_EQ(nested.load(), 2);
   EXPECT_TRUE(svc->view().has_edge(40, 41));
 
-  int inline_calls = 0;
-  svc->flush_async([&](VersionVector) {  // satisfied at once: inline
+  // Satisfied at once: inline here, or after the outer callback on its
+  // drain if that has not returned yet. Either way the inner barriers are
+  // satisfied while it runs and fire at once.
+  std::atomic<int> inline_calls{0};
+  std::promise<void> inline_done;
+  svc->flush_async([&](VersionVector) {
     svc->flush();
-    svc->flush_async([&](VersionVector) { ++inline_calls; });
-    ++inline_calls;
+    svc->flush_async([&](VersionVector) { inline_calls.fetch_add(1); });
+    inline_calls.fetch_add(1);
+    inline_done.set_value();
   });
-  EXPECT_EQ(inline_calls, 2);
+  inline_done.get_future().wait();
+  EXPECT_EQ(inline_calls.load(), 2);
+}
+
+// A callback's inner barrier must not wait behind a barrier queued after
+// that callback. The outer callback runs on shard 0's drain. Another
+// thread's flush() on shard 1 is satisfied while it runs, so its callback
+// queues behind the outer one; the drain that satisfied it must stay free,
+// because the inner barrier needs shard 1's next drain. The inner wait is
+// bounded, so a drain parked on the queue fails the test instead of
+// hanging it.
+TEST(Sharded, InnerBarrierOvertakesQueuedCallback) {
+  FullyDynamicSpannerConfig cfg;
+  cfg.k = 2;
+  ShardedConfig sc;
+  sc.start_paused = true;
+  sc.num_writers = 2;
+  auto svc = ShardedSpannerService::single_graph(64, {}, 2, cfg, sc);
+  const uint64_t base = svc->versions().v[1];
+  svc->submit({Edge(1, 2)}, {});  // shard 0
+  std::promise<void> entered, outer_done;
+  std::atomic<bool> inner_fired{false}, outer_returned{false};
+  svc->flush_async([&](VersionVector) {  // fired by shard 0's drain
+    entered.set_value();
+    // The other thread's batch is published: its barrier is satisfied, or
+    // about to be, while this callback runs.
+    while (svc->versions().v[1] == base)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    svc->submit({Edge(42, 43)}, {});  // shard 1 again
+    auto inner = std::make_shared<std::promise<void>>();
+    std::future<void> fired = inner->get_future();
+    svc->flush_async([inner](VersionVector) { inner->set_value(); });
+    inner_fired = fired.wait_for(std::chrono::seconds(5)) ==
+                  std::future_status::ready;
+    outer_returned = true;
+    outer_done.set_value();
+  });
+  entered.get_future().wait();
+  bool outer_first = false;
+  std::thread other([&] {
+    svc->submit({Edge(40, 41)}, {});  // shard 1
+    svc->flush();
+    outer_first = outer_returned.load();
+  });
+  other.join();
+  outer_done.get_future().wait();
+  EXPECT_TRUE(inner_fired.load()) << "the inner barrier waited behind a "
+                                     "callback queued after its own";
+  EXPECT_TRUE(outer_first) << "flush() returned before an earlier callback";
+  svc->flush();
+  EXPECT_TRUE(svc->view().has_edge(42, 43));
 }
 
 // A closed submit-then-flush loop schedules one drain per round. flush()
