@@ -66,6 +66,29 @@ BENCHMARK(BM_ClusterConstruct)
     ->ArgsProduct({{1024, 4096, 16384}, {2, 3, 4}})
     ->Unit(benchmark::kMillisecond);
 
+// The same construction at small_batch's instance shape: n=4096, k=3 and
+// m=3·n^{4/3}, the density of a full Bentley–Saxe partition. Its degrees
+// are ~12x those of the m=8n rows, so per-vertex in-lists and InterCluster
+// groups are long.
+void BM_ClusterConstructDense(benchmark::State& state) {
+  const size_t n = 4096;
+  auto edges = gen_erdos_renyi(n, 3 * 65536, 3);  // 3·4096^{4/3}
+  ClusterSpannerConfig cfg;
+  cfg.k = 3;
+  cfg.seed = 5;
+  size_t spanner_size = 0;
+  for (auto _ : state) {
+    DecrementalClusterSpanner sp(n, edges, cfg);
+    spanner_size = sp.spanner_size();
+    benchmark::DoNotOptimize(spanner_size);
+  }
+  state.counters["spanner_size"] = double(spanner_size);
+  state.SetItemsProcessed(int64_t(state.iterations()) *
+                          int64_t(edges.size()));
+}
+
+BENCHMARK(BM_ClusterConstructDense)->Unit(benchmark::kMillisecond);
+
 // The full 256-edge-batch deletion stream at k=3 on skewed degree
 // distributions. Each In(v) is a flat key-sorted slice, so one erase or
 // priority move costs up to O(|In(v)|): the star hub (in-degree n-1) is

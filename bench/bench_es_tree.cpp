@@ -15,18 +15,16 @@ void BM_ESTreeDeletions(benchmark::State& state) {
   uint32_t L = uint32_t(state.range(1));
   auto edges = gen_erdos_renyi(n, 6 * n, 3);
   std::vector<std::pair<VertexId, VertexId>> arcs;
-  std::vector<uint64_t> keys;
   for (const Edge& e : edges) {
     arcs.push_back({e.u, e.v});
-    keys.push_back(arcs.size());
     arcs.push_back({e.v, e.u});
-    keys.push_back(arcs.size());
   }
+  const std::vector<uint32_t> ranks(arcs.size(), 0);
   double scan_per_del = 0, phases = 0, deletions = 0;
   for (auto _ : state) {
     state.PauseTiming();
     ESTree t;
-    t.init(n, arcs, keys, 0, L);
+    t.init(n, arcs, ranks, 0, L);
     t.counters().reset();
     Rng rng(11);
     std::vector<uint32_t> order(edges.size());

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs the perf-gating Google Benchmark binaries and records JSON results at
 # the repo root, seeding the perf trajectory tracked across PRs:
-#   BENCH_spanner.json     — spanner construction + churn + update
-#                            throughput, plus the skewed-degree deletion
-#                            streams that price the ES tree's flat in-lists
+#   BENCH_spanner.json     — spanner construction (at 1 and 4 workers)
+#                            + update throughput, plus the skewed-degree
+#                            deletion streams that price the ES tree's flat
+#                            in-lists
 #   BENCH_primitives.json  — scan / sort / pack substrate microbenchmarks
 #   BENCH_scheduler.json   — work-stealing scheduler: fork-join task
 #                            overhead vs the serial floor, steal
@@ -60,15 +61,26 @@ tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
 echo "== spanner benches =="
+# Construction rows at 1 and at 4 workers in the same run, so a speedup
+# claim compares like with like (a 1-worker row is never held against a
+# 4-worker one).
+for w in 1 4; do
+  PARSPAN_NUM_WORKERS=$w "$build_dir/bench_cluster_churn" \
+    --benchmark_format=json \
+    --benchmark_filter='BM_ClusterConstruct' \
+    --benchmark_min_time=2 \
+    >"$tmpdir/bench_cluster_construct_w$w.tmp.json"
+done
 "$build_dir/bench_cluster_churn" \
   --benchmark_format=json \
-  --benchmark_filter='BM_ClusterConstruct|BM_ClusterDecrementalSkewed' \
-  --benchmark_min_time=2 \
-  >"$tmpdir/bench_cluster_construct.tmp.json"
+  --benchmark_filter='BM_ClusterDecrementalSkewed' \
+  >"$tmpdir/bench_cluster_skewed.tmp.json"
 "$build_dir/bench_spanner_updates" \
   --benchmark_format=json \
   >"$tmpdir/bench_spanner_updates.tmp.json"
-merge "$tmpdir/bench_cluster_construct.tmp.json" \
+merge "$tmpdir/bench_cluster_construct_w1.tmp.json" \
+      "$tmpdir/bench_cluster_construct_w4.tmp.json" \
+      "$tmpdir/bench_cluster_skewed.tmp.json" \
       "$tmpdir/bench_spanner_updates.tmp.json" \
   >"$repo_root/BENCH_spanner.json"
 echo "wrote $repo_root/BENCH_spanner.json"

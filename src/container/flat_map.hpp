@@ -185,7 +185,7 @@ class FlatHashMap {
  private:
   struct Slot {
     K key = kEmptyKey;
-    V value{};
+    [[no_unique_address]] V value{};  // no bytes for a set's empty value
   };
 
   size_t bucket(K key) const {
@@ -224,6 +224,10 @@ class FlatHashMap {
 namespace detail {
 struct Empty {};
 }  // namespace detail
+
+// A set's slot is its key alone.
+static_assert(FlatHashMap<uint64_t, detail::Empty>::slot_bytes() == 8 &&
+              FlatHashMap<uint32_t, detail::Empty>::slot_bytes() == 4);
 
 /// Flat open-addressing set over integer keys; same layout and deletion
 /// strategy as FlatHashMap.

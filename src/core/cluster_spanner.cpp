@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -114,8 +115,7 @@ DecrementalClusterSpanner::DecrementalClusterSpanner(
     return num_edge_arcs + (t_ - 1) + v;
   };
 
-  // Flat CSR adjacency (arc ids 2i / 2i+1 match the ES arc table below);
-  // reused further down to bulk-build the InterCluster groups.
+  // Flat CSR adjacency (arc ids 2i / 2i+1 match the ES arc table below).
   CsrGraph adj = csr_build_from_keys(n, keys);
 
   std::vector<uint32_t> distp(n, UINT32_MAX);
@@ -171,28 +171,27 @@ DecrementalClusterSpanner::DecrementalClusterSpanner(
 
   // --- Build the ES tree over G'. ---
   // Arc counts are known up front, so the table is sized once and filled
-  // with parallel loops.
+  // with parallel loops. An arc's rank is Priority(Cluster(src)); path arcs
+  // rank 0 (their priority is irrelevant).
   size_t total_arcs = size_t(num_edge_arcs) + (t_ - 1) + n;
   std::vector<std::pair<VertexId, VertexId>> arcs(total_arcs);
-  std::vector<uint64_t> arc_keys(total_arcs);
+  std::vector<uint32_t> ranks(total_arcs, 0);
   parallel_for(0, edges_.size(), [&](size_t i) {
     const Edge& e = edges_[i];
-    arcs[2 * i] = {e.u, e.v};  // arc 2i: key uses Cluster(u)
-    arc_keys[2 * i] = arc_key(uint32_t(2 * i), cluster_[e.u]);
-    arcs[2 * i + 1] = {e.v, e.u};  // arc 2i+1: key uses Cluster(v)
-    arc_keys[2 * i + 1] = arc_key(uint32_t(2 * i + 1), cluster_[e.v]);
+    arcs[2 * i] = {e.u, e.v};  // arc 2i: rank uses Cluster(u)
+    ranks[2 * i] = priority_[cluster_[e.u]];
+    arcs[2 * i + 1] = {e.v, e.u};  // arc 2i+1: rank uses Cluster(v)
+    ranks[2 * i + 1] = priority_[cluster_[e.v]];
   });
-  for (uint32_t j = 0; j + 1 < t_; ++j) {
+  for (uint32_t j = 0; j + 1 < t_; ++j)
     arcs[num_edge_arcs + j] = {path_vertex(j), path_vertex(j + 1)};
-    arc_keys[num_edge_arcs + j] = num_edge_arcs + j;  // priority irrelevant
-  }
   parallel_for(0, n, [&](size_t v) {
     uint32_t a = headstart_arc(VertexId(v));
     arcs[a] = {path_vertex(t_ - 1 - du_[v]), VertexId(v)};
-    arc_keys[a] = arc_key(a, VertexId(v));
+    ranks[a] = priority_[v];
   });
   (void)path0;
-  es_.init(num_vp, arcs, arc_keys, path0, t_);
+  es_.init(num_vp, arcs, ranks, path0, t_);
 
   // The ES parent choice must reproduce the precomputed clusters.
 #ifndef NDEBUG
@@ -202,41 +201,58 @@ DecrementalClusterSpanner::DecrementalClusterSpanner(
   }
 #endif
 
-  // --- Initial contributions. ---
-  tree_contrib_.assign(n, kNoEdge);
-  contrib_.reserve(2 * n);
-  for (VertexId v = 0; v < n; ++v) refresh_tree_contrib(v);
+  // --- Initial contributions and InterCluster groups. ---
+  // In(x) lists x's edge arcs by descending (Priority(Cluster(src)), arc
+  // id), and arc ids into x ascend with the neighbor. Read backwards, its
+  // runs of one rank are x's groups, each in ascending member order. Each
+  // vertex marks its contributing in-arcs (its tree arc, its eligible
+  // representatives' arcs), so an edge's refcount is its number of marked
+  // arcs and contrib_ is filled once, at its final size.
+  tree_contrib_.resize(n);
   groups_.assign(cfg_.intercluster ? n : 0, {});
-  if (cfg_.intercluster) {
-    // Bulk build: group each vertex's CSR slice by neighbor cluster, then
-    // fill every group with its exact size known — no incremental rehashing
-    // and no per-member node allocation.
-    std::vector<std::pair<VertexId, VertexId>> scratch;  // (cluster, other)
-    for (VertexId x = 0; x < n; ++x) {
-      auto nbrs = adj.neighbors(x);
-      if (nbrs.empty()) continue;
-      scratch.clear();
-      for (VertexId o : nbrs) scratch.push_back({cluster_[o], o});
-      std::sort(scratch.begin(), scratch.end());
-      size_t ngroups = 0;
-      for (size_t j = 0; j < scratch.size(); ++j)
-        if (j == 0 || scratch[j].first != scratch[j - 1].first) ++ngroups;
-      groups_[x].reserve(ngroups);
-      size_t j = 0;
-      while (j < scratch.size()) {
-        VertexId c = scratch[j].first;
-        size_t k = j;
-        while (k < scratch.size() && scratch[k].first == c) ++k;
-        RepBucket<VertexId>& g = groups_[x][c];
-        g.reserve(uint32_t(k - j));
-        for (size_t idx = j; idx < k; ++idx) g.add(scratch[idx].second);
-        if (c != cluster_[x]) add_contrib(edge_key(x, g.rep()));
-        j = k;
-      }
+  std::vector<uint8_t> marked(num_edge_arcs, 0);
+  // Visits x's group members as fn(arc, first_of_its_group).
+  auto for_each_member = [&](VertexId x, auto&& fn) {
+    std::span<const uint64_t> in = es_.in_keys(x);
+    uint64_t rank = UINT64_MAX;
+    for (size_t j = in.size(); j-- > 0;) {
+      const uint32_t a = uint32_t(in[j]);
+      if (a >= num_edge_arcs) continue;  // x's head-start arc
+      fn(a, (in[j] >> 32) != rank);
+      rank = in[j] >> 32;
     }
-  }
-  // Init contributions are not a "diff".
-  batch_delta_.reset();
+  };
+  parallel_for(0, n, [&](size_t x) {
+    const uint32_t pa = uint32_t(es_.parent_arc(VertexId(x)));
+    tree_contrib_[x] = kNoEdge;
+    if (pa < num_edge_arcs) {
+      marked[pa] = 1;
+      tree_contrib_[x] = edges_[pa / 2].key();
+    }
+    if (!cfg_.intercluster) return;
+    uint32_t num_groups = 0;
+    for_each_member(VertexId(x), [&](uint32_t, bool first) {
+      num_groups += first;
+    });
+    groups_[x].reserve(num_groups);
+    RepBucket<VertexId>* g = nullptr;
+    for_each_member(VertexId(x), [&](uint32_t a, bool first) {
+      const VertexId o = a & 1 ? edges_[a / 2].v : edges_[a / 2].u;
+      if (first) {
+        g = &groups_[x][cluster_[o]];
+        if (cluster_[o] != cluster_[x]) marked[a] = 1;
+      }
+      g->add(o);
+    });
+  });
+  auto refs = [&](size_t i) {
+    return uint32_t(marked[2 * i]) + marked[2 * i + 1];
+  };
+  contrib_.reserve(parallel_reduce(
+      0, edges_.size(), size_t{0},
+      [&](size_t i) { return size_t(refs(i) > 0); }, std::plus<>()));
+  for (size_t i = 0; i < edges_.size(); ++i)
+    if (uint32_t r = refs(i)) contrib_[edges_[i].key()] = r;
 
   dirty_epoch_.assign(n, 0);
   distch_epoch_.assign(n, 0);
@@ -330,7 +346,7 @@ void DecrementalClusterSpanner::apply_cluster_change(VertexId v, VertexId newc,
   es_.for_each_out_arc(v, [&](uint32_t a, const ESTree::Arc& arc) {
     VertexId w = arc.dst;
     if (w >= n_) return;  // never: original vertices only point into V
-    es_.update_arc_priority(a, arc_key(a, newc));
+    es_.update_arc_priority(a, priority_[newc]);
     if (es_.dist(w) == es_.dist(v) + 1) flag_dirty(w, buckets);
     if (cfg_.intercluster) {
       remove_membership(w, oldc, v);

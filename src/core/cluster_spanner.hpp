@@ -168,7 +168,7 @@ class DecrementalClusterSpanner {
 
  private:
   uint64_t arc_key(uint32_t arc_id, VertexId center) const {
-    return (static_cast<uint64_t>(priority_[center]) << 32) | arc_id;
+    return ESTree::key_of(priority_[center], arc_id);
   }
 
   /// Per-batch dirty-vertex buckets, one per ES level. Arena-backed: the

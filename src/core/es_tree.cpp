@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <functional>
-#include <tuple>
 
 #include "parallel/csr.hpp"
 #include "parallel/parallel_for.hpp"
@@ -14,9 +13,10 @@ namespace parspan {
 
 void ESTree::init(size_t n,
                   const std::vector<std::pair<VertexId, VertexId>>& arcs,
-                  const std::vector<uint64_t>& keys, VertexId source,
+                  const std::vector<uint32_t>& ranks, VertexId source,
                   uint32_t L) {
-  assert(arcs.size() == keys.size());
+  assert(arcs.size() == ranks.size());
+  assert(arcs.size() < UINT32_MAX);
   source_ = source;
   L_ = L;
   size_t num_arcs = arcs.size();
@@ -32,13 +32,11 @@ void ESTree::init(size_t n,
   batch_epoch_ = 0;
   unew_epoch_ = 0;
 
-  std::vector<uint32_t> srcs(num_arcs), dsts(num_arcs);
+  std::vector<uint32_t> srcs(num_arcs);
   parallel_for(0, num_arcs, [&](size_t i) {
     auto [u, v] = arcs[i];
-    assert(keys[i] < kHeadKey);
-    arcs_[i] = Arc{u, v, keys[i], true};
+    arcs_[i] = Arc{u, v, key_of(ranks[i], uint32_t(i)), true};
     srcs[i] = u;
-    dsts[i] = v;
   });
   // Out-arcs as a flat CSR layout (histogram -> scan -> scatter): arcs are
   // only ever invalidated after init, never added, so the slices stay valid
@@ -48,26 +46,29 @@ void ESTree::init(size_t n,
     out_offsets_ = std::move(out.offsets);
     out_arcs_ = std::move(out.items);
   }
-  // In-lists: group arcs by destination, then sort each slice by
-  // descending key. Slices are disjoint, so the sort runs per-vertex in
-  // parallel.
+  // In-lists: a stable grouping of the arc ids by rank lists them by
+  // ascending key; read backwards and regrouped stably by destination, it
+  // leaves every In(v) in descending key order with no per-vertex sort.
   {
+    size_t max_rank = parallel_reduce(
+        0, num_arcs, size_t{0}, [&](size_t i) { return size_t(ranks[i]); },
+        [](size_t a, size_t b) { return a < b ? b : a; });
+    std::vector<uint32_t> by_key = group_runs(max_rank + 1, ranks).items;
+    auto desc = [&](size_t j) { return by_key[num_arcs - 1 - j]; };
+    std::vector<uint32_t> dsts(num_arcs);
+    parallel_for(0, num_arcs,
+                 [&](size_t j) { dsts[j] = arcs[desc(j)].second; });
     GroupedIndices by_dst = group_by_key(n, dsts);
-    std::vector<std::pair<uint64_t, uint32_t>> entries(num_arcs);
-    parallel_for(0, num_arcs, [&](size_t j) {
-      uint32_t a = by_dst.items[j];
-      entries[j] = {arcs_[a].key, a};
-    });
     in_off_ = std::move(by_dst.offsets);
     in_len_.resize(n);
     in_key_.resize(num_arcs);
-    in_arc_ = std::move(by_dst.items);
     parallel_for(0, n, [&](size_t v) {
       uint32_t lo = in_off_[v], hi = in_off_[v + 1];
       in_len_[v] = hi - lo;
-      std::sort(entries.begin() + lo, entries.begin() + hi, std::greater<>());
-      for (uint32_t j = lo; j < hi; ++j)
-        std::tie(in_key_[j], in_arc_[j]) = entries[j];
+      for (uint32_t j = lo; j < hi; ++j) {
+        uint32_t a = desc(by_dst.items[j]);
+        in_key_[j] = key_of(ranks[a], a);
+      }
     });
     counters_.list_ops += num_arcs;
   }
@@ -105,13 +106,13 @@ void ESTree::init(size_t n,
 int32_t ESTree::next_with(VertexId v, uint64_t from_key) {
   int32_t found = kNoArc;
   uint32_t want = dist_[v] - 1;
-  const uint32_t* ids = in_arc_.data() + in_off_[v];
+  const uint64_t* keys = in_key_.data() + in_off_[v];
   uint32_t len = in_len_[v];
   uint32_t j = slot_at_or_below(v, from_key);
   uint64_t steps = 0;
   for (; j < len; ++j) {
     ++steps;
-    uint32_t a = ids[j];
+    uint32_t a = uint32_t(keys[j]);
     if (arcs_[a].valid && dist_[arcs_[a].src] == want) {
       found = static_cast<int32_t>(a);
       break;
@@ -179,19 +180,17 @@ ESTree::DeletionReport ESTree::delete_arcs(std::span<const uint32_t> arc_ids) {
     for (size_t i = lo; i < hi; ++i) {
       uint32_t a = doomed[i].second;
       slots[i] = slot_at_or_below(dst, arcs_[a].key);
-      assert(in_arc_[in_off_[dst] + slots[i]] == a);
+      assert(uint32_t(in_key_[in_off_[dst] + slots[i]]) == a);
       if (parent_arc_[dst] == int32_t(a)) lost_parent[g] = 1;
     }
     std::sort(slots.begin() + lo, slots.begin() + hi);
     uint64_t* keys = in_key_.data() + in_off_[dst];
-    uint32_t* ids = in_arc_.data() + in_off_[dst];
     uint32_t len = in_len_[dst];
     uint32_t w = slots[lo];
     for (size_t i = lo; i < hi; ++i) {
       uint32_t r0 = slots[i] + 1;
       uint32_t r1 = i + 1 < hi ? slots[i + 1] : len;
       std::copy(keys + r0, keys + r1, keys + w);
-      std::copy(ids + r0, ids + r1, ids + w);
       w += r1 - r0;
     }
     in_len_[dst] = w;
@@ -325,10 +324,10 @@ ESTree::DeletionReport ESTree::delete_arcs(std::span<const uint32_t> arc_ids) {
   return report;
 }
 
-bool ESTree::update_arc_priority(uint32_t a, uint64_t new_key) {
+bool ESTree::update_arc_priority(uint32_t a, uint32_t rank) {
   Arc& arc = arcs_[a];
   assert(arc.valid);
-  assert(new_key < kHeadKey);
+  const uint64_t new_key = key_of(rank, a);
   if (arc.key == new_key) return false;
   // NB: while a destination's distance is stable, valid parent candidates
   // only move toward smaller keys (paper §3.3); keys may move upward past
@@ -338,21 +337,17 @@ bool ESTree::update_arc_priority(uint32_t a, uint64_t new_key) {
   // shift by one, so the work is the distance moved.
   bool was_parent = parent_arc_[arc.dst] == int32_t(a);
   uint64_t* keys = in_key_.data() + in_off_[arc.dst];
-  uint32_t* ids = in_arc_.data() + in_off_[arc.dst];
   uint32_t i = slot_at_or_below(arc.dst, arc.key);
   uint32_t j = slot_at_or_below(arc.dst, new_key);
-  assert(ids[i] == a);
+  assert(keys[i] == arc.key);
   if (j > i) {
     // Downward: slot i is vacated, so the new slot is one before j.
     --j;
     std::copy(keys + i + 1, keys + j + 1, keys + i);
-    std::copy(ids + i + 1, ids + j + 1, ids + i);
   } else {
     std::copy_backward(keys + j, keys + i, keys + i + 1);
-    std::copy_backward(ids + j, ids + i, ids + i + 1);
   }
   keys[j] = new_key;
-  ids[j] = a;
   arc.key = new_key;
   ++counters_.list_ops;
   return was_parent;
@@ -392,7 +387,7 @@ bool ESTree::check_invariants() const {
     uint32_t off = in_off_[v], len = in_len_[v];
     if (len != valid_in[v] || off + len > in_off_[v + 1]) return false;
     for (uint32_t j = off; j < off + len; ++j) {
-      const Arc& arc = arcs_[in_arc_[j]];
+      const Arc& arc = arcs_[uint32_t(in_key_[j])];
       if (!arc.valid || arc.dst != v || arc.key != in_key_[j]) return false;
       if (j > off && in_key_[j - 1] <= in_key_[j]) return false;
     }
@@ -428,7 +423,7 @@ bool ESTree::check_invariants() const {
     // A1: no valid parent candidate with a key above the scan pointer.
     for (uint32_t j = in_off_[v]; j < in_off_[v] + in_len_[v]; ++j) {
       if (in_key_[j] <= scan_key_[v]) break;
-      if (dist_[arcs_[in_arc_[j]].src] + 1 == dist_[v]) return false;
+      if (dist_[arcs_[uint32_t(in_key_[j])].src] + 1 == dist_[v]) return false;
     }
   }
   return true;

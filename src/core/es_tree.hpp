@@ -4,10 +4,12 @@
 //
 // Every vertex v with 1 <= Dist(v) <= L maintains a pointer Scan(v) into its
 // in-arc list In(v), which is ordered by decreasing priority key (Lemma
-// 3.1's priority list). Each In(v) is one slice of a single CSR over all
-// arcs, kept strictly descending by key: arcs are never added after init
-// and a priority update keeps the count, so a slice never outgrows its
-// initial in-degree (DESIGN.md §1).
+// 3.1's priority list). The tree owns the key format: arc a at rank r has
+// key r * 2^32 + a, so keys are distinct, order by rank and then arc id,
+// and name their arc. Each In(v) is one slice of a single CSR of keys,
+// kept strictly descending: arcs are never added after init and a
+// priority update keeps the count, so a slice never outgrows its initial
+// in-degree (DESIGN.md §1).
 //
 //   Invariant A1: Scan(v) points to the first (highest-key) in-arc whose
 //                 source has distance Dist(v) - 1; that arc is v's parent.
@@ -66,19 +68,23 @@ class ESTree {
   struct Arc {
     VertexId src = kNoVertex;
     VertexId dst = kNoVertex;
-    uint64_t key = 0;    // current priority key in In(dst); distinct per dst
+    uint64_t key = 0;    // current priority key, key_of(rank, arc id)
     bool valid = false;  // false once deleted
   };
 
+  /// The priority key of arc `a` at rank `rank`.
+  static constexpr uint64_t key_of(uint32_t rank, uint32_t a) {
+    return (static_cast<uint64_t>(rank) << 32) | a;
+  }
+
   ESTree() = default;
 
-  /// Builds the tree on `n` vertices with the given arcs and priority keys
-  /// (keys[i] is the key of arcs[i]; keys must be distinct within each
-  /// destination's in-list and < kHeadKey). Runs a bounded BFS from `source`
+  /// Builds the tree on `n` vertices with the given arcs and priority ranks
+  /// (ranks[i] is the rank of arcs[i]). Runs a bounded BFS from `source`
   /// and selects each parent as the highest-key in-arc from the previous
   /// level (Invariant A1).
   void init(size_t n, const std::vector<std::pair<VertexId, VertexId>>& arcs,
-            const std::vector<uint64_t>& keys, VertexId source, uint32_t L);
+            const std::vector<uint32_t>& ranks, VertexId source, uint32_t L);
 
   /// Result of a batch deletion.
   struct DeletionReport {
@@ -118,12 +124,11 @@ class ESTree {
   size_t num_vertices() const { return dist_.size(); }
   VertexId source() const { return source_; }
 
-  /// Changes the priority key of arc `a` (new key must be distinct within
-  /// In(dst) and < kHeadKey). If the arc is its destination's parent, the
-  /// caller must follow up with rescan(dst) — flagged by the return value.
-  /// Priorities of *valid parent candidates* must only decrease while the
-  /// destination's distance is unchanged (asserted in debug builds).
-  bool update_arc_priority(uint32_t a, uint64_t new_key);
+  /// Moves arc `a` to rank `rank`. If the arc is its destination's parent,
+  /// the caller must follow up with rescan(dst) — flagged by the return
+  /// value. Priorities of *valid parent candidates* must only decrease while
+  /// the destination's distance is unchanged.
+  bool update_arc_priority(uint32_t a, uint32_t rank);
 
   /// Re-selects the parent of v by scanning In(v) from the current pointer
   /// (NextWith with f = "source at distance Dist(v)-1"). Returns true if the
@@ -137,6 +142,11 @@ class ESTree {
   /// batch: their phase-time parent selection used pre-cascade priorities,
   /// so the argmax must be re-evaluated over the whole list.
   bool rescan_from_head(VertexId v);
+
+  /// The keys of In(v), descending; the low word of each is its arc id.
+  std::span<const uint64_t> in_keys(VertexId v) const {
+    return {in_key_.data() + in_off_[v], in_len_[v]};
+  }
 
   /// Iterates over the valid out-arcs of v: fn(arc_id, const Arc&).
   /// Out-arcs live in a flat CSR slice (arcs are never added after init,
@@ -181,13 +191,12 @@ class ESTree {
   uint32_t slot_at_or_below(VertexId v, uint64_t key) const;
 
   std::vector<Arc> arcs_;
-  // In-lists: In(v) is in_key_/in_arc_[in_off_[v] .. in_off_[v]+in_len_[v]),
-  // strictly descending by key; the slice's tail up to in_off_[v+1] is slack
-  // left behind by erased arcs.
+  // In-lists: In(v) is in_key_[in_off_[v] .. in_off_[v]+in_len_[v]),
+  // strictly descending; the slice's tail up to in_off_[v+1] is slack left
+  // behind by erased arcs.
   std::vector<uint32_t> in_off_;
   std::vector<uint32_t> in_len_;
   std::vector<uint64_t> in_key_;
-  std::vector<uint32_t> in_arc_;
   std::vector<uint32_t> out_offsets_;       // CSR offsets into out_arcs_
   std::vector<uint32_t> out_arcs_;          // arc ids grouped by source
   std::vector<uint32_t> dist_;

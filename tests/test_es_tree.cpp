@@ -18,19 +18,18 @@
 namespace parspan {
 namespace {
 
-// Builds directed arcs (both directions) from undirected edges, keys are
-// arbitrary distinct values (arc index).
+// Builds directed arcs (both directions) from undirected edges, all at rank
+// 0, so every In(v) orders by arc id.
 struct ArcBuild {
   std::vector<std::pair<VertexId, VertexId>> arcs;
-  std::vector<uint64_t> keys;
+  std::vector<uint32_t> ranks;
   // arc ids per undirected edge: [2i], [2i+1]
   void add_undirected(const std::vector<Edge>& edges) {
     for (const Edge& e : edges) {
       arcs.push_back({e.u, e.v});
-      keys.push_back(arcs.size());
       arcs.push_back({e.v, e.u});
-      keys.push_back(arcs.size());
     }
+    ranks.assign(arcs.size(), 0);
   }
 };
 
@@ -39,7 +38,7 @@ TEST(ESTree, InitDistancesOnPath) {
   ArcBuild b;
   b.add_undirected(edges);
   ESTree t;
-  t.init(10, b.arcs, b.keys, 0, 20);
+  t.init(10, b.arcs, b.ranks, 0, 20);
   for (VertexId v = 0; v < 10; ++v) EXPECT_EQ(t.dist(v), v);
   EXPECT_TRUE(t.check_invariants());
 }
@@ -49,7 +48,7 @@ TEST(ESTree, DepthBoundCutsOff) {
   ArcBuild b;
   b.add_undirected(edges);
   ESTree t;
-  t.init(10, b.arcs, b.keys, 0, 4);
+  t.init(10, b.arcs, b.ranks, 0, 4);
   EXPECT_EQ(t.dist(4), 4u);
   EXPECT_EQ(t.dist(5), 5u);  // = L+1: out of tree
   EXPECT_EQ(t.parent(5), kNoVertex);
@@ -62,7 +61,7 @@ TEST(ESTree, SingleDeletionReroutes) {
   ArcBuild b;
   b.add_undirected(edges);
   ESTree t;
-  t.init(4, b.arcs, b.keys, 0, 10);
+  t.init(4, b.arcs, b.ranks, 0, 10);
   EXPECT_EQ(t.dist(1), 1u);
   // Find arc ids of (0,1) and (1,0).
   std::vector<uint32_t> doomed;
@@ -86,7 +85,7 @@ TEST(ESTree, DisconnectionDropsSubtree) {
   ArcBuild b;
   b.add_undirected(edges);
   ESTree t;
-  t.init(6, b.arcs, b.keys, 0, 10);
+  t.init(6, b.arcs, b.ranks, 0, 10);
   // Delete both arcs of edge (2,3): vertices 3,4,5 leave the tree.
   std::vector<uint32_t> doomed;
   for (uint32_t a = 0; a < t.num_arcs(); ++a) {
@@ -106,7 +105,7 @@ TEST(ESTree, DoubleDeleteIgnored) {
   ArcBuild b;
   b.add_undirected(edges);
   ESTree t;
-  t.init(5, b.arcs, b.keys, 0, 10);
+  t.init(5, b.arcs, b.ranks, 0, 10);
   t.delete_arcs({0, 1});
   auto rep = t.delete_arcs({0, 1});  // no-op
   EXPECT_TRUE(rep.parent_changed.empty());
@@ -122,7 +121,7 @@ TEST_P(ESTreeRandom, BatchedDeletionsMatchBfsOracle) {
   ArcBuild b;
   b.add_undirected(edges);
   ESTree t;
-  t.init(n, b.arcs, b.keys, 0, L);
+  t.init(n, b.arcs, b.ranks, 0, L);
   ASSERT_TRUE(t.check_invariants());
 
   Rng rng(seed ^ 0xfeed);
@@ -167,7 +166,7 @@ class ESTreePriorityMoves
     : public ::testing::TestWithParam<
           std::tuple<size_t, size_t, uint32_t, uint64_t>> {};
 
-// Random key moves (up, down, to the head and to the tail of In(dst)) mixed
+// Random rank moves (up, down, to the head and to the tail of In(dst)) mixed
 // with batched deletions. Each move that can break Invariant A1 is followed
 // by the repair the cluster layer makes: a parent moved down is rescanned
 // from its pointer; a parent moved up, or another arc moved above the
@@ -178,19 +177,17 @@ TEST_P(ESTreePriorityMoves, MovesAndDeletionsMatchBfsOracle) {
   Rng rng(seed ^ 0xbeef);
   ArcBuild b;
   b.add_undirected(edges);
-  // Keys start in a band far from both ends, so head/tail moves never
-  // leave the valid range.
-  constexpr uint64_t kBase = uint64_t{1} << 40;
+  // Ranks start in a band far from both ends of the 32-bit range, so moves
+  // never leave it. Random ranks are sparse, and equal ones fall back on
+  // the arc id.
+  constexpr uint32_t kBase = uint32_t{1} << 30;
   std::vector<std::set<uint64_t>> in_keys(n);
   for (size_t a = 0; a < b.arcs.size(); ++a) {
-    uint64_t k;
-    do {
-      k = kBase + rng.next_below(uint64_t{1} << 32);
-    } while (!in_keys[b.arcs[a].second].insert(k).second);
-    b.keys[a] = k;
+    b.ranks[a] = kBase + uint32_t(rng.next_below(uint32_t{1} << 24));
+    in_keys[b.arcs[a].second].insert(ESTree::key_of(b.ranks[a], uint32_t(a)));
   }
   ESTree t;
-  t.init(n, b.arcs, b.keys, 0, L);
+  t.init(n, b.arcs, b.ranks, 0, L);
   ASSERT_TRUE(t.check_invariants());
 
   std::vector<uint32_t> order(edges.size());
@@ -202,27 +199,28 @@ TEST_P(ESTreePriorityMoves, MovesAndDeletionsMatchBfsOracle) {
     const ESTree::Arc& arc = t.arc(a);
     VertexId v = arc.dst;
     std::set<uint64_t>& ks = in_keys[v];
-    uint64_t old_key = arc.key, new_key;
-    do {
-      switch (rng.next_below(4)) {
-        case 0:  // up, past a random number of entries
-          new_key = old_key + 1 + rng.next_below(uint64_t{1} << 31);
-          break;
-        case 1:  // down
-          new_key = old_key - 1 - rng.next_below(uint64_t{1} << 31);
-          break;
-        case 2:  // to the head
-          new_key = *ks.rbegin() + 1 + rng.next_below(4);
-          break;
-        default:  // to the tail
-          new_key = *ks.begin() - 1 - rng.next_below(4);
-      }
-    } while (ks.count(new_key));
+    uint64_t old_key = arc.key;
+    uint32_t old_rank = uint32_t(old_key >> 32), rank;
+    switch (rng.next_below(4)) {
+      case 0:  // up, past a random number of entries
+        rank = old_rank + 1 + uint32_t(rng.next_below(uint32_t{1} << 23));
+        break;
+      case 1:  // down
+        rank = old_rank - 1 - uint32_t(rng.next_below(uint32_t{1} << 23));
+        break;
+      case 2:  // to the head
+        rank = uint32_t(*ks.rbegin() >> 32) + 1 + uint32_t(rng.next_below(4));
+        break;
+      default:  // to the tail
+        rank = uint32_t(*ks.begin() >> 32) - 1 - uint32_t(rng.next_below(4));
+    }
+    uint64_t new_key = ESTree::key_of(rank, a);
     int32_t parent = t.parent_arc(v);
     uint64_t parent_key = parent == ESTree::kNoArc ? 0 : t.arc(parent).key;
     ks.erase(old_key);
     ks.insert(new_key);
-    bool was_parent = t.update_arc_priority(a, new_key);
+    bool was_parent = t.update_arc_priority(a, rank);
+    ASSERT_EQ(t.arc(a).key, new_key);
     ASSERT_EQ(was_parent, parent == int32_t(a));
     if (was_parent && new_key < old_key)
       t.rescan(v);
@@ -265,11 +263,11 @@ TEST(ESTree, PriorityOrderDeterminesParent) {
   // the larger key.
   std::vector<std::pair<VertexId, VertexId>> arcs = {
       {0, 1}, {0, 2}, {1, 3}, {2, 3}};
-  std::vector<uint64_t> keys = {5, 6, 100, 50};  // arc (1,3) has higher key
+  std::vector<uint32_t> ranks = {5, 6, 100, 50};  // arc (1,3) ranks higher
   ESTree t;
-  t.init(4, arcs, keys, 0, 5);
+  t.init(4, arcs, ranks, 0, 5);
   EXPECT_EQ(t.parent(3), 1u);
-  // Lower the key of arc 2 = (1,3) below arc 3 = (2,3): rescan switches.
+  // Lower the rank of arc 2 = (1,3) below arc 3 = (2,3): rescan switches.
   bool was_parent = t.update_arc_priority(2, 10);
   EXPECT_TRUE(was_parent);
   EXPECT_TRUE(t.rescan(3));
@@ -280,10 +278,10 @@ TEST(ESTree, PriorityOrderDeterminesParent) {
 TEST(ESTree, RescanNoChangeWhenStillBest) {
   std::vector<std::pair<VertexId, VertexId>> arcs = {
       {0, 1}, {0, 2}, {1, 3}, {2, 3}};
-  std::vector<uint64_t> keys = {5, 6, 100, 50};
+  std::vector<uint32_t> ranks = {5, 6, 100, 50};
   ESTree t;
-  t.init(4, arcs, keys, 0, 5);
-  // Drop parent's key but keep it above the alternative.
+  t.init(4, arcs, ranks, 0, 5);
+  // Drop parent's rank but keep it above the alternative.
   t.update_arc_priority(2, 60);
   EXPECT_FALSE(t.rescan(3));
   EXPECT_EQ(t.parent(3), 1u);
@@ -295,7 +293,7 @@ TEST(ESTree, WorkCountersAccumulate) {
   ArcBuild b;
   b.add_undirected(edges);
   ESTree t;
-  t.init(100, b.arcs, b.keys, 0, 20);
+  t.init(100, b.arcs, b.ranks, 0, 20);
   auto before = t.counters().list_ops;
   t.delete_arcs({0, 1, 2, 3});
   EXPECT_GT(t.counters().list_ops, before);
@@ -309,7 +307,7 @@ TEST(ESTree, ChildCascadeDepth) {
   ArcBuild b;
   b.add_undirected(edges);
   ESTree t;
-  t.init(n, b.arcs, b.keys, 0, uint32_t(n));
+  t.init(n, b.arcs, b.ranks, 0, uint32_t(n));
   std::vector<uint32_t> doomed = {0, 1};  // both arcs of edge (0,1)
   auto rep = t.delete_arcs(doomed);
   EXPECT_TRUE(t.check_invariants());

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cluster_spanner.hpp"
 #include "core/fully_dynamic_spanner.hpp"
 #include "core/sparsifier.hpp"
 #include "graph/generators.hpp"
@@ -286,6 +287,41 @@ TEST(ParallelPipeline, SpannerDiffDeterministicAcrossThreadCounts) {
     return out;
   });
   expect_same_stream(one, four);
+}
+
+// --- Construction pin. -----------------------------------------------------
+// One Lemma 3.3 instance at a dense shape (n=512, m=3·n^{4/3}, k=3), where
+// InterCluster groups spill past their inline members and in-lists are
+// long. The hash covers the sorted spanner after construction and then the
+// diffs of 20 deletion batches, which depend on every group's member order
+// and representative and on every In(v) order. It is the same at 1 and 4
+// workers, and a rewrite of the construction must leave it unchanged.
+TEST(ParallelPipeline, DenseConstructionMatchesPinnedHash) {
+  const size_t n = 512;
+  const size_t m = 3 * 4096;  // 3·n^{4/3}
+  auto edges = gen_erdos_renyi(n, m, 19);
+  auto stream = gen_decremental_stream(edges, 256, 21);
+  stream.resize(20);
+  auto hash_edges = [](uint64_t h, const std::vector<Edge>& es) {
+    h = hash_combine(h, es.size());
+    for (const Edge& e : es) h = hash_combine(h, e.key());
+    return h;
+  };
+  auto [one, four] = at_1_and_4_workers([&] {
+    ClusterSpannerConfig cfg;
+    cfg.k = 3;
+    cfg.seed = 13;
+    DecrementalClusterSpanner sp(n, edges, cfg);
+    uint64_t h = hash_edges(0, keyed(sp.spanner_edges()));
+    for (const UpdateBatch& b : stream) {
+      SpannerDiff d = sp.delete_edges(b.deletions);
+      h = hash_edges(hash_edges(h, d.inserted), d.removed);
+    }
+    EXPECT_TRUE(sp.check_invariants());
+    return h;
+  });
+  EXPECT_EQ(one, 1290269966705666066ull);
+  EXPECT_EQ(four, 1290269966705666066ull);
 }
 
 // --- Diff output is sorted by canonical key. ------------------------------

@@ -25,15 +25,12 @@ TEST_P(EsMonotone, DistancesNeverDecrease) {
   const size_t n = 60;
   auto edges = gen_erdos_renyi(n, 240, seed);
   std::vector<std::pair<VertexId, VertexId>> arcs;
-  std::vector<uint64_t> keys;
   for (const Edge& e : edges) {
     arcs.push_back({e.u, e.v});
-    keys.push_back(arcs.size());
     arcs.push_back({e.v, e.u});
-    keys.push_back(arcs.size());
   }
   ESTree t;
-  t.init(n, arcs, keys, 0, 20);
+  t.init(n, arcs, std::vector<uint32_t>(arcs.size(), 0), 0, 20);
   std::vector<uint32_t> prev(n);
   for (VertexId v = 0; v < n; ++v) prev[v] = t.dist(v);
   Rng rng(seed ^ 1);
